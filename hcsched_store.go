@@ -7,19 +7,18 @@ import "repro/internal/store"
 // request key and holding marshaled response bodies verbatim. A restarted
 // daemon answers previously computed requests from disk — byte-identical,
 // X-Schedd-Cache: disk — instead of recomputing them cold. Append-only
-// segment files, a bloom filter so misses cost zero disk reads, and
-// recovery that truncates a torn tail rather than ever serving it.
+// segment files; a bloom filter and an in-memory index of 8-byte key
+// fingerprints, so a miss costs zero disk reads and a hit one
+// key-verified read; and recovery that truncates a torn tail rather than
+// ever serving it.
 type (
 	// ResultStore is the crash-safe on-disk body store. It satisfies the
 	// serve layer's store interface: set it as ServeOptions.Store to wire
 	// it under the LRU as a read-through/write-behind second tier.
 	ResultStore = store.Store
-	// ResultStoreOptions configures a ResultStore; the zero value uses the
-	// full in-memory index and default segment/bloom sizing.
+	// ResultStoreOptions configures a ResultStore; the zero value uses
+	// default segment/bloom sizing over the real filesystem.
 	ResultStoreOptions = store.Options
-	// ResultStoreLayout selects the in-memory index layout:
-	// ResultStoreIndexFull or ResultStoreIndexSparse.
-	ResultStoreLayout = store.Layout
 	// ResultStoreStats is a point-in-time snapshot of store state and
 	// counters (keys, segments, recovered bytes, bloom negatives, reads,
 	// health transitions and quarantined records).
@@ -43,14 +42,6 @@ type (
 	// ResultStoreFaultFS wraps a ResultStoreFS in the fault injector; every
 	// decision flows from the spec seed, so fault schedules replay exactly.
 	ResultStoreFaultFS = store.FaultFS
-)
-
-// Index layouts for ResultStoreOptions.Layout: the exact key map (zero
-// false positives, more memory) and the fingerprint map (compact, rare
-// extra disk probes). Both serve identical bytes.
-const (
-	ResultStoreIndexFull   = store.IndexFull
-	ResultStoreIndexSparse = store.IndexSparse
 )
 
 // Health states for ResultStoreHealth: the store recovers upward only

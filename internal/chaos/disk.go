@@ -314,7 +314,7 @@ func RunDisk(sc DiskScenario) (*Report, error) {
 	}
 
 	// The faulted stack: one store, opened once, over a FaultFS that starts
-	// quiet. IndexFull (the default) keeps absent-key lookups off the disk,
+	// quiet. The fingerprint index keeps absent-key lookups off the disk,
 	// so fresh bodies never consume a read draw — load-bearing for replay.
 	var spec store.FaultSpec
 	if !sc.DiskFull {

@@ -124,6 +124,31 @@ func TestGatewayByteIdenticalToSingleton(t *testing.T) {
 	}
 }
 
+// TestGatewayRejectsTrailingData: a body with a closing bracket or brace
+// (or anything else) after its value has no canonical key, so the gateway
+// routes it by raw bytes and relays the owner's 400 — byte-identical to a
+// single instance — for singletons and batch envelopes alike.
+func TestGatewayRejectsTrailingData(t *testing.T) {
+	_, g, ref := startCluster(t, 2, Options{})
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/iterate", `{"etc":[[1,2]],"heuristic":"min-min"}]]]garbage`},
+		{"/v1/map", mapBody(1) + "}"},
+		{"/v1/batch", `{"items":[{"endpoint":"map","etc":[[1,2]],"heuristic":"min-min"}]}]`},
+	} {
+		if _, ok := serve.CanonicalKey(tc.path, []byte(tc.body)); ok {
+			t.Errorf("%s: CanonicalKey keyed a body with trailing data", tc.path)
+		}
+		wantStatus, wantBody := postURL(t, ref.URL+tc.path, tc.body)
+		rec := postHandler(t, g.Handler(), tc.path, tc.body)
+		if wantStatus != http.StatusBadRequest || !strings.Contains(wantBody, "trailing data") {
+			t.Errorf("%s: single instance answered %d %s, want 400 trailing data", tc.path, wantStatus, wantBody)
+		}
+		if rec.Code != wantStatus || rec.Body.String() != wantBody {
+			t.Errorf("%s: gateway %d %q, single instance %d %q", tc.path, rec.Code, rec.Body.String(), wantStatus, wantBody)
+		}
+	}
+}
+
 // TestGatewayRoutingStability pins warm-cache concentration: the same body
 // posted twice routes to the same backend, and the second response is a
 // cache hit served with identical bytes.

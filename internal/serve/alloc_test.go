@@ -57,8 +57,9 @@ func newReplayRequest(path, body string) (*http.Request, *replayBody) {
 	}, rb
 }
 
-// TestCacheHitAllocs is the serve-side alloc guard: at most 8 allocs/op on
-// the untraced raw-alias hit path.
+// TestCacheHitAllocs is the serve-side alloc guard: zero allocs/op on the
+// untraced raw-alias hit path (at most 8 under -race, where sync.Pool drops
+// pooled scratch at random).
 func TestCacheHitAllocs(t *testing.T) {
 	s := NewServer(Options{})
 	defer drain(t, s)
@@ -78,8 +79,12 @@ func TestCacheHitAllocs(t *testing.T) {
 		rb.reset()
 		h.ServeHTTP(w, req)
 	})
-	if got > 8 {
-		t.Fatalf("untraced cache hit costs %.1f allocs/op, budget 8", got)
+	budget := 0.0
+	if raceDetectorEnabled {
+		budget = 8
+	}
+	if got > budget {
+		t.Fatalf("untraced cache hit costs %.1f allocs/op, budget %.0f", got, budget)
 	}
 	if hits := counterValue(t, s, "serve.cache_hits"); hits == 0 {
 		t.Fatal("guard measured a non-hit path")

@@ -270,14 +270,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // equivalent of the singleton decode+validate stages, producing the same
 // error envelopes a singleton request would see.
 func parseBatchItem(raw []byte, lim limits) (*parsedRequest, *apiError) {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	var it BatchItem
-	if err := dec.Decode(&it); err != nil {
-		return nil, badRequest("decoding batch item: %v", err)
-	}
-	if dec.More() {
-		return nil, badRequest("batch item has trailing data")
+	it, aerr := decodeBatchItem(raw)
+	if aerr != nil {
+		return nil, aerr
 	}
 	var ep endpoint
 	switch it.Endpoint {
@@ -294,6 +289,29 @@ func parseBatchItem(raw []byte, lim limits) (*parsedRequest, *apiError) {
 		}
 	}
 	return admitRequest(ep, it.Request, lim)
+}
+
+// decodeBatchItem is decodeRequest for a batch item: the one-pass decoder
+// for canonical items, encoding/json for the rest.
+func decodeBatchItem(raw []byte) (BatchItem, *apiError) {
+	if it, ok := decodeFast(raw, true); ok {
+		return it, nil
+	}
+	return decodeBatchItemSlow(raw)
+}
+
+// decodeBatchItemSlow is decodeBatchItem's encoding/json path.
+func decodeBatchItemSlow(raw []byte) (BatchItem, *apiError) {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	var it BatchItem
+	if err := dec.Decode(&it); err != nil {
+		return BatchItem{}, badRequest("decoding batch item: %v", err)
+	}
+	if trailingData(raw, dec) {
+		return BatchItem{}, badRequest("batch item has trailing data")
+	}
+	return it, nil
 }
 
 // trimNewline strips the canonical trailing newline from a singleton
@@ -423,7 +441,7 @@ func splitBatchSlow(body []byte) ([][]byte, *apiError) {
 	if err := dec.Decode(&env); err != nil {
 		return nil, badRequest("decoding batch request: %v", err)
 	}
-	if dec.More() {
+	if trailingData(body, dec) {
 		return nil, badRequest("request body has trailing data")
 	}
 	items := make([][]byte, len(env.Items))

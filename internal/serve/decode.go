@@ -1,0 +1,298 @@
+package serve
+
+import (
+	"strconv"
+	"sync"
+)
+
+// decodeFast is the one-pass decoder for the canonical subset of the
+// request wire format: exact lowercase field names, each at most once;
+// strings of printable ASCII without escapes; numbers in the strict JSON
+// grammar, each parsed once by strconv; true/false for "seeded"; nothing
+// but whitespace after the closing brace. "endpoint" is a known field only
+// when item is set (a /v1/batch item). ok is false for every other body —
+// null values, escapes, case-folded or repeated names, out-of-range
+// numbers, trailing data — and the caller falls back to encoding/json, which
+// alone produces error messages. Whatever decodeFast accepts, encoding/json
+// accepts with a reflect.DeepEqual result: absent slices stay nil, "[]"
+// decodes to an empty non-nil slice (FuzzDecodeRequest pins this).
+//
+// Allocation is bounded by the result: the ETC rows header, one backing
+// array shared by every row, the ready array and the strings.
+func decodeFast(body []byte, item bool) (it BatchItem, ok bool) {
+	d := decoder{b: body}
+	d.skip()
+	if !d.eat('{') {
+		return BatchItem{}, false
+	}
+	d.skip()
+	if d.eat('}') {
+		return it, d.end()
+	}
+	var seen uint8
+	for {
+		name, ok := d.str()
+		if !ok {
+			return BatchItem{}, false
+		}
+		d.skip()
+		if !d.eat(':') {
+			return BatchItem{}, false
+		}
+		d.skip()
+		var bit uint8
+		switch string(name) {
+		case "etc":
+			bit = 1 << 0
+			it.ETC, ok = d.matrix()
+		case "ready":
+			bit = 1 << 1
+			it.Ready, ok = d.floats()
+		case "heuristic":
+			bit = 1 << 2
+			it.Heuristic, ok = d.text()
+		case "ties":
+			bit = 1 << 3
+			it.Ties, ok = d.text()
+		case "seed":
+			bit = 1 << 4
+			var n []byte
+			if n, ok = d.number(); ok {
+				it.Seed, ok = parseUint(n)
+			}
+		case "seeded":
+			bit = 1 << 5
+			it.Seeded, ok = d.boolean()
+		case "timeout_ms":
+			bit = 1 << 6
+			var n []byte
+			if n, ok = d.number(); ok {
+				it.TimeoutMS, ok = parseInt(n)
+			}
+		case "endpoint":
+			bit = 1 << 7
+			if !item {
+				return BatchItem{}, false
+			}
+			it.Endpoint, ok = d.text()
+		default:
+			return BatchItem{}, false
+		}
+		if !ok || seen&bit != 0 {
+			return BatchItem{}, false
+		}
+		seen |= bit
+		d.skip()
+		if d.eat('}') {
+			return it, d.end()
+		}
+		if !d.eat(',') {
+			return BatchItem{}, false
+		}
+		d.skip()
+	}
+}
+
+// decoder is decodeFast's cursor over the body.
+type decoder struct {
+	b []byte
+	i int
+}
+
+func (d *decoder) skip() { d.i = skipSpace(d.b, d.i) }
+
+// end reports whether only whitespace remains.
+func (d *decoder) end() bool { return skipSpace(d.b, d.i) == len(d.b) }
+
+func (d *decoder) eat(c byte) bool {
+	if d.i < len(d.b) && d.b[d.i] == c {
+		d.i++
+		return true
+	}
+	return false
+}
+
+// str scans a string of printable ASCII without escapes and returns its
+// contents, aliasing the body.
+func (d *decoder) str() ([]byte, bool) {
+	if !d.eat('"') {
+		return nil, false
+	}
+	start := d.i
+	for ; d.i < len(d.b); d.i++ {
+		switch c := d.b[d.i]; {
+		case c == '"':
+			d.i++
+			return d.b[start : d.i-1], true
+		case c < 0x20 || c > 0x7e || c == '\\':
+			return nil, false
+		}
+	}
+	return nil, false
+}
+
+// text is str copied out of the body.
+func (d *decoder) text() (string, bool) {
+	s, ok := d.str()
+	return string(s), ok
+}
+
+func (d *decoder) boolean() (bool, bool) {
+	rest := d.b[d.i:]
+	switch {
+	case len(rest) >= 4 && string(rest[:4]) == "true":
+		d.i += 4
+		return true, true
+	case len(rest) >= 5 && string(rest[:5]) == "false":
+		d.i += 5
+		return false, true
+	}
+	return false, false
+}
+
+// number scans one number in the strict JSON grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns its bytes.
+// Whatever follows ("01", "1x") is the caller's delimiter check to fail.
+func (d *decoder) number() ([]byte, bool) {
+	start := d.i
+	d.eat('-')
+	switch {
+	case d.eat('0'):
+	case d.i < len(d.b) && d.b[d.i] >= '1' && d.b[d.i] <= '9':
+		d.digits()
+	default:
+		return nil, false
+	}
+	if d.eat('.') && !d.digits() {
+		return nil, false
+	}
+	if d.eat('e') || d.eat('E') {
+		if !d.eat('+') {
+			d.eat('-')
+		}
+		if !d.digits() {
+			return nil, false
+		}
+	}
+	return d.b[start:d.i], true
+}
+
+// digits consumes [0-9]* and reports whether it consumed any.
+func (d *decoder) digits() bool {
+	start := d.i
+	for d.i < len(d.b) && d.b[d.i] >= '0' && d.b[d.i] <= '9' {
+		d.i++
+	}
+	return d.i > start
+}
+
+// The strconv parsers copy their input into a NumError only on failure,
+// so these conversions stay on the stack for ordinary-length numbers.
+func parseFloat(n []byte) (float64, bool) {
+	f, err := strconv.ParseFloat(string(n), 64)
+	return f, err == nil
+}
+
+func parseUint(n []byte) (uint64, bool) {
+	u, err := strconv.ParseUint(string(n), 10, 64)
+	return u, err == nil
+}
+
+func parseInt(n []byte) (int64, bool) {
+	v, err := strconv.ParseInt(string(n), 10, 64)
+	return v, err == nil
+}
+
+// numScratch collects a matrix's cells and row boundaries before they are
+// copied into exact-size result slices.
+type numScratch struct {
+	vals []float64
+	ends []int
+}
+
+var numScratchPool = sync.Pool{New: func() any { return new(numScratch) }}
+
+// maxPooledCells bounds the scratch a pool keeps: one oversized matrix must
+// not pin its buffers for the life of the process.
+const maxPooledCells = 1 << 16
+
+// list scans "[" elem ("," elem)* "]" or "[]", calling elem at each element.
+func (d *decoder) list(elem func() bool) bool {
+	if !d.eat('[') {
+		return false
+	}
+	d.skip()
+	if d.eat(']') {
+		return true
+	}
+	for {
+		if !elem() {
+			return false
+		}
+		d.skip()
+		if d.eat(']') {
+			return true
+		}
+		if !d.eat(',') {
+			return false
+		}
+		d.skip()
+	}
+}
+
+// floatsInto appends one array of numbers to vals.
+func (d *decoder) floatsInto(vals *[]float64) bool {
+	return d.list(func() bool {
+		n, ok := d.number()
+		if !ok {
+			return false
+		}
+		f, ok := parseFloat(n)
+		*vals = append(*vals, f)
+		return ok
+	})
+}
+
+// floats decodes an array of numbers into an exact-size slice; "[]" yields
+// an empty non-nil slice, as encoding/json does.
+func (d *decoder) floats() ([]float64, bool) {
+	sc := numScratchPool.Get().(*numScratch)
+	defer putNumScratch(sc)
+	sc.vals = sc.vals[:0]
+	if !d.floatsInto(&sc.vals) {
+		return nil, false
+	}
+	return append(make([]float64, 0, len(sc.vals)), sc.vals...), true
+}
+
+// matrix decodes an array of number arrays. Every row is a capacity-capped
+// window of one backing array, so no row can grow into its neighbour.
+func (d *decoder) matrix() ([][]float64, bool) {
+	sc := numScratchPool.Get().(*numScratch)
+	defer putNumScratch(sc)
+	sc.vals, sc.ends = sc.vals[:0], sc.ends[:0]
+	ok := d.list(func() bool {
+		if !d.floatsInto(&sc.vals) {
+			return false
+		}
+		sc.ends = append(sc.ends, len(sc.vals))
+		return true
+	})
+	if !ok {
+		return nil, false
+	}
+	back := append(make([]float64, 0, len(sc.vals)), sc.vals...)
+	rows := make([][]float64, len(sc.ends))
+	start := 0
+	for r, end := range sc.ends {
+		rows[r] = back[start:end:end]
+		start = end
+	}
+	return rows, true
+}
+
+func putNumScratch(sc *numScratch) {
+	if cap(sc.vals) <= maxPooledCells && cap(sc.ends) <= maxPooledCells {
+		numScratchPool.Put(sc)
+	}
+}

@@ -1,0 +1,264 @@
+package serve
+
+import (
+	"encoding/json"
+	"net/http"
+	"reflect"
+	"strconv"
+	"testing"
+
+	"repro/internal/rng"
+)
+
+// matrixBody builds a canonical /v1/iterate body for a seeded tasks×machines
+// matrix, formatted the way clients write floats ('g', shortest).
+func matrixBody(tasks, machines int, seed uint64) []byte {
+	r := rng.New(seed)
+	b := []byte(`{"etc":[`)
+	for t := 0; t < tasks; t++ {
+		if t > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '[')
+		for m := 0; m < machines; m++ {
+			if m > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendFloat(b, r.UniformRange(1, 3000), 'g', -1, 64)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `],"heuristic":"min-min","ties":"random","seed":`...)
+	b = strconv.AppendUint(b, seed, 10)
+	return append(b, '}')
+}
+
+// decodeSeeds are hand-picked request bodies on both sides of the fast
+// path's canonical subset; the fuzz targets start from these plus the
+// committed corpus under testdata/fuzz.
+var decodeSeeds = []string{
+	`{"etc":[[5,3,6],[4,1,1],[5,3,2],[5,5,4]],"heuristic":"min-min","ties":"det","seed":1}`,
+	` { "etc" : [ [ 1.5e3 , 2E-2 ] ] , "ready" : [ 0 , -0 ] , "seeded" : true , "timeout_ms" : -7 } `,
+	`{"etc":[[]],"ready":[]}`,
+	`{"etc":[]}`,
+	`{}`,
+	`{"etc":null}`,
+	`{"ETC":[[1]]}`,
+	`{"etc":[[1]],"etc":[[2]]}`,
+	`{"heuristic":"min-min"}`,
+	`{"etc":[[1e400]]}`,
+	`{"etc":[[01]]}`,
+	`{"seed":-1}`,
+	`{"seed":1.0}`,
+	`{"seed":18446744073709551616}`,
+	`{"timeout_ms":9223372036854775808}`,
+	`{"seeded":1}`,
+	`{"endpoint":"map","etc":[[1]]}`,
+	`{"etc":[[1,2]],"heuristic":"min-min"}]]]garbage`,
+	`{"etc":[[1]]}}`,
+	`{"etc":[[1]]} {}`,
+	`{"etc":[[1,]]}`,
+	`{"etc":[[1]],}`,
+	`{"heuristic":"é"}`,
+	"{\"heuristic\":\"a\tb\"}",
+	`{"bogus":1}`,
+	``,
+}
+
+// sameAPIError reports whether two decode outcomes are the same envelope.
+func sameAPIError(a, b *apiError) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.status == b.status && a.code == b.code && a.msg == b.msg
+}
+
+// FuzzDecodeRequest holds the one-pass decoder to encoding/json: whatever
+// the fast path accepts, encoding/json accepts with a reflect.DeepEqual
+// result (nil versus empty slices included), and decodeRequest's output —
+// value and error envelope — always equals the encoding/json path's.
+func FuzzDecodeRequest(f *testing.F) {
+	for _, s := range decodeSeeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		slow, slowErr := decodeRequestSlow(body)
+		if it, ok := decodeFast(body, false); ok {
+			if slowErr != nil {
+				t.Fatalf("fast path accepted what encoding/json rejects (%s): %q", slowErr.msg, body)
+			}
+			if it.Endpoint != "" || !reflect.DeepEqual(it.Request, slow) {
+				t.Fatalf("fast %#v\nslow %#v\nbody %q", it, slow, body)
+			}
+		}
+		got, gotErr := decodeRequest(body)
+		if !sameAPIError(gotErr, slowErr) || !reflect.DeepEqual(got, slow) {
+			t.Fatalf("decodeRequest = (%#v, %v), encoding/json path = (%#v, %v)", got, gotErr, slow, slowErr)
+		}
+	})
+}
+
+// FuzzParseBatchItem is FuzzDecodeRequest for parseBatchItem's decode
+// step, where "endpoint" is a known field.
+func FuzzParseBatchItem(f *testing.F) {
+	for _, s := range decodeSeeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		slow, slowErr := decodeBatchItemSlow(raw)
+		if it, ok := decodeFast(raw, true); ok {
+			if slowErr != nil {
+				t.Fatalf("fast path accepted what encoding/json rejects (%s): %q", slowErr.msg, raw)
+			}
+			if !reflect.DeepEqual(it, slow) {
+				t.Fatalf("fast %#v\nslow %#v\nraw %q", it, slow, raw)
+			}
+		}
+		got, gotErr := decodeBatchItem(raw)
+		if !sameAPIError(gotErr, slowErr) || !reflect.DeepEqual(got, slow) {
+			t.Fatalf("decodeBatchItem = (%#v, %v), encoding/json path = (%#v, %v)", got, gotErr, slow, slowErr)
+		}
+	})
+}
+
+// FuzzSplitBatch holds the structural splitter to encoding/json. The
+// splitter checks envelope structure, not item syntax, so when it accepts
+// a body encoding/json rejects, some item must be invalid JSON — that item
+// then gets its own 400 from parseBatchItem inside a 200 envelope.
+// Otherwise the two must agree on every extent.
+func FuzzSplitBatch(f *testing.F) {
+	f.Add([]byte(`{"items":[]}`))
+	f.Add([]byte(`{"items":[{"endpoint":"map","etc":[[1]]}, 7 ,"s",[1,{}],null,true]}`))
+	f.Add([]byte(`{"items":[{"s":"]}\""}]} `))
+	f.Add([]byte(`{"items":[x]}`))
+	f.Add([]byte(`{"items":[]}]`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		fast, ok := splitBatchFast(body)
+		if !ok {
+			return
+		}
+		slow, slowErr := splitBatchSlow(body)
+		if slowErr != nil {
+			for _, item := range fast {
+				if !json.Valid(item) {
+					return
+				}
+			}
+			t.Fatalf("fast split accepted valid items encoding/json rejects (%s): %q", slowErr.msg, body)
+		}
+		if len(fast) != len(slow) {
+			t.Fatalf("item counts differ (%d vs %d): %q", len(fast), len(slow), body)
+		}
+		for i := range fast {
+			if string(fast[i]) != string(slow[i]) {
+				t.Fatalf("item %d extent differs: fast %q slow %q", i, fast[i], slow[i])
+			}
+		}
+	})
+}
+
+// TestTrailingDataRejected pins the trailing-data rule on every decode
+// entry point: anything but whitespace after the value is a 400, including
+// the ']' and '}' that json.Decoder.More does not report.
+func TestTrailingDataRejected(t *testing.T) {
+	const (
+		single = `{"etc":[[1,2]],"heuristic":"min-min"}`
+		item   = `{"endpoint":"map","etc":[[1,2]],"heuristic":"min-min"}`
+	)
+	s := NewServer(Options{})
+	defer drain(t, s)
+	for _, tail := range []string{"]", "}", "]]]garbage", " } ", "x", "{}"} {
+		t.Run(strconv.Quote(tail), func(t *testing.T) {
+			cases := []struct {
+				name, path, body, msg string
+			}{
+				{"singleton", "/v1/map", single + tail, "request body has trailing data"},
+				{"batch envelope", "/v1/batch", `{"items":[` + item + `]}` + tail, "request body has trailing data"},
+			}
+			for _, tc := range cases {
+				rec := post(s, tc.path, tc.body)
+				var env ErrorResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusBadRequest ||
+					env.Error.Code != CodeBadRequest || env.Error.Message != tc.msg {
+					t.Errorf("%s: status %d body %s, want 400 %q", tc.name, rec.Code, rec.Body.String(), tc.msg)
+				}
+			}
+			if _, aerr := parseBatchItem([]byte(item+tail), limits{}); aerr == nil ||
+				aerr.status != http.StatusBadRequest || aerr.msg != "batch item has trailing data" {
+				t.Errorf("batch item: got %v, want 400 trailing data", aerr)
+			}
+			if _, ok := CanonicalKey("/v1/map", []byte(single+tail)); ok {
+				t.Error("CanonicalKey keyed a body with trailing data")
+			}
+			if _, ok := BatchItemKey([]byte(item + tail)); ok {
+				t.Error("BatchItemKey keyed an item with trailing data")
+			}
+		})
+	}
+	// The untouched bodies are fine, and whitespace is not trailing data.
+	if rec := post(s, "/v1/map", single+" \n"); rec.Code != http.StatusOK {
+		t.Fatalf("whitespace-terminated body: status %d: %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestDecodeFastTakesCanonicalBodies checks that the bodies real clients
+// send — including the benchmark corpus shape — take the fast path.
+func TestDecodeFastTakesCanonicalBodies(t *testing.T) {
+	for _, body := range []string{
+		decodeSeeds[0], decodeSeeds[1], decodeSeeds[2], string(matrixBody(32, 8, 3)),
+		iterateBody("sufferage", "random", 42),
+	} {
+		if _, ok := decodeFast([]byte(body), false); !ok {
+			t.Errorf("fast path declined canonical body %q", body)
+		}
+	}
+	if _, ok := decodeFast([]byte(batchItemJSON("iterate", decodeSeeds[0])), true); !ok {
+		t.Error("fast path declined a canonical batch item")
+	}
+}
+
+// TestDecodeAllocs is the decoder's allocation guard at 32×8: the ETC rows
+// header, one backing array shared by the rows, and the two strings.
+func TestDecodeAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	body := matrixBody(32, 8, 1)
+	got := testing.AllocsPerRun(100, func() {
+		if _, aerr := decodeRequest(body); aerr != nil {
+			t.Fatal(aerr.msg)
+		}
+	})
+	if got > 4 {
+		t.Fatalf("decoding a 32x8 request costs %.0f allocs, budget 4", got)
+	}
+}
+
+func BenchmarkDecodeRequest(b *testing.B) {
+	body := matrixBody(32, 8, 1)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, aerr := decodeRequest(body); aerr != nil {
+			b.Fatal(aerr.msg)
+		}
+	}
+}
+
+// BenchmarkCanonicalKey is the gateway's per-request routing cost: decode,
+// admission and the canonical key build.
+func BenchmarkCanonicalKey(b *testing.B) {
+	for _, sz := range []struct {
+		name            string
+		tasks, machines int
+	}{{"32x8", 32, 8}, {"128x16", 128, 16}} {
+		body := matrixBody(sz.tasks, sz.machines, 1)
+		b.Run(sz.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, ok := CanonicalKey("/v1/iterate", body); !ok {
+					b.Fatal("no canonical key")
+				}
+			}
+		})
+	}
+}

@@ -261,18 +261,35 @@ func validateRequest(rq Request) (ties string, fields []FieldError, total int) {
 
 // decodeRequest decodes a request body. Unknown fields are rejected so a
 // typo'd parameter can never silently change the cache key. It is the
-// handler's "decode" stage; malformed JSON is 400.
+// handler's "decode" stage; malformed JSON is 400. Canonical bodies take
+// the one-pass decoder; the rest go through encoding/json, which owns every
+// error message.
 func decodeRequest(body []byte) (Request, *apiError) {
+	if it, ok := decodeFast(body, false); ok {
+		return it.Request, nil
+	}
+	return decodeRequestSlow(body)
+}
+
+// decodeRequestSlow is decodeRequest's encoding/json path.
+func decodeRequestSlow(body []byte) (Request, *apiError) {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	var rq Request
 	if err := dec.Decode(&rq); err != nil {
 		return Request{}, badRequest("decoding request: %v", err)
 	}
-	if dec.More() {
+	if trailingData(body, dec) {
 		return Request{}, badRequest("request body has trailing data")
 	}
 	return rq, nil
+}
+
+// trailingData reports whether anything but whitespace follows the value
+// dec just decoded from body. (Decoder.More is not this test: it reports
+// false when the next byte is ']' or '}'.)
+func trailingData(body []byte, dec *json.Decoder) bool {
+	return skipSpace(body, int(dec.InputOffset())) != len(body)
 }
 
 // admitRequest runs the admission guards and semantic validation on a
@@ -459,15 +476,4 @@ func (p *parsedRequest) run() (any, *apiError) {
 	default:
 		return nil, internalError("unknown endpoint %q", p.endpoint)
 	}
-}
-
-// marshalResponse produces the canonical response bytes (compact JSON plus
-// a trailing newline). Struct field order makes the encoding deterministic,
-// which is what lets cache hits be byte-identical to fresh computations.
-func marshalResponse(v any) ([]byte, *apiError) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return nil, internalError("%v", err)
-	}
-	return append(body, '\n'), nil
 }

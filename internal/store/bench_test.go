@@ -24,10 +24,10 @@ func benchBody(i int) []byte {
 	return b
 }
 
-func fillStore(b *testing.B, layout Layout) (*Store, string) {
+func fillStore(b *testing.B) (*Store, string) {
 	b.Helper()
 	dir := b.TempDir()
-	st, err := Open(dir, Options{Layout: layout})
+	st, err := Open(dir, Options{})
 	if err != nil {
 		b.Fatalf("Open: %v", err)
 	}
@@ -39,11 +39,10 @@ func fillStore(b *testing.B, layout Layout) (*Store, string) {
 	return st, dir
 }
 
-// BenchmarkStoreGetFull / BenchmarkStoreGetSparse are the two index-layout
-// contenders on the hit path: full pays memory for zero lookup reads,
-// sparse pays one verified disk read per hit for fingerprint-sized memory.
-func benchmarkStoreGet(b *testing.B, layout Layout) {
-	st, _ := fillStore(b, layout)
+// BenchmarkStoreGet measures the hit path: one index probe and one
+// CRC-verified record read.
+func BenchmarkStoreGet(b *testing.B) {
+	st, _ := fillStore(b)
 	defer st.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -54,13 +53,10 @@ func benchmarkStoreGet(b *testing.B, layout Layout) {
 	}
 }
 
-func BenchmarkStoreGetFull(b *testing.B)   { benchmarkStoreGet(b, IndexFull) }
-func BenchmarkStoreGetSparse(b *testing.B) { benchmarkStoreGet(b, IndexSparse) }
-
 // BenchmarkStoreGetMiss measures the bloom-filtered miss path — the cost a
 // cold cluster pays per request that has never been computed anywhere.
 func BenchmarkStoreGetMiss(b *testing.B) {
-	st, _ := fillStore(b, IndexSparse)
+	st, _ := fillStore(b)
 	defer st.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -90,14 +86,14 @@ func BenchmarkStorePut(b *testing.B) {
 // BenchmarkStoreOpenWarm measures cold-start warm-up: replaying and
 // re-indexing a populated store directory, the cost a restarted daemon pays
 // before its first disk hit.
-func benchmarkStoreOpenWarm(b *testing.B, layout Layout) {
-	st, dir := fillStore(b, layout)
+func BenchmarkStoreOpenWarm(b *testing.B) {
+	st, dir := fillStore(b)
 	if err := st.Close(); err != nil {
 		b.Fatalf("Close: %v", err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := Open(dir, Options{Layout: layout})
+		st, err := Open(dir, Options{})
 		if err != nil {
 			b.Fatalf("Open: %v", err)
 		}
@@ -109,6 +105,3 @@ func benchmarkStoreOpenWarm(b *testing.B, layout Layout) {
 		b.StartTimer()
 	}
 }
-
-func BenchmarkStoreOpenWarmFull(b *testing.B)   { benchmarkStoreOpenWarm(b, IndexFull) }
-func BenchmarkStoreOpenWarmSparse(b *testing.B) { benchmarkStoreOpenWarm(b, IndexSparse) }

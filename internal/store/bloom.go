@@ -1,7 +1,5 @@
 package store
 
-import "hash/fnv"
-
 // bloom is a fixed-size bloom filter over keys. It exists so that a Get for
 // a key the store has never seen costs zero disk reads and zero index
 // probes: the common cold-start case is "the LRU missed and the disk has
@@ -42,13 +40,15 @@ const (
 )
 
 // hash128 returns two independent 64-bit hashes of key: h1 is FNV-1a over
-// the key bytes, h2 is a splitmix64 finalizer applied to h1. A naive h2
-// (one extra FNV step over h1, or any other near-linear tweak) is a fixed
-// bijection that correlates the probe strides and inflates the
-// false-positive rate ~100× over theory — caught and pinned by
-// TestBloomFalsePositiveRate. The splitmix64 finalizer fully avalanches
-// h1, giving effectively independent halves from a single key pass.
-func hash128(key string) (h1, h2 uint64) {
+// the key bytes (and is also the store's index fingerprint), h2 is a
+// splitmix64 finalizer applied to h1. A naive h2 (one extra FNV step over
+// h1, or any other near-linear tweak) is a fixed bijection that correlates
+// the probe strides and inflates the false-positive rate ~100× over
+// theory — caught and pinned by TestBloomFalsePositiveRate. The splitmix64
+// finalizer fully avalanches h1, giving effectively independent halves
+// from a single key pass. Replay hashes record bytes in place; lookups
+// hash the caller's string.
+func hash128[K string | []byte](key K) (h1, h2 uint64) {
 	h1 = fnvOffset64
 	for i := 0; i < len(key); i++ {
 		h1 ^= uint64(key[i])
@@ -62,18 +62,16 @@ func hash128(key string) (h1, h2 uint64) {
 	return h1, h2
 }
 
-func (b *bloom) insert(key string) {
-	h1, h2 := hash128(key)
+func (b *bloom) insert(h1, h2 uint64) {
 	for i := uint64(0); i < bloomHashes; i++ {
 		pos := (h1 + i*h2) & b.mask
 		b.bits[pos/64] |= 1 << (pos % 64)
 	}
 }
 
-// maybe reports whether key might be present. False means definitely
-// absent; true means "check the index".
-func (b *bloom) maybe(key string) bool {
-	h1, h2 := hash128(key)
+// maybe reports whether the key hashing to (h1, h2) might be present. False
+// means definitely absent; true means "check the index".
+func (b *bloom) maybe(h1, h2 uint64) bool {
 	for i := uint64(0); i < bloomHashes; i++ {
 		pos := (h1 + i*h2) & b.mask
 		if b.bits[pos/64]&(1<<(pos%64)) == 0 {
@@ -81,14 +79,4 @@ func (b *bloom) maybe(key string) bool {
 		}
 	}
 	return true
-}
-
-// fingerprint is the 64-bit key fingerprint used by the sparse index
-// layout. FNV-1a, like the filter's first hash — but kept as a separate
-// named function because the two uses may diverge (the index needs exactly
-// one well-distributed word; the filter needs two).
-func fingerprint(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return h.Sum64()
 }

@@ -32,16 +32,16 @@ func TestBloomFalsePositiveRate(t *testing.T) {
 	ins := make([]string, inserted)
 	for i := range ins {
 		ins[i] = key("in")
-		b.insert(ins[i])
+		b.insert(hash128(ins[i]))
 	}
 	for i, k := range ins {
-		if !b.maybe(k) {
+		if !b.maybe(hash128(k)) {
 			t.Fatalf("false negative on inserted key %d — contract violation", i)
 		}
 	}
 	var fp int
 	for i := 0; i < probes; i++ {
-		if b.maybe(key("out")) {
+		if b.maybe(hash128(key("out"))) {
 			fp++
 		}
 	}

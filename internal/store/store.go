@@ -1,8 +1,8 @@
 // Package store is the crash-safe on-disk result tier behind the serving
 // LRU (ROADMAP item 2): an append-only log of (canonical request key,
 // marshaled response body) records, split into size-rotated segment files,
-// fronted by a bloom filter so misses cost zero disk reads and by one of two
-// in-memory index layouts so hits cost at most a couple of reads.
+// fronted by a bloom filter and an in-memory fingerprint index so misses
+// cost zero disk reads and hits cost exactly one.
 //
 // The design is deliberately LSM-shaped but stops before compaction:
 // response bodies are deterministic in their key (the serving layer's core
@@ -13,16 +13,15 @@
 // torn or corrupt record truncates its segment to the valid prefix — a
 // partially flushed tail from a crash is dropped, never served.
 //
-// Two index layouts, benchmarked against each other in bench_test.go:
-//
-//   - IndexFull keeps an exact key → record-location map in memory. Zero
-//     disk reads to locate a record, at the cost of holding every key (the
-//     canonical key encodes the whole ETC matrix, so keys are large).
-//   - IndexSparse keeps only a 64-bit fingerprint → record-locations map.
-//     Memory per key is a fixed few dozen bytes; a lookup reads candidate
-//     records from disk (newest first) and verifies the stored key byte for
-//     byte, so a fingerprint collision costs an extra read, never a wrong
-//     body.
+// The index maps each key's 64-bit FNV-1a fingerprint — the bloom filter's
+// first hash, computed once per operation for both — to one record
+// location. Memory per key is a fixed few dozen bytes however long the key
+// (canonical keys encode a whole ETC matrix, so they run to kilobytes).
+// Every Get reads the record and compares the stored key byte for byte, so
+// a fingerprint collision is a miss, never a wrong body; Put treats a
+// fingerprint already present as a duplicate, so a colliding key (odds
+// about n²/2⁶⁵ over n keys) is simply never stored. EXPERIMENTS.md records
+// the measurements that retired the exact-key and multi-candidate layouts.
 //
 // All I/O flows through the FS seam (fs.go): OSFS in production, FaultFS
 // (faultfs.go) under test and chaos. Every Get re-verifies the record CRC
@@ -50,24 +49,6 @@ import (
 	"sync/atomic"
 )
 
-// Layout selects the in-memory index structure.
-type Layout int
-
-const (
-	// IndexFull maps every exact key to its record location.
-	IndexFull Layout = iota
-	// IndexSparse maps 64-bit key fingerprints to candidate locations and
-	// verifies the stored key on disk at lookup time.
-	IndexSparse
-)
-
-func (l Layout) String() string {
-	if l == IndexSparse {
-		return "sparse"
-	}
-	return "full"
-}
-
 // Defaults for the zero Options value.
 const (
 	DefaultMaxSegmentBytes = 8 << 20
@@ -76,8 +57,6 @@ const (
 
 // Options configures a Store. The zero value is a working configuration.
 type Options struct {
-	// Layout is the index layout; IndexFull is the default.
-	Layout Layout
 	// MaxSegmentBytes rotates the active segment once it would exceed this
 	// size. 0 means DefaultMaxSegmentBytes.
 	MaxSegmentBytes int64
@@ -113,8 +92,7 @@ type Stats struct {
 	// Health is the current disk-health state.
 	Health Health
 	// Quarantined counts records de-indexed because a Get-time CRC check
-	// failed (under IndexSparse the owning key is unknowable, so Keys is not
-	// decremented there).
+	// failed.
 	Quarantined int64
 	// Degradations, Offlines and Recoveries count health-state transitions:
 	// Healthy→Degraded, →Offline, and each probe-driven step back.
@@ -149,10 +127,8 @@ type Store struct {
 	mu     sync.RWMutex
 	closed bool
 	segs   []*segment
-	full   map[string]recordLoc   // IndexFull
-	sparse map[uint64][]recordLoc // IndexSparse; append order = age order
+	index  map[uint64]recordLoc // key fingerprint (hash128's h1) → newest record
 	filter *bloom
-	keys   int
 
 	recovered                int64
 	bloomNegatives           atomic.Int64
@@ -211,21 +187,13 @@ func Open(dir string, opts Options) (*Store, error) {
 		filter:     newBloom(opts.BloomBits),
 	}
 	s.scratch.New = func() any { b := make([]byte, 0, 4096); return &b }
-	if opts.Layout == IndexSparse {
-		s.sparse = make(map[uint64][]recordLoc)
-	} else {
-		s.full = make(map[string]recordLoc)
-	}
+	s.index = make(map[uint64]recordLoc)
 
 	names, err := fs.Glob(filepath.Join(dir, "seg-*.log"))
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	sort.Strings(names)
-	// Distinct keys are counted exactly during replay; the set is transient
-	// (dropped after Open) so the sparse layout's steady-state memory stays
-	// fingerprint-sized.
-	seen := make(map[string]struct{})
 	for _, name := range names {
 		var id int
 		if _, err := fmt.Sscanf(filepath.Base(name), "seg-%d.log", &id); err != nil {
@@ -238,12 +206,11 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 		seg := &segment{f: f, id: id}
 		s.segs = append(s.segs, seg)
-		if err := s.replaySegment(seg, seen); err != nil {
+		if err := s.replaySegment(seg); err != nil {
 			s.closeFiles()
 			return nil, err
 		}
 	}
-	s.keys = len(seen)
 	if len(s.segs) == 0 {
 		if err := s.addSegment(0); err != nil {
 			return nil, err
@@ -261,7 +228,7 @@ func Open(dir string, opts Options) (*Store, error) {
 // injected fault) proves nothing about the bytes: replay must fail the Open
 // rather than "recover" by discarding data it merely could not read. A
 // transient sick disk at startup must never become permanent data loss.
-func (s *Store) replaySegment(seg *segment, seen map[string]struct{}) error {
+func (s *Store) replaySegment(seg *segment) error {
 	total, err := seg.f.Size()
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -294,11 +261,8 @@ func (s *Store) replaySegment(seg *segment, seen map[string]struct{}) error {
 		if crc.Sum32() != binary.LittleEndian.Uint32(rest[keyLen+bodyLen:]) {
 			break
 		}
-		key := string(rest[:keyLen])
-		s.index(key, recordLoc{seg: len(s.segs) - 1, off: off, keyLen: keyLen, bodyLen: bodyLen})
-		if _, dup := seen[key]; !dup {
-			seen[key] = struct{}{}
-		}
+		h1, h2 := hash128(rest[:keyLen])
+		s.insert(h1, h2, recordLoc{seg: len(s.segs) - 1, off: off, keyLen: keyLen, bodyLen: bodyLen})
 		off += n
 	}
 	if off < total {
@@ -336,16 +300,12 @@ func (s *Store) readHeader(seg *segment, off, total int64, hdr []byte) (keyLen, 
 	return keyLen, bodyLen, true, nil
 }
 
-// index records loc for key in whichever layout is active (newest wins) and
-// inserts the key into the bloom filter.
-func (s *Store) index(key string, loc recordLoc) {
-	if s.full != nil {
-		s.full[key] = loc
-	} else {
-		fp := fingerprint(key)
-		s.sparse[fp] = append(s.sparse[fp], loc)
-	}
-	s.filter.insert(key)
+// insert indexes loc under the key fingerprint h1 (newest wins, so a key
+// re-appended after a quarantine replays to its latest record) and adds
+// the key's hashes to the bloom filter.
+func (s *Store) insert(h1, h2 uint64, loc recordLoc) {
+	s.index[h1] = loc
+	s.filter.insert(h1, h2)
 }
 
 func (s *Store) addSegment(id int) error {
@@ -364,22 +324,14 @@ func (s *Store) closeFiles() {
 	}
 }
 
-// quarantineRec identifies one index entry whose record failed its Get-time
-// CRC check. Under IndexFull key names the entry; under IndexSparse the key
-// is unknowable (the record could not be verified), so fp names the bucket.
-type quarantineRec struct {
-	key string
-	fp  uint64
-	loc recordLoc
-}
-
-// Get returns the stored body for key. A bloom-filter negative answers
-// without touching disk; otherwise IndexFull reads exactly one record and
-// IndexSparse reads fingerprint candidates newest-first until the stored key
-// matches byte for byte. Every record read re-verifies the CRC before any
-// byte is returned: a record that rots on disk after Open is quarantined
+// Get returns the stored body for key. A bloom-filter negative or an index
+// miss answers without touching disk; otherwise Get reads exactly one
+// record. Every record read re-verifies the CRC before any byte is
+// returned: a record that rots on disk after Open is quarantined
 // (de-indexed and counted in Stats.Quarantined) and reported as a miss —
-// corrupt bytes are never served. Read outcomes feed the health state
+// corrupt bytes are never served. A CRC-valid record whose stored key is
+// not key is a fingerprint collision: a miss, with the record left in place
+// for the key that owns it. Read outcomes feed the health state
 // machine; while Offline a Get that would not otherwise touch disk doubles
 // as the recovery probe. The returned slice is freshly allocated and owned
 // by the caller.
@@ -389,7 +341,7 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 		s.mu.RUnlock()
 		return nil, false, fmt.Errorf("store: closed")
 	}
-	body, ok, touched, readErr, quarantine := s.lookupLocked(key)
+	body, ok, touched, readErr, rotten := s.lookupLocked(key)
 	if !touched && Health(s.health.state.Load()) == Offline {
 		// This Get was let through as an Offline recovery probe but its key
 		// never reached the disk (bloom negative or index miss); probe with
@@ -404,8 +356,8 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 			s.health.noteReadOK()
 		}
 	}
-	if len(quarantine) > 0 {
-		s.quarantineLocs(quarantine)
+	if rotten != nil {
+		s.quarantine(*rotten)
 	}
 	if readErr != nil {
 		return nil, false, readErr
@@ -414,48 +366,35 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 }
 
 // lookupLocked resolves key under the read lock. touched reports whether any
-// disk read was attempted; corrupt records are collected for quarantine
+// disk read was attempted; a corrupt record is returned for quarantine
 // rather than de-indexed in place (the caller holds only the read lock).
-func (s *Store) lookupLocked(key string) (body []byte, ok, touched bool, readErr error, quarantine []quarantineRec) {
-	if !s.filter.maybe(key) {
+func (s *Store) lookupLocked(key string) (body []byte, ok, touched bool, readErr error, rotten *quarantineRec) {
+	h1, h2 := hash128(key)
+	if !s.filter.maybe(h1, h2) {
 		s.bloomNegatives.Add(1)
 		return nil, false, false, nil, nil
 	}
-	if s.full != nil {
-		loc, found := s.full[key]
-		if !found {
-			return nil, false, false, nil, nil
-		}
-		gotKey, b, valid, err := s.readRecordChecked(loc)
-		if err != nil {
-			return nil, false, true, err, nil
-		}
-		if valid && string(gotKey) == key {
-			return b, true, true, nil, nil
-		}
-		return nil, false, true, nil, []quarantineRec{{key: key, loc: loc}}
+	loc, found := s.index[h1]
+	if !found || int(loc.keyLen) != len(key) {
+		return nil, false, false, nil, nil
 	}
-	fp := fingerprint(key)
-	locs := s.sparse[fp]
-	for i := len(locs) - 1; i >= 0; i-- {
-		loc := locs[i]
-		if int(loc.keyLen) != len(key) {
-			continue
-		}
-		gotKey, b, valid, err := s.readRecordChecked(loc)
-		if err != nil {
-			return nil, false, true, err, quarantine
-		}
-		touched = true
-		if !valid {
-			quarantine = append(quarantine, quarantineRec{fp: fp, loc: loc})
-			continue
-		}
-		if string(gotKey) == key {
-			return b, true, true, nil, quarantine
-		}
+	gotKey, b, valid, err := s.readRecordChecked(loc)
+	switch {
+	case err != nil:
+		return nil, false, true, err, nil
+	case !valid:
+		return nil, false, true, nil, &quarantineRec{fp: h1, loc: loc}
+	case string(gotKey) != key:
+		return nil, false, true, nil, nil // fingerprint collision
 	}
-	return nil, false, touched, nil, quarantine
+	return b, true, true, nil, nil
+}
+
+// quarantineRec names one index entry whose record failed its Get-time CRC
+// check.
+type quarantineRec struct {
+	fp  uint64
+	loc recordLoc
 }
 
 // readRecordChecked reads one whole record and verifies its CRC. valid is
@@ -494,42 +433,27 @@ func (s *Store) probeLocked() (touched bool, err error) {
 	return true, nil
 }
 
-// quarantineLocs de-indexes records whose Get-time CRC check failed. Each
-// entry is removed only if it is still the indexed location (a concurrent
+// quarantine de-indexes a record whose Get-time CRC check failed. The entry
+// is removed only if it is still the indexed location (a concurrent
 // re-append of the same key must not be dropped).
-func (s *Store) quarantineLocs(recs []quarantineRec) {
+func (s *Store) quarantine(r quarantineRec) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return
 	}
-	for _, r := range recs {
-		if s.full != nil {
-			if cur, ok := s.full[r.key]; ok && cur == r.loc {
-				delete(s.full, r.key)
-				s.keys--
-				s.quarantined.Add(1)
-			}
-			continue
-		}
-		bucket := s.sparse[r.fp]
-		for i, loc := range bucket {
-			if loc == r.loc {
-				s.sparse[r.fp] = append(bucket[:i], bucket[i+1:]...)
-				if len(s.sparse[r.fp]) == 0 {
-					delete(s.sparse, r.fp)
-				}
-				s.quarantined.Add(1)
-				break
-			}
-		}
+	if cur, ok := s.index[r.fp]; ok && cur == r.loc {
+		delete(s.index, r.fp)
+		s.quarantined.Add(1)
 	}
 }
 
 // Put appends (key, body) to the active segment, rotating it at the size
-// threshold, and indexes the record. A key already stored is skipped: bodies
-// are deterministic in their key, so the stored bytes are already the right
-// ones. Put does not fsync — durability of the latest writes is Sync's job;
+// threshold, and indexes the record. A key whose fingerprint is already
+// indexed is skipped without reading the disk: bodies are deterministic in
+// their key, so the stored bytes are already the right ones (and a
+// colliding key is never stored, which Get reports as a miss). Put does
+// not fsync — durability of the latest writes is Sync's job;
 // a crash in between loses recent records to recovery truncation, never
 // correctness. Write outcomes feed the health state machine: a failed append
 // degrades the store to read-only, a successful one recovers Degraded back
@@ -543,7 +467,8 @@ func (s *Store) Put(key string, body []byte) error {
 	if s.closed {
 		return fmt.Errorf("store: closed")
 	}
-	if s.contains(key) {
+	h1, h2 := hash128(key)
+	if _, dup := s.index[h1]; dup {
 		s.dupPuts.Add(1)
 		return nil
 	}
@@ -575,35 +500,10 @@ func (s *Store) Put(key string, body []byte) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	s.health.noteWriteOK()
-	s.index(key, recordLoc{seg: len(s.segs) - 1, off: active.size, keyLen: uint32(len(key)), bodyLen: uint32(len(body))})
+	s.insert(h1, h2, recordLoc{seg: len(s.segs) - 1, off: active.size, keyLen: uint32(len(key)), bodyLen: uint32(len(body))})
 	active.size += n
-	s.keys++
 	s.puts.Add(1)
 	return nil
-}
-
-// contains reports whether key is already indexed (exact under IndexFull;
-// verified against disk under IndexSparse — a candidate that fails its CRC
-// is treated as absent, so the key is simply re-appended and newest wins).
-// Caller holds mu.
-func (s *Store) contains(key string) bool {
-	if !s.filter.maybe(key) {
-		return false
-	}
-	if s.full != nil {
-		_, ok := s.full[key]
-		return ok
-	}
-	for _, loc := range s.sparse[fingerprint(key)] {
-		if int(loc.keyLen) != len(key) {
-			continue
-		}
-		gotKey, _, valid, err := s.readRecordChecked(loc)
-		if err == nil && valid && string(gotKey) == key {
-			return true
-		}
-	}
-	return false
 }
 
 // Sync flushes the active segment to stable storage. A failed sync degrades
@@ -643,7 +543,7 @@ func (s *Store) Close() error {
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.keys
+	return len(s.index)
 }
 
 // Stats returns an observational snapshot.
@@ -651,7 +551,7 @@ func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return Stats{
-		Keys:           s.keys,
+		Keys:           len(s.index),
 		Segments:       len(s.segs),
 		RecoveredBytes: s.recovered,
 		BloomNegatives: s.bloomNegatives.Load(),

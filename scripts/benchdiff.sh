@@ -14,14 +14,16 @@
 # OR allocs/op regressed by more than THRESHOLD percent (default 20); the
 # failure message names each offending benchmark and which metric moved.
 # The default PATTERN covers the batch-heuristic kernels, the serving
-# fast paths (raw-alias cache hits, /v1/batch) and the disk result tier
-# (internal/store Get/Put/Open) this repo's perf work targets.
+# fast paths (raw-alias cache hits, /v1/batch), the request decoder and
+# response encoder (DecodeRequest, CanonicalKey, MarshalIterate) and the
+# disk result tier (internal/store Get/Put/Open) this repo's perf work
+# targets.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 file="${1:-BENCH_1.json}"
 threshold="${THRESHOLD:-20}"
-pattern="${PATTERN:-min-min|max-min|duplex|sufferage|minmin|BatchKernel|ParallelKernel|Serve|Store}"
+pattern="${PATTERN:-min-min|max-min|duplex|sufferage|minmin|BatchKernel|ParallelKernel|Serve|Store|DecodeRequest|CanonicalKey|MarshalIterate}"
 
 if [ ! -f "$file" ]; then
     echo "benchdiff: $file not found" >&2
@@ -34,9 +36,11 @@ fi
 
 tail -n 2 "$file" | awk -v threshold="$threshold" -v pattern="$pattern" '
 # Each record is one JSON line written by bench.sh with a fixed field
-# layout: {"label":"...","utc":"...","go":"...","benchmarks":[
-# {"name":"...","ns_per_op":N,"allocs_per_op":M},...]}. Parse by scanning
-# the benchmark objects; no general JSON machinery needed.
+# layout: {"label":"...","utc":"...","go":"...",["nproc":P,"gomaxprocs":G,]
+# "benchmarks":[{"name":"...","ns_per_op":N,"allocs_per_op":M[,
+# "bytes_per_op":B]},...]} (bracketed fields appear in newer records
+# only). Parse by scanning the benchmark objects; no general JSON
+# machinery needed.
 function parse(line, ns, al, labels, rec,    rest, seg, name, val) {
     if (match(line, /"label":"[^"]*"/)) {
         labels[rec] = substr(line, RSTART + 9, RLENGTH - 10)

@@ -2,9 +2,10 @@
 # The full repository gate in one command — CI and builders run the same
 # thing (see CLAUDE.md):
 #
-#   gofmt clean, go vet, build, full test suite, paper self-check, the
-#   schedd serving smoke (ephemeral port, pinned Table-1 trace, cache
-#   byte-identity, span-tree trace leg, fault-injected recovery, panic
+#   gofmt clean, go vet, build, full test suite, a bounded fuzz leg over
+#   the request decoders, paper self-check, the schedd serving smoke
+#   (ephemeral port, pinned Table-1 trace, cache byte-identity,
+#   span-tree trace leg, fault-injected recovery, panic
 #   isolation, chaos leg, kill/restart disk-tier recovery, graceful
 #   drain), the schedgw cluster smoke (3 local backends,
 #   cluster-vs-singleton byte-identity, batch split/merge,
@@ -40,6 +41,13 @@ echo "[ok  ] go test"
 
 go test -race ./internal/... ./cmd/...
 echo "[ok  ] go test -race (internal + cmd)"
+
+# A bounded fuzz leg per untrusted-bytes parser target: a few seconds of
+# fresh inputs on top of the committed corpus the plain test run replays.
+for target in FuzzDecodeRequest FuzzParseBatchItem FuzzSplitBatch; do
+    go test ./internal/serve -run '^$' -fuzz "^${target}\$" -fuzztime 5s -parallel 2 >/dev/null
+done
+echo "[ok  ] fuzz (decoder, batch item, batch splitter; 5 s each)"
 
 go run ./cmd/paperrepro
 echo "[ok  ] paperrepro"
