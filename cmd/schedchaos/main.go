@@ -1,13 +1,13 @@
 // Command schedchaos replays the deterministic chaos scenarios of
-// internal/chaos against an in-process serve stack and machine-checks the
-// harness invariants: documented-or-byte-identical responses, metrics
-// conservation, queue/in-flight quiescence, goroutine-leak freedom, legal
-// breaker transitions, panic accounting and full fault-free recovery.
-//
-// Cluster scenarios (internal/chaos RunCluster) drive a schedgw gateway
-// over several in-process backends through backend kills, rejoins and
-// fault storms, checking on top that every response stays byte-identical
-// to a single instance's and that routing obeys rendezvous order.
+// internal/chaos and machine-checks their invariants: documented-or-
+// byte-identical responses, metrics conservation, queue/in-flight
+// quiescence, goroutine-leak freedom, legal breaker transitions, panic
+// accounting and full fault-free recovery. One registry holds every
+// scenario, whatever its topology — a single instance, a gateway over
+// in-process backends (kills, rejoins, fault storms; byte-identity with a
+// single instance and rendezvous routing), a kill/restart over the disk
+// tier, or a sick-disk arc over a fault-injecting filesystem; -list names
+// each one's topology.
 //
 // Every scenario is seeded and replayed serially, so the verdict report is
 // byte-identical across runs of the same scenario and seed. The exit code
@@ -55,112 +55,36 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *list {
 		for _, sc := range chaos.Builtin() {
-			fmt.Fprintf(stdout, "%-20s seed %-3d %s\n", sc.Name, sc.Seed, sc.Description)
-		}
-		for _, sc := range chaos.BuiltinCluster() {
-			fmt.Fprintf(stdout, "%-20s seed %-3d [cluster, %d backends] %s\n", sc.Name, sc.Seed, sc.Backends, sc.Description)
-		}
-		for _, sc := range chaos.BuiltinRestart() {
-			fmt.Fprintf(stdout, "%-20s seed %-3d [restart, disk tier] %s\n", sc.Name, sc.Seed, sc.Description)
-		}
-		for _, sc := range chaos.BuiltinDisk() {
-			fmt.Fprintf(stdout, "%-20s seed %-3d [disk tier, fault fs] %s\n", sc.Name, sc.Seed, sc.Description)
+			fmt.Fprintf(stdout, "%-20s seed %-3d [%s] %s\n", sc.Name, sc.Seed, sc.Topology(), sc.Description)
 		}
 		return nil
 	}
 
-	// Single-instance and cluster scenarios share the namespace and the
-	// report shape; a runnable pairs a scenario's header data with its
-	// harness entry point.
-	type runnable struct {
-		name, description string
-		seed              uint64
-		phases, requests  int
-		run               func() (*chaos.Report, error)
-	}
-	singleRunnable := func(sc chaos.Scenario) runnable {
-		if *seed != 0 {
-			sc.Seed = *seed
-		}
-		requests := 0
-		for _, ph := range sc.Phases {
-			requests += ph.Requests
-		}
-		return runnable{sc.Name, sc.Description, sc.Seed, len(sc.Phases), requests,
-			func() (*chaos.Report, error) { return chaos.Run(sc) }}
-	}
-	clusterRunnable := func(sc chaos.ClusterScenario) runnable {
-		if *seed != 0 {
-			sc.Seed = *seed
-		}
-		requests := 0
-		for _, ph := range sc.Phases {
-			requests += ph.Requests
-		}
-		return runnable{sc.Name, sc.Description, sc.Seed, len(sc.Phases), requests,
-			func() (*chaos.Report, error) { return chaos.RunCluster(sc) }}
-	}
-	restartRunnable := func(sc chaos.RestartScenario) runnable {
-		if *seed != 0 {
-			sc.Seed = *seed
-		}
-		// Two lifetimes of miss+replay over the distinct bodies.
-		return runnable{sc.Name, sc.Description, sc.Seed, 2, 4 * sc.Distinct,
-			func() (*chaos.Report, error) { return chaos.RunRestart(sc) }}
-	}
-	diskRunnable := func(sc chaos.DiskScenario) runnable {
-		if *seed != 0 {
-			sc.Seed = *seed
-		}
-		// warm + storm/full + resume/expand + readback.
-		requests := 2*sc.Warm + sc.Resume + 2
-		if sc.DiskFull {
-			requests += 2 * sc.Storm
-		} else {
-			requests += sc.Rounds*sc.Warm + sc.Storm + 2*sc.ProbeAfter
-		}
-		return runnable{sc.Name, sc.Description, sc.Seed, 4, requests,
-			func() (*chaos.Report, error) { return chaos.RunDisk(sc) }}
-	}
-
-	var selected []runnable
-	switch {
-	case *scenario == "all":
-		for _, sc := range chaos.Builtin() {
-			selected = append(selected, singleRunnable(sc))
-		}
-		for _, sc := range chaos.BuiltinCluster() {
-			selected = append(selected, clusterRunnable(sc))
-		}
-		for _, sc := range chaos.BuiltinRestart() {
-			selected = append(selected, restartRunnable(sc))
-		}
-		for _, sc := range chaos.BuiltinDisk() {
-			selected = append(selected, diskRunnable(sc))
-		}
-	default:
-		if sc, err := chaos.ByName(*scenario); err == nil {
-			selected = []runnable{singleRunnable(sc)}
-		} else if csc, cerr := chaos.ClusterByName(*scenario); cerr == nil {
-			selected = []runnable{clusterRunnable(csc)}
-		} else if rsc, rerr := chaos.RestartByName(*scenario); rerr == nil {
-			selected = []runnable{restartRunnable(rsc)}
-		} else if dsc, derr := chaos.DiskByName(*scenario); derr == nil {
-			selected = []runnable{diskRunnable(dsc)}
-		} else {
+	selected := chaos.Builtin()
+	if *scenario != "all" {
+		sc, err := chaos.ByName(*scenario)
+		if err != nil {
 			return err
 		}
+		selected = []chaos.Scenario{sc}
 	}
 
 	var reports []*chaos.Report
 	failed := 0
-	for _, r := range selected {
-		rep, err := r.run()
+	for _, sc := range selected {
+		if *seed != 0 {
+			sc.Seed = *seed
+		}
+		rep, err := chaos.Run(sc)
 		if err != nil {
 			return err
 		}
+		requests := 0
+		for _, ph := range rep.Phases {
+			requests += ph.Requests
+		}
 		fmt.Fprintf(stdout, "schedchaos: scenario %s (seed %d): %d phases, %d requests — %s\n",
-			rep.Scenario, rep.Seed, r.phases, r.requests, r.description)
+			rep.Scenario, rep.Seed, len(rep.Phases), requests, rep.Description)
 		for _, inv := range rep.Invariants {
 			tag := "[ok  ]"
 			if !inv.OK {
@@ -168,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 			fmt.Fprintf(stdout, "%s %s: %s\n", tag, inv.Name, inv.Detail)
 		}
-		if !rep.Pass {
+		if rep.Err() != nil {
 			failed++
 		}
 		reports = append(reports, rep)

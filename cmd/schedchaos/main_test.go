@@ -12,6 +12,13 @@ import (
 	"repro/internal/chaos"
 )
 
+// builtinNames is every stock scenario, of every topology.
+var builtinNames = []string{
+	"storm", "truncate-flood", "batch-storm", "breaker-trip", "panic-isolation",
+	"backend-kill", "backend-rejoin", "split-routing-storm",
+	"restart-recovery", "disk-fault", "disk-full",
+}
+
 // TestAllScenariosPass is the same smoke leg scripts/check.sh runs: every
 // builtin scenario replays clean and the process would exit 0.
 func TestAllScenariosPass(t *testing.T) {
@@ -23,30 +30,37 @@ func TestAllScenariosPass(t *testing.T) {
 	if strings.Contains(out, "[FAIL]") {
 		t.Fatalf("invariant failure in output:\n%s", out)
 	}
-	if !strings.Contains(out, "every invariant ok") {
+	if !strings.Contains(out, "schedchaos: 11 scenario(s), every invariant ok") {
 		t.Fatalf("missing summary line:\n%s", out)
 	}
-	for _, sc := range chaos.Builtin() {
-		if !strings.Contains(out, "scenario "+sc.Name) {
-			t.Fatalf("scenario %s missing from output:\n%s", sc.Name, out)
+	for _, name := range builtinNames {
+		if !strings.Contains(out, "scenario "+name+" ") {
+			t.Fatalf("scenario %s missing from output:\n%s", name, out)
 		}
 	}
 }
 
-// TestStdoutDeterministic pins the CLI half of the determinism promise:
-// two runs of the same scenario and seed produce byte-identical stdout,
-// including the embedded JSON verdict.
+// TestStdoutDeterministic pins the CLI half of the determinism promise
+// across commits, not just across runs: the -json sweep over every builtin
+// at its pinned seed — each header line, each invariant line and the full
+// JSON array — must match testdata/all.golden byte for byte.
 func TestStdoutDeterministic(t *testing.T) {
-	var runs [][]byte
-	for i := 0; i < 2; i++ {
-		var stdout, stderr bytes.Buffer
-		if err := run([]string{"-scenario", "storm", "-json"}, &stdout, &stderr); err != nil {
-			t.Fatalf("run %d: %v\nstderr: %s", i, err, stderr.String())
-		}
-		runs = append(runs, stdout.Bytes())
+	want, err := os.ReadFile(filepath.Join("testdata", "all.golden"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(runs[0], runs[1]) {
-		t.Fatalf("stdout differs across identical runs:\n%s\nvs\n%s", runs[0], runs[1])
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-json"}, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v\nstderr: %s", err, stderr.String())
+	}
+	if got := stdout.Bytes(); !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("stdout differs from testdata/all.golden at line %d:\ngot:  %s\nwant: %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("stdout has %d lines, testdata/all.golden %d", len(gl), len(wl))
 	}
 }
 
@@ -74,18 +88,23 @@ func TestList(t *testing.T) {
 	if err := run([]string{"-list"}, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	for _, sc := range chaos.Builtin() {
-		if !strings.Contains(stdout.String(), sc.Name) {
-			t.Fatalf("-list missing %s:\n%s", sc.Name, stdout.String())
+	for _, name := range builtinNames {
+		if !strings.Contains(stdout.String(), name+" ") {
+			t.Fatalf("-list missing %s:\n%s", name, stdout.String())
 		}
 	}
 }
 
 func TestErrors(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-scenario", "nope"}, &stdout, &stderr); err == nil ||
-		!strings.Contains(err.Error(), "available") {
+	err := run([]string{"-scenario", "nope"}, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "available") {
 		t.Fatalf("unknown scenario error %v, want available-list error", err)
+	}
+	for _, name := range builtinNames {
+		if !strings.Contains(err.Error(), name) {
+			t.Fatalf("unknown scenario error %q omits %s", err, name)
+		}
 	}
 
 	stderr.Reset()

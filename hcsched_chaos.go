@@ -9,11 +9,15 @@ import (
 // Hardening & chaos layer (see internal/chaos and cmd/schedchaos): the
 // serving path's failure story made machine-checkable. Every non-2xx
 // response carries a structured error envelope with a documented code;
-// worker panics are isolated into structured 500s; and phased, seeded chaos
+// worker panics are isolated into structured 500s; and seeded chaos
 // scenarios replay fault storms against an in-process stack, asserting that
 // every response is either a documented error or byte-identical to its
 // fault-free golden and that the service's metrics, queue, goroutines and
-// circuit breaker all return to a clean steady state.
+// circuit breaker all return to a clean steady state. One scenario type
+// covers every topology — a single instance, a gateway over several
+// backends (kills, rejoins, split-routing storms), a kill/restart over the
+// disk tier, and a sick-disk arc (I/O-error storm or ENOSPC) over a
+// fault-injecting filesystem — and one RunChaos replays them all.
 type (
 	// ErrorResponse is the uniform JSON error envelope of every non-2xx
 	// scheduling response: {"error":{"code":...,"message":...,"fields":...}}.
@@ -23,9 +27,12 @@ type (
 	ErrorDetail = serve.ErrorDetail
 	// FieldError locates one validation failure, e.g. path "etc[2][0]".
 	FieldError = serve.FieldError
-	// ChaosScenario is a phased, seeded failure schedule.
+	// ChaosScenario is a seeded failure schedule; which of its fields are
+	// set selects the topology it runs against (ChaosScenario.Topology).
 	ChaosScenario = chaos.Scenario
-	// ChaosPhase is one request-counted segment of a scenario timeline.
+	// ChaosPhase is one request-counted segment of a single-instance or
+	// cluster scenario timeline: fault regime, batch and panic cadence,
+	// backend kills and revives.
 	ChaosPhase = chaos.Phase
 	// ChaosReport is a scenario run's deterministic verdict: same seed,
 	// same bytes.
@@ -34,10 +41,6 @@ type (
 	ChaosPhaseReport = chaos.PhaseReport
 	// ChaosInvariant is one machine-checked invariant's verdict.
 	ChaosInvariant = chaos.InvariantResult
-	// DiskChaosScenario is a phased sick-disk schedule for a serve stack
-	// with a fault-injected result tier: warm, fault storm (or ENOSPC),
-	// probe-ladder recovery, readback.
-	DiskChaosScenario = chaos.DiskScenario
 	// PanicRecoveredEvent records one isolated worker panic in an observer.
 	PanicRecoveredEvent = obs.PanicRecovered
 )
@@ -60,28 +63,15 @@ const (
 // workload seed.
 const ChaosPanicSeed = chaos.PanicSeed
 
-// RunChaos replays one scenario against a fresh in-process serving stack
-// and returns its machine-checked verdict. The report is byte-identical
-// across runs of the same scenario and seed.
+// RunChaos replays one scenario against a fresh in-process stack of its
+// topology and returns its machine-checked verdict; ChaosReport.Err names
+// the first failed invariant. The report is byte-identical across runs of
+// the same scenario and seed.
 func RunChaos(sc ChaosScenario) (*ChaosReport, error) { return chaos.Run(sc) }
 
-// BuiltinChaosScenarios returns the stock scenarios (storm, truncate-flood,
-// breaker-trip, panic-isolation) with pinned seeds.
+// BuiltinChaosScenarios returns every stock scenario, of every topology,
+// with pinned seeds.
 func BuiltinChaosScenarios() []ChaosScenario { return chaos.Builtin() }
 
 // ChaosScenarioByName finds a builtin scenario by name.
 func ChaosScenarioByName(name string) (ChaosScenario, error) { return chaos.ByName(name) }
-
-// RunDiskChaos replays one disk scenario — a serve stack whose result tier
-// sits on a seeded fault filesystem — and machine-checks graceful
-// degradation: byte-identical responses throughout, zero client-visible
-// disk errors, exact drop accounting, and a health machine that ends
-// healthy. Same scenario + seed, byte-identical report.
-func RunDiskChaos(sc DiskChaosScenario) (*ChaosReport, error) { return chaos.RunDisk(sc) }
-
-// BuiltinDiskChaosScenarios returns the stock disk scenarios (disk-fault,
-// disk-full) with pinned seeds.
-func BuiltinDiskChaosScenarios() []DiskChaosScenario { return chaos.BuiltinDisk() }
-
-// DiskChaosScenarioByName finds a builtin disk scenario by name.
-func DiskChaosScenarioByName(name string) (DiskChaosScenario, error) { return chaos.DiskByName(name) }

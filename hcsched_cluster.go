@@ -1,7 +1,6 @@
 package hcsched
 
 import (
-	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -15,7 +14,9 @@ import (
 // fanned out and merged back in input order. A cluster of N backends
 // returns byte-identical response bodies to a single instance for every
 // request: hit, miss, coalesced, or failed over to the next-ranked
-// backend when the owner is unreachable.
+// backend when the owner is unreachable. Cluster chaos scenarios (a
+// ChaosScenario with Backends set, replayed by RunChaos) machine-check that
+// property under kills, rejoins and fault storms.
 type (
 	// Gateway fronts a fixed set of schedd backends behind one handler,
 	// with aggregated /healthz, /metricz and /statusz.
@@ -32,12 +33,6 @@ type (
 	// with per-backend kill/revive — the substrate for tests, the
 	// schedload -backends sweep and schedgw -local.
 	LocalCluster = cluster.Local
-	// ClusterChaosScenario is a phased, seeded failure schedule for a
-	// gateway over several backends: kills, rejoins and fault storms.
-	ClusterChaosScenario = chaos.ClusterScenario
-	// ClusterChaosPhase is one request-counted segment of a cluster
-	// scenario timeline.
-	ClusterChaosPhase = chaos.ClusterPhase
 	// GatewayRouteEvent records one routed unit in an observer: the key
 	// hash, the rendezvous-primary backend, the backend that served it and
 	// the failover count.
@@ -59,19 +54,4 @@ func NewClusterRouter(names []string) (*ClusterRouter, error) { return cluster.N
 // loopback listeners; Close shuts them down and drains their servers.
 func StartLocalCluster(n int, opts ServeOptions) (*LocalCluster, error) {
 	return cluster.StartLocal(n, opts)
-}
-
-// RunClusterChaos replays one cluster scenario — a gateway over several
-// in-process backends under phased kills, rejoins and fault storms —
-// and returns its machine-checked verdict, including the headline
-// invariant: every response byte-identical to a single instance's.
-func RunClusterChaos(sc ClusterChaosScenario) (*ChaosReport, error) { return chaos.RunCluster(sc) }
-
-// BuiltinClusterChaosScenarios returns the stock cluster scenarios
-// (backend-kill, backend-rejoin, split-routing-storm) with pinned seeds.
-func BuiltinClusterChaosScenarios() []ClusterChaosScenario { return chaos.BuiltinCluster() }
-
-// ClusterChaosScenarioByName finds a builtin cluster scenario by name.
-func ClusterChaosScenarioByName(name string) (ClusterChaosScenario, error) {
-	return chaos.ClusterByName(name)
 }

@@ -10,9 +10,10 @@
 #   drain), the schedgw cluster smoke (3 local backends,
 #   cluster-vs-singleton byte-identity, batch split/merge,
 #   kill/failover/revive, cluster chaos, drain), the schedchaos scenario
-#   sweep (every builtin phased fault scenario — single-instance,
-#   cluster, restart-recovery and the disk-tier fault/full arcs — every
-#   invariant) and the tracing legs
+#   sweep (every builtin scenario — single-instance, cluster,
+#   restart-recovery and the disk-tier fault/full arcs — every invariant,
+#   stdout pinned against cmd/schedchaos/testdata/all.golden) and the
+#   tracing legs
 #   (schedd/schedgw -trace-out span streams analyzed by schedtrace
 #   -counts, pinned against scripts/testdata/trace_counts.golden and
 #   gateway_trace_counts.golden). The -race leg covers internal/serve's
@@ -74,20 +75,10 @@ go run ./cmd/schedtrace -counts "$tmp/gwspans.jsonl" >"$tmp/gateway_trace_counts
 diff -u scripts/testdata/gateway_trace_counts.golden "$tmp/gateway_trace_counts.txt"
 echo "[ok  ] schedgw -trace-out span stream matches the schedtrace golden"
 
-go run ./cmd/schedchaos >/dev/null
-echo "[ok  ] schedchaos scenarios (single-instance + cluster + restart + disk)"
-
-# The restart-recovery scenario again, alone: the crash-safe disk tier's
-# kill → torn tail → restart → byte-identical disk-hit path is the gate's
-# explicit restart leg, not just one line of the sweep above.
-go run ./cmd/schedchaos -scenario restart-recovery >/dev/null
-echo "[ok  ] restart-recovery: disk tier survives kill/restart byte-identically"
-
-# The disk-tier degradation arcs, alone and explicitly: a seeded I/O fault
-# storm (disk-fault) and an exact-accounting ENOSPC arc (disk-full) must
-# both keep every response byte-identical to a fault-free singleton while
-# the health machine degrades and probes its way back to healthy.
-go run ./cmd/schedchaos -scenario disk-fault >/dev/null
-echo "[ok  ] disk-fault: fault-storm degradation stays client-invisible, tier recovers"
-go run ./cmd/schedchaos -scenario disk-full >/dev/null
-echo "[ok  ] disk-full: ENOSPC pins the tier read-only with exact drop accounting"
+# Every builtin chaos scenario — single-instance, cluster, restart-recovery
+# and the disk-tier fault/full arcs — at its pinned seed: the sweep must
+# exit 0 (every invariant ok) and its -json stdout must match the golden
+# byte for byte, which pins every header, invariant line and report field.
+go run ./cmd/schedchaos -json >"$tmp/chaos.txt"
+diff -u cmd/schedchaos/testdata/all.golden "$tmp/chaos.txt"
+echo "[ok  ] schedchaos scenarios (single-instance + cluster + restart + disk) match the golden"
