@@ -6,6 +6,10 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 // builtinNames is every stock scenario, of every topology; scripts,
@@ -387,5 +391,42 @@ func TestReportErr(t *testing.T) {
 	rep.Invariants = rep.Invariants[:1]
 	if err := rep.Err(); err != nil {
 		t.Fatalf("Err() = %v on a clean report", err)
+	}
+}
+
+// TestRoutingCheckDerivesKeyHashFromBytesSent: the routing invariant
+// recomputes each unit's key hash from the bytes the scenario sent, so a
+// gateway that routes by a wrong key hash fails it even when primary and
+// served agree with that wrong hash's own ranking.
+func TestRoutingCheckDerivesKeyHashFromBytesSent(t *testing.T) {
+	gw, err := cluster.NewGateway(cluster.Options{Backends: []cluster.Backend{
+		{Name: backendName(0), URL: "http://127.0.0.1:1"},
+		{Name: backendName(1), URL: "http://127.0.0.1:1"},
+		{Name: backendName(2), URL: "http://127.0.0.1:1"},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := []byte(`{"etc":[[4,9,9],[9,2,2],[9,9,3]],"heuristic":"min-min","ties":"det","seed":3}`)
+	key, ok := serve.CanonicalKey("/v1/iterate", body)
+	if !ok {
+		t.Fatal("test body has no canonical key")
+	}
+	right := cluster.KeyHash(key)
+	for _, tc := range []struct {
+		name      string
+		kh        uint64
+		misroutes int
+	}{{"derived hash", right, 0}, {"wrong hash", right ^ 1, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := &clustered{gw: gw, down: map[string]bool{}}
+			c.sent = sentKeyHashes("/v1/iterate", body)
+			owner := gw.Router().RankHash(tc.kh)[0]
+			c.events.Observe(obs.GatewayRoute{KeyHash: fmt.Sprintf("%016x", tc.kh), Primary: owner, Served: owner})
+			c.settle("phase test", true)
+			if len(c.misroutes) != tc.misroutes || c.routed != 1 {
+				t.Fatalf("routed %d, misroutes %q; want 1 routed, %d misroutes", c.routed, c.misroutes, tc.misroutes)
+			}
+		})
 	}
 }

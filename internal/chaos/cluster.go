@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -39,7 +38,10 @@ type clustered struct {
 	// down tracks the membership the routing check expects: in fault-free
 	// phases every routed unit must serve on the first member of its
 	// rendezvous ranking not in down.
-	down      map[string]bool
+	down map[string]bool
+	// sent holds the key hash of every unit posted since the last settle,
+	// derived from the bytes sent, in the order the gateway routes them.
+	sent      []uint64
 	cursor    int // next unchecked event
 	routed    int
 	misroutes []string
@@ -126,22 +128,59 @@ func (c *clustered) heal() error {
 }
 
 func (c *clustered) post(path string, body []byte) exchange {
+	c.sent = append(c.sent, sentKeyHashes(path, body)...)
 	return record(c.gw.Handler(), path, body)
 }
 
-// settle checks every route observed since the last call. Injected faults
-// legitimately push requests past reachable backends, so exact routing is
-// only asserted fault-free; faulted routes are skipped.
+// sentKeyHashes derives, from the bytes posted alone, the key hash of every
+// unit the gateway must route for one post: a singleton's canonical key,
+// each item's canonical key in a split batch, and the raw route key for
+// bodies without a canonical key and for batches forwarded whole. It never
+// consults the gateway, so a gateway that routes by a wrong key hash fails
+// the routing check even when it routes consistently.
+func sentKeyHashes(path string, body []byte) []uint64 {
+	if path != "/v1/batch" {
+		key, ok := serve.CanonicalKey(path, body)
+		if !ok {
+			key = cluster.RawRouteKey(path, body)
+		}
+		return []uint64{cluster.KeyHash(key)}
+	}
+	items, ok := serve.SplitBatchItems(body)
+	if !ok || len(items) == 0 || len(items) > serve.DefaultMaxBatchItems {
+		return []uint64{cluster.KeyHash(cluster.RawRouteKey(path, body))}
+	}
+	khs := make([]uint64, len(items))
+	for i, raw := range items {
+		key, ok := serve.BatchItemKey(raw)
+		if !ok {
+			key = cluster.RawRouteKey("item", raw)
+		}
+		khs[i] = cluster.KeyHash(key)
+	}
+	return khs
+}
+
+// settle checks every route observed since the last call against the units
+// posted since then. Injected faults legitimately push requests past
+// reachable backends, so exact routing is only asserted fault-free; faulted
+// routes are skipped.
 func (c *clustered) settle(where string, exact bool) {
 	events := c.events.Events()
 	for ; c.cursor < len(events); c.cursor++ {
 		rt, ok := events[c.cursor].(obs.GatewayRoute)
-		if !ok || !exact {
+		if !ok {
 			continue
 		}
-		kh, err := strconv.ParseUint(rt.KeyHash, 16, 64)
-		if err != nil {
-			c.misroute("%s: unparseable key hash %q", where, rt.KeyHash)
+		if len(c.sent) == 0 {
+			if exact {
+				c.misroute("%s: key %s routed but never sent", where, rt.KeyHash)
+			}
+			continue
+		}
+		kh := c.sent[0]
+		c.sent = c.sent[1:]
+		if !exact {
 			continue
 		}
 		rank := c.gw.Router().RankHash(kh)
@@ -153,12 +192,19 @@ func (c *clustered) settle(where string, exact bool) {
 			}
 		}
 		c.routed++
-		if rt.Primary != rank[0] {
+		switch {
+		case rt.KeyHash != fmt.Sprintf("%016x", kh):
+			c.misroute("%s: key %s routed, %016x sent", where, rt.KeyHash, kh)
+		case rt.Primary != rank[0]:
 			c.misroute("%s: key %s primary %s, rendezvous owner %s", where, rt.KeyHash, rt.Primary, rank[0])
-		} else if rt.Served != want {
+		case rt.Served != want:
 			c.misroute("%s: key %s served by %q, want first reachable %q", where, rt.KeyHash, rt.Served, want)
 		}
 	}
+	if exact && len(c.sent) > 0 {
+		c.misroute("%s: %d sent units never routed", where, len(c.sent))
+	}
+	c.sent = c.sent[:0]
 }
 
 func (c *clustered) misroute(format string, args ...any) {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,8 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/etc"
+	"repro/internal/rng"
 	"repro/internal/serve"
 )
 
@@ -38,7 +41,7 @@ func benchCluster(b *testing.B, n int) (*Gateway, func()) {
 	return g, func() { local.Close() }
 }
 
-func benchPost(b *testing.B, h http.Handler, path, body string) {
+func benchPost(b *testing.B, h http.Handler, path, body string) string {
 	b.Helper()
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
@@ -46,44 +49,94 @@ func benchPost(b *testing.B, h http.Handler, path, body string) {
 	if rec.Code != http.StatusOK {
 		b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
+	return rec.Body.String()
 }
+
+// floatBody is a /v1/iterate body over a 32×8 hihi-i matrix whose cells
+// carry full float64 precision — the shape of real traffic, where parsing
+// the cells is most of what deriving a canonical key costs.
+func floatBody(seed uint64) string {
+	m, err := etc.GenerateClass(etc.AllClasses()[0], 32, 8, rng.New(seed))
+	if err != nil {
+		panic(err)
+	}
+	body, err := json.Marshal(serve.Request{ETC: m.Values(), Heuristic: "min-min", Ties: "det", Seed: seed})
+	if err != nil {
+		panic(err)
+	}
+	return string(body)
+}
+
+// benchShapes are the request bodies the gateway benchmarks post: the
+// 3×3 integer matrix under the historical names, and the 32×8 float shape.
+var benchShapes = []struct {
+	prefix string
+	body   func(seed uint64) string
+}{{"", iterBody}, {"32x8-", floatBody}}
 
 // BenchmarkGatewayHit measures the warm path — every request routes to the
 // owning backend's cache — across backend counts: the per-request cost of
 // horizontal scale when the cluster is steady.
 func BenchmarkGatewayHit(b *testing.B) {
-	for _, n := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("backends-%d", n), func(b *testing.B) {
-			g, stop := benchCluster(b, n)
-			defer stop()
-			body := iterBody(1)
-			benchPost(b, g.Handler(), "/v1/iterate", body) // warm the owner's cache
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				benchPost(b, g.Handler(), "/v1/iterate", body)
-			}
-		})
+	for _, shape := range benchShapes {
+		for _, n := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("%sbackends-%d", shape.prefix, n), func(b *testing.B) {
+				g, stop := benchCluster(b, n)
+				defer stop()
+				body := shape.body(1)
+				benchPost(b, g.Handler(), "/v1/iterate", body) // warm the owner's cache
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					benchPost(b, g.Handler(), "/v1/iterate", body)
+				}
+			})
+		}
 	}
 }
 
 // BenchmarkGatewayBatchHit measures the warm batch path: an 8-item batch is
 // split by key, fanned out, and merged back in input order on every op.
 func BenchmarkGatewayBatchHit(b *testing.B) {
-	for _, n := range []int{1, 4} {
-		b.Run(fmt.Sprintf("backends-%d", n), func(b *testing.B) {
-			g, stop := benchCluster(b, n)
-			defer stop()
-			var items []string
-			for s := uint64(1); s <= 8; s++ {
-				items = append(items, fmt.Sprintf(`{"endpoint":"iterate","request":%s}`, iterBody(s)))
+	for _, shape := range benchShapes {
+		for _, n := range []int{1, 4} {
+			b.Run(fmt.Sprintf("%sbackends-%d", shape.prefix, n), func(b *testing.B) {
+				g, stop := benchCluster(b, n)
+				defer stop()
+				var items []string
+				for s := uint64(1); s <= 8; s++ {
+					// A batch item is a singleton body with the endpoint
+					// discriminator spliced in.
+					items = append(items, `{"endpoint":"iterate",`+shape.body(s)[1:])
+				}
+				body := `{"items":[` + strings.Join(items, ",") + `]}`
+				benchPost(b, g.Handler(), "/v1/batch", body) // warm every owner
+				if warm := benchPost(b, g.Handler(), "/v1/batch", body); strings.Count(warm, `"cache":"hit"`) != len(items) {
+					b.Fatalf("warm batch is not %d cache hits: %s", len(items), warm)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					benchPost(b, g.Handler(), "/v1/batch", body)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkRankHash measures one key's full rendezvous preference order.
+func BenchmarkRankHash(b *testing.B) {
+	for _, n := range []int{2, 4, 8} {
+		b.Run(fmt.Sprintf("members-%d", n), func(b *testing.B) {
+			r, err := NewRouter(members(n))
+			if err != nil {
+				b.Fatal(err)
 			}
-			body := `{"items":[` + strings.Join(items, ",") + `]}`
-			benchPost(b, g.Handler(), "/v1/batch", body) // warm every owner
 			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				benchPost(b, g.Handler(), "/v1/batch", body)
+			kh := uint64(0x9e3779b97f4a7c15)
+			for b.Loop() {
+				kh++
+				r.RankHash(kh)
 			}
 		})
 	}

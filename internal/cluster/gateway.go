@@ -76,6 +76,10 @@ type Gateway struct {
 	maxBody  int64
 	maxItems int
 
+	// memos route repeat bodies, one per namespace: /v1/map, /v1/iterate
+	// and itemNS.
+	memos map[string]*routeMemo
+
 	mu        sync.Mutex // guards draining and inflight Add vs Wait
 	draining  bool
 	inflight  sync.WaitGroup
@@ -86,6 +90,7 @@ type Gateway struct {
 	mBatchItems *obs.Counter
 	mFailovers  *obs.Counter
 	mUnavail    *obs.Counter
+	mMemoHits   *obs.Counter
 	// Conservation: every arrival resolves to exactly one outcome counter,
 	// so gateway.requests_total == 2xx+4xx+5xx always (the cluster chaos
 	// harness checks it after every run).
@@ -129,6 +134,7 @@ func NewGateway(opts Options) (*Gateway, error) {
 		mBatchItems: reg.Counter("gateway.batch_items_total"),
 		mFailovers:  reg.Counter("gateway.failovers_total"),
 		mUnavail:    reg.Counter("gateway.unavailable_total"),
+		mMemoHits:   reg.Counter("gateway.route_memo_hits"),
 		m2xx:        reg.Counter("gateway.responses_2xx"),
 		m4xx:        reg.Counter("gateway.responses_4xx"),
 		m5xx:        reg.Counter("gateway.responses_5xx"),
@@ -141,6 +147,10 @@ func NewGateway(opts Options) (*Gateway, error) {
 	}
 	if g.maxItems <= 0 {
 		g.maxItems = serve.DefaultMaxBatchItems
+	}
+	g.memos = map[string]*routeMemo{}
+	for _, ns := range []string{"/v1/map", "/v1/iterate", itemNS} {
+		g.memos[ns] = newRouteMemo(ns)
 	}
 	byName := make(map[string]string, len(opts.Backends))
 	for _, b := range opts.Backends {
@@ -321,6 +331,7 @@ func (g *Gateway) forward(ctx context.Context, rank []string, path string, body 
 // bytes verbatim. The gateway never alters a response body — byte identity
 // with a single instance is structural.
 func (g *Gateway) handleSchedule(ep string) http.HandlerFunc {
+	memo := g.memos[ep]
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now() // observational only
 		tr := g.opts.Tracer.StartTrace("gateway")
@@ -356,18 +367,15 @@ func (g *Gateway) handleSchedule(ep string) http.HandlerFunc {
 		if !ok {
 			return
 		}
-		// route: derive the canonical key (the exact key a backend would
-		// cache under — same-key requests land on the same warm cache) and
-		// the preference order. Bodies a backend would reject before keying
-		// route by raw bytes: still deterministic, and the owning backend
-		// produces the canonical error envelope.
+		// route: derive the canonical key's hash (the exact key a backend
+		// would cache under — same-key requests land on the same warm cache)
+		// and the preference order; a repeat body takes the hash from the
+		// route memo. Bodies a backend would reject before keying route by
+		// raw bytes: still deterministic, and the owning backend produces
+		// the canonical error envelope.
 		sp := tr.Start("route")
-		key, canonical := serve.CanonicalKey(ep, body)
-		if !canonical {
-			key = rawRouteKey(ep, body)
-		}
-		kh := KeyHash(key)
-		tr.SetKey(key)
+		kh := g.routeHash(memo, body)
+		tr.SetKeyHash(kh)
 		rank := g.router.RankHash(kh)
 		sp.End()
 		res := g.forward(r.Context(), rank, ep, body, tr)
@@ -442,10 +450,20 @@ func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request, ep string, st
 	return body, true
 }
 
-// rawRouteKey is the routing key for bodies without a canonical key:
-// deterministic in the exact bytes, namespaced away from canonical keys.
-func rawRouteKey(ep string, body []byte) string {
-	return "raw\x00" + ep + "\x00" + string(body)
+// routeHash returns body's routing hash through memo, counting memo hits.
+func (g *Gateway) routeHash(memo *routeMemo, body []byte) uint64 {
+	kh, hit := memo.keyHash(body)
+	if hit {
+		g.mMemoHits.Inc()
+	}
+	return kh
+}
+
+// RawRouteKey is the routing key for bodies without a canonical key, and
+// for batches forwarded whole: deterministic in the exact bytes, namespaced
+// by endpoint (ns "item" for batch items) away from canonical keys.
+func RawRouteKey(ns string, body []byte) string {
+	return "raw\x00" + ns + "\x00" + string(body)
 }
 
 // observe is the single request epilogue: outcome accounting exactly once
@@ -554,7 +572,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// Forward the whole body to one backend (routed by its raw bytes):
 		// the backend produces the canonical 400/422/413 envelope, so error
 		// responses stay byte-identical to a single instance's.
-		kh := KeyHash(rawRouteKey(ep, body))
+		kh := KeyHash(RawRouteKey(ep, body))
 		rank := g.router.RankHash(kh)
 		sp.End()
 		g.mBatchItems.Add(int64(len(items)))
@@ -573,12 +591,9 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Per-item canonical keys and rendezvous hashes; malformed items route
 	// by raw bytes and come back as the backend's per-item error envelope.
 	khs := make([]uint64, len(items))
+	memo := g.memos[itemNS]
 	for i, raw := range items {
-		if k, ok := serve.BatchItemKey(raw); ok {
-			khs[i] = KeyHash(k)
-		} else {
-			khs[i] = KeyHash(rawRouteKey("item", raw))
-		}
+		khs[i] = g.routeHash(memo, raw)
 	}
 	sp.End()
 

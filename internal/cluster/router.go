@@ -14,6 +14,8 @@ package cluster
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/obs"
 )
 
 // Router assigns keys to named members by rendezvous (highest-random-weight)
@@ -33,7 +35,7 @@ import (
 // A Router is immutable after construction and safe for concurrent use.
 type Router struct {
 	names  []string // sorted, for deterministic iteration and tie-breaks
-	hashes []uint64 // fnv64a(names[i])
+	hashes []uint64 // KeyHash(names[i])
 }
 
 // NewRouter builds a Router over the given member names. Names must be
@@ -53,7 +55,7 @@ func NewRouter(names []string) (*Router, error) {
 		if i > 0 && sorted[i-1] == n {
 			return nil, fmt.Errorf("cluster: duplicate member name %q", n)
 		}
-		r.hashes[i] = fnv64a(n)
+		r.hashes[i] = KeyHash(n)
 	}
 	return r, nil
 }
@@ -65,12 +67,13 @@ func (r *Router) Members() []string { return r.names }
 // KeyHash returns the 64-bit FNV-1a hash of key — the only part of a key
 // the router's scoring consumes. Exposed so observers (chaos invariants,
 // trace correlation) can verify routing decisions from a key hash without
-// ever materializing the raw key.
-func KeyHash(key string) uint64 { return fnv64a(key) }
+// ever materializing the raw key. It is obs.KeyHash, the hash half of a
+// trace ID, so a route and its trace share one key hash.
+func KeyHash(key string) uint64 { return obs.KeyHash(key) }
 
 // Pick returns the owning member for key: the rendezvous winner among the
 // current membership.
-func (r *Router) Pick(key string) string { return r.PickHash(fnv64a(key)) }
+func (r *Router) Pick(key string) string { return r.PickHash(KeyHash(key)) }
 
 // PickHash is Pick for a pre-computed KeyHash.
 func (r *Router) PickHash(kh uint64) string {
@@ -88,40 +91,28 @@ func (r *Router) PickHash(kh uint64) string {
 // Rank returns every member ordered by descending score for key: Rank[0]
 // is the owner (== Pick), Rank[1] the first failover, and so on. The
 // returned slice is freshly allocated.
-func (r *Router) Rank(key string) []string { return r.RankHash(fnv64a(key)) }
+func (r *Router) Rank(key string) []string { return r.RankHash(KeyHash(key)) }
 
 // RankHash is Rank for a pre-computed KeyHash.
 func (r *Router) RankHash(kh uint64) []string {
-	idx := make([]int, len(r.names))
-	for i := range idx {
-		idx[i] = i
+	out := make([]string, len(r.names))
+	var buf [8]uint64 // clusters this size rank without a second allocation
+	scores := buf[:]
+	if len(r.names) > len(buf) {
+		scores = make([]uint64, len(r.names))
 	}
-	// SliceStable + sorted names: score ties resolve to lexicographic order,
-	// same as Pick.
-	sort.SliceStable(idx, func(a, b int) bool {
-		return mix64(r.hashes[idx[a]]^kh) > mix64(r.hashes[idx[b]]^kh)
-	})
-	out := make([]string, len(idx))
-	for i, j := range idx {
-		out[i] = r.names[j]
+	// Insertion sort by descending score. Members arrive in sorted-name
+	// order and an entry moves past only strictly lower scores, so score
+	// ties resolve to lexicographic order, same as Pick.
+	for i, h := range r.hashes {
+		s := mix64(h ^ kh)
+		j := i
+		for ; j > 0 && scores[j-1] < s; j-- {
+			scores[j], out[j] = scores[j-1], out[j-1]
+		}
+		scores[j], out[j] = s, r.names[i]
 	}
 	return out
-}
-
-// fnv64a is the 64-bit FNV-1a hash — the same construction internal/obs
-// uses for trace identities, duplicated here to keep the router free of
-// incidental coupling.
-func fnv64a(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
 }
 
 // mix64 is the splitmix64 finalizer: a cheap bijective mixer that turns

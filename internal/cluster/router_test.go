@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/rng"
@@ -164,6 +166,54 @@ func TestRouterMinimalDisruption(t *testing.T) {
 					t.Fatalf("removed member %q owned no keys in a %d-key corpus", removed, len(keys))
 				}
 			})
+		}
+	}
+}
+
+// stableRank is the reference ranking: every member by descending score,
+// score ties in sorted-name order, by sort.SliceStable.
+func stableRank(r *Router, kh uint64) []string {
+	idx := make([]int, len(r.names))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		return mix64(r.hashes[idx[a]]^kh) > mix64(r.hashes[idx[b]]^kh)
+	})
+	out := make([]string, len(idx))
+	for i, j := range idx {
+		out[i] = r.names[j]
+	}
+	return out
+}
+
+// TestRankHashMatchesStableSort pins RankHash's insertion sort to the
+// stable-sort order for 1–8 members and random key hashes. Distinct names
+// never tie on score (the mixer is a bijection), so the tie cases plant
+// repeated member hashes directly: tied members must keep sorted-name
+// order, as Pick's strict > does.
+func TestRankHashMatchesStableSort(t *testing.T) {
+	src := rng.New(7)
+	for n := 1; n <= 8; n++ {
+		r, err := NewRouter(members(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tied := &Router{names: r.names, hashes: make([]uint64, n)}
+		for i := range tied.hashes {
+			tied.hashes[i] = r.hashes[src.Intn(min(n, 3))]
+		}
+		for _, rt := range []*Router{r, tied} {
+			for k := 0; k < 500; k++ {
+				kh := src.Uint64()
+				got, want := rt.RankHash(kh), stableRank(rt, kh)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%d members, hashes %x, key %x: RankHash %v, stable sort %v", n, rt.hashes, kh, got, want)
+				}
+				if got[0] != rt.PickHash(kh) {
+					t.Fatalf("%d members, key %x: RankHash[0] %s, PickHash %s", n, kh, got[0], rt.PickHash(kh))
+				}
+			}
 		}
 	}
 }

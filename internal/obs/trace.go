@@ -126,7 +126,16 @@ func (tr *Trace) SetKey(key string) {
 	if tr == nil {
 		return
 	}
-	h := fnv64a(key)
+	tr.SetKeyHash(KeyHash(key))
+}
+
+// SetKeyHash is SetKey for callers that already hold KeyHash(key) — for
+// example a gateway that routed a repeat body from a memo without
+// re-deriving its key: same identity as SetKey(key).
+func (tr *Trace) SetKeyHash(h uint64) {
+	if tr == nil {
+		return
+	}
 	tr.mu.Lock()
 	tr.keyHash = h
 	tr.id = ""
@@ -149,10 +158,7 @@ func (tr *Trace) SetKeyBytes(key []byte) {
 		h ^= uint64(b)
 		h *= prime64
 	}
-	tr.mu.Lock()
-	tr.keyHash = h
-	tr.id = ""
-	tr.mu.Unlock()
+	tr.SetKeyHash(h)
 }
 
 // ID renders the trace ID: 16 hex digits of the canonical-key hash, a
@@ -343,9 +349,10 @@ func (sp *SpanHandle) End() {
 	tr.done = append(tr.done, sp.span)
 }
 
-// fnv64a is the 64-bit FNV-1a hash, inlined so key hashing allocates
-// nothing (hash/fnv's New64a returns a heap object).
-func fnv64a(s string) uint64 {
+// KeyHash is the 64-bit FNV-1a hash of a canonical key: the hash half of
+// a trace ID, and the hash internal/cluster routes by. Inlined so key
+// hashing allocates nothing (hash/fnv's New64a returns a heap object).
+func KeyHash(s string) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211

@@ -19,6 +19,7 @@ func TestNilTracerCostsNothing(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		tr := tracer.StartTrace("serve")
 		tr.SetKey("some canonical key")
+		tr.SetKeyHash(1)
 		tr.SetEndpoint("/v1/iterate")
 		tr.SetRemote("peer")
 		sp := tr.Start("compute")
@@ -64,6 +65,26 @@ func TestTraceIDDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(a, "-") || len(a) != 25 {
 		t.Fatalf("ID %q not in %%016x-%%08x form", a)
+	}
+}
+
+// TestSetKeyHashMatchesSetKey: a caller holding only KeyHash(key) — a
+// gateway routing a repeat body from its memo — mints the trace ID that
+// SetKey(key) and SetKeyBytes(key) mint.
+func TestSetKeyHashMatchesSetKey(t *testing.T) {
+	key := "/v1/iterate\x00canonical\x00key"
+	ids := map[string]bool{}
+	for _, set := range []func(*Trace){
+		func(tr *Trace) { tr.SetKey(key) },
+		func(tr *Trace) { tr.SetKeyBytes([]byte(key)) },
+		func(tr *Trace) { tr.SetKeyHash(KeyHash(key)) },
+	} {
+		tr := NewTracer(&Collector{}).StartTrace("gateway")
+		set(tr)
+		ids[tr.ID()] = true
+	}
+	if len(ids) != 1 {
+		t.Fatalf("one key minted %d trace IDs: %v", len(ids), ids)
 	}
 }
 

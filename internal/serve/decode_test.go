@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"reflect"
@@ -117,6 +118,49 @@ func FuzzParseBatchItem(f *testing.F) {
 		got, gotErr := decodeBatchItem(raw)
 		if !sameAPIError(gotErr, slowErr) || !reflect.DeepEqual(got, slow) {
 			t.Fatalf("decodeBatchItem = (%#v, %v), encoding/json path = (%#v, %v)", got, gotErr, slow, slowErr)
+		}
+	})
+}
+
+// FuzzCanonicalKey pins the property a gateway route memo leans on: the
+// canonical key is a function of the request, not of its encoding. For
+// every body that has a key on an endpoint, repeated calls agree, and both
+// json.Marshal of the decoded request and whitespace-reflowed copies of
+// the body (indented, compacted) get the same key.
+func FuzzCanonicalKey(f *testing.F) {
+	for _, s := range decodeSeeds {
+		f.Add([]byte(s))
+	}
+	f.Add(matrixBody(4, 3, 1))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, ep := range []string{"/v1/map", "/v1/iterate"} {
+			key, ok := CanonicalKey(ep, body)
+			if again, okAgain := CanonicalKey(ep, body); again != key || okAgain != ok {
+				t.Fatalf("%s: repeated calls disagree on %q", ep, body)
+			}
+			if !ok {
+				continue
+			}
+			rq, aerr := decodeRequest(body)
+			if aerr != nil {
+				t.Fatalf("%s: keyed body fails to decode (%s): %q", ep, aerr.msg, body)
+			}
+			marshaled, err := json.Marshal(rq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var indented, compacted bytes.Buffer
+			if err := json.Indent(&indented, body, " ", "\t"); err != nil {
+				t.Fatalf("%s: keyed body is not valid JSON (%v): %q", ep, err, body)
+			}
+			if err := json.Compact(&compacted, body); err != nil {
+				t.Fatal(err)
+			}
+			for _, enc := range [][]byte{marshaled, indented.Bytes(), compacted.Bytes()} {
+				if got, ok := CanonicalKey(ep, enc); !ok || got != key {
+					t.Fatalf("%s: re-encoding %q of %q keys differently (ok=%v)", ep, enc, body, ok)
+				}
+			}
 		}
 	})
 }
