@@ -39,20 +39,29 @@ func New(values [][]float64) (*Matrix, error) {
 	if cols == 0 {
 		return nil, errors.New("etc: matrix has no machines")
 	}
-	vs := make([][]float64, len(values))
 	for t, row := range values {
 		if len(row) != cols {
 			return nil, fmt.Errorf("etc: row %d has %d entries, want %d", t, len(row), cols)
 		}
-		vs[t] = make([]float64, cols)
 		for m, v := range row {
 			if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
 				return nil, fmt.Errorf("etc: entry [%d][%d] = %g is not a positive finite value", t, m, v)
 			}
-			vs[t][m] = v
 		}
 	}
-	return &Matrix{values: vs}, nil
+	return &Matrix{values: copyRows(values, cols)}, nil
+}
+
+// copyRows deep-copies a rectangular matrix into one backing array. Each
+// row is capacity-capped, so an append to one cannot write into the next.
+func copyRows(values [][]float64, cols int) [][]float64 {
+	vs := make([][]float64, len(values))
+	backing := make([]float64, len(values)*cols)
+	for t, row := range values {
+		vs[t] = backing[t*cols : (t+1)*cols : (t+1)*cols]
+		copy(vs[t], row)
+	}
+	return vs
 }
 
 // MustNew is New but panics on error. Intended for pinned constants and
@@ -82,14 +91,7 @@ func (m *Matrix) Row(task int) []float64 {
 }
 
 // Values returns a deep copy of the underlying matrix.
-func (m *Matrix) Values() [][]float64 {
-	vs := make([][]float64, len(m.values))
-	for t, row := range m.values {
-		vs[t] = make([]float64, len(row))
-		copy(vs[t], row)
-	}
-	return vs
-}
+func (m *Matrix) Values() [][]float64 { return copyRows(m.values, m.Machines()) }
 
 // SubMatrix returns the matrix restricted to the given task and machine
 // index sets, in the given order. It is how the iterative engine removes the
@@ -114,7 +116,7 @@ func (m *Matrix) SubMatrix(tasks, machines []int) (*Matrix, error) {
 	vs := make([][]float64, len(tasks))
 	backing := make([]float64, len(tasks)*len(machines))
 	for i, t := range tasks {
-		row := backing[i*len(machines) : (i+1)*len(machines)]
+		row := backing[i*len(machines) : (i+1)*len(machines) : (i+1)*len(machines)]
 		src := m.values[t]
 		for j, mm := range machines {
 			row[j] = src[mm]

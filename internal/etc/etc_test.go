@@ -51,11 +51,31 @@ func TestNewRejectsBadValues(t *testing.T) {
 }
 
 func TestNewCopiesInput(t *testing.T) {
-	vs := [][]float64{{1, 2}}
+	vs := [][]float64{{1, 2}, {3, 4}, {5, 6}}
 	m := mustMatrix(t, vs)
-	vs[0][0] = 99
-	if m.At(0, 0) != 1 {
-		t.Fatal("New did not copy its input")
+	for _, row := range vs {
+		for j := range row {
+			row[j] = 99
+		}
+	}
+	vs[1] = []float64{7, 8}
+	if want := mustMatrix(t, [][]float64{{1, 2}, {3, 4}, {5, 6}}); !m.Equal(want) {
+		t.Fatalf("New did not copy its input: %v", m.Values())
+	}
+}
+
+// TestNewAllocsFlat pins New's one backing array: its allocation count is
+// the same for 4 tasks and for 512.
+func TestNewAllocsFlat(t *testing.T) {
+	allocs := func(tasks int) float64 {
+		vs := make([][]float64, tasks)
+		for i := range vs {
+			vs[i] = []float64{1, 2, 3}
+		}
+		return testing.AllocsPerRun(20, func() { mustMatrix(t, vs) })
+	}
+	if small, large := allocs(4), allocs(512); large != small {
+		t.Fatalf("New costs %.0f allocs at 4 tasks, %.0f at 512", small, large)
 	}
 }
 
@@ -79,6 +99,14 @@ func TestRowAndValuesAreCopies(t *testing.T) {
 	vs[1][1] = 99
 	if m.At(1, 1) != 4 {
 		t.Fatal("Values returned a live reference")
+	}
+	// Rows share one backing array in Values' copy: an append to one row
+	// must not write into the next.
+	vs = m.Values()
+	_ = append(vs[0], 99)
+	_ = append(m.Row(0), 99)
+	if vs[1][0] != 3 || m.At(1, 0) != 3 {
+		t.Fatalf("append to row 0 reached row 1: copy %v, matrix %v", vs[1], m.Values()[1])
 	}
 }
 

@@ -137,42 +137,59 @@ func completionRow(in *sched.Instance, task int, ready []float64, dst []float64)
 	return dst
 }
 
-// Registry lists every heuristic constructible by name, for the CLIs and
-// sweep harness. Stochastic heuristics (Genitor) receive the given seed.
-func Registry(seed uint64) map[string]func() Heuristic {
-	return map[string]func() Heuristic{
-		"olb":       func() Heuristic { return OLB{} },
-		"met":       func() Heuristic { return MET{} },
-		"mct":       func() Heuristic { return MCT{} },
-		"min-min":   func() Heuristic { return MinMin{} },
-		"max-min":   func() Heuristic { return MaxMin{} },
-		"duplex":    func() Heuristic { return Duplex{} },
-		"sufferage": func() Heuristic { return Sufferage{} },
-		"kpb":       func() Heuristic { return KPercentBest{Percent: 70} }, // the paper's example k
-		"swa":       func() Heuristic { return SWA{Low: 0.33, High: 0.49} },
-		"genitor":   func() Heuristic { return NewGenitor(GenitorConfig{}, seed) },
-		"ga":        func() Heuristic { return NewGeneticAlgorithm(GAConfig{}, seed) },
-		"sa":        func() Heuristic { return NewSimulatedAnnealing(SAConfig{}, seed) },
-		"tabu":      func() Heuristic { return NewTabuSearch(TabuConfig{}, seed) },
-	}
+// registry is the one table of heuristics constructible by name; Registry,
+// Names and ByName all read it. Stochastic heuristics receive the seed.
+var registry = map[string]func(seed uint64) Heuristic{
+	"olb":       fixed(OLB{}),
+	"met":       fixed(MET{}),
+	"mct":       fixed(MCT{}),
+	"min-min":   fixed(MinMin{}),
+	"max-min":   fixed(MaxMin{}),
+	"duplex":    fixed(Duplex{}),
+	"sufferage": fixed(Sufferage{}),
+	"kpb":       fixed(KPercentBest{Percent: 70}), // the paper's example k
+	"swa":       fixed(SWA{Low: 0.33, High: 0.49}),
+	"genitor":   func(seed uint64) Heuristic { return NewGenitor(GenitorConfig{}, seed) },
+	"ga":        func(seed uint64) Heuristic { return NewGeneticAlgorithm(GAConfig{}, seed) },
+	"sa":        func(seed uint64) Heuristic { return NewSimulatedAnnealing(SAConfig{}, seed) },
+	"tabu":      func(seed uint64) Heuristic { return NewTabuSearch(TabuConfig{}, seed) },
 }
 
-// Names returns the registry's heuristic names in sorted order.
-func Names() []string {
-	reg := Registry(0)
-	names := make([]string, 0, len(reg))
-	for n := range reg {
+// fixed is the constructor of a seedless heuristic value, boxed once so a
+// lookup costs no allocation; sharing it is safe, as a value held in an
+// interface cannot be mutated through it.
+func fixed(h Heuristic) func(uint64) Heuristic {
+	return func(uint64) Heuristic { return h }
+}
+
+// sortedNames is the registry's names in sorted order, computed once.
+var sortedNames = func() []string {
+	names := make([]string, 0, len(registry))
+	for n := range registry {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names
+}()
+
+// Registry lists every heuristic constructible by name, for the CLIs and
+// sweep harness. Stochastic heuristics (Genitor) receive the given seed.
+func Registry(seed uint64) map[string]func() Heuristic {
+	reg := make(map[string]func() Heuristic, len(registry))
+	for name, f := range registry {
+		reg[name] = func() Heuristic { return f(seed) }
+	}
+	return reg
 }
+
+// Names returns the registry's heuristic names in sorted order.
+func Names() []string { return append([]string(nil), sortedNames...) }
 
 // ByName constructs the named heuristic or returns an error listing the
 // available names.
 func ByName(name string, seed uint64) (Heuristic, error) {
-	if f, ok := Registry(seed)[name]; ok {
-		return f(), nil
+	if f, ok := registry[name]; ok {
+		return f(seed), nil
 	}
-	return nil, fmt.Errorf("heuristics: unknown heuristic %q (available: %v)", name, Names())
+	return nil, fmt.Errorf("heuristics: unknown heuristic %q (available: %v)", name, sortedNames)
 }

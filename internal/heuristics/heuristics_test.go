@@ -1,6 +1,8 @@
 package heuristics
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/etc"
@@ -478,6 +480,48 @@ func TestNamesSortedAndComplete(t *testing.T) {
 	for i := 1; i < len(names); i++ {
 		if names[i-1] >= names[i] {
 			t.Fatalf("names not sorted: %v", names)
+		}
+	}
+}
+
+// TestByNameAgreesWithNames pins the one registry table: every name Names
+// lists constructs through ByName and Registry, Registry has no other
+// names, and an unknown name's error lists exactly Names.
+func TestByNameAgreesWithNames(t *testing.T) {
+	names := Names()
+	reg := Registry(3)
+	if len(reg) != len(names) {
+		t.Fatalf("Registry has %d names, Names %d", len(reg), len(names))
+	}
+	for _, name := range names {
+		h, err := ByName(name, 3)
+		if err != nil || h == nil {
+			t.Fatalf("ByName(%q) = %v, %v", name, h, err)
+		}
+		f, ok := reg[name]
+		if !ok {
+			t.Fatalf("Registry lacks %q", name)
+		}
+		if got, want := fmt.Sprintf("%T", f()), fmt.Sprintf("%T", h); got != want {
+			t.Errorf("%s: Registry builds %s, ByName %s", name, got, want)
+		}
+	}
+	_, err := ByName("nope", 0)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(names)) {
+		t.Fatalf("unknown-name error %v does not list %v", err, names)
+	}
+}
+
+// TestByNameAllocs guards the serve path, which looks a heuristic up twice
+// per computed request: a seedless heuristic costs no allocation.
+func TestByNameAllocs(t *testing.T) {
+	for _, name := range []string{"olb", "met", "mct", "min-min", "max-min", "duplex", "sufferage", "kpb", "swa"} {
+		if got := testing.AllocsPerRun(100, func() {
+			if _, err := ByName(name, 1); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("ByName(%q) costs %.0f allocs, want 0", name, got)
 		}
 	}
 }

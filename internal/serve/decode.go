@@ -8,12 +8,12 @@ import (
 // decodeFast is the one-pass decoder for the canonical subset of the
 // request wire format: exact lowercase field names, each at most once;
 // strings of printable ASCII without escapes; numbers in the strict JSON
-// grammar, each parsed once by strconv; true/false for "seeded"; nothing
-// but whitespace after the closing brace. "endpoint" is a known field only
-// when item is set (a /v1/batch item). ok is false for every other body —
-// null values, escapes, case-folded or repeated names, out-of-range
-// numbers, trailing data — and the caller falls back to encoding/json, which
-// alone produces error messages. Whatever decodeFast accepts, encoding/json
+// grammar, each converted in the scan that finds it; true/false for
+// "seeded"; nothing but whitespace after the closing brace. "endpoint" is a
+// known field only when item is set (a /v1/batch item). ok is false for
+// every other body — null values, escapes, case-folded or repeated names,
+// out-of-range numbers, trailing data — and the caller falls back to
+// encoding/json, which alone produces error messages. Whatever decodeFast accepts, encoding/json
 // accepts with a reflect.DeepEqual result: absent slices stay nil, "[]"
 // decodes to an empty non-nil slice (FuzzDecodeRequest pins this).
 //
@@ -56,18 +56,18 @@ func decodeFast(body []byte, item bool) (it BatchItem, ok bool) {
 			it.Ties, ok = d.text()
 		case "seed":
 			bit = 1 << 4
-			var n []byte
+			var n num
 			if n, ok = d.number(); ok {
-				it.Seed, ok = parseUint(n)
+				it.Seed, ok = parseUint(n.text)
 			}
 		case "seeded":
 			bit = 1 << 5
 			it.Seeded, ok = d.boolean()
 		case "timeout_ms":
 			bit = 1 << 6
-			var n []byte
+			var n num
 			if n, ok = d.number(); ok {
-				it.TimeoutMS, ok = parseInt(n)
+				it.TimeoutMS, ok = parseInt(n.text)
 			}
 		case "endpoint":
 			bit = 1 << 7
@@ -150,49 +150,111 @@ func (d *decoder) boolean() (bool, bool) {
 	return false, false
 }
 
-// number scans one number in the strict JSON grammar,
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns its bytes.
-// Whatever follows ("01", "1x") is the caller's delimiter check to fail.
-func (d *decoder) number() ([]byte, bool) {
-	start := d.i
-	d.eat('-')
-	switch {
-	case d.eat('0'):
-	case d.i < len(d.b) && d.b[d.i] >= '1' && d.b[d.i] <= '9':
-		d.digits()
-	default:
-		return nil, false
-	}
-	if d.eat('.') && !d.digits() {
-		return nil, false
-	}
-	if d.eat('e') || d.eat('E') {
-		if !d.eat('+') {
-			d.eat('-')
-		}
-		if !d.digits() {
-			return nil, false
-		}
-	}
-	return d.b[start:d.i], true
+// num is one scanned JSON number: its bytes and, unless slow is set, its
+// exact value man × 10^exp10.
+type num struct {
+	text  []byte
+	man   uint64 // the first 19 significant digits
+	exp10 int
+	neg   bool
+	// slow marks a value man × 10^exp10 does not hold exactly: a nonzero
+	// digit past the 19th, or an exponent too long to accumulate.
+	slow bool
 }
 
-// digits consumes [0-9]* and reports whether it consumed any.
-func (d *decoder) digits() bool {
-	start := d.i
-	for d.i < len(d.b) && d.b[d.i] >= '0' && d.b[d.i] <= '9' {
-		d.i++
+// maxMantDigits is how many significant decimal digits a uint64 always holds.
+const maxMantDigits = 19
+
+// number scans one number in the strict JSON grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, accumulating its mantissa
+// and decimal exponent in the same pass; the cursor lives in locals so the
+// digit loops stay in registers. Whatever follows ("01", "1x") is the
+// caller's delimiter check to fail.
+func (d *decoder) number() (num, bool) {
+	b, i := d.b, d.i
+	start := i
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
 	}
-	return d.i > start
+	var man uint64
+	nd, exp10, slow := 0, 0, false // nd counts the significant digits in man
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && b[i]-'1' < 9:
+		for ; i < len(b) && b[i]-'0' < 10; i++ {
+			if nd < maxMantDigits {
+				man = man*10 + uint64(b[i]-'0')
+				nd++
+				continue
+			}
+			exp10++
+			slow = slow || b[i] != '0'
+		}
+	default:
+		return num{}, false
+	}
+	if i < len(b) && b[i] == '.' {
+		i++
+		from := i
+		for ; i < len(b) && b[i]-'0' < 10; i++ {
+			if nd < maxMantDigits {
+				man = man*10 + uint64(b[i]-'0')
+				if man != 0 { // leading zeros are not significant
+					nd++
+				}
+				exp10--
+				continue
+			}
+			slow = slow || b[i] != '0'
+		}
+		if i == from {
+			return num{}, false
+		}
+	}
+	if i < len(b) && b[i]|0x20 == 'e' {
+		i++
+		eneg := false
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			eneg = b[i] == '-'
+			i++
+		}
+		e, from := 0, i
+		for ; i < len(b) && b[i]-'0' < 10; i++ {
+			if e < 10000 {
+				e = e*10 + int(b[i]-'0')
+			} else {
+				slow = true
+			}
+		}
+		if i == from {
+			return num{}, false
+		}
+		if eneg {
+			e = -e
+		}
+		exp10 += e
+	}
+	d.i = i
+	return num{text: b[start:i], man: man, exp10: exp10, neg: neg, slow: slow}, true
+}
+
+// float converts n exactly as strconv.ParseFloat(n.text, 64) does: by
+// Eisel–Lemire when n holds its value and the algorithm decides, else by
+// strconv itself. ok is false for values out of float64 range.
+func (n num) float() (float64, bool) {
+	if !n.slow {
+		if f, ok := eiselLemire(n.man, n.exp10, n.neg); ok {
+			return f, true
+		}
+	}
+	f, err := strconv.ParseFloat(string(n.text), 64)
+	return f, err == nil
 }
 
 // The strconv parsers copy their input into a NumError only on failure,
 // so these conversions stay on the stack for ordinary-length numbers.
-func parseFloat(n []byte) (float64, bool) {
-	f, err := strconv.ParseFloat(string(n), 64)
-	return f, err == nil
-}
-
 func parseUint(n []byte) (uint64, bool) {
 	u, err := strconv.ParseUint(string(n), 10, 64)
 	return u, err == nil
@@ -247,7 +309,7 @@ func (d *decoder) floatsInto(vals *[]float64) bool {
 		if !ok {
 			return false
 		}
-		f, ok := parseFloat(n)
+		f, ok := n.float()
 		*vals = append(*vals, f)
 		return ok
 	})

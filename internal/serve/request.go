@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/etc"
@@ -349,11 +350,12 @@ func admitRequest(ep endpoint, rq Request, lim limits) (*parsedRequest, *apiErro
 // binary form. Exactness (rather than a digest) is deliberate — a key
 // collision would serve one request another request's bytes, violating the
 // determinism guarantee. TimeoutMS is excluded: it can cancel a request but
-// never change a produced response.
+// never change a produced response. The key is written once, into a buffer
+// of its exact size that becomes the string without a copy.
 func cacheKey(ep endpoint, rq Request, ties string, in *sched.Instance) string {
 	m := in.ETC()
-	var b bytes.Buffer
-	b.Grow(64 + 8*m.Tasks()*m.Machines() + 8*in.Machines())
+	var b strings.Builder
+	b.Grow(len(ep) + len(rq.Heuristic) + len(ties) + 4 + 8*(3+m.Tasks()*m.Machines()+in.Machines()))
 	b.WriteString(string(ep))
 	b.WriteByte(0)
 	b.WriteString(rq.Heuristic)

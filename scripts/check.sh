@@ -3,7 +3,8 @@
 # thing (see CLAUDE.md):
 #
 #   gofmt clean, go vet, build, full test suite, a bounded fuzz leg over
-#   the request decoders and the canonical key, paper self-check, the schedd serving smoke
+#   the request decoders, the canonical key and the number converter,
+#   paper self-check, the schedd serving smoke
 #   (ephemeral port, pinned Table-1 trace, cache byte-identity,
 #   span-tree trace leg, fault-injected recovery, panic
 #   isolation, chaos leg, kill/restart disk-tier recovery, graceful
@@ -45,10 +46,10 @@ echo "[ok  ] go test -race (internal + cmd)"
 
 # A bounded fuzz leg per untrusted-bytes parser target: a few seconds of
 # fresh inputs on top of the committed corpus the plain test run replays.
-for target in FuzzDecodeRequest FuzzParseBatchItem FuzzSplitBatch FuzzCanonicalKey; do
+for target in FuzzDecodeRequest FuzzParseBatchItem FuzzSplitBatch FuzzCanonicalKey FuzzParseNumber; do
     go test ./internal/serve -run '^$' -fuzz "^${target}\$" -fuzztime 5s -parallel 2 >/dev/null
 done
-echo "[ok  ] fuzz (decoder, batch item, batch splitter, canonical key; 5 s each)"
+echo "[ok  ] fuzz (decoder, batch item, batch splitter, canonical key, number converter; 5 s each)"
 
 go run ./cmd/paperrepro
 echo "[ok  ] paperrepro"
