@@ -8,12 +8,10 @@ import (
 	"time"
 )
 
-// TestMain is the package's goroutine-leak gate: the sweep boots whole
-// in-process clusters per backend count, so a leg that returns early
-// without tearing its stack down leaks listener, gateway and backend
-// goroutines. Once the suite finishes the goroutine count must return to
-// (near) the pre-suite baseline — the regression gate for the failed-leg
-// teardown bug.
+// TestMain is the package's goroutine-leak gate: once the suite finishes,
+// the goroutine count must return to (near) the pre-suite baseline, so a run
+// that returned before its client goroutines and test servers wound down
+// fails the package.
 func TestMain(m *testing.M) {
 	baseline := runtime.NumGoroutine()
 	code := m.Run()

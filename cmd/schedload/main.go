@@ -23,15 +23,6 @@
 // client can be exercised against rejections, dropped connections and
 // truncated bodies without touching the daemon itself.
 //
-// With -backends N1,N2,... schedload runs a capacity sweep instead of
-// targeting a daemon: for each count it starts that many in-process schedd
-// backends behind a cluster gateway (internal/cluster), drives the identical
-// deterministic request stream at the gateway, and reports per-count
-// throughput. -verify then additionally proves the horizontal-scale
-// guarantee: the response bytes for every distinct body are identical across
-// every backend count (and to each other within a count). The sweep owns its
-// stack, so it conflicts with -addr and -faults.
-//
 // Usage:
 //
 //	schedload -addr 127.0.0.1:8080 [-endpoint iterate|map] [-requests 64]
@@ -39,7 +30,6 @@
 //	          [-distinct 4] [-class hihi-i] [-heuristic min-min] [-ties det]
 //	          [-seed 1] [-retries 3] [-backoff 10ms] [-timeout 5s]
 //	          [-faults spec] [-trace-out spans.jsonl] [-verify=true]
-//	schedload -backends 1,2,4 [same stream flags]
 //
 // With -trace-out every Post is traced client-side — a root span per
 // logical request with one child span per HTTP attempt (carrying the
@@ -63,14 +53,12 @@ import (
 	"net/http/httputil"
 	"net/url"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/cluster"
 	"repro/internal/etc"
 	"repro/internal/faults"
 	"repro/internal/obs"
@@ -119,42 +107,29 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("schedload", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addr         = fs.String("addr", "", "schedd address, host:port or http://host:port (required unless -backends)")
-		backendsSpec = fs.String("backends", "", "capacity sweep: comma-separated in-process backend counts, e.g. 1,2,4 (conflicts with -addr and -faults)")
-		endpoint     = fs.String("endpoint", "iterate", "scheduling endpoint: iterate or map")
-		requests     = fs.Int("requests", 64, "total requests to send")
-		batch        = fs.Int("batch", 0, "group requests into /v1/batch posts of up to this many items (0 = singleton requests)")
-		concurrency  = fs.Int("concurrency", 8, "concurrent client goroutines")
-		tasks        = fs.Int("tasks", 16, "tasks per generated workload")
-		machines     = fs.Int("machines", 4, "machines per generated workload")
-		distinct     = fs.Int("distinct", 4, "distinct workloads cycled through the request stream")
-		classLabel   = fs.String("class", "hihi-i", "workload class label, e.g. hihi-c, lolo-i (see etc.AllClasses)")
-		heuristic    = fs.String("heuristic", "min-min", "mapping heuristic for every request")
-		ties         = fs.String("ties", "det", "tie-breaking policy: det or random")
-		seed         = fs.Uint64("seed", 1, "seed for workload generation, the requests' scheduling seed, backoff jitter and fault injection")
-		retries      = fs.Int("retries", 3, "max retries per request after the first attempt (0 disables)")
-		backoff      = fs.Duration("backoff", 10*time.Millisecond, "base retry backoff (exponential, seeded jitter)")
-		timeout      = fs.Duration("timeout", 5*time.Second, "per-attempt request timeout (a stalled daemon costs bounded time)")
-		faultSpec    = fs.String("faults", "", "interpose an in-process seeded fault proxy, e.g. seed=7,reject=0.2:503:1,drop=0.1,truncate=0.1")
-		traceOut     = fs.String("trace-out", "", "append client-side request spans as JSONL to this path (analyze with cmd/schedtrace)")
-		verify       = fs.Bool("verify", true, "assert byte-identical responses for identical request bodies (and across -backends counts)")
+		addr        = fs.String("addr", "", "schedd address, host:port or http://host:port (required)")
+		endpoint    = fs.String("endpoint", "iterate", "scheduling endpoint: iterate or map")
+		requests    = fs.Int("requests", 64, "total requests to send")
+		batch       = fs.Int("batch", 0, "group requests into /v1/batch posts of up to this many items (0 = singleton requests)")
+		concurrency = fs.Int("concurrency", 8, "concurrent client goroutines")
+		tasks       = fs.Int("tasks", 16, "tasks per generated workload")
+		machines    = fs.Int("machines", 4, "machines per generated workload")
+		distinct    = fs.Int("distinct", 4, "distinct workloads cycled through the request stream")
+		classLabel  = fs.String("class", "hihi-i", "workload class label, e.g. hihi-c, lolo-i (see etc.AllClasses)")
+		heuristic   = fs.String("heuristic", "min-min", "mapping heuristic for every request")
+		ties        = fs.String("ties", "det", "tie-breaking policy: det or random")
+		seed        = fs.Uint64("seed", 1, "seed for workload generation, the requests' scheduling seed, backoff jitter and fault injection")
+		retries     = fs.Int("retries", 3, "max retries per request after the first attempt (0 disables)")
+		backoff     = fs.Duration("backoff", 10*time.Millisecond, "base retry backoff (exponential, seeded jitter)")
+		timeout     = fs.Duration("timeout", 5*time.Second, "per-attempt request timeout (a stalled daemon costs bounded time)")
+		faultSpec   = fs.String("faults", "", "interpose an in-process seeded fault proxy, e.g. seed=7,reject=0.2:503:1,drop=0.1,truncate=0.1")
+		traceOut    = fs.String("trace-out", "", "append client-side request spans as JSONL to this path (analyze with cmd/schedtrace)")
+		verify      = fs.Bool("verify", true, "assert byte-identical responses for identical request bodies")
 	)
 	if err := fs.Parse(args); err != nil {
 		return usageError{err}
 	}
-	var sweepCounts []int
-	if *backendsSpec != "" {
-		if *addr != "" {
-			return usagef("-backends runs its own in-process cluster and conflicts with -addr")
-		}
-		if *faultSpec != "" {
-			return usagef("-backends conflicts with -faults (the sweep measures clean capacity)")
-		}
-		var err error
-		if sweepCounts, err = parseCounts(*backendsSpec); err != nil {
-			return usageError{err}
-		}
-	} else if *addr == "" {
+	if *addr == "" {
 		fs.Usage()
 		return usagef("missing -addr")
 	}
@@ -176,8 +151,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	// The request stream is deterministic in the flags: one rng source,
-	// consumed workload by workload. The sweep reuses the same bodies for
-	// every backend count, so every gateway sees the identical stream.
+	// consumed workload by workload.
 	src := rng.New(*seed)
 	reqs := make([]serve.Request, *distinct)
 	bodies := make([][]byte, *distinct)
@@ -236,188 +210,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		tracer = obs.NewTracer(traceSink)
 	}
 
-	// drive fires the whole stream at base from *concurrency goroutines
-	// through cl and returns one outcome per logical request plus the wall
-	// time (observational only). sendSingleton resolves logical request i
-	// through a singleton post; sendBatch resolves one batch post into its
-	// items' outcomes, charging every item an equal share of the batch's
-	// wall time.
-	drive := func(cl *client.Client, base string) ([]outcome, time.Duration) {
-		target := base + "/v1/" + *endpoint
-		batchTarget := base + "/v1/batch"
-		outcomes := make([]outcome, *requests)
-		var next atomic.Int64
-		sendSingleton := func(i int) {
-			t0 := time.Now()
-			resp, err := cl.Post(context.Background(), target, bodies[i%*distinct])
-			latencyMS := float64(time.Since(t0)) / float64(time.Millisecond)
-			var se *client.StatusError
-			switch {
-			case err == nil:
-				outcomes[i] = outcome{
-					status:    resp.Status,
-					cache:     resp.Cache,
-					body:      resp.Body,
-					latencyMS: latencyMS,
-				}
-			case errors.As(err, &se):
-				outcomes[i] = outcome{status: se.Status, body: se.Body, latencyMS: latencyMS}
-			default:
-				outcomes[i] = outcome{err: err, latencyMS: latencyMS}
-			}
-		}
-		sendBatch := func(g int) {
-			lo, hi := g**batch, min((g+1)**batch, *requests)
-			t0 := time.Now()
-			resp, err := cl.Post(context.Background(), batchTarget, batchBodies[g])
-			perItemMS := float64(time.Since(t0)) / float64(time.Millisecond) / float64(hi-lo)
-			fill := func(o outcome) {
-				o.latencyMS = perItemMS
-				for i := lo; i < hi; i++ {
-					outcomes[i] = o
-				}
-			}
-			var se *client.StatusError
-			switch {
-			case err == nil:
-				var br serve.BatchResponse
-				if uerr := json.Unmarshal(resp.Body, &br); uerr != nil {
-					fill(outcome{err: fmt.Errorf("batch envelope: %w", uerr)})
-					return
-				}
-				if len(br.Results) != hi-lo {
-					fill(outcome{err: fmt.Errorf("batch returned %d results for %d items", len(br.Results), hi-lo)})
-					return
-				}
-				for i := lo; i < hi; i++ {
-					res := br.Results[i-lo]
-					outcomes[i] = outcome{status: res.Status, cache: res.Cache, body: res.Body, latencyMS: perItemMS}
-				}
-			case errors.As(err, &se):
-				fill(outcome{status: se.Status, body: se.Body})
-			default:
-				fill(outcome{err: err})
-			}
-		}
-		jobs := *requests
-		send := sendSingleton
-		if *batch > 0 {
-			jobs = len(batchBodies)
-			send = sendBatch
-		}
-		var wg sync.WaitGroup
-		start := time.Now() // wall-clock: throughput/latency reporting only
-		for c := 0; c < *concurrency; c++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					j := int(next.Add(1)) - 1
-					if j >= jobs {
-						return
-					}
-					send(j)
-				}
-			}()
-		}
-		wg.Wait()
-		return outcomes, time.Since(start)
-	}
-
-	// tally splits the outcomes into ok/failed/hit counts and the latency
-	// sample, reporting every failure to stderr.
-	tally := func(outcomes []outcome) (ok, failed, hits int, latencies []float64) {
-		latencies = make([]float64, 0, *requests)
-		for i, o := range outcomes {
-			switch {
-			case o.err != nil:
-				failed++
-				fmt.Fprintf(stderr, "request %d: %v\n", i, o.err)
-			case o.status != http.StatusOK:
-				failed++
-				fmt.Fprintf(stderr, "request %d: status %d: %s", i, o.status, o.body)
-			default:
-				ok++
-				latencies = append(latencies, o.latencyMS)
-				if o.cache == "hit" {
-					hits++
-				}
-			}
-		}
-		return ok, failed, hits, latencies
-	}
-
-	// reportLatency prints the latency quantile line (per item in batch mode).
-	reportLatency := func(latencies []float64) error {
-		if len(latencies) == 0 {
-			return nil
-		}
-		qs, err := stats.Quantiles(latencies, 0.5, 0.9, 0.99, 1)
-		if err != nil {
-			return err
-		}
-		label := "latency ms"
-		if *batch > 0 {
-			label = "per-item latency ms"
-		}
-		fmt.Fprintf(stdout, "%s: p50 %.3f p90 %.3f p99 %.3f max %.3f (observational)\n",
-			label, qs[0], qs[1], qs[2], qs[3])
-		return nil
-	}
-
-	// verifyStream checks the determinism guarantee over one drive's
-	// outcomes — identical bodies must have produced byte-identical
-	// responses, cache hit or miss — and returns the per-distinct reference
-	// bodies (the sweep compares them across backend counts). In batch mode
-	// the reference is a fresh singleton response per distinct body: a
-	// batch item's bytes must equal the singleton response minus its
-	// trailing newline (the envelope carries no framing).
-	verifyStream := func(cl *client.Client, base string, outcomes []outcome) ([][]byte, error) {
-		reference := make([][]byte, *distinct)
-		if *batch > 0 {
-			for k, body := range bodies {
-				resp, err := cl.Post(context.Background(), base+"/v1/"+*endpoint, body)
-				if err != nil {
-					return nil, fmt.Errorf("verify: singleton reference %d: %w", k, err)
-				}
-				reference[k] = bytes.TrimSuffix(resp.Body, []byte("\n"))
-			}
-		}
-		for i, o := range outcomes {
-			if o.err != nil || o.status != http.StatusOK {
-				continue
-			}
-			k := i % *distinct
-			if reference[k] == nil {
-				reference[k] = o.body
-				continue
-			}
-			if !bytes.Equal(reference[k], o.body) {
-				if *batch > 0 {
-					return nil, fmt.Errorf("request %d: batch item differs from the singleton response to the identical body", i)
-				}
-				return nil, fmt.Errorf("request %d: response differs from an earlier response to the identical body", i)
-			}
-		}
-		return reference, nil
-	}
-
-	if sweepCounts != nil {
-		if err := runSweep(sweepCounts, sweepDeps{
-			drive: drive, tally: tally, reportLatency: reportLatency, verifyStream: verifyStream,
-			maxRetries: maxRetries, backoff: *backoff, timeout: *timeout, seed: *seed,
-			requests: *requests, batch: *batch, verify: *verify, tracer: tracer,
-		}, stdout); err != nil {
-			return err
-		}
-		if traceSink != nil {
-			if err := traceSink.Err(); err != nil {
-				return fmt.Errorf("writing -trace-out: %w", err)
-			}
-		}
-		return nil
-	}
-
 	base := *addr
 	if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
 		base = "http://" + base
@@ -453,8 +245,109 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Metrics:     reg,
 		Tracer:      tracer,
 	})
-	outcomes, elapsed := drive(cl, base)
-	ok, failed, hits, latencies := tally(outcomes)
+
+	// Fire the whole stream from *concurrency goroutines, one outcome per
+	// logical request. sendSingleton resolves logical request i through a
+	// singleton post; sendBatch resolves one batch post into its items'
+	// outcomes, charging every item an equal share of the batch's wall time.
+	outcomes := make([]outcome, *requests)
+	var next atomic.Int64
+	sendSingleton := func(i int) {
+		t0 := time.Now()
+		resp, err := cl.Post(context.Background(), target, bodies[i%*distinct])
+		latencyMS := float64(time.Since(t0)) / float64(time.Millisecond)
+		var se *client.StatusError
+		switch {
+		case err == nil:
+			outcomes[i] = outcome{
+				status:    resp.Status,
+				cache:     resp.Cache,
+				body:      resp.Body,
+				latencyMS: latencyMS,
+			}
+		case errors.As(err, &se):
+			outcomes[i] = outcome{status: se.Status, body: se.Body, latencyMS: latencyMS}
+		default:
+			outcomes[i] = outcome{err: err, latencyMS: latencyMS}
+		}
+	}
+	sendBatch := func(g int) {
+		lo, hi := g**batch, min((g+1)**batch, *requests)
+		t0 := time.Now()
+		resp, err := cl.Post(context.Background(), batchTarget, batchBodies[g])
+		perItemMS := float64(time.Since(t0)) / float64(time.Millisecond) / float64(hi-lo)
+		fill := func(o outcome) {
+			o.latencyMS = perItemMS
+			for i := lo; i < hi; i++ {
+				outcomes[i] = o
+			}
+		}
+		var se *client.StatusError
+		switch {
+		case err == nil:
+			var br serve.BatchResponse
+			if uerr := json.Unmarshal(resp.Body, &br); uerr != nil {
+				fill(outcome{err: fmt.Errorf("batch envelope: %w", uerr)})
+				return
+			}
+			if len(br.Results) != hi-lo {
+				fill(outcome{err: fmt.Errorf("batch returned %d results for %d items", len(br.Results), hi-lo)})
+				return
+			}
+			for i := lo; i < hi; i++ {
+				res := br.Results[i-lo]
+				outcomes[i] = outcome{status: res.Status, cache: res.Cache, body: res.Body, latencyMS: perItemMS}
+			}
+		case errors.As(err, &se):
+			fill(outcome{status: se.Status, body: se.Body})
+		default:
+			fill(outcome{err: err})
+		}
+	}
+	jobs := *requests
+	send := sendSingleton
+	if *batch > 0 {
+		jobs = len(batchBodies)
+		send = sendBatch
+	}
+	var wg sync.WaitGroup
+	start := time.Now() // wall-clock: throughput/latency reporting only
+	for c := 0; c < *concurrency; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				j := int(next.Add(1)) - 1
+				if j >= jobs {
+					return
+				}
+				send(j)
+			}
+		}()
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+
+	// Tally ok/failed/hit counts and the latency sample, reporting every
+	// failure to stderr.
+	var ok, failed, hits int
+	latencies := make([]float64, 0, *requests)
+	for i, o := range outcomes {
+		switch {
+		case o.err != nil:
+			failed++
+			fmt.Fprintf(stderr, "request %d: %v\n", i, o.err)
+		case o.status != http.StatusOK:
+			failed++
+			fmt.Fprintf(stderr, "request %d: status %d: %s", i, o.status, o.body)
+		default:
+			ok++
+			latencies = append(latencies, o.latencyMS)
+			if o.cache == "hit" {
+				hits++
+			}
+		}
+	}
 
 	counters := map[string]int64{}
 	for _, c := range reg.Snapshot().Counters {
@@ -473,12 +366,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 		counters["client.fastfail_total"], counters["faults.injected_total"])
 	fmt.Fprintf(stdout, "throughput: %.1f req/s (%.1f ms total, observational)\n",
 		float64(*requests)/elapsed.Seconds(), float64(elapsed)/float64(time.Millisecond))
-	if err := reportLatency(latencies); err != nil {
-		return err
+	if len(latencies) > 0 {
+		qs, err := stats.Quantiles(latencies, 0.5, 0.9, 0.99, 1)
+		if err != nil {
+			return err
+		}
+		label := "latency ms"
+		if *batch > 0 {
+			label = "per-item latency ms"
+		}
+		fmt.Fprintf(stdout, "%s: p50 %.3f p90 %.3f p99 %.3f max %.3f (observational)\n",
+			label, qs[0], qs[1], qs[2], qs[3])
 	}
 
 	if *verify {
-		if _, err := verifyStream(cl, base, outcomes); err != nil {
+		if err := verifyStream(cl, target, bodies, outcomes, *batch > 0); err != nil {
 			return err
 		}
 		if *batch > 0 {
@@ -498,154 +400,40 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// sweepDeps bundles the drive/tally/verify machinery and the flag values the
-// -backends sweep needs, so runSweep stays a plain function.
-type sweepDeps struct {
-	drive         func(cl *client.Client, base string) ([]outcome, time.Duration)
-	tally         func(outcomes []outcome) (ok, failed, hits int, latencies []float64)
-	reportLatency func(latencies []float64) error
-	verifyStream  func(cl *client.Client, base string, outcomes []outcome) ([][]byte, error)
-
-	maxRetries       int
-	backoff, timeout time.Duration
-	seed             uint64
-	requests, batch  int
-	verify           bool
-	tracer           *obs.Tracer
-}
-
-// runSweep drives the identical deterministic stream at a fresh in-process
-// cluster gateway per backend count and, with verify, proves the responses
-// are byte-identical across every count — the horizontal-scale guarantee,
-// measured from the outside.
-func runSweep(counts []int, d sweepDeps, stdout io.Writer) error {
-	var crossRef [][]byte // per-distinct reference bodies from the first count
-	for _, n := range counts {
-		ref, err := sweepLeg(n, d, stdout)
-		if err != nil {
-			return err
-		}
-		if d.verify {
-			if crossRef == nil {
-				crossRef = ref
-				continue
+// verifyStream checks the determinism guarantee over the run's outcomes:
+// identical bodies (outcome i carries bodies[i%len(bodies)]) must have
+// produced byte-identical responses, cache hit or miss. In batch mode the
+// reference is a fresh singleton response per distinct body, posted to
+// target: a batch item's bytes must equal the singleton response minus its
+// trailing newline (the envelope carries no framing).
+func verifyStream(cl *client.Client, target string, bodies [][]byte, outcomes []outcome, batch bool) error {
+	reference := make([][]byte, len(bodies))
+	if batch {
+		for k, body := range bodies {
+			resp, err := cl.Post(context.Background(), target, body)
+			if err != nil {
+				return fmt.Errorf("verify: singleton reference %d: %w", k, err)
 			}
-			for k := range ref {
-				if crossRef[k] == nil || ref[k] == nil {
-					continue
-				}
-				if !bytes.Equal(crossRef[k], ref[k]) {
-					return fmt.Errorf("sweep: distinct body %d: %d-backend response differs from the %d-backend response",
-						k, n, counts[0])
-				}
-			}
+			reference[k] = bytes.TrimSuffix(resp.Body, []byte("\n"))
 		}
 	}
-	if d.verify {
-		labels := make([]string, len(counts))
-		for i, n := range counts {
-			labels[i] = strconv.Itoa(n)
+	for i, o := range outcomes {
+		if o.err != nil || o.status != http.StatusOK {
+			continue
 		}
-		fmt.Fprintf(stdout, "sweep: responses byte-identical across backend counts %s\n", strings.Join(labels, ","))
+		k := i % len(bodies)
+		if reference[k] == nil {
+			reference[k] = o.body
+			continue
+		}
+		if !bytes.Equal(reference[k], o.body) {
+			if batch {
+				return fmt.Errorf("request %d: batch item differs from the singleton response to the identical body", i)
+			}
+			return fmt.Errorf("request %d: response differs from an earlier response to the identical body", i)
+		}
 	}
 	return nil
-}
-
-// sweepLeg runs one backend count: boot the cluster + gateway, drive the
-// stream, report, and (with verify) return the per-distinct reference
-// bodies. Teardown is deferred so a failed leg — drive errors, a latency
-// reporting failure, a verify mismatch — still stops the listener, drains
-// the gateway and closes every backend; an early return must never leak the
-// stack's goroutines.
-func sweepLeg(n int, d sweepDeps, stdout io.Writer) (ref [][]byte, err error) {
-	local, err := cluster.StartLocal(n, serve.Options{Workers: 2, QueueDepth: 256})
-	if err != nil {
-		return nil, fmt.Errorf("sweep %d backends: %w", n, err)
-	}
-	var gw *cluster.Gateway
-	var hs *http.Server
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if hs != nil {
-			hs.Close()
-		}
-		if gw != nil {
-			gw.Drain(ctx)
-		}
-		if cerr := local.Close(); cerr != nil && err == nil {
-			ref, err = nil, fmt.Errorf("sweep %d backends: close: %w", n, cerr)
-		}
-	}()
-	gw, err = cluster.NewGateway(cluster.Options{
-		Backends: local.Backends(),
-		Client: client.Options{
-			MaxRetries:  d.maxRetries,
-			BaseBackoff: d.backoff,
-			Timeout:     d.timeout,
-			Seed:        d.seed,
-			HTTPClient:  &http.Client{Transport: &http.Transport{DisableKeepAlives: true}},
-		},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("sweep %d backends: %w", n, err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("sweep %d backends: %w", n, err)
-	}
-	hs = &http.Server{Handler: gw.Handler(), ErrorLog: log.New(io.Discard, "", 0)}
-	go hs.Serve(ln)
-	base := "http://" + ln.Addr().String()
-
-	cl := client.New(client.Options{
-		MaxRetries:  d.maxRetries,
-		BaseBackoff: d.backoff,
-		Timeout:     d.timeout,
-		Seed:        d.seed,
-		Metrics:     obs.NewMetrics(),
-		Tracer:      d.tracer,
-		HTTPClient:  &http.Client{Transport: &http.Transport{DisableKeepAlives: true}},
-	})
-	outcomes, elapsed := d.drive(cl, base)
-	ok, failed, hits, latencies := d.tally(outcomes)
-	mode := "singleton requests"
-	if d.batch > 0 {
-		mode = fmt.Sprintf("batches of up to %d", d.batch)
-	}
-	fmt.Fprintf(stdout, "schedload: sweep %d backend(s): %d requests via gateway %s (%s)\n",
-		n, d.requests, base, mode)
-	fmt.Fprintf(stdout, "responses: %d ok, %d errors, %d cache hits\n", ok, failed, hits)
-	fmt.Fprintf(stdout, "throughput: %.1f req/s (%.1f ms total, observational)\n",
-		float64(d.requests)/elapsed.Seconds(), float64(elapsed)/float64(time.Millisecond))
-	if err := d.reportLatency(latencies); err != nil {
-		return nil, err
-	}
-	if failed > 0 {
-		return nil, fmt.Errorf("sweep %d backends: %d of %d requests failed", n, failed, d.requests)
-	}
-	if d.verify {
-		// Verify while the stack is still up: batch mode posts fresh
-		// singleton references through the gateway.
-		if ref, err = d.verifyStream(cl, base, outcomes); err != nil {
-			return nil, fmt.Errorf("sweep %d backends: %w", n, err)
-		}
-	}
-	return ref, nil
-}
-
-// parseCounts parses the -backends sweep spec: comma-separated positive
-// backend counts.
-func parseCounts(spec string) ([]int, error) {
-	var counts []int
-	for _, f := range strings.Split(spec, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("-backends: bad count %q (want positive integers, e.g. 1,2,4)", f)
-		}
-		counts = append(counts, n)
-	}
-	return counts, nil
 }
 
 // startFaultProxy listens on an ephemeral loopback port and relays every

@@ -3,15 +3,12 @@ package main
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/client"
 	"repro/internal/serve"
 )
 
@@ -213,133 +210,5 @@ func TestFlagValidation(t *testing.T) {
 	}
 	if exitCode(err) != 1 {
 		t.Errorf("exitCode(runtime failure) = %d, want 1", exitCode(err))
-	}
-}
-
-// TestBackendsSweep runs the capacity sweep at 1 and 2 in-process backends:
-// every request succeeds at every count and -verify proves the responses
-// byte-identical across counts.
-func TestBackendsSweep(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	args := []string{
-		"-backends", "1,2",
-		"-requests", "16", "-concurrency", "4",
-		"-tasks", "6", "-machines", "3", "-distinct", "3",
-		"-seed", "5",
-	}
-	if err := run(args, &stdout, &stderr); err != nil {
-		t.Fatalf("run: %v\nstderr: %s\nstdout: %s", err, stderr.String(), stdout.String())
-	}
-	out := stdout.String()
-	for _, want := range []string{
-		"schedload: sweep 1 backend(s): 16 requests via gateway http://",
-		"schedload: sweep 2 backend(s): 16 requests via gateway http://",
-		"sweep: responses byte-identical across backend counts 1,2",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("stdout missing %q:\n%s", want, out)
-		}
-	}
-	if n := strings.Count(out, "responses: 16 ok, 0 errors"); n != 2 {
-		t.Errorf("%d clean response lines, want 2:\n%s", n, out)
-	}
-}
-
-// TestBackendsSweepBatchMode sweeps with the stream grouped into /v1/batch
-// posts; per-item verify against singleton references must hold at each
-// count and across counts.
-func TestBackendsSweepBatchMode(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	args := []string{
-		"-backends", "1,3",
-		"-requests", "12", "-batch", "5", "-concurrency", "2",
-		"-tasks", "5", "-machines", "2", "-distinct", "2",
-		"-seed", "9",
-	}
-	if err := run(args, &stdout, &stderr); err != nil {
-		t.Fatalf("run: %v\nstderr: %s\nstdout: %s", err, stderr.String(), stdout.String())
-	}
-	out := stdout.String()
-	for _, want := range []string{
-		"per-item latency ms: p50",
-		"sweep: responses byte-identical across backend counts 1,3",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("stdout missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestBackendsSweepFailedLegTearsDown is the regression test for the sweep
-// teardown bug: a leg whose verify pass fails must still stop its listener,
-// drain the gateway and close every backend before runSweep returns the
-// error. Without the deferred teardown this test leaks the whole cluster's
-// goroutines (and the package TestMain gate fails).
-func TestBackendsSweepFailedLegTearsDown(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	var stdout bytes.Buffer
-	d := sweepDeps{
-		drive: func(cl *client.Client, base string) ([]outcome, time.Duration) {
-			// One real post so the stack is demonstrably up and serving.
-			resp, err := http.Get(base + "/healthz")
-			if err != nil {
-				t.Errorf("sweep stack not serving: %v", err)
-			} else {
-				resp.Body.Close()
-			}
-			return []outcome{{status: http.StatusOK, body: []byte("x")}}, time.Millisecond
-		},
-		tally: func(outcomes []outcome) (int, int, int, []float64) {
-			return len(outcomes), 0, 0, []float64{1}
-		},
-		reportLatency: func([]float64) error { return nil },
-		verifyStream: func(*client.Client, string, []outcome) ([][]byte, error) {
-			return nil, fmt.Errorf("stubbed verify failure")
-		},
-		maxRetries: -1, backoff: time.Millisecond, timeout: 2 * time.Second,
-		seed: 1, requests: 1, verify: true,
-	}
-	err := runSweep([]int{2}, d, &stdout)
-	if err == nil || !strings.Contains(err.Error(), "stubbed verify failure") {
-		t.Fatalf("runSweep = %v, want the stubbed verify failure", err)
-	}
-	// The failed leg must not leak its cluster: poll until the goroutine
-	// count returns to (near) the pre-sweep baseline.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline+2 {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("failed sweep leg leaked goroutines: %d, baseline %d\n%s",
-				runtime.NumGoroutine(), baseline, buf[:n])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestBackendsFlagValidation pins the sweep's flag grammar and conflicts.
-func TestBackendsFlagValidation(t *testing.T) {
-	cases := []struct {
-		name string
-		args []string
-		want string
-	}{
-		{"with addr", []string{"-backends", "1,2", "-addr", "x"}, "-addr"},
-		{"with faults", []string{"-backends", "1,2", "-faults", "drop=0.5"}, "-faults"},
-		{"zero count", []string{"-backends", "0"}, "bad count"},
-		{"junk count", []string{"-backends", "1,two"}, "bad count"},
-		{"negative count", []string{"-backends", "-1"}, ""},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var stdout, stderr bytes.Buffer
-			err := run(tc.args, &stdout, &stderr)
-			if err == nil {
-				t.Fatalf("args %v accepted", tc.args)
-			}
-			if tc.want != "" && !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("args %v: err %q, want mention of %q", tc.args, err, tc.want)
-			}
-		})
 	}
 }

@@ -30,8 +30,8 @@ type (
 	// per-key backend ranking with minimal disruption on membership change.
 	ClusterRouter = cluster.Router
 	// LocalCluster runs N in-process schedd backends on loopback listeners
-	// with per-backend kill/revive — the substrate for tests, the
-	// schedload -backends sweep and schedgw -local.
+	// with per-backend kill/revive — the substrate for tests and
+	// schedgw -local.
 	LocalCluster = cluster.Local
 	// GatewayRouteEvent records one routed unit in an observer: the key
 	// hash, the rendezvous-primary backend, the backend that served it and

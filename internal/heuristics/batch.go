@@ -157,42 +157,11 @@ func sufferageMap(in *sched.Instance, tb tiebreak.Policy, wantTrace bool) (sched
 	s.holder = growInts(s.holder, nM) // task tentatively holding each machine, -1 if none
 	s.ct = growFloats(s.ct, nM)
 	s.sufferageOf = growFloats(s.sufferageOf, nT)
-	// Large instances precompute each pass's completion rows and sufferage
-	// values concurrently (the ready vector is frozen within a pass); the
-	// decision loop below stays sequential and sees identical values, so the
-	// tiebreak stream and every outcome are unchanged. See parallel.go.
-	var g *gang
-	if w := kernelWorkers(nT * nM); w > 1 {
-		g = newGang(w)
-		defer g.close()
-	}
 	remaining := nT
 	var passes []SufferagePass
 	for remaining > 0 {
 		for m := range s.holder {
 			s.holder[m] = -1
-		}
-		par := false
-		if g != nil {
-			// Snapshot the list (ascending) and fan the row precompute out.
-			s.listed = s.listed[:0]
-			for t := 0; t < nT; t++ {
-				if s.inList[t] {
-					s.listed = append(s.listed, t)
-				}
-			}
-			if len(s.listed)*nM >= parKernelMinCells {
-				par = true
-				s.rows = growFloats(s.rows, nT*nM)
-				listed := s.listed
-				g.parFor(len(listed), func(_, lo, hi int) {
-					for _, t := range listed[lo:hi] {
-						row := s.rows[t*nM : t*nM+nM]
-						completionRow(in, t, ready, row)
-						s.sufferageOf[t] = sufferageValue(row)
-					}
-				})
-			}
 		}
 		var pass SufferagePass
 		// Snapshot of the list at pass start, ascending task order.
@@ -200,17 +169,10 @@ func sufferageMap(in *sched.Instance, tb tiebreak.Policy, wantTrace bool) (sched
 			if !s.inList[t] {
 				continue
 			}
-			row := s.ct
-			var suff float64
-			if par {
-				row = s.rows[t*nM : t*nM+nM]
-				suff = s.sufferageOf[t]
-			} else {
-				completionRow(in, t, ready, s.ct)
-				suff = sufferageValue(s.ct)
-				s.sufferageOf[t] = suff
-			}
-			s.idx = minIndicesInto(row, s.idx)
+			completionRow(in, t, ready, s.ct)
+			suff := sufferageValue(s.ct)
+			s.sufferageOf[t] = suff
+			s.idx = minIndicesInto(s.ct, s.idx)
 			m := tb.Choose(s.idx)
 			var outcome string
 			switch prev := s.holder[m]; {
@@ -229,7 +191,7 @@ func sufferageMap(in *sched.Instance, tb tiebreak.Policy, wantTrace bool) (sched
 			}
 			if wantTrace {
 				pass.Decisions = append(pass.Decisions, SufferageDecision{
-					Task: t, MinCT: row[m], Sufferage: suff, Machine: m, Outcome: outcome,
+					Task: t, MinCT: s.ct[m], Sufferage: suff, Machine: m, Outcome: outcome,
 				})
 			}
 		}

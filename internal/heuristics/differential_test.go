@@ -2,6 +2,7 @@ package heuristics
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/etc"
@@ -17,12 +18,33 @@ import (
 // match element for element. Instances deliberately mix tie-free float
 // workloads with small-integer workloads where ties are pervasive, zero and
 // non-zero initial ready times, and degenerate shapes (1 task, 1 machine).
+// Each suite's corpus ends with one large tie-heavy grid (tieGridTrial), so
+// long candidate lists and many Sufferage passes are pinned too.
+
+// tieGridTrial is the trial number of the large input every differential
+// suite appends to its random corpus: 512×16 on a small-integer grid with
+// non-zero ready times, where exact completion-time ties are everywhere.
+const tieGridTrial = -1
+
+// diffTrials returns the random trials 0, step, 2·step, ... (n of them)
+// followed by tieGridTrial.
+func diffTrials(n, step int) []int {
+	trials := make([]int, 0, n+1)
+	for i := 0; i < n; i++ {
+		trials = append(trials, i*step)
+	}
+	return append(trials, tieGridTrial)
+}
 
 // diffInstance draws a random instance for trial; even trials use a small
 // integer grid so exact completion-time ties are common, odd trials use the
-// range-based float generator where ties are measure-zero.
+// range-based float generator where ties are measure-zero. tieGridTrial is
+// the fixed 512×16 integer grid.
 func diffInstance(t *testing.T, trial int) *sched.Instance {
 	t.Helper()
+	if trial == tieGridTrial {
+		return tieGridInstance(t)
+	}
 	src := rng.New(uint64(1000 + trial))
 	tasks := 1 + src.Intn(24)
 	machines := 1 + src.Intn(8)
@@ -60,6 +82,31 @@ func diffInstance(t *testing.T, trial int) *sched.Instance {
 	return in
 }
 
+// tieGridInstance builds the tieGridTrial instance: 512×16, ETC values drawn
+// from 1..8, ready times from 0..3.
+func tieGridInstance(t *testing.T) *sched.Instance {
+	t.Helper()
+	const tasks, machines = 512, 16
+	src := rng.New(uint64(7700 + tasks + machines))
+	vs := make([][]float64, tasks)
+	for i := range vs {
+		row := make([]float64, machines)
+		for j := range row {
+			row[j] = float64(1 + src.Intn(8))
+		}
+		vs[i] = row
+	}
+	ready := make([]float64, machines)
+	for j := range ready {
+		ready[j] = float64(src.Intn(4))
+	}
+	in, err := sched.NewInstance(etc.MustNew(vs), ready)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
 // diffPolicies returns matched fresh policy pairs (one for the optimized
 // run, one for the reference run): stateful policies consume randomness per
 // Choose, so each side needs its own identically seeded instance.
@@ -73,7 +120,8 @@ func diffPolicies(trial int) map[string][2]tiebreak.Policy {
 }
 
 // TestDifferentialBatchHeuristics pins optimized == reference, exactly, for
-// every batch heuristic across ~200 random instances and all policies.
+// every batch heuristic across ~200 random instances plus the tie grid and
+// all policies.
 func TestDifferentialBatchHeuristics(t *testing.T) {
 	type side struct {
 		opt func(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error)
@@ -104,8 +152,7 @@ func TestDifferentialBatchHeuristics(t *testing.T) {
 			},
 		},
 	}
-	const trials = 200
-	for trial := 0; trial < trials; trial++ {
+	for _, trial := range diffTrials(200, 1) {
 		in := diffInstance(t, trial)
 		for pname := range diffPolicies(trial) {
 			for hname, s := range cases {
@@ -134,8 +181,8 @@ func TestDifferentialBatchHeuristics(t *testing.T) {
 // a kernel that found the same winner through differently ordered ties
 // would still break scripted policies and the paper's tie-path search.
 func TestDifferentialTieCandidateSets(t *testing.T) {
-	for trial := 0; trial < 40; trial++ {
-		in := diffInstance(t, 2*trial) // even trials: tie-heavy integer grids
+	for _, trial := range diffTrials(40, 2) { // even trials: tie-heavy integer grids
+		in := diffInstance(t, trial)
 		for hname, pair := range map[string][2]func(*sched.Instance, tiebreak.Policy) (sched.Mapping, error){
 			"min-min": {MinMin{}.Map, func(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
 				return referenceGreedyTwoPhase(in, tb, false)
@@ -168,7 +215,7 @@ func TestDifferentialTieCandidateSets(t *testing.T) {
 // reference decision-for-decision (the golden file
 // cmd/itersched/testdata/paper_sufferage.golden renders from this trace).
 func TestDifferentialSufferageTrace(t *testing.T) {
-	for trial := 0; trial < 60; trial++ {
+	for _, trial := range diffTrials(60, 1) {
 		in := diffInstance(t, trial)
 		got, gotPasses, err := (Sufferage{}).MapTrace(in, tiebreak.First{})
 		if err != nil {
@@ -266,36 +313,65 @@ func allocInstance(t *testing.T, tasks, machines int) *sched.Instance {
 	return in
 }
 
+// allocShapes are the alloc guards' instances: a mid-size shape, and one of
+// 65536 cells so the guards pin "independent of instance size" well above
+// any small-instance threshold. The large shape's 12 runs keep -race builds
+// (where sync.Pool drops a quarter of its Puts, and each refill costs ~9
+// allocations) well under the bound.
+var allocShapes = []struct{ tasks, machines, runs int }{{64, 8, 200}, {1024, 64, 12}}
+
+// allocsPerRun is testing.AllocsPerRun (one warm-up call, then the mean
+// mallocs per call over runs calls) without its GOMAXPROCS(1) pin: it
+// measures with at least two Ps, so a mapping that fanned work out to
+// goroutines would count the goroutines, closures and channels it spends.
+func allocsPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
+
 // TestSufferageAllocs is the scratch-reuse regression guard (pattern:
 // TestNilObserverAddsNoAllocations in internal/core): with the pooled pass
 // state, Sufferage.Map may allocate only the mapping and the ready vector,
 // independent of instance size. The seed implementation allocated ~70 per
-// Map on this shape (and ~9.6k across one iterative-technique run).
+// Map on the 64×8 shape (and ~9.6k across one iterative-technique run).
 func TestSufferageAllocs(t *testing.T) {
-	in := allocInstance(t, 64, 8)
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := (Sufferage{}).Map(in, tiebreak.First{}); err != nil {
-			t.Fatal(err)
+	for _, shape := range allocShapes {
+		in := allocInstance(t, shape.tasks, shape.machines)
+		allocs := allocsPerRun(shape.runs, func() {
+			if _, err := (Sufferage{}).Map(in, tiebreak.First{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// 3 steady-state allocations: Mapping.Assign, ReadyTimes, and the
+		// occasional pool refill; allow headroom for GC clearing the pool.
+		if allocs > 8 {
+			t.Fatalf("Sufferage.Map on %dx%d allocates %v per run, want <= 8",
+				shape.tasks, shape.machines, allocs)
 		}
-	})
-	// 3 steady-state allocations: Mapping.Assign, ReadyTimes, and the
-	// occasional pool refill; allow headroom for GC clearing the pool.
-	if allocs > 8 {
-		t.Fatalf("Sufferage.Map allocates %v per run, want <= 8", allocs)
 	}
 }
 
 // TestGreedyTwoPhaseAllocs guards the kernel's scratch reuse the same way.
 func TestGreedyTwoPhaseAllocs(t *testing.T) {
-	in := allocInstance(t, 64, 8)
-	for _, h := range []Heuristic{MinMin{}, MaxMin{}} {
-		allocs := testing.AllocsPerRun(200, func() {
-			if _, err := h.Map(in, tiebreak.First{}); err != nil {
-				t.Fatal(err)
+	for _, shape := range allocShapes {
+		in := allocInstance(t, shape.tasks, shape.machines)
+		for _, h := range []Heuristic{MinMin{}, MaxMin{}} {
+			allocs := allocsPerRun(shape.runs, func() {
+				if _, err := h.Map(in, tiebreak.First{}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 8 {
+				t.Fatalf("%s.Map on %dx%d allocates %v per run, want <= 8",
+					h.Name(), shape.tasks, shape.machines, allocs)
 			}
-		})
-		if allocs > 8 {
-			t.Fatalf("%s.Map allocates %v per run, want <= 8", h.Name(), allocs)
 		}
 	}
 }

@@ -47,12 +47,6 @@ type twoPhaseKernel struct {
 	best   []float64 // per-task exact row minimum
 	order  []int     // unmapped task ids, ascending
 	cands  []int     // phase-2 candidate scratch, reused across rounds
-
-	// Parallel-run state (parallel.go). g is non-nil only while a run over a
-	// large instance is active; the per-worker scratch stays for pooling.
-	g       *gang
-	ptarget []float64 // per-worker partial fold targets, cache-line strided
-	pcands  [][]int   // per-worker phase-2 candidate scratch
 }
 
 var twoPhasePool = sync.Pool{New: func() any { return new(twoPhaseKernel) }}
@@ -141,9 +135,6 @@ func (k *twoPhaseKernel) commit(task, machine int, rm float64, useMax bool) floa
 	// Drop task from the ascending unmapped list.
 	i := sort.SearchInts(k.order, task)
 	k.order = append(k.order[:i], k.order[i+1:]...)
-	if k.g != nil && len(k.order)*nM >= parKernelMinCells {
-		return k.commitParallel(machine, rm, useMax)
-	}
 	target := math.Inf(1)
 	if useMax {
 		target = math.Inf(-1)
@@ -181,11 +172,6 @@ func (k *twoPhaseKernel) commit(task, machine int, rm float64, useMax bool) floa
 func (k *twoPhaseKernel) run(in *sched.Instance, tb tiebreak.Policy, useMax bool, ready []float64) (sched.Mapping, error) {
 	nT, nM := k.nT, k.nM
 	mp := sched.NewMapping(nT)
-	// Large instances shard the per-round scans over a worker gang
-	// (parallel.go); results are bit-identical either way.
-	if k.startGang(nT * nM) {
-		defer k.stopGang()
-	}
 	// Phase 1 for the first round: fold the per-task minima into the
 	// target; later rounds get it from commit, whose refresh loop already
 	// visits every remaining task.
@@ -209,20 +195,16 @@ func (k *twoPhaseKernel) run(in *sched.Instance, tb tiebreak.Policy, useMax bool
 		// from the cached rows — no recomputation. k.order ascending keeps
 		// the canonical task-major candidate order.
 		k.cands = k.cands[:0]
-		if k.g != nil && len(k.order)*nM >= parKernelMinCells {
-			k.gatherParallel(target)
-		} else {
-			for _, t := range k.order {
-				bt := k.best[t]
-				if !approxEqual(bt, target) {
-					continue
-				}
-				base := t * nM
-				row := k.rows[base : base+nM]
-				for m := 0; m < nM; m++ {
-					if approxEqual(row[m], bt) {
-						k.cands = append(k.cands, base+m) // == pairKey(t, m, nM)
-					}
+		for _, t := range k.order {
+			bt := k.best[t]
+			if !approxEqual(bt, target) {
+				continue
+			}
+			base := t * nM
+			row := k.rows[base : base+nM]
+			for m := 0; m < nM; m++ {
+				if approxEqual(row[m], bt) {
+					k.cands = append(k.cands, base+m) // == pairKey(t, m, nM)
 				}
 			}
 		}
@@ -245,10 +227,6 @@ type sufferageScratch struct {
 	idx         []int // minIndicesInto buffer, reused across examinations
 	ct          []float64
 	sufferageOf []float64
-	// Parallel pass-precompute scratch (parallel.go): the pass-start list
-	// snapshot and the precomputed completion rows for its tasks.
-	listed []int
-	rows   []float64 // nT*nM row-major, rows of listed tasks only
 }
 
 var sufferagePool = sync.Pool{New: func() any { return new(sufferageScratch) }}

@@ -36,7 +36,7 @@ case $# in
     *) echo "usage: scripts/benchdiff.sh [file] [old-label new-label]" >&2; exit 2 ;;
 esac
 threshold="${THRESHOLD:-20}"
-pattern="${PATTERN:-min-min|max-min|duplex|sufferage|minmin|BatchKernel|ParallelKernel|Serve|Store|DecodeRequest|CanonicalKey|MarshalIterate|Gateway|Rank}"
+pattern="${PATTERN:-min-min|max-min|duplex|sufferage|minmin|BatchKernel|Serve|Store|DecodeRequest|CanonicalKey|MarshalIterate|Gateway|Rank}"
 
 if [ ! -f "$file" ]; then
     echo "benchdiff: $file not found" >&2
