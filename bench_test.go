@@ -18,6 +18,7 @@ import (
 	"repro/internal/gantt"
 	"repro/internal/heuristics"
 	"repro/internal/opt"
+	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/tiebreak"
 )
@@ -263,19 +264,31 @@ func BenchmarkHeuristicMap(b *testing.B) {
 }
 
 // BenchmarkIterativeTechnique measures the full technique (all iterations)
-// for each polynomial-time heuristic on a 128x8 workload.
+// for each polynomial-time heuristic on a 128x8 workload with deterministic
+// ties, and on 128x16 with seeded random ties (the largest shape of the
+// perfbench engine-miss workload; each run draws a fresh tie stream, as a
+// served request does).
 func BenchmarkIterativeTechnique(b *testing.B) {
-	in := literatureWorkload(b, 128, 8)
+	det := literatureWorkload(b, 128, 8)
+	wide := literatureWorkload(b, 128, 16)
 	for _, name := range []string{"olb", "met", "mct", "min-min", "max-min", "duplex", "sufferage", "kpb", "swa"} {
+		h, err := heuristics.ByName(name, 7)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(name, func(b *testing.B) {
-			h, err := heuristics.ByName(name, 7)
-			if err != nil {
-				b.Fatal(err)
-			}
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Iterate(in, h, core.Deterministic()); err != nil {
+				if _, err := core.Iterate(det, h, core.Deterministic()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"-128x16-random", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				policy := core.FixedPolicy(tiebreak.NewRandom(rng.New(7)))
+				if _, err := core.Iterate(wide, h, policy); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -18,7 +18,9 @@
 # matches PATTERN, and exits 1 if any matched benchmark's ns/op OR
 # allocs/op regressed by more than THRESHOLD percent (default 20); the
 # failure message names each offending benchmark and which metric moved.
-# The default PATTERN covers the batch-heuristic kernels, the serving
+# The default PATTERN covers the batch-heuristic kernels, every
+# heuristic's single Map and the full iterative technique
+# (HeuristicMap, IterativeTechnique), the serving
 # fast paths (raw-alias cache hits, /v1/batch), the request decoder and
 # response encoder (DecodeRequest, CanonicalKey, MarshalIterate), the
 # cluster gateway hop and its rendezvous ranking (Gateway, Rank) and the
@@ -36,7 +38,7 @@ case $# in
     *) echo "usage: scripts/benchdiff.sh [file] [old-label new-label]" >&2; exit 2 ;;
 esac
 threshold="${THRESHOLD:-20}"
-pattern="${PATTERN:-min-min|max-min|duplex|sufferage|minmin|BatchKernel|Serve|Store|DecodeRequest|CanonicalKey|MarshalIterate|Gateway|Rank}"
+pattern="${PATTERN:-min-min|max-min|duplex|sufferage|minmin|BatchKernel|IterativeTechnique|HeuristicMap|Serve|Store|DecodeRequest|CanonicalKey|MarshalIterate|Gateway|Rank}"
 
 if [ ! -f "$file" ]; then
     echo "benchdiff: $file not found" >&2
