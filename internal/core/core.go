@@ -250,19 +250,26 @@ func IterateOpts(in *sched.Instance, h heuristics.Heuristic, policy PolicyFunc, 
 	if opts.FreezeRule != FreezeMakespan && opts.FreezeRule != FreezeMinCompletion {
 		return nil, fmt.Errorf("core: unknown freeze rule %d", opts.FreezeRule)
 	}
+	nT, nM := in.Tasks(), in.Machines()
+	maxIters := nM // one machine is frozen per iteration
+	if opts.MaxIterations > 0 && opts.MaxIterations < maxIters {
+		maxIters = opts.MaxIterations
+	}
 	tr := &Trace{
 		Instance:        in,
 		Heuristic:       h.Name(),
-		FinalAssign:     make([]int, in.Tasks()),
-		FinalCompletion: make([]float64, in.Machines()),
+		Iterations:      make([]Iteration, 0, maxIters),
+		FinalAssign:     make([]int, nT),
+		FinalCompletion: in.ReadyTimes(), // the default for machines left idle
 	}
-	for m := 0; m < in.Machines(); m++ {
-		tr.FinalCompletion[m] = in.Ready(m) // default for machines left idle
+	a := &arena{
+		activeTasks:    ascending(nT),
+		activeMachines: ascending(nM),
+		local:          ascending(nM),
 	}
-
-	activeTasks := ascending(in.Tasks())
-	activeMachines := ascending(in.Machines())
-	var prev *Iteration // previous iteration, for seeding
+	// Completion vectors need exactly one entry per active machine per
+	// iteration: nM, nM-1, ... for at most maxIters iterations.
+	floatsTotal := maxIters * (2*nM - maxIters + 1) / 2
 
 	observer := opts.Observer
 	var runStart time.Time
@@ -270,11 +277,16 @@ func IterateOpts(in *sched.Instance, h heuristics.Heuristic, policy PolicyFunc, 
 		runStart = time.Now()
 	}
 
-	for iter := 0; len(activeMachines) > 0 && len(activeTasks) > 0 &&
-		(opts.MaxIterations == 0 || iter < opts.MaxIterations); iter++ {
-		sub, err := in.Restrict(activeTasks, activeMachines)
-		if err != nil {
-			return nil, fmt.Errorf("core: iteration %d: %w", iter, err)
+	for iter := 0; len(a.activeMachines) > 0 && len(a.activeTasks) > 0 && iter < maxIters; iter++ {
+		activeTasks, activeMachines := a.activeTasks, a.activeMachines
+		// The original mapping runs on the caller's instance itself; later
+		// iterations rewrite the arena's one restricted instance.
+		sub := in
+		if iter > 0 {
+			if err := in.RestrictInto(&a.sub, activeTasks, activeMachines); err != nil {
+				return nil, fmt.Errorf("core: iteration %d: %w", iter, err)
+			}
+			sub = &a.sub
 		}
 		tb := policy(iter)
 		var counting *tiebreak.Counting
@@ -287,26 +299,35 @@ func IterateOpts(in *sched.Instance, h heuristics.Heuristic, policy PolicyFunc, 
 			tb = counting
 			heurStart = time.Now()
 		}
-		mp, selected, err := runHeuristic(h, sub, tb, prev, activeTasks, activeMachines)
+		var prev *Iteration
+		if iter > 0 {
+			prev = &tr.Iterations[iter-1]
+		}
+		mp, selected, err := a.runHeuristic(h, sub, tb, prev)
 		if err != nil {
 			return nil, fmt.Errorf("core: iteration %d: %w", iter, err)
 		}
-		s, err := sched.Evaluate(sub, mp)
-		if err != nil {
-			return nil, fmt.Errorf("core: iteration %d: heuristic %s produced invalid mapping: %w", iter, h.Name(), err)
-		}
+		// Carve this iteration's slices: Tasks, Assign and Machines from one
+		// int span, Completion from the float arena.
+		k, m := len(activeTasks), len(activeMachines)
+		ints := carve(&a.ints, 2*k+m, (2*k+m)*(maxIters-iter+1)/2)
 		it := Iteration{
 			Index:      iter,
-			Tasks:      append([]int(nil), activeTasks...),
-			Machines:   append([]int(nil), activeMachines...),
-			Assign:     make([]int, len(activeTasks)),
-			Completion: append([]float64(nil), s.Completion...),
+			Tasks:      ints[:k:k],
+			Assign:     ints[k : 2*k : 2*k],
+			Machines:   ints[2*k:],
+			Completion: carve(&a.floats, m, floatsTotal),
 		}
-		for i := range activeTasks {
-			it.Assign[i] = activeMachines[mp.Assign[i]]
+		if _, err := sched.Completions(sub, mp, it.Completion); err != nil {
+			return nil, fmt.Errorf("core: iteration %d: heuristic %s produced invalid mapping: %w", iter, h.Name(), err)
 		}
-		local, ms := s.MakespanMachine()
-		it.MakespanMachine = activeMachines[local]
+		copy(it.Tasks, activeTasks)
+		copy(it.Machines, activeMachines)
+		for i, l := range mp.Assign {
+			it.Assign[i] = activeMachines[l]
+		}
+		msLocal, ms := sched.MakespanMachine(it.Completion)
+		it.MakespanMachine = activeMachines[msLocal]
 		it.Makespan = ms
 		if observer != nil {
 			observer.Observe(obs.HeuristicDone{
@@ -324,8 +345,8 @@ func IterateOpts(in *sched.Instance, h heuristics.Heuristic, policy PolicyFunc, 
 		switch opts.FreezeRule {
 		case FreezeMinCompletion:
 			minLocal := 0
-			for j, c := range s.Completion {
-				if c < s.Completion[minLocal] {
+			for j, c := range it.Completion {
+				if c < it.Completion[minLocal] {
 					minLocal = j
 				}
 			}
@@ -347,27 +368,19 @@ func IterateOpts(in *sched.Instance, h heuristics.Heuristic, policy PolicyFunc, 
 		if len(activeMachines) == 1 {
 			break
 		}
-		// Freeze the selected machine and its tasks.
+		// Freeze the selected machine and its tasks, compacting the active
+		// sets in place (it.Tasks and it.Machines are copies).
 		frozen := it.Frozen
-		activeMachines = remove(activeMachines, frozen)
-		var keep []int
-		for i, t := range it.Tasks {
-			if it.Assign[i] != frozen {
-				keep = append(keep, t)
-			}
-		}
-		activeTasks = keep
+		a.freeze(frozen, it.Tasks, it.Assign)
 		if observer != nil {
 			completion, _ := it.MachineCompletion(frozen)
 			observer.Observe(obs.MachineFrozen{
 				Iteration:   iter,
 				Machine:     frozen,
 				Completion:  completion,
-				FrozenTasks: len(it.Tasks) - len(keep),
+				FrozenTasks: len(it.Tasks) - len(a.activeTasks),
 			})
 		}
-		prevIt := it
-		prev = &prevIt
 	}
 	if observer != nil {
 		done := obs.TraceDone{
@@ -383,13 +396,66 @@ func IterateOpts(in *sched.Instance, h heuristics.Heuristic, policy PolicyFunc, 
 	return tr, nil
 }
 
-// runHeuristic invokes h, seeding it with the previous iteration's mapping
-// (restricted to the active sets) when the heuristic supports seeding. For
-// composite heuristics (heuristics.Selector, e.g. Duplex) the returned
-// string names the sub-heuristic whose mapping won, for the HeuristicDone
-// event; it is empty otherwise.
-func runHeuristic(h heuristics.Heuristic, sub *sched.Instance, tb tiebreak.Policy,
-	prev *Iteration, activeTasks, activeMachines []int) (sched.Mapping, string, error) {
+// arena is one trace's working storage. The active sets only shrink, so
+// everything is sized by the first iteration that needs it and reused by
+// every later one: the restricted instance, the seed, and the
+// global-to-local machine table. The Iterations' own slices are carved from
+// shared backing arrays.
+type arena struct {
+	// activeTasks and activeMachines are the considered global indices,
+	// ascending, compacted in place as machines freeze.
+	activeTasks, activeMachines []int
+	// local[g] is active machine g's index in activeMachines; -1 once g is
+	// frozen.
+	local []int
+	sub   sched.Instance // the restricted instance of iterations 1, 2, ...
+	seed  []int
+	// ints and floats back the Iterations' slices.
+	ints   []int
+	floats []float64
+}
+
+// carve returns the next n elements of *buf, capacity-capped so an append
+// through one Iteration's slice cannot write into the next. When the spare
+// capacity is short it starts a new backing array of max(n, want) elements;
+// slices carved earlier keep the old one.
+func carve[T any](buf *[]T, n, want int) []T {
+	if cap(*buf)-len(*buf) < n {
+		*buf = make([]T, 0, max(n, want))
+	}
+	l := len(*buf)
+	*buf = (*buf)[:l+n]
+	return (*buf)[l : l+n : l+n]
+}
+
+// freeze removes machine frozen and the tasks assigned to it (tasks and
+// assign are the iteration's global lists) from the active sets.
+func (a *arena) freeze(frozen int, tasks, assign []int) {
+	keep := a.activeTasks[:0]
+	for i, t := range tasks {
+		if assign[i] != frozen {
+			keep = append(keep, t)
+		}
+	}
+	a.activeTasks = keep
+	ms := a.activeMachines[:0]
+	for _, m := range a.activeMachines {
+		if m != frozen {
+			a.local[m] = len(ms)
+			ms = append(ms, m)
+		}
+	}
+	a.activeMachines = ms
+	a.local[frozen] = -1
+}
+
+// runHeuristic invokes h on sub, seeding it with the previous iteration's
+// mapping (restricted to the active sets) when the heuristic supports
+// seeding. For composite heuristics (heuristics.Selector, e.g. Duplex) the
+// returned string names the sub-heuristic whose mapping won, for the
+// HeuristicDone event; it is empty otherwise.
+func (a *arena) runHeuristic(h heuristics.Heuristic, sub *sched.Instance, tb tiebreak.Policy,
+	prev *Iteration) (sched.Mapping, string, error) {
 	seedable, ok := h.(heuristics.Seedable)
 	if !ok || prev == nil {
 		if sel, ok := h.(heuristics.Selector); ok {
@@ -398,30 +464,24 @@ func runHeuristic(h heuristics.Heuristic, sub *sched.Instance, tb tiebreak.Polic
 		mp, err := h.Map(sub, tb)
 		return mp, "", err
 	}
-	// Build the seed in local coordinates. Every active task was mapped in
-	// the previous iteration to an active machine (the frozen machine's
-	// tasks were removed with it).
-	prevAssign := make(map[int]int, len(prev.Tasks))
-	for i, t := range prev.Tasks {
-		prevAssign[t] = prev.Assign[i]
+	// Build the seed in local coordinates by a merge walk: the active tasks
+	// are an ascending subsequence of prev.Tasks, and every one was mapped
+	// in the previous iteration to a still-active machine (the frozen
+	// machine's tasks were removed with it).
+	if cap(a.seed) < len(a.activeTasks) {
+		a.seed = make([]int, len(a.activeTasks))
 	}
-	machineLocal := make(map[int]int, len(activeMachines))
-	for j, m := range activeMachines {
-		machineLocal[m] = j
-	}
-	seed := sched.NewMapping(len(activeTasks))
-	for i, t := range activeTasks {
-		g, ok := prevAssign[t]
-		if !ok {
+	seed := sched.Mapping{Assign: a.seed[:len(a.activeTasks)]}
+	p := 0
+	for i, t := range a.activeTasks {
+		for p < len(prev.Tasks) && prev.Tasks[p] < t {
+			p++
+		}
+		if p == len(prev.Tasks) || prev.Tasks[p] != t || a.local[prev.Assign[p]] < 0 {
 			mp, err := h.Map(sub, tb) // defensive: no usable seed
 			return mp, "", err
 		}
-		l, ok := machineLocal[g]
-		if !ok {
-			mp, err := h.Map(sub, tb)
-			return mp, "", err
-		}
-		seed.Assign[i] = l
+		seed.Assign[i] = a.local[prev.Assign[p]]
 	}
 	mp, err := seedable.MapSeeded(sub, tb, seed)
 	return mp, "", err
@@ -433,14 +493,4 @@ func ascending(n int) []int {
 		s[i] = i
 	}
 	return s
-}
-
-func remove(s []int, v int) []int {
-	out := make([]int, 0, len(s)-1)
-	for _, x := range s {
-		if x != v {
-			out = append(out, x)
-		}
-	}
-	return out
 }

@@ -21,10 +21,14 @@ import (
 )
 
 // Matrix is an ETC matrix. Values[t][m] is the estimated time to compute
-// task t on machine m. A Matrix is immutable by convention: heuristics and
-// the iterative engine never modify it.
+// task t on machine m. A Matrix is immutable by convention: heuristics never
+// modify one. The one exception is a matrix owned by its writer as
+// SubMatrixInto's destination: the iterative engine rewrites its restricted
+// sub-instance in place between heuristic runs, so a heuristic must not
+// retain a matrix (or its instance) after its Map call returns.
 type Matrix struct {
 	values [][]float64
+	buf    []float64 // SubMatrixInto's reusable backing array
 }
 
 // New builds a Matrix from values, validating shape and entries. It copies
@@ -124,6 +128,59 @@ func (m *Matrix) SubMatrix(tasks, machines []int) (*Matrix, error) {
 		vs[i] = row
 	}
 	return &Matrix{values: vs}, nil
+}
+
+// SubMatrixInto is SubMatrix writing into dst, whose storage it reuses when
+// large enough: a caller restricting one matrix to shrinking index sets
+// allocates once. tasks and machines must be non-empty, strictly ascending
+// and in range. dst must not be the receiver, and any matrix previously
+// written into dst is overwritten.
+func (m *Matrix) SubMatrixInto(dst *Matrix, tasks, machines []int) error {
+	if dst == m {
+		return errors.New("etc: submatrix destination is its source")
+	}
+	if err := checkAscending(tasks, m.Tasks(), "task"); err != nil {
+		return err
+	}
+	if err := checkAscending(machines, m.Machines(), "machine"); err != nil {
+		return err
+	}
+	nT, nM := len(tasks), len(machines)
+	if cap(dst.buf) < nT*nM {
+		dst.buf = make([]float64, nT*nM)
+	}
+	if cap(dst.values) < nT {
+		dst.values = make([][]float64, nT)
+	}
+	dst.values = dst.values[:nT]
+	for i, t := range tasks {
+		row := dst.buf[i*nM : (i+1)*nM : (i+1)*nM]
+		src := m.values[t]
+		for j, mm := range machines {
+			row[j] = src[mm]
+		}
+		dst.values[i] = row
+	}
+	return nil
+}
+
+// checkAscending is checkIndexSet for a strictly ascending set, which needs
+// no scratch to detect repeats.
+func checkAscending(idx []int, n int, kind string) error {
+	if len(idx) == 0 {
+		return fmt.Errorf("etc: submatrix with no %ss", kind)
+	}
+	prev := -1
+	for _, i := range idx {
+		if i < 0 || i >= n {
+			return fmt.Errorf("etc: %s index %d out of range [0,%d)", kind, i, n)
+		}
+		if i <= prev {
+			return fmt.Errorf("etc: %s indices not strictly ascending at %d", kind, i)
+		}
+		prev = i
+	}
+	return nil
 }
 
 func checkIndexSet(idx []int, n int, kind string) error {

@@ -147,6 +147,66 @@ func TestSubMatrixErrors(t *testing.T) {
 	}
 }
 
+// TestSubMatrixInto pins SubMatrixInto to SubMatrix over a shrinking
+// sequence of ascending index sets, and checks that a destination sized by
+// the first call takes every later one without allocating.
+func TestSubMatrixInto(t *testing.T) {
+	m := mustMatrix(t, [][]float64{{1, 2, 3, 4}, {5, 6, 7, 8}, {9, 10, 11, 12}, {13, 14, 15, 16}})
+	var dst Matrix
+	steps := []struct{ tasks, machines []int }{
+		{[]int{0, 1, 2, 3}, []int{0, 1, 2, 3}},
+		{[]int{0, 2, 3}, []int{1, 2, 3}},
+		{[]int{2, 3}, []int{1, 3}},
+		{[]int{3}, []int{3}},
+	}
+	for _, st := range steps {
+		if err := m.SubMatrixInto(&dst, st.tasks, st.machines); err != nil {
+			t.Fatal(err)
+		}
+		want, err := m.SubMatrix(st.tasks, st.machines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !dst.Equal(want) {
+			t.Fatalf("SubMatrixInto(%v, %v) = %v, want %v", st.tasks, st.machines, dst.Values(), want.Values())
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, st := range steps {
+			if err := m.SubMatrixInto(&dst, st.tasks, st.machines); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("SubMatrixInto into a sized destination allocates %v", allocs)
+	}
+}
+
+func TestSubMatrixIntoErrors(t *testing.T) {
+	m := mustMatrix(t, [][]float64{{1, 2}, {3, 4}})
+	cases := []struct {
+		name            string
+		tasks, machines []int
+	}{
+		{"empty tasks", nil, []int{0}},
+		{"empty machines", []int{0}, nil},
+		{"task out of range", []int{2}, []int{0}},
+		{"negative machine", []int{0}, []int{-1}},
+		{"duplicate task", []int{0, 0}, []int{0}},
+		{"descending machines", []int{0}, []int{1, 0}},
+	}
+	for _, tc := range cases {
+		var dst Matrix
+		if err := m.SubMatrixInto(&dst, tc.tasks, tc.machines); err == nil {
+			t.Errorf("%s: no error", tc.name)
+		}
+	}
+	if err := m.SubMatrixInto(m, []int{0}, []int{0}); err == nil {
+		t.Error("destination == source: no error")
+	}
+}
+
 func TestMinMachine(t *testing.T) {
 	m := mustMatrix(t, [][]float64{{3, 1, 2}, {5, 5, 5}})
 	if mm, v := m.MinMachine(0); mm != 1 || v != 1 {

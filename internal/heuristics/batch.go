@@ -87,15 +87,18 @@ func (Duplex) MapSelect(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, 
 	if err != nil {
 		return sched.Mapping{}, "", err
 	}
-	smn, err := sched.Evaluate(in, mn)
+	// Compare makespans as sched.Evaluate computes them, summed in task
+	// order; the runs' ready vectors accumulated in commit order, which can
+	// differ in the last ulp. ready is free now, so it is the scratch.
+	cs, err := sched.Completions(in, mn, ready)
 	if err != nil {
 		return sched.Mapping{}, "", err
 	}
-	smx, err := sched.Evaluate(in, mx)
-	if err != nil {
+	msMin := sched.Makespan(cs)
+	if cs, err = sched.Completions(in, mx, cs); err != nil {
 		return sched.Mapping{}, "", err
 	}
-	if smx.Makespan() < smn.Makespan() {
+	if sched.Makespan(cs) < msMin {
 		return mx, "max-min", nil
 	}
 	return mn, "min-min", nil

@@ -376,6 +376,28 @@ func TestGreedyTwoPhaseAllocs(t *testing.T) {
 	}
 }
 
+// TestImmediateAllocs extends the guard to the list-order heuristics: each
+// Map allocates its mapping, its ready vector and one set of per-call
+// scratch, whatever the task count. Before the scratch reuse they
+// allocated one to three slices per task (a row copy, a candidate list,
+// KPB's ranking and subset, SWA's ready snapshot).
+func TestImmediateAllocs(t *testing.T) {
+	for _, shape := range allocShapes {
+		in := allocInstance(t, shape.tasks, shape.machines)
+		for _, h := range []Heuristic{OLB{}, MET{}, MCT{}, KPercentBest{Percent: 70}, SWA{Low: 0.33, High: 0.49}} {
+			allocs := allocsPerRun(shape.runs, func() {
+				if _, err := h.Map(in, tiebreak.First{}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 8 {
+				t.Fatalf("%s.Map on %dx%d allocates %v per run, want <= 8",
+					h.Name(), shape.tasks, shape.machines, allocs)
+			}
+		}
+	}
+}
+
 // TestKernelDegenerateShapes exercises the 1-task and 1-machine boundaries
 // explicitly (sufferageValue's single-machine convention, row slicing).
 func TestKernelDegenerateShapes(t *testing.T) {

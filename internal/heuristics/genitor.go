@@ -212,15 +212,17 @@ func (s Seeded) MapSeeded(in *sched.Instance, tb tiebreak.Policy, seed sched.Map
 	if err := seed.Validate(in); err != nil {
 		return sched.Mapping{}, fmt.Errorf("heuristics: seed invalid: %w", err)
 	}
-	inner, err := sched.Evaluate(in, mp)
+	// The caller may reuse seed after this call returns, so a winning seed
+	// is returned as a clone.
+	cs, err := sched.Completions(in, mp, nil)
 	if err != nil {
 		return sched.Mapping{}, err
 	}
-	seeded, err := sched.Evaluate(in, seed)
-	if err != nil {
+	innerMS := sched.Makespan(cs)
+	if cs, err = sched.Completions(in, seed, cs); err != nil {
 		return sched.Mapping{}, err
 	}
-	if seeded.Makespan() < inner.Makespan() {
+	if sched.Makespan(cs) < innerMS {
 		return seed.Clone(), nil
 	}
 	return mp, nil

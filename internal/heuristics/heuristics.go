@@ -32,6 +32,13 @@ func approxEqual(a, b float64) bool {
 }
 
 // Heuristic maps all tasks of an instance onto its machines.
+//
+// Reuse contract: Map (and Seedable.MapSeeded) must not retain in, its
+// matrix, or the seed after returning, and the returned mapping must not
+// alias the seed. The iterative engine (internal/core) rewrites one
+// restricted instance and one seed buffer in place between iterations, so
+// a retained reference would silently change under the heuristic. Search
+// heuristics that keep the seed in a population clone it first.
 type Heuristic interface {
 	// Name is a stable identifier, e.g. "min-min".
 	Name() string

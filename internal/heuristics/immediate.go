@@ -20,8 +20,10 @@ func (OLB) Name() string { return "olb" }
 func (OLB) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
 	mp := sched.NewMapping(in.Tasks())
 	ready := in.ReadyTimes()
+	idx := make([]int, 0, in.Machines())
 	for t := 0; t < in.Tasks(); t++ {
-		m := tb.Choose(minIndices(ready))
+		idx = minIndicesInto(ready, idx)
+		m := tb.Choose(idx)
 		mp.Assign[t] = m
 		ready[m] += in.ETC().At(t, m)
 	}
@@ -38,10 +40,30 @@ func (MET) Name() string { return "met" }
 // Map implements Heuristic.
 func (MET) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
 	mp := sched.NewMapping(in.Tasks())
+	idx := make([]int, 0, in.Machines())
 	for t := 0; t < in.Tasks(); t++ {
-		mp.Assign[t] = tb.Choose(minIndices(in.ETC().Row(t)))
+		idx = minETCInto(in, t, idx)
+		mp.Assign[t] = tb.Choose(idx)
 	}
 	return mp, nil
+}
+
+// minETCInto is minIndicesInto over task t's ETC row, read in place.
+func minETCInto(in *sched.Instance, t int, buf []int) []int {
+	e, nM := in.ETC(), in.Machines()
+	mn := e.At(t, 0)
+	for m := 1; m < nM; m++ {
+		if v := e.At(t, m); v < mn {
+			mn = v
+		}
+	}
+	buf = buf[:0]
+	for m := 0; m < nM; m++ {
+		if approxEqual(e.At(t, m), mn) {
+			buf = append(buf, m)
+		}
+	}
+	return buf
 }
 
 // MCT is Minimum Completion Time (paper Figure 5): each task, in list order,
@@ -56,9 +78,11 @@ func (MCT) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
 	mp := sched.NewMapping(in.Tasks())
 	ready := in.ReadyTimes()
 	ct := make([]float64, in.Machines())
+	idx := make([]int, 0, in.Machines())
 	for t := 0; t < in.Tasks(); t++ {
 		completionRow(in, t, ready, ct)
-		m := tb.Choose(minIndices(ct))
+		idx = minIndicesInto(ct, idx)
+		m := tb.Choose(idx)
 		mp.Assign[t] = m
 		ready[m] += in.ETC().At(t, m)
 	}
@@ -100,15 +124,21 @@ func (k KPercentBest) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping
 	mp := sched.NewMapping(in.Tasks())
 	ready := in.ReadyTimes()
 	size := k.SubsetSize(in.Machines())
+	// Per-call scratch, reused for every task: the ranking, and the subset,
+	// its tied positions and their machines carved from one int array.
+	ranked := make([]kpbCand, in.Machines())
+	ints := make([]int, 3*size)
+	subset, idx, cands := ints[:size], ints[size:size:2*size], ints[2*size:2*size:3*size]
+	cts := make([]float64, size)
 	for t := 0; t < in.Tasks(); t++ {
-		subset := k.bestSubset(in, t, size)
+		bestSubset(in, t, ranked, subset)
 		// Earliest completion within the subset.
-		cts := make([]float64, len(subset))
 		for i, m := range subset {
 			cts[i] = in.ETC().At(t, m) + ready[m]
 		}
-		var cands []int
-		for _, i := range minIndices(cts) {
+		idx = minIndicesInto(cts, idx)
+		cands = cands[:0]
+		for _, i := range idx {
 			cands = append(cands, subset[i])
 		}
 		m := tb.Choose(cands)
@@ -118,17 +148,19 @@ func (k KPercentBest) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping
 	return mp, nil
 }
 
-// bestSubset returns the size machines with the smallest ETC for task t, in
-// ascending machine-index order. Equal ETC values at the boundary resolve
-// toward the lower machine index, keeping the subset deterministic.
-func (k KPercentBest) bestSubset(in *sched.Instance, t, size int) []int {
-	type cand struct {
-		m   int
-		etc float64
-	}
-	cands := make([]cand, in.Machines())
+// kpbCand is one machine's ETC for the task being ranked.
+type kpbCand struct {
+	m   int
+	etc float64
+}
+
+// bestSubset writes into subset the len(subset) machines with the smallest
+// ETC for task t, in ascending machine-index order; cands is scratch of one
+// entry per machine. Equal ETC values at the boundary resolve toward the
+// lower machine index, keeping the subset deterministic.
+func bestSubset(in *sched.Instance, t int, cands []kpbCand, subset []int) {
 	for m := range cands {
-		cands[m] = cand{m, in.ETC().At(t, m)}
+		cands[m] = kpbCand{m, in.ETC().At(t, m)}
 	}
 	// Stable selection: sort by (etc, machine index).
 	for i := 1; i < len(cands); i++ {
@@ -137,8 +169,7 @@ func (k KPercentBest) bestSubset(in *sched.Instance, t, size int) []int {
 			cands[j], cands[j-1] = cands[j-1], cands[j]
 		}
 	}
-	subset := make([]int, size)
-	for i := 0; i < size; i++ {
+	for i := range subset {
 		subset[i] = cands[i].m
 	}
 	// Ascending machine order for canonical tie presentation.
@@ -147,7 +178,6 @@ func (k KPercentBest) bestSubset(in *sched.Instance, t, size int) []int {
 			subset[j], subset[j-1] = subset[j-1], subset[j]
 		}
 	}
-	return subset
 }
 
 // SWA is the Switching Algorithm (paper Figure 13), a hybrid of MCT and MET
@@ -174,23 +204,33 @@ type SWAStep struct {
 	Ready     []float64
 }
 
-// Map implements Heuristic.
+// Map implements Heuristic. Unlike MapTrace it builds no decision log.
 func (s SWA) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
-	mp, _, err := s.MapTrace(in, tb)
+	mp, _, err := s.mapSWA(in, tb, false)
 	return mp, err
 }
 
 // MapTrace is Map returning the per-task decision trace (paper Tables 10
 // and 11 print it).
 func (s SWA) MapTrace(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, []SWAStep, error) {
+	return s.mapSWA(in, tb, true)
+}
+
+// mapSWA is the switching loop; wantTrace gates building the decision log
+// and its per-task ready snapshots.
+func (s SWA) mapSWA(in *sched.Instance, tb tiebreak.Policy, wantTrace bool) (sched.Mapping, []SWAStep, error) {
 	if !(s.Low >= 0 && s.Low < s.High && s.High <= 1) {
 		return sched.Mapping{}, nil, fmt.Errorf("heuristics: SWA thresholds low=%g high=%g invalid", s.Low, s.High)
 	}
 	mp := sched.NewMapping(in.Tasks())
 	ready := in.ReadyTimes()
 	ct := make([]float64, in.Machines())
+	idx := make([]int, 0, in.Machines())
 	useMET := false // step 2: the first task is mapped using MCT
-	steps := make([]SWAStep, 0, in.Tasks())
+	var steps []SWAStep
+	if wantTrace {
+		steps = make([]SWAStep, 0, in.Tasks())
+	}
 	for t := 0; t < in.Tasks(); t++ {
 		bi := math.NaN() // first task: BI not consulted (paper prints "x")
 		if t > 0 {
@@ -205,18 +245,21 @@ func (s SWA) MapTrace(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, []
 		var m int
 		var used string
 		if t > 0 && useMET {
-			m = tb.Choose(minIndices(in.ETC().Row(t)))
+			idx = minETCInto(in, t, idx)
 			used = "met"
 		} else {
 			completionRow(in, t, ready, ct)
-			m = tb.Choose(minIndices(ct))
+			idx = minIndicesInto(ct, idx)
 			used = "mct"
 		}
+		m = tb.Choose(idx)
 		mp.Assign[t] = m
 		ready[m] += in.ETC().At(t, m)
-		snapshot := make([]float64, len(ready))
-		copy(snapshot, ready)
-		steps = append(steps, SWAStep{Task: t, Machine: m, Heuristic: used, BI: bi, Ready: snapshot})
+		if wantTrace {
+			snapshot := make([]float64, len(ready))
+			copy(snapshot, ready)
+			steps = append(steps, SWAStep{Task: t, Machine: m, Heuristic: used, BI: bi, Ready: snapshot})
+		}
 	}
 	return mp, steps, nil
 }

@@ -91,6 +91,32 @@ func (in *Instance) Restrict(tasks, machines []int) (*Instance, error) {
 	return &Instance{m: sub, ready: r}, nil
 }
 
+// RestrictInto is Restrict writing into dst, reusing its matrix and ready
+// storage when large enough: the iterative engine restricts one instance
+// to shrinking active sets into a single buffer per trace. tasks and
+// machines must be strictly ascending. dst must not be the receiver; the
+// instance previously written into it is overwritten, so nothing may
+// retain it across calls.
+func (in *Instance) RestrictInto(dst *Instance, tasks, machines []int) error {
+	if dst == in {
+		return errors.New("sched: restriction destination is its source")
+	}
+	if dst.m == nil {
+		dst.m = new(etc.Matrix)
+	}
+	if err := in.m.SubMatrixInto(dst.m, tasks, machines); err != nil {
+		return err
+	}
+	if cap(dst.ready) < len(machines) {
+		dst.ready = make([]float64, len(machines))
+	}
+	dst.ready = dst.ready[:len(machines)]
+	for i, mm := range machines {
+		dst.ready[i] = in.ready[mm]
+	}
+	return nil
+}
+
 // Mapping assigns every task to a machine: Assign[t] is task t's machine.
 type Mapping struct {
 	Assign []int
@@ -193,10 +219,33 @@ func Evaluate(in *Instance, mp Mapping) (*Schedule, error) {
 	return s, nil
 }
 
+// Completions writes into dst the Completion vector Evaluate computes for
+// mp, bit for bit — the same additions in the same task order — without
+// cloning the mapping or building TaskFinish, and returns it; dst is
+// reallocated only when shorter than the machine count. It returns an
+// error if the mapping is invalid.
+func Completions(in *Instance, mp Mapping, dst []float64) ([]float64, error) {
+	if err := mp.Validate(in); err != nil {
+		return nil, err
+	}
+	if cap(dst) < len(in.ready) {
+		dst = make([]float64, len(in.ready))
+	}
+	dst = dst[:len(in.ready)]
+	copy(dst, in.ready)
+	for t, m := range mp.Assign {
+		dst[m] += in.m.At(t, m)
+	}
+	return dst, nil
+}
+
 // Makespan returns the largest machine completion time.
-func (s *Schedule) Makespan() float64 {
+func (s *Schedule) Makespan() float64 { return Makespan(s.Completion) }
+
+// Makespan returns the largest entry of a completion vector.
+func Makespan(completion []float64) float64 {
 	ms := math.Inf(-1)
-	for _, c := range s.Completion {
+	for _, c := range completion {
 		ms = math.Max(ms, c)
 	}
 	return ms
@@ -206,13 +255,18 @@ func (s *Schedule) Makespan() float64 {
 // breaking ties toward the lowest index (the deterministic convention used
 // throughout this repository), along with its completion time.
 func (s *Schedule) MakespanMachine() (machine int, completion float64) {
-	machine, completion = 0, s.Completion[0]
-	for m := 1; m < len(s.Completion); m++ {
-		if s.Completion[m] > completion {
-			machine, completion = m, s.Completion[m]
+	return MakespanMachine(s.Completion)
+}
+
+// MakespanMachine is Schedule.MakespanMachine over a completion vector.
+func MakespanMachine(completion []float64) (machine int, makespan float64) {
+	machine, makespan = 0, completion[0]
+	for m := 1; m < len(completion); m++ {
+		if completion[m] > makespan {
+			machine, makespan = m, completion[m]
 		}
 	}
-	return machine, completion
+	return machine, makespan
 }
 
 // MinCompletion returns the smallest machine completion time.

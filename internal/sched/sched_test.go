@@ -86,6 +86,83 @@ func TestRestrictErrors(t *testing.T) {
 	}
 }
 
+func TestRestrictInto(t *testing.T) {
+	in := testInstance(t, [][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}, []float64{10, 20, 30})
+	var dst Instance
+	for _, st := range []struct{ tasks, machines []int }{
+		{[]int{0, 1, 2}, []int{0, 1, 2}},
+		{[]int{0, 2}, []int{0, 2}},
+		{[]int{2}, []int{2}},
+	} {
+		if err := in.RestrictInto(&dst, st.tasks, st.machines); err != nil {
+			t.Fatal(err)
+		}
+		want, err := in.Restrict(st.tasks, st.machines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !dst.ETC().Equal(want.ETC()) {
+			t.Fatalf("RestrictInto(%v, %v) matrix %v, want %v", st.tasks, st.machines, dst.ETC().Values(), want.ETC().Values())
+		}
+		for j := range st.machines {
+			if dst.Ready(j) != want.Ready(j) {
+				t.Fatalf("RestrictInto(%v, %v) ready %v, want %v", st.tasks, st.machines, dst.ReadyTimes(), want.ReadyTimes())
+			}
+		}
+	}
+	if err := in.RestrictInto(&dst, []int{1, 0}, []int{0}); err == nil {
+		t.Fatal("descending tasks: no error")
+	}
+	if err := in.RestrictInto(in, []int{0}, []int{0}); err == nil {
+		t.Fatal("destination == source: no error")
+	}
+}
+
+// TestCompletionsMatchesEvaluate pins Completions, Makespan and
+// MakespanMachine to Evaluate bit for bit on random float instances, where
+// summation order shows in the last ulp.
+func TestCompletionsMatchesEvaluate(t *testing.T) {
+	src := rng.New(321)
+	var buf []float64
+	for trial := 0; trial < 200; trial++ {
+		tasks, machines := 1+src.Intn(30), 1+src.Intn(8)
+		m, err := etc.GenerateRange(etc.RangeParams{Tasks: tasks, Machines: machines, TaskHet: 50, MachineHet: 10}, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ready := make([]float64, machines)
+		for i := range ready {
+			ready[i] = src.Float64() * 10
+		}
+		in := MustInstance(m, ready)
+		mp := NewMapping(tasks)
+		for i := range mp.Assign {
+			mp.Assign[i] = src.Intn(machines)
+		}
+		s, err := Evaluate(in, mp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if buf, err = Completions(in, mp, buf); err != nil {
+			t.Fatal(err)
+		}
+		for j, c := range s.Completion {
+			if math.Float64bits(buf[j]) != math.Float64bits(c) {
+				t.Fatalf("trial %d: Completions %v, Evaluate %v", trial, buf, s.Completion)
+			}
+		}
+		gm, gms := MakespanMachine(buf)
+		wm, wms := s.MakespanMachine()
+		if gm != wm || gms != wms || Makespan(buf) != s.Makespan() {
+			t.Fatalf("trial %d: makespan (%d, %g, %g), want (%d, %g, %g)", trial, gm, gms, Makespan(buf), wm, wms, s.Makespan())
+		}
+	}
+	in := testInstance(t, [][]float64{{1, 2}}, nil)
+	if _, err := Completions(in, Mapping{Assign: []int{2}}, nil); err == nil {
+		t.Fatal("invalid mapping: no error")
+	}
+}
+
 func TestNewMappingUnassigned(t *testing.T) {
 	mp := NewMapping(3)
 	if mp.Complete() {
