@@ -13,10 +13,7 @@ import (
 // instance, the seed, the Iterations' backing arrays), so a trace may
 // allocate a fixed amount plus a fixed amount per iteration — never per
 // task. The per-iteration budget covers one heuristic Map (at most 8, the
-// internal/heuristics guard) and what Seeded adds. The engine that restricted
-// a fresh submatrix, evaluated a fresh Schedule and appended fresh slices
-// per iteration spent 25 (Min-Min) to 210 (KPB) allocations per iteration
-// on 64x8, and grew with the task count.
+// internal/heuristics guard) and what Seeded adds.
 const (
 	iterateFixedAllocs   = 24
 	iterateAllocsPerIter = 8

@@ -378,9 +378,7 @@ func TestGreedyTwoPhaseAllocs(t *testing.T) {
 
 // TestImmediateAllocs extends the guard to the list-order heuristics: each
 // Map allocates its mapping, its ready vector and one set of per-call
-// scratch, whatever the task count. Before the scratch reuse they
-// allocated one to three slices per task (a row copy, a candidate list,
-// KPB's ranking and subset, SWA's ready snapshot).
+// scratch, whatever the task count.
 func TestImmediateAllocs(t *testing.T) {
 	for _, shape := range allocShapes {
 		in := allocInstance(t, shape.tasks, shape.machines)

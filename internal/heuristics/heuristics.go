@@ -37,8 +37,10 @@ func approxEqual(a, b float64) bool {
 // matrix, or the seed after returning, and the returned mapping must not
 // alias the seed. The iterative engine (internal/core) rewrites one
 // restricted instance and one seed buffer in place between iterations, so
-// a retained reference would silently change under the heuristic. Search
-// heuristics that keep the seed in a population clone it first.
+// a retained reference would silently change under the heuristic. The
+// search heuristics (Genitor, GA, SA, tabu) clone the seed before keeping
+// it in a population or a walk, and Seeded returns a winning seed as a
+// clone.
 type Heuristic interface {
 	// Name is a stable identifier, e.g. "min-min".
 	Name() string

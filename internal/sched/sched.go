@@ -98,9 +98,6 @@ func (in *Instance) Restrict(tasks, machines []int) (*Instance, error) {
 // instance previously written into it is overwritten, so nothing may
 // retain it across calls.
 func (in *Instance) RestrictInto(dst *Instance, tasks, machines []int) error {
-	if dst == in {
-		return errors.New("sched: restriction destination is its source")
-	}
 	if dst.m == nil {
 		dst.m = new(etc.Matrix)
 	}
