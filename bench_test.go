@@ -263,14 +263,37 @@ func BenchmarkHeuristicMap(b *testing.B) {
 	}
 }
 
+// tieWorkload is a tasks×machines matrix of small integers (1..5), so exact
+// completion-time ties arise in every iteration.
+func tieWorkload(b *testing.B, tasks, machines int) *sched.Instance {
+	b.Helper()
+	src := rng.New(42)
+	vs := make([][]float64, tasks)
+	for i := range vs {
+		vs[i] = make([]float64, machines)
+		for j := range vs[i] {
+			vs[i][j] = float64(1 + src.Intn(5))
+		}
+	}
+	in, err := sched.NewInstance(etc.MustNew(vs), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return in
+}
+
 // BenchmarkIterativeTechnique measures the full technique (all iterations)
 // for each polynomial-time heuristic on a 128x8 workload with deterministic
 // ties, and on 128x16 with seeded random ties (the largest shape of the
 // perfbench engine-miss workload; each run draws a fresh tie stream, as a
-// served request does).
+// served request does). On these float matrices the original mapping has no
+// tie, so Min-Min, MCT, MET and OLB derive every later iteration; the
+// -ties rows keep their computed slow path measured on a tie-dense
+// small-integer matrix.
 func BenchmarkIterativeTechnique(b *testing.B) {
 	det := literatureWorkload(b, 128, 8)
 	wide := literatureWorkload(b, 128, 16)
+	ties := tieWorkload(b, 128, 16)
 	for _, name := range []string{"olb", "met", "mct", "min-min", "max-min", "duplex", "sufferage", "kpb", "swa"} {
 		h, err := heuristics.ByName(name, 7)
 		if err != nil {
@@ -289,6 +312,21 @@ func BenchmarkIterativeTechnique(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				policy := core.FixedPolicy(tiebreak.NewRandom(rng.New(7)))
 				if _, err := core.Iterate(wide, h, policy); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	for _, name := range []string{"min-min", "mct"} {
+		h, err := heuristics.ByName(name, 7)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name+"-128x16-ties", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				policy := core.FixedPolicy(tiebreak.NewRandom(rng.New(7)))
+				if _, err := core.Iterate(ties, h, policy); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -54,7 +54,9 @@ type (
 	Schedule = sched.Schedule
 	// Heuristic maps all tasks of an instance onto its machines.
 	Heuristic = heuristics.Heuristic
-	// TieBreaker resolves choices among equally good candidates.
+	// TieBreaker resolves choices among equally good candidates. Choose
+	// with one candidate must return it and leave the policy's state
+	// unchanged (see tiebreak.Policy).
 	TieBreaker = tiebreak.Policy
 	// PolicyFunc supplies the tie-breaking policy per iteration.
 	PolicyFunc = core.PolicyFunc

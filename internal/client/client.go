@@ -487,7 +487,7 @@ func (c *Client) attempt(ctx context.Context, url string, body []byte, traceID s
 	}
 	defer hr.Body.Close()
 	echo = hr.Header.Get(traceHeader)
-	b, err := io.ReadAll(hr.Body)
+	b, err := readBody(hr.Body, hr.ContentLength)
 	if err != nil {
 		// Truncated or severed mid-body: a partial body must never be
 		// surfaced as a Response.
@@ -497,4 +497,23 @@ func (c *Client) attempt(ctx context.Context, url string, body []byte, traceID s
 		return nil, hr.StatusCode, retryAfter(hr), echo, &StatusError{Status: hr.StatusCode, Body: b}
 	}
 	return &Response{Status: hr.StatusCode, Body: b, Cache: hr.Header.Get("X-Schedd-Cache")}, hr.StatusCode, 0, echo, nil
+}
+
+// exactBodyCap bounds readBody's up-front allocation: a declared
+// Content-Length above it is not trusted with one buffer of that size.
+const exactBodyCap = 4 << 20
+
+// readBody reads a response body whose Content-Length is n (-1 when
+// unknown). A known length up to exactBodyCap is read into one buffer of
+// exactly that size; otherwise io.ReadAll grows one as the bytes arrive. A
+// body shorter than its declared length is an error, never a short slice.
+func readBody(r io.Reader, n int64) ([]byte, error) {
+	if n < 0 || n > exactBodyCap {
+		return io.ReadAll(r)
+	}
+	b := make([]byte, n)
+	if _, err := io.ReadFull(r, b); err != nil {
+		return nil, err
+	}
+	return b, nil
 }

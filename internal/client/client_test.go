@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -236,6 +239,87 @@ func TestTruncatedBodyRetried(t *testing.T) {
 	}
 	if resp.Attempts != 2 {
 		t.Fatalf("attempts %d, want 2", resp.Attempts)
+	}
+}
+
+func TestShortBodyIsAnError(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", "100")
+		w.Write([]byte(`{"partial"`))
+		if fl, ok := w.(http.Flusher); ok {
+			fl.Flush()
+		}
+		if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+			conn.Close()
+		}
+	}))
+	defer ts.Close()
+	c, _ := newTestClient(Options{MaxRetries: 0, Seed: 1})
+	if resp, err := c.Post(context.Background(), ts.URL, nil); err == nil || resp != nil {
+		t.Fatalf("Post = %+v, %v; want an error and no response", resp, err)
+	}
+	// The same for a reader that ends early or at once.
+	for _, r := range []io.Reader{strings.NewReader("abc"), strings.NewReader("")} {
+		if b, err := readBody(r, 10); err == nil || b != nil {
+			t.Fatalf("readBody of a short body = %q, %v; want an error", b, err)
+		}
+	}
+}
+
+func TestZeroLengthBody(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", "0")
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer ts.Close()
+	c, _ := newTestClient(Options{Seed: 1})
+	resp, err := c.Post(context.Background(), ts.URL, nil)
+	if err != nil {
+		t.Fatalf("Post: %v", err)
+	}
+	if len(resp.Body) != 0 || resp.Status != http.StatusOK {
+		t.Fatalf("resp %+v, want an empty 200", resp)
+	}
+}
+
+func TestOverCapLengthReadsAsItArrives(t *testing.T) {
+	want := bytes.Repeat([]byte("x"), exactBodyCap+1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(len(want)))
+		w.Write(want)
+	}))
+	defer ts.Close()
+	c, _ := newTestClient(Options{Seed: 1})
+	resp, err := c.Post(context.Background(), ts.URL, nil)
+	if err != nil {
+		t.Fatalf("Post: %v", err)
+	}
+	if !bytes.Equal(resp.Body, want) {
+		t.Fatalf("body of %d bytes, want %d", len(resp.Body), len(want))
+	}
+	// Over the cap the declared length is not trusted with a buffer: a
+	// short body under a huge Content-Length costs only what arrived.
+	b, err := readBody(strings.NewReader("abc"), 1<<40)
+	if err != nil || string(b) != "abc" || cap(b) >= exactBodyCap {
+		t.Fatalf("readBody over the cap = %q (cap %d), %v", b, cap(b), err)
+	}
+}
+
+// TestKnownLengthBodyReadsIntoOneBuffer is the relay-copy alloc check: a
+// body of known length costs one exact-size allocation, where io.ReadAll
+// grows a buffer from 512 bytes.
+func TestKnownLengthBodyReadsIntoOneBuffer(t *testing.T) {
+	body := bytes.Repeat([]byte("0123456789abcdef"), 512) // 8 KiB
+	var r bytes.Reader
+	allocs := testing.AllocsPerRun(20, func() {
+		r.Reset(body)
+		b, err := readBody(&r, int64(len(body)))
+		if err != nil || len(b) != len(body) || cap(b) != len(body) {
+			t.Fatalf("readBody = %d bytes (cap %d), %v", len(b), cap(b), err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("readBody of a known-length body: %v allocs, want 1", allocs)
 	}
 }
 

@@ -67,3 +67,48 @@ func TestIterateAllocsIndependentOfTasks(t *testing.T) {
 		}
 	}
 }
+
+// derivedAllocSlack is what a whole tie-free trace of a restricting
+// heuristic may allocate beyond its original mapping alone: the arena's
+// backing arrays may be regrown a few times as the active sets shrink.
+const derivedAllocSlack = 4
+
+// TestDerivedIterationsAllocateNothing: once the original mapping of a
+// restricting heuristic is tie-free, every later iteration is derived, so
+// the 64-iteration trace allocates what its first iteration does plus a
+// constant — not a heuristic run per iteration.
+func TestDerivedIterationsAllocateNothing(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the race runtime drops sync.Pool puts at random; the non-race run enforces the bound")
+	}
+	m, err := etc.GenerateRange(etc.RangeParams{Tasks: 1024, Machines: 64, TaskHet: 100, MachineHet: 10}, rng.New(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := sched.NewInstance(m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []heuristics.Heuristic{heuristics.MinMin{}, heuristics.MCT{}} {
+		allocs := func(maxIters int) (float64, int) {
+			iters := 0
+			a := testing.AllocsPerRun(2, func() {
+				tr, err := IterateOpts(in, h, Deterministic(), Options{MaxIterations: maxIters})
+				if err != nil {
+					t.Fatal(err)
+				}
+				iters = len(tr.Iterations)
+			})
+			return a, iters
+		}
+		first, _ := allocs(1)
+		all, iters := allocs(0)
+		if iters != 64 {
+			t.Fatalf("%s: %d iterations, want 64", h.Name(), iters)
+		}
+		if all > first+derivedAllocSlack {
+			t.Errorf("%s on 1024x64: %v allocs over %d iterations, want <= %v (iteration 0 alone: %v)",
+				h.Name(), all, iters, first+derivedAllocSlack, first)
+		}
+	}
+}

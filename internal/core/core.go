@@ -29,7 +29,9 @@ import (
 
 // PolicyFunc supplies the tie-breaking policy for each iteration (iteration
 // 0 is the original mapping). Stateful policies (e.g. *tiebreak.Random) may
-// be returned repeatedly; fresh policies may be built per iteration.
+// be returned repeatedly; fresh policies may be built per iteration. It is
+// called only for iterations the engine computes: an iteration derived from
+// its predecessor (see IterateOpts) makes no choice.
 type PolicyFunc func(iteration int) tiebreak.Policy
 
 // Deterministic returns the canonical deterministic policy for every
@@ -221,10 +223,10 @@ type Options struct {
 	// Observer, when non-nil, receives obs events (IterationStart,
 	// HeuristicDone, MachineFrozen, TraceDone) as the technique runs, with
 	// tie-breaking counters gathered through a tiebreak.Counting wrapper.
-	// A nil Observer is free: no events are constructed, no policy is
-	// wrapped, no clock is read, and the trace is bit-for-bit what it was
-	// before observability existed. Event timing fields are wall-clock and
-	// observational only — they never influence scheduling decisions.
+	// A nil Observer is free: no events are constructed, no clock is read,
+	// and the trace is bit-for-bit what it was before observability
+	// existed. Event timing fields are wall-clock and observational only —
+	// they never influence scheduling decisions.
 	Observer obs.Observer
 }
 
@@ -234,6 +236,16 @@ func Iterate(in *sched.Instance, h heuristics.Heuristic, policy PolicyFunc) (*Tr
 }
 
 // IterateOpts is Iterate with ablation options.
+//
+// For a restricting heuristic (heuristics.Restricts: Min-Min, MCT, MET, OLB
+// and Seeded over them) the engine derives iterations instead of computing
+// them. Once such an iteration runs with no tie (every choice had one
+// candidate), the theorems' induction fixes every later one: its mapping is
+// the previous mapping restricted to the active sets, its completion vector
+// the previous one without the frozen machine. A derived iteration is
+// bit-identical to a computed one and emits the same observer events; its
+// HeuristicDone counts one single-candidate choice per task, as the
+// skipped run would have.
 func IterateOpts(in *sched.Instance, h heuristics.Heuristic, policy PolicyFunc, opts Options) (*Trace, error) {
 	if in == nil {
 		return nil, errors.New("core: nil instance")
@@ -277,39 +289,53 @@ func IterateOpts(in *sched.Instance, h heuristics.Heuristic, policy PolicyFunc, 
 		runStart = time.Now()
 	}
 
+	// derived turns on once an iteration of a restricting heuristic runs
+	// without a tie: by the theorems' induction every later iteration is
+	// then its predecessor restricted to the active sets (see derive), with
+	// no restriction, heuristic run or tie-breaking choice. The induction
+	// needs the iteration's mapping to be the heuristic's own. A seeded run
+	// returns its seed instead when the seed is strictly better, so for a
+	// Seedable heuristic only the original mapping, which has no seed, turns
+	// it on.
+	restricts := heuristics.Restricts(h)
+	_, seedable := h.(heuristics.Seedable)
+	derived := false
+
 	for iter := 0; len(a.activeMachines) > 0 && len(a.activeTasks) > 0 && iter < maxIters; iter++ {
 		activeTasks, activeMachines := a.activeTasks, a.activeMachines
-		// The original mapping runs on the caller's instance itself; later
-		// iterations rewrite the arena's one restricted instance.
-		sub := in
-		if iter > 0 {
-			if err := in.RestrictInto(&a.sub, activeTasks, activeMachines); err != nil {
-				return nil, fmt.Errorf("core: iteration %d: %w", iter, err)
+		k, m := len(activeTasks), len(activeMachines)
+		var sub *sched.Instance
+		var tb tiebreak.Policy
+		if derived {
+			// What the skipped run would have counted: one single-candidate
+			// choice per task.
+			a.counting = tiebreak.Counting{Invocations: int64(k), Candidates: int64(k)}
+		} else {
+			// The original mapping runs on the caller's instance itself;
+			// later iterations rewrite the arena's one restricted instance.
+			sub = in
+			if iter > 0 {
+				if err := in.RestrictInto(&a.sub, activeTasks, activeMachines); err != nil {
+					return nil, fmt.Errorf("core: iteration %d: %w", iter, err)
+				}
+				sub = &a.sub
 			}
-			sub = &a.sub
+			tb = policy(iter)
+			// The arena's Counting sees the run's ties, for the observer
+			// and for turning derivation on. Held in the arena, it costs
+			// no allocation.
+			if observer != nil || restricts {
+				a.counting = tiebreak.Counting{Inner: tb}
+				tb = &a.counting
+			}
 		}
-		tb := policy(iter)
-		var counting *tiebreak.Counting
 		var heurStart time.Time
 		if observer != nil {
-			observer.Observe(obs.IterationStart{
-				Iteration: iter, Tasks: len(activeTasks), Machines: len(activeMachines),
-			})
-			counting = &tiebreak.Counting{Inner: tb}
-			tb = counting
+			observer.Observe(obs.IterationStart{Iteration: iter, Tasks: k, Machines: m})
 			heurStart = time.Now()
-		}
-		var prev *Iteration
-		if iter > 0 {
-			prev = &tr.Iterations[iter-1]
-		}
-		mp, selected, err := a.runHeuristic(h, sub, tb, prev)
-		if err != nil {
-			return nil, fmt.Errorf("core: iteration %d: %w", iter, err)
 		}
 		// Carve this iteration's slices: Tasks, Assign and Machines from one
 		// int span, Completion from the float arena.
-		k, m := len(activeTasks), len(activeMachines)
 		ints := carve(&a.ints, 2*k+m, (2*k+m)*(maxIters-iter+1)/2)
 		it := Iteration{
 			Index:      iter,
@@ -318,13 +344,28 @@ func IterateOpts(in *sched.Instance, h heuristics.Heuristic, policy PolicyFunc, 
 			Machines:   ints[2*k:],
 			Completion: carve(&a.floats, m, floatsTotal),
 		}
-		if _, err := sched.Completions(sub, mp, it.Completion); err != nil {
-			return nil, fmt.Errorf("core: iteration %d: heuristic %s produced invalid mapping: %w", iter, h.Name(), err)
-		}
 		copy(it.Tasks, activeTasks)
 		copy(it.Machines, activeMachines)
-		for i, l := range mp.Assign {
-			it.Assign[i] = activeMachines[l]
+		var selected string
+		if derived {
+			derive(&it, &tr.Iterations[iter-1])
+		} else {
+			var prev *Iteration
+			if iter > 0 {
+				prev = &tr.Iterations[iter-1]
+			}
+			mp, sel, err := a.runHeuristic(h, sub, tb, prev)
+			if err != nil {
+				return nil, fmt.Errorf("core: iteration %d: %w", iter, err)
+			}
+			if _, err := sched.Completions(sub, mp, it.Completion); err != nil {
+				return nil, fmt.Errorf("core: iteration %d: heuristic %s produced invalid mapping: %w", iter, h.Name(), err)
+			}
+			for i, l := range mp.Assign {
+				it.Assign[i] = activeMachines[l]
+			}
+			selected = sel
+			derived = restricts && a.counting.Ties == 0 && (iter == 0 || !seedable)
 		}
 		msLocal, ms := sched.MakespanMachine(it.Completion)
 		it.MakespanMachine = activeMachines[msLocal]
@@ -335,9 +376,9 @@ func IterateOpts(in *sched.Instance, h heuristics.Heuristic, policy PolicyFunc, 
 				Heuristic:       h.Name(),
 				Makespan:        it.Makespan,
 				MakespanMachine: it.MakespanMachine,
-				TiebreakCalls:   counting.Invocations,
-				Ties:            counting.Ties,
-				Candidates:      counting.Candidates,
+				TiebreakCalls:   a.counting.Invocations,
+				Ties:            a.counting.Ties,
+				Candidates:      a.counting.Candidates,
 				Selected:        selected,
 				ElapsedNS:       time.Since(heurStart).Nanoseconds(),
 			})
@@ -413,6 +454,31 @@ type arena struct {
 	// ints and floats back the Iterations' slices.
 	ints   []int
 	floats []float64
+	// counting wraps the policy of each computed run that has an observer
+	// or a restricting heuristic, so the engine sees its ties.
+	counting tiebreak.Counting
+}
+
+// derive fills it, whose Tasks and Machines are already set, from prev
+// without running the heuristic: the assignment is prev's without the frozen
+// machine's tasks, and the completion vector is prev's without the frozen
+// machine. The latter is bit-identical to a recomputation, which sums the
+// same ETCs onto the same ready time in the same task order.
+func derive(it, prev *Iteration) {
+	n := 0
+	for _, g := range prev.Assign {
+		if g != prev.Frozen {
+			it.Assign[n] = g
+			n++
+		}
+	}
+	n = 0
+	for j, g := range prev.Machines {
+		if g != prev.Frozen {
+			it.Completion[n] = prev.Completion[j]
+			n++
+		}
+	}
 }
 
 // carve returns the next n elements of *buf, capacity-capped so an append

@@ -71,6 +71,41 @@ type Seedable interface {
 	MapSeeded(in *sched.Instance, tb tiebreak.Policy, seed sched.Mapping) (sched.Mapping, error)
 }
 
+// restricting marks the heuristics for which the paper's invariance
+// induction (§3.2–3.4) holds under any tie policy. Take a run that offered
+// the policy only single candidates. Remove any one machine and the tasks
+// that run put on it. A run on what is left again sees only single
+// candidates, and it maps every remaining task to the same machine.
+// Removing the machine leaves the other machines' ready times, and every
+// remaining completion time, as they were. A unique minimum over a set stays
+// the unique minimum over any subset that still holds it. The method is
+// unexported so the set stays closed: Min-Min, MCT, MET and OLB, and Seeded
+// exactly when its Inner is one of them. Each makes one tie-breaking choice
+// per task, which the engine reports for a run it skips. Max-Min, Duplex and
+// Sufferage have counterexamples in the paper, and KPB's subset size and
+// SWA's switch depend on the machine count.
+type restricting interface {
+	restricts() bool
+}
+
+func (MinMin) restricts() bool { return true }
+func (MCT) restricts() bool    { return true }
+func (MET) restricts() bool    { return true }
+func (OLB) restricts() bool    { return true }
+
+// Seeded's induction holds from a run without a seed: its seed is then
+// always the inner mapping, so MapSeeded returns the inner mapping.
+func (s Seeded) restricts() bool { return Restricts(s.Inner) }
+
+// Restricts reports whether h has the restricting property: once a run of
+// h offers the tie policy only single candidates, every run on a
+// restriction (one machine and its tasks removed) reproduces it. The
+// iterative engine derives such iterations instead of running h.
+func Restricts(h Heuristic) bool {
+	r, ok := h.(restricting)
+	return ok && r.restricts()
+}
+
 // minIndicesInto is minIndices writing into buf (grown as needed, reused
 // across calls); the returned slice aliases buf. Candidate order and
 // tolerance semantics are identical to minIndices. Policies never retain the

@@ -3,9 +3,11 @@
 // Min-Min, MCT and MET provably never change across iterations, while random
 // tie-breaking lets all of them increase makespan.
 //
-// A tie arises when a heuristic must choose among several equally good
-// candidates (machines, or task-machine pairs). Heuristics collect the tied
-// candidate indices and delegate the choice to a Policy.
+// Heuristics present every choice to a Policy, the ones with a single
+// candidate included; a tie is a choice among several equally good
+// candidates (machines, or task-machine pairs). A single-candidate choice
+// returns that candidate and leaves the policy's state unchanged, so only
+// the ties decide what a policy does.
 package tiebreak
 
 import (
@@ -17,6 +19,13 @@ import (
 // Policy chooses one index from a non-empty slice of tied candidates.
 // Candidates are always presented in ascending canonical order (lowest task
 // or machine index first), so deterministic policies are well defined.
+//
+// Contract: Choose with one candidate returns it and leaves the policy's
+// state unchanged — a Random stream draws nothing, a Scripted script does
+// not advance, a Recorder logs nothing. Interleaving single-candidate calls
+// therefore never changes a later pick, which is what lets the iterative
+// engine skip runs whose every choice had one candidate. Counting is the one
+// wrapper that counts them; the engine wraps a run in it to see its ties.
 type Policy interface {
 	// Choose returns one element of candidates. It panics if candidates is
 	// empty: heuristics guarantee at least one candidate.
@@ -138,10 +147,11 @@ func (r *Recorder) TieCount() int { return len(r.Ties) }
 
 // Counting wraps a Policy and counts invocations, genuine ties and total
 // candidates examined, without retaining the candidate sets (Recorder keeps
-// them). It is the instrumentation wrapper the engine installs when an
-// observer is attached: delegation is exact, so wrapping never changes
-// which candidate is chosen, and Name reports the inner policy's name so
-// instrumented runs are indistinguishable in every record.
+// them). It is the one policy whose state single-candidate calls change
+// (see Policy), and the wrapper the engine installs when an observer is
+// attached or a restricting heuristic runs: delegation is exact, so wrapping
+// never changes which candidate is chosen, and Name reports the inner
+// policy's name so instrumented runs are indistinguishable in every record.
 type Counting struct {
 	Inner Policy
 	// Invocations counts Choose calls, Ties those with more than one

@@ -2,6 +2,7 @@ package tiebreak
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/rng"
@@ -191,5 +192,42 @@ func TestCountingCountsAndDelegates(t *testing.T) {
 	}
 	if got := c.Name(); got != "deterministic-last" {
 		t.Fatalf("Name() = %q, want the inner policy's name", got)
+	}
+}
+
+// TestSingleCandidateLeavesStateUnchanged pins the Policy contract: a
+// single-candidate Choose returns its candidate and changes nothing, so
+// interleaving such calls alters no later pick and no Recorder log.
+func TestSingleCandidateLeavesStateUnchanged(t *testing.T) {
+	ties := [][]int{{0, 1}, {2, 3, 4}, {1, 5}, {0, 3, 6, 9}, {7, 8}, {1, 2, 3}, {4, 6}, {0, 9}}
+	policies := map[string]func() Policy{
+		"first":    func() Policy { return First{} },
+		"last":     func() Policy { return Last{} },
+		"random":   func() Policy { return NewRandom(rng.New(11)) },
+		"scripted": func() Policy { return &Scripted{Script: []int{1, 0, 2, 3, 1}} },
+		"recorder": func() Policy { return NewRecorder(NewRandom(rng.New(11))) },
+	}
+	for name, mk := range policies {
+		plain, mixed := mk(), mk()
+		var want, got []int
+		for i, c := range ties {
+			want = append(want, plain.Choose(c))
+			for j := 0; j <= i%3; j++ {
+				single := []int{10*i + j}
+				if pick := mixed.Choose(single); pick != single[0] {
+					t.Fatalf("%s: Choose(%v) = %d", name, single, pick)
+				}
+			}
+			got = append(got, mixed.Choose(c))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: picks with single-candidate calls interleaved = %v, want %v", name, got, want)
+		}
+		if r, ok := plain.(*Recorder); ok {
+			m := mixed.(*Recorder)
+			if !reflect.DeepEqual(m.Ties, r.Ties) || !reflect.DeepEqual(m.Picks, r.Picks) {
+				t.Errorf("recorder log with single-candidate calls = %v/%v, want %v/%v", m.Ties, m.Picks, r.Ties, r.Picks)
+			}
+		}
 	}
 }

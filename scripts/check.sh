@@ -3,7 +3,8 @@
 # thing (see CLAUDE.md):
 #
 #   gofmt clean, go vet, build, full test suite, a bounded fuzz leg over
-#   the request decoders, the canonical key and the number converter,
+#   the request decoders, the canonical key, the number converter and the
+#   engine's derived iterations,
 #   paper self-check, the schedd serving smoke
 #   (ephemeral port, pinned Table-1 trace, cache byte-identity,
 #   span-tree trace leg, fault-injected recovery, panic
@@ -49,7 +50,9 @@ echo "[ok  ] go test -race (internal + cmd)"
 for target in FuzzDecodeRequest FuzzParseBatchItem FuzzSplitBatch FuzzCanonicalKey FuzzParseNumber; do
     go test ./internal/serve -run '^$' -fuzz "^${target}\$" -fuzztime 5s -parallel 2 >/dev/null
 done
-echo "[ok  ] fuzz (decoder, batch item, batch splitter, canonical key, number converter; 5 s each)"
+# The engine's derived iterations against the slow path they skip.
+go test ./internal/core -run '^$' -fuzz '^FuzzIterateDerived$' -fuzztime 5s -parallel 2 >/dev/null
+echo "[ok  ] fuzz (decoder, batch item, batch splitter, canonical key, number converter, derived iterations; 5 s each)"
 
 go run ./cmd/paperrepro
 echo "[ok  ] paperrepro"
