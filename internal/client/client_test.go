@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,8 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/rng"
+	"repro/internal/serve"
 )
 
 // newTestClient builds a client with a fake clock and recorded sleeps so
@@ -585,5 +588,55 @@ func TestRetryableExport(t *testing.T) {
 		if got := Retryable(tc.status); got != tc.want {
 			t.Fatalf("Retryable(%d) = %v, want %v", tc.status, got, tc.want)
 		}
+	}
+}
+
+// lengthRecorder is a RoundTripper that records each response's declared
+// Content-Length (-1 when chunked).
+type lengthRecorder struct {
+	lengths []int64
+}
+
+func (l *lengthRecorder) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err == nil {
+		l.lengths = append(l.lengths, resp.ContentLength)
+	}
+	return resp, err
+}
+
+// TestServeBodyReadsIntoOneBuffer: a real serve.Server frames a body over
+// net/http's 2 KiB response buffer with its exact Content-Length, so the
+// client reads it into one buffer of exactly that size.
+func TestServeBodyReadsIntoOneBuffer(t *testing.T) {
+	s := serve.NewServer(serve.Options{Workers: 1})
+	defer s.Drain(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	src := rng.New(7)
+	var etc strings.Builder
+	for i := 0; i < 96; i++ {
+		if i > 0 {
+			etc.WriteByte(',')
+		}
+		fmt.Fprintf(&etc, "[%g,%g,%g,%g]", src.UniformRange(1, 3000), src.UniformRange(1, 3000),
+			src.UniformRange(1, 3000), src.UniformRange(1, 3000))
+	}
+	body := []byte(`{"etc":[` + etc.String() + `],"heuristic":"min-min","ties":"det"}`)
+	rec := &lengthRecorder{}
+	c, _ := newTestClient(Options{Seed: 1, HTTPClient: &http.Client{Transport: rec}})
+	resp, err := c.Post(context.Background(), ts.URL+"/v1/iterate", body)
+	if err != nil {
+		t.Fatalf("Post: %v", err)
+	}
+	if len(resp.Body) <= 2048 {
+		t.Fatalf("response is %d bytes, want over 2048", len(resp.Body))
+	}
+	if len(rec.lengths) != 1 || rec.lengths[0] != int64(len(resp.Body)) {
+		t.Fatalf("declared lengths %v for a %d-byte body", rec.lengths, len(resp.Body))
+	}
+	if cap(resp.Body) != len(resp.Body) {
+		t.Fatalf("body read into a %d-byte buffer for %d bytes", cap(resp.Body), len(resp.Body))
 	}
 }

@@ -55,8 +55,11 @@ func benchPost(b *testing.B, h http.Handler, path, body string) string {
 // floatBody is a /v1/iterate body over a 32×8 hihi-i matrix whose cells
 // carry full float64 precision — the shape of real traffic, where parsing
 // the cells is most of what deriving a canonical key costs.
-func floatBody(seed uint64) string {
-	m, err := etc.GenerateClass(etc.AllClasses()[0], 32, 8, rng.New(seed))
+func floatBody(seed uint64) string { return sizedFloatBody(32, 8, seed) }
+
+// sizedFloatBody is floatBody at any tasks×machines shape.
+func sizedFloatBody(tasks, machines int, seed uint64) string {
+	m, err := etc.GenerateClass(etc.AllClasses()[0], tasks, machines, rng.New(seed))
 	if err != nil {
 		panic(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -397,6 +398,7 @@ func (g *Gateway) relay(w http.ResponseWriter, res forwardResult, tr *obs.Trace)
 	sp := tr.Start("write")
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(res.body)))
 	if res.cache != "" {
 		h.Set("X-Schedd-Cache", res.cache)
 	}
@@ -415,12 +417,15 @@ func (g *Gateway) relay(w http.ResponseWriter, res forwardResult, tr *obs.Trace)
 // from backend ones.
 func (g *Gateway) writeError(w http.ResponseWriter, status int, code, msg string, tr *obs.Trace) {
 	sp := tr.Start("write")
-	w.Header().Set("Content-Type", "application/json")
+	body := append(serve.ErrorEnvelope(code, msg), '\n')
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	if id := tr.ID(); id != "" {
-		w.Header().Set(serve.TraceHeader, id)
+		h.Set(serve.TraceHeader, id)
 	}
 	w.WriteHeader(status)
-	w.Write(append(serve.ErrorEnvelope(code, msg), '\n'))
+	w.Write(body)
 	sp.End()
 }
 
@@ -611,6 +616,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	wsp := tr.Start("write")
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(env)))
 	if id := tr.ID(); id != "" {
 		h.Set(serve.TraceHeader, id)
 	}

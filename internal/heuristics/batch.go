@@ -158,8 +158,8 @@ func sufferageMap(in *sched.Instance, tb tiebreak.Policy, wantTrace bool) (sched
 		s.inList[i] = true
 	}
 	s.holder = growInts(s.holder, nM) // task tentatively holding each machine, -1 if none
-	s.ct = growFloats(s.ct, nM)
 	s.sufferageOf = growFloats(s.sufferageOf, nT)
+	etcm := in.ETC()
 	remaining := nT
 	var passes []SufferagePass
 	for remaining > 0 {
@@ -172,10 +172,39 @@ func sufferageMap(in *sched.Instance, tb tiebreak.Policy, wantTrace bool) (sched
 			if !s.inList[t] {
 				continue
 			}
-			completionRow(in, t, ready, s.ct)
-			suff := sufferageValue(s.ct)
+			// One pass over CT(t, ·), read in place: the earliest and
+			// second-earliest completion times (sufferageValue's scan) and
+			// the earliest one's first machine. min/max keep the scan free
+			// of data-dependent branches and agree with sufferageValue's
+			// compare chain here: ETC entries are positive and finite and
+			// ready times non-negative, so every CT lies in (0, +Inf] — no
+			// NaN and no signed zero, the only inputs where they differ.
+			first, second, arg := math.Inf(1), math.Inf(1), 0
+			for m, r := range ready {
+				v := etcm.At(t, m) + r
+				if v < first {
+					arg = m
+				}
+				second = min(second, max(first, v))
+				first = min(first, v)
+			}
+			suff := 0.0
+			if nM > 1 {
+				suff = second - first
+			}
 			s.sufferageOf[t] = suff
-			s.idx = minIndicesInto(s.ct, s.idx)
+			// The candidates within Epsilon of the minimum (minIndicesInto's
+			// set): the argmin alone unless the runner-up is that close. The
+			// negated test also rescans the NaN gap of an all-infinite row.
+			s.idx = append(s.idx[:0], arg)
+			if !(second-first > Epsilon) {
+				s.idx = s.idx[:0]
+				for m := 0; m < nM; m++ {
+					if approxEqual(etcm.At(t, m)+ready[m], first) {
+						s.idx = append(s.idx, m)
+					}
+				}
+			}
 			m := tb.Choose(s.idx)
 			var outcome string
 			switch prev := s.holder[m]; {
@@ -194,7 +223,7 @@ func sufferageMap(in *sched.Instance, tb tiebreak.Policy, wantTrace bool) (sched
 			}
 			if wantTrace {
 				pass.Decisions = append(pass.Decisions, SufferageDecision{
-					Task: t, MinCT: s.ct[m], Sufferage: suff, Machine: m, Outcome: outcome,
+					Task: t, MinCT: etcm.At(t, m) + ready[m], Sufferage: suff, Machine: m, Outcome: outcome,
 				})
 			}
 		}

@@ -224,8 +224,7 @@ func (k *twoPhaseKernel) run(in *sched.Instance, tb tiebreak.Policy, useMax bool
 type sufferageScratch struct {
 	inList      []bool
 	holder      []int
-	idx         []int // minIndicesInto buffer, reused across examinations
-	ct          []float64
+	idx         []int // candidate-machine buffer, reused across examinations
 	sufferageOf []float64
 }
 

@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"testing"
 )
 
@@ -59,34 +60,52 @@ func newReplayRequest(path, body string) (*http.Request, *replayBody) {
 
 // TestCacheHitAllocs is the serve-side alloc guard: zero allocs/op on the
 // untraced raw-alias hit path (at most 8 under -race, where sync.Pool drops
-// pooled scratch at random).
+// pooled scratch at random), for a small response and for one larger than
+// net/http's 2 KiB buffer — its Content-Length value comes from the cache
+// entry, never built per hit.
 func TestCacheHitAllocs(t *testing.T) {
-	s := NewServer(Options{})
-	defer drain(t, s)
-	body := iterateBody("sufferage", "random", 42)
-	if rec := post(s, "/v1/iterate", body); rec.Code != http.StatusOK {
-		t.Fatalf("warm-up status %d: %s", rec.Code, rec.Body.String())
-	}
+	for _, tc := range []struct {
+		name, body string
+		minBytes   int
+	}{
+		{"small", iterateBody("sufferage", "random", 42), 0},
+		{"over-2KiB", string(matrixBody(64, 8, 7)), 2048},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewServer(Options{})
+			defer drain(t, s)
+			rec := post(s, "/v1/iterate", tc.body)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("warm-up status %d: %s", rec.Code, rec.Body.String())
+			}
+			if rec.Body.Len() <= tc.minBytes {
+				t.Fatalf("response is %d bytes, want over %d", rec.Body.Len(), tc.minBytes)
+			}
 
-	req, rb := newReplayRequest("/v1/iterate", body)
-	w := &nullResponseWriter{h: http.Header{}}
-	h := s.Handler()
-	// Prime the pooled scratch and the raw alias before measuring.
-	rb.reset()
-	h.ServeHTTP(w, req)
+			req, rb := newReplayRequest("/v1/iterate", tc.body)
+			w := &nullResponseWriter{h: http.Header{}}
+			h := s.Handler()
+			// Prime the pooled scratch and the raw alias before measuring.
+			rb.reset()
+			h.ServeHTTP(w, req)
+			if got := w.h.Get("Content-Length"); got != strconv.Itoa(rec.Body.Len()) {
+				t.Fatalf("hit Content-Length %q, want %d", got, rec.Body.Len())
+			}
 
-	got := testing.AllocsPerRun(200, func() {
-		rb.reset()
-		h.ServeHTTP(w, req)
-	})
-	budget := 0.0
-	if raceDetectorEnabled {
-		budget = 8
-	}
-	if got > budget {
-		t.Fatalf("untraced cache hit costs %.1f allocs/op, budget %.0f", got, budget)
-	}
-	if hits := counterValue(t, s, "serve.cache_hits"); hits == 0 {
-		t.Fatal("guard measured a non-hit path")
+			got := testing.AllocsPerRun(200, func() {
+				rb.reset()
+				h.ServeHTTP(w, req)
+			})
+			budget := 0.0
+			if raceDetectorEnabled {
+				budget = 8
+			}
+			if got > budget {
+				t.Fatalf("untraced cache hit costs %.1f allocs/op, budget %.0f", got, budget)
+			}
+			if hits := counterValue(t, s, "serve.cache_hits"); hits == 0 {
+				t.Fatal("guard measured a non-hit path")
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -123,24 +124,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// either way.
 	if aerr == nil && s.cache != nil {
 		envKey := sc.rawEnvelopeKey(body)
-		if env, _, meta, ok := s.cache.getRaw(envKey); ok {
+		if env, ok := s.cache.getRaw(envKey); ok {
 			sp.End()
 			csp := tr.Start("cache_lookup")
 			csp.SetCache("hit")
 			csp.End()
 			// Every item in the stored envelope was a cache hit; serving
 			// the envelope is those same hits again.
-			s.mHits.Add(int64(meta.items))
-			s.mBatchItems.Add(int64(meta.items))
-			wsp := tr.Start("write")
-			h := w.Header()
-			h["Content-Type"] = headerJSON
-			if id := tr.ID(); id != "" {
-				h.Set(TraceHeader, id)
-			}
-			w.Write(env)
-			wsp.End()
-			s.observeInfo(ep, http.StatusOK, "hit", reqInfo{items: meta.items}, start, tr)
+			s.mHits.Add(int64(env.meta.items))
+			s.mBatchItems.Add(int64(env.meta.items))
+			s.writeBody(w, env.body, env.clen, "", tr)
+			s.observeInfo(ep, http.StatusOK, "hit", reqInfo{items: env.meta.items}, start, tr)
 			return
 		}
 	}
@@ -190,12 +184,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if s.cache != nil {
 			lookupKey = append(lookupKey[:0], rawKeyBatchItem, rawKeySeparator)
 			lookupKey = append(lookupKey, raw...)
-			if cached, _, _, ok := s.cache.getRaw(lookupKey); ok {
+			if c, ok := s.cache.getRaw(lookupKey); ok {
 				csp := tr.Start("cache_lookup")
 				csp.SetCache("hit")
 				csp.End()
 				s.mHits.Inc()
-				results[i] = itemOutcome{status: http.StatusOK, cache: "hit", body: trimNewline(cached)}
+				results[i] = itemOutcome{status: http.StatusOK, cache: "hit", body: trimNewline(c.body)}
 				continue
 			}
 		}
@@ -255,14 +249,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	wsp := tr.Start("write")
-	h := w.Header()
-	h["Content-Type"] = headerJSON
-	if id := tr.ID(); id != "" {
-		h.Set(TraceHeader, id)
-	}
-	w.Write(env)
-	wsp.End()
+	s.writeBody(w, env, nil, "", tr)
 	s.observeInfo(ep, http.StatusOK, "", reqInfo{items: len(items)}, start, tr)
 }
 
@@ -467,48 +454,99 @@ func skipSpace(b []byte, i int) int {
 // scanJSONValue returns the end offset (exclusive) of the JSON value
 // starting at i: depth-counted for composites, string- and escape-aware,
 // delimiter-terminated for primitives. It validates only structure — the
-// value is decoded for real by parseBatchItem.
+// value is decoded for real by parseBatchItem. On failure (input ends inside
+// a string or composite) the offset is len(b).
 func scanJSONValue(b []byte, i int) (int, bool) {
-	depth := 0
-	inStr, esc := false, false
 	for ; i < len(b); i++ {
-		c := b[i]
-		if inStr {
-			switch {
-			case esc:
-				esc = false
-			case c == '\\':
-				esc = true
-			case c == '"':
-				inStr = false
-				if depth == 0 {
-					return i + 1, true
-				}
-			}
-			continue
-		}
-		switch c {
+		switch b[i] {
 		case '"':
-			inStr = true
+			return skipString(b, i+1)
 		case '{', '[':
-			depth++
-		case '}', ']':
-			if depth == 0 {
-				return i, true // primitive terminated by enclosing ']' / '}'
-			}
-			depth--
-			if depth == 0 {
-				return i + 1, true
-			}
-		case ',':
-			if depth == 0 {
-				return i, true
-			}
-		case ' ', '\t', '\n', '\r':
-			if depth == 0 {
-				return i, true
-			}
+			return skipComposite(b, i+1)
+		case '}', ']', ',', ' ', '\t', '\n', '\r':
+			return i, true // primitive terminated by a delimiter
 		}
 	}
-	return i, depth == 0 && !inStr
+	return i, true
+}
+
+// skipComposite returns the offset just past the bracket that closes the
+// composite whose first content byte is at i. Only "{}[] matter here, so
+// runs of other bytes — digits, commas, whitespace, key-free stretches of
+// a matrix — are skipped eight at a time.
+func skipComposite(b []byte, i int) (int, bool) {
+	depth := 1
+	for {
+		for i+8 <= len(b) && !hasStructural(binary.LittleEndian.Uint64(b[i:])) {
+			i += 8
+		}
+		for i < len(b) && !jsonStructural[b[i]] {
+			i++
+		}
+		if i >= len(b) {
+			return len(b), false
+		}
+		switch b[i] {
+		case '"':
+			var ok bool
+			if i, ok = skipString(b, i+1); !ok {
+				return i, false
+			}
+			continue
+		case '{', '[':
+			depth++
+		default: // '}' or ']'
+			if depth--; depth == 0 {
+				return i + 1, true
+			}
+		}
+		i++
+	}
+}
+
+// skipString returns the offset just past the closing quote of the string
+// whose first content byte is at i. Only '"' and '\\' matter inside a
+// string; a backslash escapes whatever byte follows it.
+func skipString(b []byte, i int) (int, bool) {
+	for {
+		for i+8 <= len(b) && !hasQuoteOrEscape(binary.LittleEndian.Uint64(b[i:])) {
+			i += 8
+		}
+		for i < len(b) && b[i] != '"' && b[i] != '\\' {
+			i++
+		}
+		if i >= len(b) {
+			return len(b), false
+		}
+		if b[i] == '"' {
+			return i + 1, true
+		}
+		i += 2
+	}
+}
+
+// jsonStructural marks the bytes skipComposite stops at.
+var jsonStructural = [256]bool{'"': true, '{': true, '}': true, '[': true, ']': true}
+
+// Word tests over eight bytes at once. hasZeroByte is exact as a boolean:
+// it is nonzero iff some byte of v is zero.
+const (
+	wordOnes = 0x0101010101010101
+	wordHigh = 0x8080808080808080
+)
+
+func hasZeroByte(v uint64) uint64 { return (v - wordOnes) & ^v & wordHigh }
+
+// hasStructural reports whether w may hold one of "{}[]. Setting bit 5
+// folds '[' onto '{' and ']' onto '}'; the only other byte it folds onto a
+// target is the control byte 0x02 (onto '"'), a harmless false positive the
+// byte loop rejects.
+func hasStructural(w uint64) bool {
+	y := w | 0x2020202020202020
+	return hasZeroByte(y^('"'*wordOnes))|hasZeroByte(y^('{'*wordOnes))|hasZeroByte(y^('}'*wordOnes)) != 0
+}
+
+// hasQuoteOrEscape reports whether w holds a '"' or '\\' byte.
+func hasQuoteOrEscape(w uint64) bool {
+	return hasZeroByte(w^('"'*wordOnes))|hasZeroByte(w^('\\'*wordOnes)) != 0
 }

@@ -54,10 +54,19 @@ type lru struct {
 	raw     map[string]*list.Element
 }
 
-type lruEntry struct {
-	key  string
+// cached is what a cache hit hands back, by value: the shared body, its
+// Content-Length header value (built once, when the body entered the
+// cache, so a hit of any size writes its framing without allocating), the
+// canonical key and the request summary.
+type cached struct {
 	body []byte
+	clen []string
+	key  string
 	meta entryMeta
+}
+
+type lruEntry struct {
+	cached
 	raws []string // raw alias keys pointing at this entry
 }
 
@@ -71,33 +80,32 @@ func newLRU(max int) *lru {
 	}
 }
 
-// get returns the cached body for key and marks it most recently used. The
-// returned slice is shared and must not be mutated.
-func (c *lru) get(key string) ([]byte, bool) {
+// get returns the cached entry for key and marks it most recently used.
+// The returned body and header slices are shared and must not be mutated.
+func (c *lru) get(key string) (cached, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		return nil, false
+		return cached{}, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*lruEntry).body, true
+	return el.Value.(*lruEntry).cached, true
 }
 
 // getRaw resolves a raw-body alias key (built in a caller-owned scratch
 // buffer; the map lookup on string(rawKey) does not allocate). On a hit it
-// returns the shared body, the canonical key (for trace identity) and the
-// entry's request summary, and marks the entry most recently used.
-func (c *lru) getRaw(rawKey []byte) (body []byte, key string, meta entryMeta, ok bool) {
+// returns the entry — shared body, canonical key (for trace identity) and
+// request summary — and marks it most recently used.
+func (c *lru) getRaw(rawKey []byte) (cached, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.raw[string(rawKey)]
 	if !ok {
-		return nil, "", entryMeta{}, false
+		return cached{}, false
 	}
 	c.order.MoveToFront(el)
-	e := el.Value.(*lruEntry)
-	return e.body, e.key, e.meta, true
+	return el.Value.(*lruEntry).cached, true
 }
 
 // add stores body under key, evicting the least recently used entry (and
@@ -123,7 +131,9 @@ func (c *lru) add(key string, body []byte, meta entryMeta) {
 			}
 		}
 	}
-	c.entries[key] = c.order.PushFront(&lruEntry{key: key, body: body, meta: meta})
+	c.entries[key] = c.order.PushFront(&lruEntry{cached: cached{
+		body: body, clen: contentLength(body), key: key, meta: meta,
+	}})
 }
 
 // alias registers rawKey as a raw-body alias of the canonical key's entry.

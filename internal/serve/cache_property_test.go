@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -78,8 +79,10 @@ func TestLRUEvictionOrderProperty(t *testing.T) {
 				k := src.Intn(universe)
 				key := fmt.Sprintf("key-%d", k)
 				if src.Bool() {
-					gotB, gotOK := c.get(key)
+					got, gotOK := c.get(key)
+					gotB := got.body
 					wantB, wantOK := o.get(key)
+					checkContentLength(t, step, got)
 					if gotOK != wantOK || !bytes.Equal(gotB, wantB) {
 						t.Fatalf("step %d: get(%s) = (%q, %v), oracle (%q, %v)",
 							step, key, gotB, gotOK, wantB, wantOK)
@@ -97,7 +100,8 @@ func TestLRUEvictionOrderProperty(t *testing.T) {
 			for k := 0; k < universe; k++ {
 				key := fmt.Sprintf("key-%d", k)
 				wantB, wantOK := o.bodies[key]
-				gotB, gotOK := c.get(key)
+				got, gotOK := c.get(key)
+				gotB := got.body
 				if gotOK != wantOK || !bytes.Equal(gotB, wantB) {
 					t.Fatalf("final: get(%s) = (%q, %v), oracle (%q, %v)", key, gotB, gotOK, wantB, wantOK)
 				}
@@ -219,8 +223,10 @@ func TestLRUAliasInterleavingProperty(t *testing.T) {
 				raw := fmt.Sprintf("raw-%d-var-%d", k, src.Intn(variants))
 				switch src.Intn(4) {
 				case 0:
-					gotB, gotOK := c.get(key)
+					got, gotOK := c.get(key)
+					gotB := got.body
 					wantB, wantOK := o.get(key)
+					checkContentLength(t, step, got)
 					if gotOK != wantOK || !bytes.Equal(gotB, wantB) {
 						t.Fatalf("step %d: get(%s) = (%q, %v), oracle (%q, %v)",
 							step, key, gotB, gotOK, wantB, wantOK)
@@ -232,8 +238,10 @@ func TestLRUAliasInterleavingProperty(t *testing.T) {
 					c.alias([]byte(raw), key)
 					o.alias(raw, key)
 				case 3:
-					gotB, gotKey, _, gotOK := c.getRaw([]byte(raw))
+					got, gotOK := c.getRaw([]byte(raw))
+					gotB, gotKey := got.body, got.key
 					wantB, wantKey, wantOK := o.getRaw(raw)
+					checkContentLength(t, step, got)
 					if gotOK != wantOK || gotKey != wantKey || !bytes.Equal(gotB, wantB) {
 						t.Fatalf("step %d: getRaw(%s) = (%q, %q, %v), oracle (%q, %q, %v)",
 							step, raw, gotB, gotKey, gotOK, wantB, wantKey, wantOK)
@@ -249,7 +257,8 @@ func TestLRUAliasInterleavingProperty(t *testing.T) {
 			for k := 0; k < universe; k++ {
 				for v := 0; v < variants; v++ {
 					raw := fmt.Sprintf("raw-%d-var-%d", k, v)
-					gotB, gotKey, _, gotOK := c.getRaw([]byte(raw))
+					got, gotOK := c.getRaw([]byte(raw))
+					gotB, gotKey := got.body, got.key
 					wantB, wantKey, wantOK := o.getRaw(raw)
 					if gotOK != wantOK || gotKey != wantKey || !bytes.Equal(gotB, wantB) {
 						t.Fatalf("final: getRaw(%s) = (%q, %q, %v), oracle (%q, %q, %v)",
@@ -326,5 +335,17 @@ func TestDrainWithQueuedRequests(t *testing.T) {
 	}
 	if got := s.queued.Load(); got != 0 {
 		t.Fatalf("queued counter %d after drain, want 0", got)
+	}
+}
+
+// checkContentLength: a hit's stored Content-Length value frames its body
+// exactly.
+func checkContentLength(t *testing.T, step int, c cached) {
+	t.Helper()
+	if c.body == nil {
+		return
+	}
+	if len(c.clen) != 1 || c.clen[0] != strconv.Itoa(len(c.body)) {
+		t.Fatalf("step %d: Content-Length %q for a %d-byte body", step, c.clen, len(c.body))
 	}
 }

@@ -278,41 +278,35 @@ var numScratchPool = sync.Pool{New: func() any { return new(numScratch) }}
 // not pin its buffers for the life of the process.
 const maxPooledCells = 1 << 16
 
-// list scans "[" elem ("," elem)* "]" or "[]", calling elem at each element.
-func (d *decoder) list(elem func() bool) bool {
+// floatsInto appends one array of numbers — "[" number ("," number)* "]"
+// or "[]" — to vals.
+func (d *decoder) floatsInto(vals []float64) ([]float64, bool) {
 	if !d.eat('[') {
-		return false
+		return vals, false
 	}
 	d.skip()
 	if d.eat(']') {
-		return true
+		return vals, true
 	}
 	for {
-		if !elem() {
-			return false
+		n, ok := d.number()
+		if !ok {
+			return vals, false
+		}
+		f, ok := n.float()
+		vals = append(vals, f)
+		if !ok {
+			return vals, false
 		}
 		d.skip()
 		if d.eat(']') {
-			return true
+			return vals, true
 		}
 		if !d.eat(',') {
-			return false
+			return vals, false
 		}
 		d.skip()
 	}
-}
-
-// floatsInto appends one array of numbers to vals.
-func (d *decoder) floatsInto(vals *[]float64) bool {
-	return d.list(func() bool {
-		n, ok := d.number()
-		if !ok {
-			return false
-		}
-		f, ok := n.float()
-		*vals = append(*vals, f)
-		return ok
-	})
 }
 
 // floats decodes an array of numbers into an exact-size slice; "[]" yields
@@ -320,8 +314,8 @@ func (d *decoder) floatsInto(vals *[]float64) bool {
 func (d *decoder) floats() ([]float64, bool) {
 	sc := numScratchPool.Get().(*numScratch)
 	defer putNumScratch(sc)
-	sc.vals = sc.vals[:0]
-	if !d.floatsInto(&sc.vals) {
+	var ok bool
+	if sc.vals, ok = d.floatsInto(sc.vals[:0]); !ok {
 		return nil, false
 	}
 	return append(make([]float64, 0, len(sc.vals)), sc.vals...), true
@@ -333,15 +327,26 @@ func (d *decoder) matrix() ([][]float64, bool) {
 	sc := numScratchPool.Get().(*numScratch)
 	defer putNumScratch(sc)
 	sc.vals, sc.ends = sc.vals[:0], sc.ends[:0]
-	ok := d.list(func() bool {
-		if !d.floatsInto(&sc.vals) {
-			return false
-		}
-		sc.ends = append(sc.ends, len(sc.vals))
-		return true
-	})
-	if !ok {
+	if !d.eat('[') {
 		return nil, false
+	}
+	d.skip()
+	if !d.eat(']') {
+		for {
+			var ok bool
+			if sc.vals, ok = d.floatsInto(sc.vals); !ok {
+				return nil, false
+			}
+			sc.ends = append(sc.ends, len(sc.vals))
+			d.skip()
+			if d.eat(']') {
+				break
+			}
+			if !d.eat(',') {
+				return nil, false
+			}
+			d.skip()
+		}
 	}
 	back := append(make([]float64, 0, len(sc.vals)), sc.vals...)
 	rows := make([][]float64, len(sc.ends))

@@ -535,19 +535,19 @@ func (s *Server) handleSchedule(ep endpoint) http.HandlerFunc {
 		var rawKey []byte
 		if s.cache != nil {
 			rawKey = sc.rawSingletonKey(ep, body)
-			if cached, canonKey, meta, ok := s.cache.getRaw(rawKey); ok {
+			if c, ok := s.cache.getRaw(rawKey); ok {
 				sp.End()
 				// Same canonical key, same deterministic trace identity as
 				// the parse path would derive.
-				tr.SetKey(canonKey)
+				tr.SetKey(c.key)
 				csp := tr.Start("cache_lookup")
 				csp.SetCache("hit")
 				csp.End()
 				s.mHits.Inc()
-				s.writeBody(w, cached, "hit", tr)
+				s.writeBody(w, c.body, c.clen, "hit", tr)
 				s.observeInfo(ep, http.StatusOK, "hit", reqInfo{
-					heuristic: meta.heuristic, seed: meta.seed,
-					tasks: meta.tasks, machines: meta.machines, has: true,
+					heuristic: c.meta.heuristic, seed: c.meta.seed,
+					tasks: c.meta.tasks, machines: c.meta.machines, has: true,
 				}, start, tr)
 				return
 			}
@@ -586,7 +586,7 @@ func (s *Server) handleSchedule(ep endpoint) http.HandlerFunc {
 			// takes the fast path. No-ops when the entry is gone.
 			s.cache.alias(rawKey, p.key)
 		}
-		s.writeBody(w, body2, state, tr)
+		s.writeBody(w, body2, nil, state, tr)
 		s.observe(ep, http.StatusOK, state, p, start, tr)
 	}
 }
@@ -602,7 +602,7 @@ func (s *Server) handleSchedule(ep endpoint) http.HandlerFunc {
 func (s *Server) resolve(rctx context.Context, p *parsedRequest, tr *obs.Trace) ([]byte, string, *apiError) {
 	if s.cache != nil {
 		sp := tr.Start("cache_lookup")
-		cached, ok := s.cache.get(p.key)
+		c, ok := s.cache.get(p.key)
 		if ok {
 			sp.SetCache("hit")
 		} else {
@@ -611,7 +611,7 @@ func (s *Server) resolve(rctx context.Context, p *parsedRequest, tr *obs.Trace) 
 		sp.End()
 		if ok {
 			s.mHits.Inc()
-			return cached, "hit", nil
+			return c.body, "hit", nil
 		}
 	}
 	if s.store != nil && s.consultDisk() {
@@ -1009,18 +1009,33 @@ var (
 	}
 )
 
+// contentLength is the Content-Length header value framing body. Every
+// buffered response carries one, so net/http sends bodies of any size
+// unchunked and a client can read each into one exact-size buffer.
+func contentLength(body []byte) []string {
+	return []string{strconv.Itoa(len(body))}
+}
+
 // writeBody writes a 200 scheduling response. cacheState ("hit", "disk",
 // "miss" or "coalesced") goes in the X-Schedd-Cache header: headers may differ by how
-// the bytes were obtained, bodies never do. The write itself is the trace's
-// "write" stage.
-func (s *Server) writeBody(w http.ResponseWriter, body []byte, cacheState string, tr *obs.Trace) {
+// the bytes were obtained, bodies never do. A batch envelope passes "" and
+// gets no such header; its items carry their own states. clen is body's
+// Content-Length value when the cache already holds it, else nil. The
+// write itself is the trace's "write" stage.
+func (s *Server) writeBody(w http.ResponseWriter, body []byte, clen []string, cacheState string, tr *obs.Trace) {
 	sp := tr.Start("write")
 	h := w.Header()
 	h["Content-Type"] = headerJSON
-	if v, ok := headerCacheState[cacheState]; ok {
+	if clen == nil {
+		clen = contentLength(body)
+	}
+	h["Content-Length"] = clen
+	if cacheState != "" {
+		v, ok := headerCacheState[cacheState]
+		if !ok {
+			v = []string{cacheState}
+		}
 		h["X-Schedd-Cache"] = v
-	} else {
-		h["X-Schedd-Cache"] = []string{cacheState}
 	}
 	if id := tr.ID(); id != "" {
 		h.Set(TraceHeader, id)
@@ -1045,14 +1060,17 @@ func (s *Server) writeError(w http.ResponseWriter, aerr *apiError, tr *obs.Trace
 	if aerr.retryAfterSec > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(aerr.retryAfterSec))
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if id := tr.ID(); id != "" {
-		w.Header().Set(TraceHeader, id)
-	}
-	w.WriteHeader(aerr.status)
 	// The envelope bytes are shared with batch item results (errorEnvelope)
 	// so the two can never drift.
-	w.Write(append(errorEnvelope(aerr), '\n'))
+	body := append(errorEnvelope(aerr), '\n')
+	h := w.Header()
+	h["Content-Type"] = headerJSON
+	h["Content-Length"] = contentLength(body)
+	if id := tr.ID(); id != "" {
+		h.Set(TraceHeader, id)
+	}
+	w.WriteHeader(aerr.status)
+	w.Write(body)
 	sp.End()
 }
 

@@ -135,7 +135,7 @@ type Store struct {
 	diskReads, puts, dupPuts atomic.Int64
 	quarantined              atomic.Int64
 	health                   health
-	scratch                  sync.Pool // *[]byte record-encode buffers
+	scratch                  sync.Pool // *[]byte record encode/read buffers
 }
 
 // Record layout, little-endian, one per append:
@@ -378,13 +378,13 @@ func (s *Store) lookupLocked(key string) (body []byte, ok, touched bool, readErr
 	if !found || int(loc.keyLen) != len(key) {
 		return nil, false, false, nil, nil
 	}
-	gotKey, b, valid, err := s.readRecordChecked(loc)
+	b, valid, match, err := s.readRecordChecked(loc, key)
 	switch {
 	case err != nil:
 		return nil, false, true, err, nil
 	case !valid:
 		return nil, false, true, nil, &quarantineRec{fp: h1, loc: loc}
-	case string(gotKey) != key:
+	case !match:
 		return nil, false, true, nil, nil // fingerprint collision
 	}
 	return b, true, true, nil, nil
@@ -397,22 +397,46 @@ type quarantineRec struct {
 	loc recordLoc
 }
 
-// readRecordChecked reads one whole record and verifies its CRC. valid is
-// false (with nil error) when the bytes came back but fail the checksum —
-// the caller quarantines the record. The body subslice aliases the freshly
-// allocated record buffer, so it is safe to hand to the caller.
-func (s *Store) readRecordChecked(loc recordLoc) (key, body []byte, valid bool, err error) {
+// readRecordChecked reads one whole record into pooled scratch and
+// verifies its CRC over header, key and body. valid is false (with nil
+// error) when the bytes came back but fail the checksum — the caller
+// quarantines the record. match reports whether the stored key is key;
+// only then is the body copied out, into a fresh slice with cap == len, so
+// a caller that keeps it (the LRU promotes disk hits) keeps exactly the
+// body and not the record's header, key and CRC around it.
+func (s *Store) readRecordChecked(loc recordLoc, key string) (body []byte, valid, match bool, err error) {
 	s.diskReads.Add(1)
-	buf := make([]byte, recordLen(int(loc.keyLen), int(loc.bodyLen)))
+	bp := s.scratch.Get().(*[]byte)
+	defer s.putScratch(bp)
+	n := int(recordLen(int(loc.keyLen), int(loc.bodyLen)))
+	if cap(*bp) < n {
+		*bp = make([]byte, n)
+	}
+	buf := (*bp)[:n]
 	if _, err := s.segs[loc.seg].f.ReadAt(buf, loc.off); err != nil {
-		return nil, nil, false, fmt.Errorf("store: %w", err)
+		return nil, false, false, fmt.Errorf("store: %w", err)
 	}
-	payload := len(buf) - recordTrailerLen
+	payload := n - recordTrailerLen
 	if crc32.ChecksumIEEE(buf[:payload]) != binary.LittleEndian.Uint32(buf[payload:]) {
-		return nil, nil, false, nil
+		return nil, false, false, nil
 	}
-	key = buf[recordHeaderLen : recordHeaderLen+int(loc.keyLen)]
-	return key, buf[recordHeaderLen+int(loc.keyLen) : payload], true, nil
+	keyEnd := recordHeaderLen + int(loc.keyLen)
+	if string(buf[recordHeaderLen:keyEnd]) != key {
+		return nil, true, false, nil
+	}
+	body = make([]byte, payload-keyEnd)
+	copy(body, buf[keyEnd:payload])
+	return body, true, true, nil
+}
+
+// maxPooledRecord bounds the record scratch the pool keeps: one oversized
+// record must not pin its buffer for the life of the process.
+const maxPooledRecord = 1 << 19
+
+func (s *Store) putScratch(bp *[]byte) {
+	if cap(*bp) <= maxPooledRecord {
+		s.scratch.Put(bp)
+	}
 }
 
 // probeLocked performs one read probe under the read lock: a single byte
@@ -491,7 +515,7 @@ func (s *Store) Put(key string, body []byte) error {
 	rec = binary.LittleEndian.AppendUint32(rec, crc)
 	_, err := active.f.WriteAt(rec, active.size)
 	*bp = rec
-	s.scratch.Put(bp)
+	s.putScratch(bp)
 	if err != nil {
 		// A failed or torn append leaves overwritable garbage past
 		// active.size (never indexed, overwritten by the next append, and

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/rng"
@@ -383,5 +384,46 @@ func TestOpensEarlierSegments(t *testing.T) {
 		if err != nil || !ok || !bytes.Equal(body, testBody(i)) {
 			t.Fatalf("Get(%d) = (%q, %v, %v), want the stored body", i, body, ok, err)
 		}
+	}
+}
+
+// TestGetBodyIsExactSize: a disk hit returns a body with cap == len, read
+// through pooled scratch, so the bytes one Get allocates are about the body
+// alone — not the record's header, key and CRC, which a promoted body
+// would otherwise keep alive.
+func TestGetBodyIsExactSize(t *testing.T) {
+	st, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer st.Close()
+	key := fmt.Sprintf("key-%0400d", 7)             // canonical keys are long: they encode a matrix
+	want := bytes.Repeat([]byte("0123456789"), 100) // not a size class: append would round cap up
+	if err := st.Put(key, want); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	get := func() {
+		body, ok, err := st.Get(key)
+		if err != nil || !ok || !bytes.Equal(body, want) {
+			t.Fatalf("Get = %d bytes, %v, %v", len(body), ok, err)
+		}
+		if cap(body) != len(body) {
+			t.Fatalf("Get body has cap %d for %d bytes", cap(body), len(body))
+		}
+	}
+	get()
+	if raceDetectorEnabled {
+		return // pooled scratch is dropped at random: the byte count is noise
+	}
+	const gets = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < gets; i++ {
+		get()
+	}
+	runtime.ReadMemStats(&after)
+	perGet := (after.TotalAlloc - before.TotalAlloc) / gets
+	if record := uint64(recordLen(len(key), len(want))); perGet > uint64(len(want))+64 || perGet >= record {
+		t.Fatalf("a disk hit allocates %d B for a %d-byte body (%d-byte record)", perGet, len(want), record)
 	}
 }

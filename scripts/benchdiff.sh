@@ -21,7 +21,8 @@
 # The default PATTERN covers the batch-heuristic kernels, every
 # heuristic's single Map and the full iterative technique
 # (HeuristicMap, IterativeTechnique), the serving
-# fast paths (raw-alias cache hits, /v1/batch), the request decoder and
+# fast paths (raw-alias cache hits, /v1/batch and its structural splitter:
+# BatchServe, SplitBatch), the request decoder and
 # response encoder (DecodeRequest, CanonicalKey, MarshalIterate), the
 # cluster gateway hop and its rendezvous ranking (Gateway, Rank) and the
 # disk result tier (internal/store Get/Put/Open) this repo's perf work
@@ -38,7 +39,7 @@ case $# in
     *) echo "usage: scripts/benchdiff.sh [file] [old-label new-label]" >&2; exit 2 ;;
 esac
 threshold="${THRESHOLD:-20}"
-pattern="${PATTERN:-min-min|max-min|duplex|sufferage|minmin|BatchKernel|IterativeTechnique|HeuristicMap|Serve|Store|DecodeRequest|CanonicalKey|MarshalIterate|Gateway|Rank}"
+pattern="${PATTERN:-min-min|max-min|duplex|sufferage|minmin|BatchKernel|IterativeTechnique|HeuristicMap|Serve|SplitBatch|BatchServe|Store|DecodeRequest|CanonicalKey|MarshalIterate|Gateway|Rank}"
 
 if [ ! -f "$file" ]; then
     echo "benchdiff: $file not found" >&2
