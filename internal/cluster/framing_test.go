@@ -1,12 +1,15 @@
 package cluster
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/serve"
 )
 
 // TestGatewayResponsesCarryContentLength: a relayed singleton and a merged
@@ -41,5 +44,55 @@ func TestGatewayResponsesCarryContentLength(t *testing.T) {
 			t.Fatalf("POST %s: Content-Length %q, TransferEncoding %q for a %d-byte body",
 				tc.path, cl, resp.TransferEncoding, len(got))
 		}
+	}
+}
+
+// TestGatewayReadBodyEnvelopes pins the gateway's inbound body read on
+// every framing: a declared length within the limit is read exactly (and a
+// body shorter than it is the 400 net/http's own short read produces), a
+// declared length over the limit and an over-limit chunked body are the
+// backend-identical 413, and a chunked body within the limit is served
+// byte-identically to a single instance.
+func TestGatewayReadBodyEnvelopes(t *testing.T) {
+	const limit = 1024
+	_, g, _ := startCluster(t, 2, Options{MaxBodyBytes: limit})
+	ref := serve.NewServer(serve.Options{Workers: 1, MaxBodyBytes: limit})
+	defer ref.Drain(context.Background())
+	big := `{"etc":[[1]],"heuristic":"min-min","ties":"` + strings.Repeat("x", limit) + `"}`
+	short := string(serve.ErrorEnvelope(serve.CodeBadRequest, "reading body: unexpected EOF")) + "\n"
+
+	for _, tc := range []struct {
+		name       string
+		body       string
+		length     int64 // declared Content-Length; -1 is chunked
+		wantStatus int
+	}{
+		{"exact", mapBody(1), int64(len(mapBody(1))), http.StatusOK},
+		{"short", mapBody(1)[:10], int64(len(mapBody(1))), http.StatusBadRequest},
+		{"declared-over-limit", big, int64(len(big)), http.StatusRequestEntityTooLarge},
+		{"chunked", mapBody(2), -1, http.StatusOK},
+		{"chunked-over-limit", big, -1, http.StatusRequestEntityTooLarge},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			serveOne := func(h http.Handler) *httptest.ResponseRecorder {
+				// A bare reader: httptest.NewRequest would derive the
+				// length from a *strings.Reader.
+				req := httptest.NewRequest(http.MethodPost, "/v1/map", struct{ io.Reader }{strings.NewReader(tc.body)})
+				req.ContentLength = tc.length
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				return rec
+			}
+			// The single instance cannot see a short body (it reads to
+			// EOF); everything else it answers byte for byte as the
+			// gateway must.
+			want := short
+			if tc.name != "short" {
+				want = serveOne(ref.Handler()).Body.String()
+			}
+			if rec := serveOne(g.Handler()); rec.Code != tc.wantStatus || rec.Body.String() != want {
+				t.Fatalf("status %d body %q; want %d %q", rec.Code, rec.Body.String(), tc.wantStatus, want)
+			}
+		})
 	}
 }

@@ -430,10 +430,22 @@ func (g *Gateway) writeError(w http.ResponseWriter, status int, code, msg string
 }
 
 // readBody reads the request body under the MaxBodyBytes limit, writing
-// the canonical 413 (same message a backend would produce) on overflow.
+// the canonical 413 (same message a backend would produce) on overflow. A
+// declared Content-Length within the limit is read into one buffer of
+// exactly that size, and a body shorter than it is a 400; chunked bodies
+// and declared lengths over the limit go through io.ReadAll, which meets
+// the limit as the bytes arrive.
 func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request, ep string, start time.Time, tr *obs.Trace) ([]byte, bool) {
 	sp := tr.Start("decode")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.maxBody))
+	rd := http.MaxBytesReader(w, r.Body, g.maxBody)
+	var body []byte
+	var err error
+	if n := r.ContentLength; n >= 0 && n <= g.maxBody {
+		body = make([]byte, n)
+		_, err = io.ReadFull(rd, body)
+	} else {
+		body, err = io.ReadAll(rd)
+	}
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {

@@ -123,8 +123,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// re-resolution would produce), so statuses and bodies are identical
 	// either way.
 	if aerr == nil && s.cache != nil {
-		envKey := sc.rawEnvelopeKey(body)
-		if env, ok := s.cache.getRaw(envKey); ok {
+		if env, ok := s.cache.getRaw(sc.rawKey(rawAlias{head: rawHeadBatchEnv, body: body})); ok {
 			sp.End()
 			csp := tr.Start("cache_lookup")
 			csp.SetCache("hit")
@@ -179,12 +178,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	results := make([]itemOutcome, len(items))
 	ssp := tr.Start("batch_split")
 	var wg sync.WaitGroup
-	lookupKey := sc.key // reused per item; copied only when an item dispatches
-	for i, raw := range items {
+	for i, item := range items {
+		var raw rawAlias
 		if s.cache != nil {
-			lookupKey = append(lookupKey[:0], rawKeyBatchItem, rawKeySeparator)
-			lookupKey = append(lookupKey, raw...)
-			if c, ok := s.cache.getRaw(lookupKey); ok {
+			raw = rawAlias{head: rawHeadBatchItem, body: item}
+			if c, ok := s.cache.getRaw(sc.rawKey(raw)); ok {
 				csp := tr.Start("cache_lookup")
 				csp.SetCache("hit")
 				csp.End()
@@ -193,34 +191,28 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 		}
-		p, aerr := parseBatchItem(raw, s.lim)
+		p, aerr := parseBatchItem(item, s.lim)
 		if aerr != nil {
 			results[i] = itemOutcome{status: aerr.status, body: errorEnvelope(aerr)}
 			continue
 		}
-		var rawKey []byte
-		if s.cache != nil {
-			rawKey = rawBatchItemKey(raw) // durable: outlives the loop's scratch
-		}
 		wg.Add(1)
-		go func(slot *itemOutcome, p *parsedRequest, rawKey []byte) {
+		go func(slot *itemOutcome, p *parsedRequest, raw rawAlias) {
 			defer wg.Done()
-			// The singleton resolution path, verbatim: canonical cache,
-			// coalescing with concurrent identical requests (including
-			// singleton ones), bounded queue. Trace methods are safe for
-			// concurrent use, so items share the batch's span tree.
-			body, state, aerr := s.resolve(r.Context(), p, tr)
+			// The singleton resolution path, verbatim: canonical cache
+			// (a hit admits the item's bytes as a raw alias, copied once
+			// from the request body, which outlives wg.Wait), coalescing
+			// with concurrent identical requests (including singleton
+			// ones), bounded queue. Trace methods are safe for concurrent
+			// use, so items share the batch's span tree.
+			body, state, aerr := s.resolve(r.Context(), p, raw, tr)
 			if aerr != nil {
 				*slot = itemOutcome{status: aerr.status, cache: state, body: errorEnvelope(aerr)}
 				return
 			}
-			if s.cache != nil {
-				s.cache.alias(rawKey, p.key)
-			}
 			*slot = itemOutcome{status: http.StatusOK, cache: state, body: trimNewline(body)}
-		}(&results[i], p, rawKey)
+		}(&results[i], p, raw)
 	}
-	sc.key = lookupKey
 	ssp.End()
 
 	// batch_merge: wait for every in-flight item, then assemble the
@@ -239,13 +231,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				break
 			}
 		}
-		if allHit && len(body)+2 <= maxRawAliasBytes {
+		if allHit && len(rawHeadBatchEnv)+len(body) <= maxRawAliasBytes {
 			// Store the assembled envelope for the whole-envelope fast
 			// path. body still holds the request bytes (sc.buf is untouched
 			// since the read); the canonical key is their copy.
-			envKey := rawEnvelopeKeyCopy(body)
+			envKey := rawAlias{head: rawHeadBatchEnv, body: body}.key()
 			s.cache.add(envKey, append([]byte(nil), env...), entryMeta{items: len(items)})
-			s.cache.alias([]byte(envKey), envKey)
+			s.cache.alias(envKey, envKey)
 		}
 	}
 

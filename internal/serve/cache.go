@@ -2,6 +2,7 @@ package serve
 
 import (
 	"container/list"
+	"strings"
 	"sync"
 )
 
@@ -13,11 +14,37 @@ import (
 const (
 	maxRawAliases    = 8
 	maxRawAliasBytes = 64 << 10
-	rawKeySingleton  = 's' // raw key namespace: whole singleton bodies
-	rawKeyBatchItem  = 'b' // raw key namespace: batch item extents
-	rawKeyBatchEnv   = 'B' // raw key namespace: whole batch bodies → envelopes
-	rawKeySeparator  = 0
 )
+
+// Raw-key namespace heads: a raw alias key is one of these followed by the
+// exact request bytes, so whole singleton bodies (per endpoint, see
+// rawHeadSingleton), batch item extents and whole batch bodies can never
+// share a key.
+const (
+	rawHeadBatchItem = "b\x00" // batch item extents
+	rawHeadBatchEnv  = "B\x00" // whole batch bodies → envelopes
+)
+
+// rawHeadSingleton is the namespace head of whole singleton bodies posted
+// to ep.
+func rawHeadSingleton(ep endpoint) string { return "s\x00" + string(ep) + "\x00" }
+
+// rawAlias names a request's exact bytes under a raw-key namespace without
+// copying them: the alias key is head followed by body.
+type rawAlias struct {
+	head string
+	body []byte
+}
+
+// key is the alias key as a durable string: one allocation, one copy (a
+// plain head + string(body) would copy body twice).
+func (r rawAlias) key() string {
+	var b strings.Builder
+	b.Grow(len(r.head) + len(r.body))
+	b.WriteString(r.head)
+	b.Write(r.body)
+	return b.String()
+}
 
 // entryMeta is the request summary stored beside a cached body so the
 // raw-alias fast path can emit a complete request_done event without
@@ -42,10 +69,12 @@ type entryMeta struct {
 // bytes of a request body that previously parsed to a canonical key map
 // straight to that key's entry. A repeat of byte-identical traffic (the
 // dominant cache-hit shape) then resolves with one map lookup and zero
-// parsing — the allocation-free hit path. Aliases are exact byte strings in
-// disjoint namespaces (singleton bodies vs batch item extents), so two
-// different bodies can never share an alias; they are evicted with their
-// entry.
+// parsing — the allocation-free hit path. A body is admitted as an alias
+// on its second sighting, when its canonical lookup hits (see lookup): a
+// first sighting copies no bytes, so traffic that never repeats pays
+// nothing for the index. Aliases are exact byte strings in disjoint
+// namespaces (singleton bodies vs batch item extents), so two different
+// bodies can never share an alias; they are evicted with their entry.
 type lru struct {
 	mu      sync.Mutex
 	max     int
@@ -80,17 +109,31 @@ func newLRU(max int) *lru {
 	}
 }
 
-// get returns the cached entry for key and marks it most recently used.
+// lookup returns the cached entry for key and marks it most recently used.
 // The returned body and header slices are shared and must not be mutated.
-func (c *lru) get(key string) (cached, bool) {
+//
+// raw names the exact request bytes that reached this canonical lookup
+// because they missed the raw-alias index (zero when there are none). A
+// hit means the request was seen before, so raw is admitted as an alias
+// now, on its second sighting, and a third takes the raw path. A miss
+// admits nothing: most first sightings never repeat, so they copy no
+// bytes. The alias key is copied after the lock is released, and only
+// while the entry has alias room.
+func (c *lru) lookup(key string, raw rawAlias) (cached, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
+		c.mu.Unlock()
 		return cached{}, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*lruEntry).cached, true
+	e := el.Value.(*lruEntry)
+	hit, room := e.cached, len(e.raws) < maxRawAliases
+	c.mu.Unlock()
+	if room && raw.head != "" && len(raw.head)+len(raw.body) <= maxRawAliasBytes {
+		c.alias(raw.key(), key)
+	}
+	return hit, true
 }
 
 // getRaw resolves a raw-body alias key (built in a caller-owned scratch
@@ -137,15 +180,16 @@ func (c *lru) add(key string, body []byte, meta entryMeta) {
 }
 
 // alias registers rawKey as a raw-body alias of the canonical key's entry.
-// It no-ops when the entry is gone (evicted, or caching of the computation
-// failed), the alias already exists, or the entry is at its alias cap.
-func (c *lru) alias(rawKey []byte, key string) {
+// It no-ops when rawKey is over maxRawAliasBytes, the entry is gone
+// (evicted, or caching of the computation failed), the alias already
+// exists, or the entry is at its alias cap.
+func (c *lru) alias(rawKey, key string) {
 	if len(rawKey) > maxRawAliasBytes {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.raw[string(rawKey)]; ok {
+	if _, ok := c.raw[rawKey]; ok {
 		return
 	}
 	el, ok := c.entries[key]
@@ -156,9 +200,8 @@ func (c *lru) alias(rawKey []byte, key string) {
 	if len(e.raws) >= maxRawAliases {
 		return
 	}
-	rk := string(rawKey)
-	e.raws = append(e.raws, rk)
-	c.raw[rk] = el
+	e.raws = append(e.raws, rawKey)
+	c.raw[rawKey] = el
 }
 
 // len returns the number of cached entries.

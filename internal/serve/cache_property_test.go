@@ -15,8 +15,8 @@ import (
 
 // oracleLRU is the obviously-correct reference: a recency-ordered slice
 // (front = most recently used) plus a body map, mirroring lru's contract:
-// get moves to front; add of an existing key refreshes recency and keeps
-// the original body; add at capacity evicts the back.
+// lookup moves to front; add of an existing key refreshes recency and
+// keeps the original body; add at capacity evicts the back.
 type oracleLRU struct {
 	max    int
 	keys   []string // front = most recently used
@@ -79,7 +79,7 @@ func TestLRUEvictionOrderProperty(t *testing.T) {
 				k := src.Intn(universe)
 				key := fmt.Sprintf("key-%d", k)
 				if src.Bool() {
-					got, gotOK := c.get(key)
+					got, gotOK := c.lookup(key, rawAlias{})
 					gotB := got.body
 					wantB, wantOK := o.get(key)
 					checkContentLength(t, step, got)
@@ -100,7 +100,7 @@ func TestLRUEvictionOrderProperty(t *testing.T) {
 			for k := 0; k < universe; k++ {
 				key := fmt.Sprintf("key-%d", k)
 				wantB, wantOK := o.bodies[key]
-				got, gotOK := c.get(key)
+				got, gotOK := c.lookup(key, rawAlias{})
 				gotB := got.body
 				if gotOK != wantOK || !bytes.Equal(gotB, wantB) {
 					t.Fatalf("final: get(%s) = (%q, %v), oracle (%q, %v)", key, gotB, gotOK, wantB, wantOK)
@@ -112,8 +112,9 @@ func TestLRUEvictionOrderProperty(t *testing.T) {
 
 // aliasOracle extends oracleLRU with the raw-alias index contract: a raw
 // key maps to at most one live canonical entry, an entry carries at most
-// maxRawAliases raw keys for its lifetime in the cache, and eviction drops
-// an entry's aliases with it.
+// maxRawAliases raw keys for its lifetime in the cache, eviction drops an
+// entry's aliases with it, and a canonical lookup admits its raw bytes as
+// an alias only when it hits (second-sighting admission).
 type aliasOracle struct {
 	*oracleLRU
 	rawOf   map[string]string   // raw key -> canonical key (live entries only)
@@ -160,6 +161,16 @@ func (o *aliasOracle) alias(raw, key string) {
 	o.aliases[key] = append(o.aliases[key], raw)
 }
 
+// lookup is a canonical lookup reached by raw bytes that missed the raw
+// index: a hit admits raw, a miss admits nothing.
+func (o *aliasOracle) lookup(key, raw string) ([]byte, bool) {
+	b, ok := o.get(key)
+	if ok {
+		o.alias(raw, key)
+	}
+	return b, ok
+}
+
 func (o *aliasOracle) getRaw(raw string) (body []byte, key string, ok bool) {
 	key, ok = o.rawOf[raw]
 	if !ok {
@@ -198,8 +209,9 @@ func checkAliasStructure(t *testing.T, step int, c *lru) {
 	}
 }
 
-// TestLRUAliasInterleavingProperty interleaves add/alias/getRaw/get (the
-// full mutation surface of the cache, eviction included) against the alias
+// TestLRUAliasInterleavingProperty interleaves add/alias/getRaw and
+// lookup, with and without raw bytes to admit (the full mutation surface of
+// the cache, eviction included) against the alias
 // oracle with seeded random streams, checking observable behavior on every
 // step plus the raw-index structural invariants: a raw key never resolves
 // to an evicted entry, and an entry never exceeds maxRawAliases aliases —
@@ -221,9 +233,9 @@ func TestLRUAliasInterleavingProperty(t *testing.T) {
 				k := src.Intn(universe)
 				key := fmt.Sprintf("key-%d", k)
 				raw := fmt.Sprintf("raw-%d-var-%d", k, src.Intn(variants))
-				switch src.Intn(4) {
+				switch src.Intn(5) {
 				case 0:
-					got, gotOK := c.get(key)
+					got, gotOK := c.lookup(key, rawAlias{})
 					gotB := got.body
 					wantB, wantOK := o.get(key)
 					checkContentLength(t, step, got)
@@ -235,7 +247,7 @@ func TestLRUAliasInterleavingProperty(t *testing.T) {
 					c.add(key, body(k), entryMeta{})
 					o.add(key, body(k))
 				case 2:
-					c.alias([]byte(raw), key)
+					c.alias(raw, key)
 					o.alias(raw, key)
 				case 3:
 					got, gotOK := c.getRaw([]byte(raw))
@@ -245,6 +257,17 @@ func TestLRUAliasInterleavingProperty(t *testing.T) {
 					if gotOK != wantOK || gotKey != wantKey || !bytes.Equal(gotB, wantB) {
 						t.Fatalf("step %d: getRaw(%s) = (%q, %q, %v), oracle (%q, %q, %v)",
 							step, raw, gotB, gotKey, gotOK, wantB, wantKey, wantOK)
+					}
+				case 4:
+					// The request path's canonical lookup: raw arrives as a
+					// namespace head plus bytes and is copied only if admitted.
+					got, gotOK := c.lookup(key, rawAlias{head: raw[:4], body: []byte(raw[4:])})
+					gotB := got.body
+					wantB, wantOK := o.lookup(key, raw)
+					checkContentLength(t, step, got)
+					if gotOK != wantOK || !bytes.Equal(gotB, wantB) {
+						t.Fatalf("step %d: lookup(%s, %s) = (%q, %v), oracle (%q, %v)",
+							step, key, raw, gotB, gotOK, wantB, wantOK)
 					}
 				}
 				if c.len() != len(o.keys) {

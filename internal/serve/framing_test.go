@@ -68,8 +68,7 @@ func TestResponsesCarryContentLength(t *testing.T) {
 	batch := batchBody(items...)
 	postFramed(t, ts.URL+"/v1/batch", batch, http.StatusOK) // items computed
 	postFramed(t, ts.URL+"/v1/batch", batch, http.StatusOK) // all hits: envelope stored
-	envKey := append([]byte{rawKeyBatchEnv, rawKeySeparator}, batch...)
-	if _, ok := s.cache.getRaw(envKey); !ok {
+	if _, ok := s.cache.getRaw([]byte(rawHeadBatchEnv + batch)); !ok {
 		t.Fatal("an all-hit batch left no whole-envelope entry")
 	}
 	postFramed(t, ts.URL+"/v1/batch", batch, http.StatusOK) // whole-envelope hit

@@ -475,6 +475,7 @@ func (s *Server) resolveFlight(key string, f *flight, body []byte, err *apiError
 // cache, join the key's in-flight computation, or queue for a worker under
 // the request deadline.
 func (s *Server) handleSchedule(ep endpoint) http.HandlerFunc {
+	rawHead := rawHeadSingleton(ep)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now() // observational only: latency metrics and events
 		// One trace per arrival (nil when tracing is off — every tr and span
@@ -527,15 +528,15 @@ func (s *Server) handleSchedule(ep endpoint) http.HandlerFunc {
 			s.observe(ep, aerr.status, "", nil, start, tr)
 			return
 		}
-		// Raw fast path: the exact bytes of this body were seen before and
-		// parsed to a cached canonical key, so the response is served with
-		// one map lookup — no JSON decode, no validation walk, no canonical
-		// key build. The entry's stored request summary keeps the access-log
-		// record complete.
-		var rawKey []byte
+		// Raw fast path: the exact bytes of this body were seen at least
+		// twice before and parsed to a cached canonical key, so the response
+		// is served with one map lookup — no JSON decode, no validation
+		// walk, no canonical key build. The entry's stored request summary
+		// keeps the access-log record complete.
+		var raw rawAlias
 		if s.cache != nil {
-			rawKey = sc.rawSingletonKey(ep, body)
-			if c, ok := s.cache.getRaw(rawKey); ok {
+			raw = rawAlias{head: rawHead, body: body}
+			if c, ok := s.cache.getRaw(sc.rawKey(raw)); ok {
 				sp.End()
 				// Same canonical key, same deterministic trace identity as
 				// the parse path would derive.
@@ -574,17 +575,13 @@ func (s *Server) handleSchedule(ep endpoint) http.HandlerFunc {
 		// The canonical key exists now; fold it into the trace identity so
 		// the ID is deterministic in the request content.
 		tr.SetKey(p.key)
-		body2, state, aerr := s.resolve(r.Context(), p, tr)
+		// A canonical hit admits this body's exact bytes as a raw alias, so
+		// the next repeat takes the fast path (lru.lookup).
+		body2, state, aerr := s.resolve(r.Context(), p, raw, tr)
 		if aerr != nil {
 			s.writeError(w, aerr, tr)
 			s.observe(ep, aerr.status, state, p, start, tr)
 			return
-		}
-		if s.cache != nil {
-			// Register this body's exact bytes as a raw alias of the entry
-			// the resolution touched (or just created), so the next repeat
-			// takes the fast path. No-ops when the entry is gone.
-			s.cache.alias(rawKey, p.key)
 		}
 		s.writeBody(w, body2, nil, state, tr)
 		s.observe(ep, http.StatusOK, state, p, start, tr)
@@ -592,17 +589,18 @@ func (s *Server) handleSchedule(ep endpoint) http.HandlerFunc {
 }
 
 // resolve obtains the response bytes for a parsed request: canonical cache
-// lookup, disk-tier consult (when a store is configured), joining an
+// lookup (which admits raw as an alias on a hit, see lru.lookup), disk-tier
+// consult (when a store is configured), joining an
 // identical in-flight computation, or queueing for a worker under the
 // request deadline. It returns the body and cache state
 // ("hit", "disk", "miss" or "coalesced") on success; on failure the state is what
 // the access-log record should carry ("coalesced" when a coalesced leader
 // failed, else empty). All cache/flight/queue counters — including
 // timeouts — are accounted here, exactly as the inline paths did.
-func (s *Server) resolve(rctx context.Context, p *parsedRequest, tr *obs.Trace) ([]byte, string, *apiError) {
+func (s *Server) resolve(rctx context.Context, p *parsedRequest, raw rawAlias, tr *obs.Trace) ([]byte, string, *apiError) {
 	if s.cache != nil {
 		sp := tr.Start("cache_lookup")
-		c, ok := s.cache.get(p.key)
+		c, ok := s.cache.lookup(p.key, raw)
 		if ok {
 			sp.SetCache("hit")
 		} else {
@@ -734,48 +732,26 @@ type reqScratch struct {
 	key []byte
 }
 
+// maxPooledScratch bounds the buffers the scratch pool keeps: one large
+// body, or a large batch envelope assembled in key, must not stay pinned by
+// the pool after its request is done.
+const maxPooledScratch = 256 << 10
+
 var scratchPool = sync.Pool{New: func() any { return &reqScratch{buf: make([]byte, 0, 4096)} }}
 
-func getScratch() *reqScratch   { return scratchPool.Get().(*reqScratch) }
-func putScratch(sc *reqScratch) { scratchPool.Put(sc) }
+func getScratch() *reqScratch { return scratchPool.Get().(*reqScratch) }
 
-// rawSingletonKey builds the raw-alias lookup key for a whole singleton
-// body in the scratch's key buffer: namespace byte, endpoint, body.
-func (sc *reqScratch) rawSingletonKey(ep endpoint, body []byte) []byte {
-	k := append(sc.key[:0], rawKeySingleton, rawKeySeparator)
-	k = append(k, string(ep)...)
-	k = append(k, rawKeySeparator)
-	k = append(k, body...)
-	sc.key = k
-	return k
+func putScratch(sc *reqScratch) {
+	if cap(sc.buf) <= maxPooledScratch && cap(sc.key) <= maxPooledScratch {
+		scratchPool.Put(sc)
+	}
 }
 
-// rawBatchItemKey builds the raw-alias lookup key for one batch item's
-// exact byte extent (the item embeds its endpoint, so the bytes are
-// self-disambiguating). A fresh buffer per item: batch items resolve
-// concurrently and alias registration happens after the handler's scratch
-// may already be rebuilding.
-func rawBatchItemKey(item []byte) []byte {
-	k := make([]byte, 0, len(item)+2)
-	k = append(k, rawKeyBatchItem, rawKeySeparator)
-	return append(k, item...)
-}
-
-// rawEnvelopeKey builds the whole-batch raw key (namespace byte plus the
-// exact batch body) in the scratch's key buffer.
-func (sc *reqScratch) rawEnvelopeKey(body []byte) []byte {
-	k := append(sc.key[:0], rawKeyBatchEnv, rawKeySeparator)
-	k = append(k, body...)
-	sc.key = k
-	return k
-}
-
-// rawEnvelopeKeyCopy is rawEnvelopeKey as a durable string, used as the
-// canonical cache key of a stored batch envelope.
-func rawEnvelopeKeyCopy(body []byte) string {
-	k := make([]byte, 0, len(body)+2)
-	k = append(k, rawKeyBatchEnv, rawKeySeparator)
-	return string(append(k, body...))
+// rawKey builds r's alias key in the scratch's key buffer, for lookups:
+// the map probe on string(k) does not allocate.
+func (sc *reqScratch) rawKey(r rawAlias) []byte {
+	sc.key = append(append(sc.key[:0], r.head...), r.body...)
+	return sc.key
 }
 
 // readBody reads the request body into the pooled scratch buffer under the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"strconv"
 	"testing"
 
 	"repro/internal/obs"
@@ -103,6 +104,43 @@ func BenchmarkBatchServe(b *testing.B) {
 			for j := 0; j < n; j++ {
 				rbs[j].reset()
 				h.ServeHTTP(w, reqs[j])
+			}
+		}
+	})
+}
+
+// BenchmarkServeMissLRU measures first sightings with the LRU on, which
+// every other miss benchmark leaves out (they run with CacheEntries: -1):
+// a 32×8 /v1/iterate singleton and a 16-item batch of fresh 32×8 items.
+// Every body carries a new seed, so each request or item computes and
+// enters the cache, and none repeats. Building the bodies costs one
+// allocation per body or item, the same at every commit.
+func BenchmarkServeMissLRU(b *testing.B) {
+	prefix := string(matrixBody(32, 8, 1))
+	prefix = prefix[:len(prefix)-len(`1}`)] // ends in "seed":
+	body := func(seed int) string { return prefix + strconv.Itoa(seed) + "}" }
+	b.Run("singleton-32x8", func(b *testing.B) {
+		s := NewServer(Options{})
+		defer benchDrain(b, s)
+		b.ReportAllocs()
+		for seed := 1; b.Loop(); seed++ {
+			if rec := post(s, "/v1/iterate", body(seed)); rec.Code != http.StatusOK {
+				b.Fatalf("status %d", rec.Code)
+			}
+		}
+	})
+	b.Run("batch-16x32x8", func(b *testing.B) {
+		const n = 16
+		s := NewServer(Options{})
+		defer benchDrain(b, s)
+		items := make([]string, n)
+		b.ReportAllocs()
+		for seed := 1; b.Loop(); seed += n {
+			for j := range items {
+				items[j] = batchItemJSON("iterate", body(seed+j))
+			}
+			if rec := post(s, "/v1/batch", batchBody(items...)); rec.Code != http.StatusOK {
+				b.Fatalf("status %d", rec.Code)
 			}
 		}
 	})

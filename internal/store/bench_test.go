@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 )
@@ -103,5 +104,65 @@ func BenchmarkStoreOpenWarm(b *testing.B) {
 		b.StopTimer()
 		st.Close()
 		b.StartTimer()
+	}
+}
+
+// canonicalBenchKeys returns n distinct real 32×8 canonical keys: the key
+// of one seeded /v1/iterate request with its seed word set to first,
+// first+1, ... — exactly serve.CanonicalKey of that body at each seed.
+func canonicalBenchKeys(b *testing.B, first uint64, n int) []string {
+	key := canonicalKey(b, 32, 8, "min-min", 1)
+	seedAt := len(key) - 8*(3+32*8+8) // seed, tasks, machines, cells, ready times
+	keys := make([]string, n)
+	for i := range keys {
+		binary.LittleEndian.PutUint64(key[seedAt:], first+uint64(i))
+		keys[i] = string(key)
+	}
+	return keys
+}
+
+// BenchmarkStoreGetCanonical is BenchmarkStoreGet keyed by real 2.1 KB
+// canonical keys, the shape the serving tier stores: the key hash, one
+// index probe and one CRC-verified record read with its key compare.
+func BenchmarkStoreGetCanonical(b *testing.B) {
+	st, err := Open(b.TempDir(), Options{})
+	if err != nil {
+		b.Fatalf("Open: %v", err)
+	}
+	defer st.Close()
+	keys := canonicalBenchKeys(b, 1, benchKeys)
+	for i, k := range keys {
+		if err := st.Put(k, benchBody(i)); err != nil {
+			b.Fatalf("Put: %v", err)
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		body, ok, err := st.Get(keys[i%benchKeys])
+		if err != nil || !ok || len(body) != 1024 {
+			b.Fatalf("Get: ok=%v err=%v", ok, err)
+		}
+	}
+}
+
+// BenchmarkStoreGetMissCanonical is the bloom-filtered miss for absent
+// canonical keys: all of its cost is the key hash and the filter probe.
+func BenchmarkStoreGetMissCanonical(b *testing.B) {
+	st, err := Open(b.TempDir(), Options{})
+	if err != nil {
+		b.Fatalf("Open: %v", err)
+	}
+	defer st.Close()
+	for i, k := range canonicalBenchKeys(b, 1, benchKeys) {
+		if err := st.Put(k, benchBody(i)); err != nil {
+			b.Fatalf("Put: %v", err)
+		}
+	}
+	absent := canonicalBenchKeys(b, 1<<40, 1024)
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		if _, ok, err := st.Get(absent[i%len(absent)]); ok || err != nil {
+			b.Fatalf("Get(absent): ok=%v err=%v", ok, err)
+		}
 	}
 }

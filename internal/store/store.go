@@ -13,10 +13,11 @@
 // torn or corrupt record truncates its segment to the valid prefix — a
 // partially flushed tail from a crash is dropped, never served.
 //
-// The index maps each key's 64-bit FNV-1a fingerprint — the bloom filter's
-// first hash, computed once per operation for both — to one record
-// location. Memory per key is a fixed few dozen bytes however long the key
-// (canonical keys encode a whole ETC matrix, so they run to kilobytes).
+// The index maps each key's 64-bit fingerprint — the bloom filter's first
+// hash, computed once per operation for both, before any lock is taken —
+// to one record location. Memory per key is a fixed few dozen bytes
+// however long the key (canonical keys encode a whole ETC matrix, so they
+// run to kilobytes).
 // Every Get reads the record and compares the stored key byte for byte, so
 // a fingerprint collision is a miss, never a wrong body; Put treats a
 // fingerprint already present as a duplicate, so a colliding key (odds
@@ -32,8 +33,11 @@
 //
 // Determinism: the store holds bytes produced by the deterministic serving
 // layer and returns them verbatim. No clock, no randomness — the bloom and
-// fingerprint hashes are fixed FNV variants of the key, and health recovery
-// probes are request-counted, never timer-driven.
+// fingerprint hashes are fixed, unseeded functions of the key bytes (a
+// word-at-a-time fold, bloom.go), and health recovery probes are
+// request-counted, never timer-driven. The index lives only in memory and
+// is rebuilt by replay on Open, so the hash is not part of the on-disk
+// format.
 package store
 
 import (
@@ -336,12 +340,13 @@ func (s *Store) closeFiles() {
 // as the recovery probe. The returned slice is freshly allocated and owned
 // by the caller.
 func (s *Store) Get(key string) ([]byte, bool, error) {
+	h1, h2 := hash128(key) // a pure function of key: no lock needed
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
 		return nil, false, fmt.Errorf("store: closed")
 	}
-	body, ok, touched, readErr, rotten := s.lookupLocked(key)
+	body, ok, touched, readErr, rotten := s.lookupLocked(key, h1, h2)
 	if !touched && Health(s.health.state.Load()) == Offline {
 		// This Get was let through as an Offline recovery probe but its key
 		// never reached the disk (bloom negative or index miss); probe with
@@ -365,11 +370,11 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 	return body, ok, nil
 }
 
-// lookupLocked resolves key under the read lock. touched reports whether any
-// disk read was attempted; a corrupt record is returned for quarantine
-// rather than de-indexed in place (the caller holds only the read lock).
-func (s *Store) lookupLocked(key string) (body []byte, ok, touched bool, readErr error, rotten *quarantineRec) {
-	h1, h2 := hash128(key)
+// lookupLocked resolves key, whose hash128 is (h1, h2), under the read
+// lock. touched reports whether any disk read was attempted; a corrupt
+// record is returned for quarantine rather than de-indexed in place (the
+// caller holds only the read lock).
+func (s *Store) lookupLocked(key string, h1, h2 uint64) (body []byte, ok, touched bool, readErr error, rotten *quarantineRec) {
 	if !s.filter.maybe(h1, h2) {
 		s.bloomNegatives.Add(1)
 		return nil, false, false, nil, nil
@@ -486,12 +491,12 @@ func (s *Store) Put(key string, body []byte) error {
 	if len(key) == 0 {
 		return fmt.Errorf("store: empty key")
 	}
+	h1, h2 := hash128(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("store: closed")
 	}
-	h1, h2 := hash128(key)
 	if _, dup := s.index[h1]; dup {
 		s.dupPuts.Add(1)
 		return nil
