@@ -194,7 +194,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			Timeout:          *clientTimeout,
 			Seed:             *seed,
 			BreakerThreshold: *threshold,
-			HTTPClient:       &http.Client{Transport: &http.Transport{DisableKeepAlives: true}},
+			// No HTTPClient: the gateway's pooled transport, the one
+			// its benchmarks measure.
 		},
 		Metrics:  reg,
 		Observer: observers,
@@ -320,7 +321,9 @@ func selfCheck(traceOut, accessLog string, stdout io.Writer) error {
 			BreakerThreshold: -1,
 			Timeout:          5 * time.Second,
 			Seed:             1,
-			HTTPClient:       &http.Client{Transport: &http.Transport{DisableKeepAlives: true}},
+			// No HTTPClient: the shipped pooled transport, so the
+			// kill/failover/revive leg runs on the connections production
+			// reuses.
 		},
 		Metrics:  reg,
 		Observer: observers,

@@ -49,9 +49,13 @@ type clustered struct {
 
 func (c *clustered) up() error {
 	sc := c.r.sc
-	// Keep-alives stay off end to end (see single) so every arrival at an
-	// injector is one the gateway sent, and a killed backend leaves no
-	// reusable connections.
+	// Keep-alives stay off end to end, unlike the gateway's shipped
+	// pooled transport: net/http silently replays a request whose reused
+	// connection died before any response byte arrived, and that hidden
+	// extra arrival would shift an injector's seeded decision stream.
+	// With one fresh connection per request, every arrival at an injector
+	// is one the gateway sent, and a killed backend leaves no reusable
+	// connections.
 	local, err := cluster.StartLocal(sc.Backends, serve.Options{Workers: 2, QueueDepth: 256})
 	if err != nil {
 		return err

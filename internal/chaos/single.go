@@ -70,9 +70,10 @@ func (s *single) up() error {
 	s.r.atExit = append(s.r.atExit, func() { s.hs.Close() })
 	s.base = "http://" + ln.Addr().String()
 
-	// Keep-alives must stay off for the whole run: net/http transparently
-	// replays a request whose reused connection dies before any response
-	// byte arrives, and that hidden extra arrival would shift the
+	// Keep-alives must stay off for the whole run (the gateway ships
+	// pooled connections; chaos cannot): net/http silently replays a
+	// request whose reused connection dies before any response byte
+	// arrives, and that hidden extra arrival would shift the
 	// injector's seeded decision stream nondeterministically. With one
 	// fresh connection per request, every arrival at the injector is one
 	// the harness sent.

@@ -37,6 +37,7 @@ type Options struct {
 	// from it: Seed offset by the backend's index in sorted-name order (so
 	// jitter streams are independent), Metrics replaced by a private registry
 	// (the breaker-state gauge is per-backend). Observer is shared.
+	// A nil Client.HTTPClient means pooled connections (newTransport).
 	Client client.Options
 	// MaxBodyBytes bounds request bodies. 0 means serve.DefaultMaxBodyBytes.
 	MaxBodyBytes int64
@@ -118,6 +119,15 @@ func NewGateway(opts Options) (*Gateway, error) {
 	if err != nil {
 		return nil, err
 	}
+	probes := opts.Client.HTTPClient
+	if probes == nil {
+		// The forwarding clients and the introspection probes share one
+		// pool; only the probes carry a whole-exchange timeout (forwarded
+		// attempts take theirs from contexts).
+		tr := newTransport()
+		opts.Client.HTTPClient = &http.Client{Transport: tr}
+		probes = &http.Client{Transport: tr, Timeout: 5 * time.Second}
+	}
 	reg := opts.Metrics
 	if reg == nil {
 		reg = obs.NewMetrics()
@@ -174,10 +184,7 @@ func NewGateway(opts Options) (*Gateway, error) {
 			mRouted: reg.Counter("gateway.routed." + name),
 		}
 	}
-	g.hc = opts.Client.HTTPClient
-	if g.hc == nil {
-		g.hc = &http.Client{Timeout: 5 * time.Second}
-	}
+	g.hc = probes
 	g.mux = http.NewServeMux()
 	g.mux.HandleFunc("/v1/map", g.handleSchedule("/v1/map"))
 	g.mux.HandleFunc("/v1/iterate", g.handleSchedule("/v1/iterate"))

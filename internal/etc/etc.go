@@ -56,6 +56,32 @@ func New(values [][]float64) (*Matrix, error) {
 	return &Matrix{values: copyRows(values, cols)}, nil
 }
 
+// Adopt builds a tasks×machines Matrix over cells, row-major, validating
+// shape and entries as New does, but without a copy: the matrix takes
+// ownership of cells, which the caller must not modify afterwards. It is
+// for callers that already hold the values in one exact-size array, such
+// as a service decoding an instance from its canonical request key.
+func Adopt(tasks, machines int, cells []float64) (*Matrix, error) {
+	switch {
+	case tasks <= 0:
+		return nil, errors.New("etc: matrix has no tasks")
+	case machines <= 0:
+		return nil, errors.New("etc: matrix has no machines")
+	case len(cells) != tasks*machines:
+		return nil, fmt.Errorf("etc: %d cells for a %dx%d matrix", len(cells), tasks, machines)
+	}
+	for i, v := range cells {
+		if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
+			return nil, fmt.Errorf("etc: entry [%d][%d] = %g is not a positive finite value", i/machines, i%machines, v)
+		}
+	}
+	vs := make([][]float64, tasks)
+	for t := range vs {
+		vs[t] = cells[t*machines : (t+1)*machines : (t+1)*machines]
+	}
+	return &Matrix{values: vs}, nil
+}
+
 // copyRows deep-copies a rectangular matrix into one backing array. Each
 // row is capacity-capped, so an append to one cannot write into the next.
 func copyRows(values [][]float64, cols int) [][]float64 {

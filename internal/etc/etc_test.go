@@ -79,6 +79,43 @@ func TestNewAllocsFlat(t *testing.T) {
 	}
 }
 
+// TestAdopt: Adopt builds the matrix New builds from the same rows, with
+// rows that are capacity-capped windows of the adopted array (no copy),
+// and rejects what New rejects.
+func TestAdopt(t *testing.T) {
+	cells := []float64{1, 2, 3, 4, 5, 6}
+	m, err := Adopt(3, 2, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := mustMatrix(t, [][]float64{{1, 2}, {3, 4}, {5, 6}}); !m.Equal(want) {
+		t.Fatalf("Adopt built %v", m.Values())
+	}
+	for r := range m.values {
+		if &m.values[r][0] != &cells[2*r] || cap(m.values[r]) != 2 {
+			t.Fatalf("row %d is not a capped window of the adopted cells", r)
+		}
+	}
+	for _, tc := range []struct {
+		name            string
+		tasks, machines int
+		cells           []float64
+	}{
+		{"no tasks", 0, 2, nil},
+		{"no machines", 2, 0, nil},
+		{"short", 2, 2, []float64{1, 2, 3}},
+		{"long", 1, 2, []float64{1, 2, 3}},
+		{"zero", 1, 2, []float64{1, 0}},
+		{"negative", 2, 1, []float64{1, -1}},
+		{"nan", 1, 1, []float64{math.NaN()}},
+		{"inf", 1, 1, []float64{math.Inf(1)}},
+	} {
+		if _, err := Adopt(tc.tasks, tc.machines, tc.cells); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
 func TestMustNewPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -185,3 +185,44 @@ func TestRawAliasKeyCopiesOnce(t *testing.T) {
 		t.Fatal("rawAlias.key is not head followed by body")
 	}
 }
+
+// TestOversizedBodySkipsRawProbe: the raw-alias index never admits a key
+// over maxRawAliasBytes, so probing it for a larger body is a certain
+// miss. The probe — used by the singleton handler, the batch-item loop and
+// the whole-envelope check alike — must then neither copy the body into
+// the scratch key buffer nor hash it.
+func TestOversizedBodySkipsRawProbe(t *testing.T) {
+	s := NewServer(Options{})
+	defer drain(t, s)
+	big := matrixBody(400, 16, 3)
+	if len(big) <= maxRawAliasBytes {
+		t.Fatalf("test body is %d bytes, want over %d", len(big), maxRawAliasBytes)
+	}
+	for _, head := range []string{rawHeadSingleton(endpointIterate), rawHeadBatchItem, rawHeadBatchEnv} {
+		sc := &reqScratch{}
+		if _, ok := sc.getRaw(s.cache, rawAlias{head: head, body: big}); ok {
+			t.Fatalf("head %q: an over-limit body hit the raw index", head)
+		}
+		if cap(sc.key) != 0 {
+			t.Fatalf("head %q: an over-limit probe grew the scratch key buffer to %d bytes", head, cap(sc.key))
+		}
+	}
+	// The control: a body at the limit is probed, in the scratch.
+	head := rawHeadSingleton(endpointIterate)
+	sc := &reqScratch{}
+	sc.getRaw(s.cache, rawAlias{head: head, body: make([]byte, maxRawAliasBytes-len(head))})
+	if cap(sc.key) < maxRawAliasBytes {
+		t.Fatalf("a probe at the limit built a %d-byte key buffer, want %d", cap(sc.key), maxRawAliasBytes)
+	}
+	// End to end, the over-limit body is still served and cached; its
+	// repeats are canonical hits, never raw ones.
+	for i, want := range []string{"miss", "hit", "hit"} {
+		rec := post(s, "/v1/iterate", string(big))
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Schedd-Cache") != want {
+			t.Fatalf("sighting %d: status %d cache %q, want 200 %q", i+1, rec.Code, rec.Header().Get("X-Schedd-Cache"), want)
+		}
+	}
+	if got := rawAliasCount(s); got != 0 {
+		t.Fatalf("%d raw aliases registered for an over-limit body, want 0", got)
+	}
+}

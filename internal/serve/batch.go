@@ -123,7 +123,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// re-resolution would produce), so statuses and bodies are identical
 	// either way.
 	if aerr == nil && s.cache != nil {
-		if env, ok := s.cache.getRaw(sc.rawKey(rawAlias{head: rawHeadBatchEnv, body: body})); ok {
+		if env, ok := sc.getRaw(s.cache, rawAlias{head: rawHeadBatchEnv, body: body}); ok {
 			sp.End()
 			csp := tr.Start("cache_lookup")
 			csp.SetCache("hit")
@@ -179,10 +179,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ssp := tr.Start("batch_split")
 	var wg sync.WaitGroup
 	for i, item := range items {
-		var raw rawAlias
+		raw := rawAlias{head: rawHeadBatchItem, body: item}
 		if s.cache != nil {
-			raw = rawAlias{head: rawHeadBatchItem, body: item}
-			if c, ok := s.cache.getRaw(sc.rawKey(raw)); ok {
+			if c, ok := sc.getRaw(s.cache, raw); ok {
 				csp := tr.Start("cache_lookup")
 				csp.SetCache("hit")
 				csp.End()
@@ -191,7 +190,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 		}
-		p, aerr := parseBatchItem(item, s.lim)
+		p, aerr := parseBatchItem(item, s.lim, sc)
 		if aerr != nil {
 			results[i] = itemOutcome{status: aerr.status, body: errorEnvelope(aerr)}
 			continue
@@ -231,11 +230,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				break
 			}
 		}
-		if allHit && len(rawHeadBatchEnv)+len(body) <= maxRawAliasBytes {
+		envRaw := rawAlias{head: rawHeadBatchEnv, body: body}
+		if allHit && envRaw.indexable() {
 			// Store the assembled envelope for the whole-envelope fast
 			// path. body still holds the request bytes (sc.buf is untouched
 			// since the read); the canonical key is their copy.
-			envKey := rawAlias{head: rawHeadBatchEnv, body: body}.key()
+			envKey := envRaw.key()
 			s.cache.add(envKey, append([]byte(nil), env...), entryMeta{items: len(items)})
 			s.cache.alias(envKey, envKey)
 		}
@@ -248,13 +248,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // parseBatchItem decodes and admits one batch item — the item-level
 // equivalent of the singleton decode+validate stages, producing the same
 // error envelopes a singleton request would see.
-func parseBatchItem(raw []byte, lim limits) (*parsedRequest, *apiError) {
-	it, aerr := decodeBatchItem(raw)
+func parseBatchItem(raw []byte, lim limits, sc *reqScratch) (*parsedRequest, *apiError) {
+	d, aerr := decodeBody(raw, true, sc)
 	if aerr != nil {
 		return nil, aerr
 	}
 	var ep endpoint
-	switch it.Endpoint {
+	switch string(d.endpoint) {
 	case "map":
 		ep = endpointMap
 	case "iterate":
@@ -264,22 +264,13 @@ func parseBatchItem(raw []byte, lim limits) (*parsedRequest, *apiError) {
 			status: http.StatusUnprocessableEntity,
 			code:   CodeValidationFailed,
 			msg:    "request has 1 invalid field(s)",
-			fields: []FieldError{{Path: "endpoint", Message: fmt.Sprintf("unknown endpoint %q (want map or iterate)", it.Endpoint)}},
+			fields: []FieldError{{Path: "endpoint", Message: fmt.Sprintf("unknown endpoint %q (want map or iterate)", d.endpoint)}},
 		}
 	}
-	return admitRequest(ep, it.Request, lim)
+	return d.admit(ep, lim)
 }
 
-// decodeBatchItem is decodeRequest for a batch item: the one-pass decoder
-// for canonical items, encoding/json for the rest.
-func decodeBatchItem(raw []byte) (BatchItem, *apiError) {
-	if it, ok := decodeFast(raw, true); ok {
-		return it, nil
-	}
-	return decodeBatchItemSlow(raw)
-}
-
-// decodeBatchItemSlow is decodeBatchItem's encoding/json path.
+// decodeBatchItemSlow decodes a batch item with encoding/json.
 func decodeBatchItemSlow(raw []byte) (BatchItem, *apiError) {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()

@@ -46,6 +46,10 @@ func (r rawAlias) key() string {
 	return b.String()
 }
 
+// indexable reports whether the alias index admits r: only keys up to
+// maxRawAliasBytes are indexed.
+func (r rawAlias) indexable() bool { return len(r.head)+len(r.body) <= maxRawAliasBytes }
+
 // entryMeta is the request summary stored beside a cached body so the
 // raw-alias fast path can emit a complete request_done event without
 // parsing the request.
@@ -61,9 +65,9 @@ type entryMeta struct {
 
 // lru is a mutex-guarded least-recently-used cache from exact request keys
 // to response bodies. Keys are the full canonical encoding of the request
-// (see cacheKey), not a digest: a collision would hand one request another
-// request's bytes, so exactness is an invariant, bought with a few KiB per
-// entry.
+// (see flatRequest.parsed), not a digest: a collision would hand one
+// request another request's bytes, so exactness is an invariant, bought
+// with a few KiB per entry.
 //
 // In front of the canonical index sits a raw-body alias index: the exact
 // bytes of a request body that previously parsed to a canonical key map
@@ -130,7 +134,7 @@ func (c *lru) lookup(key string, raw rawAlias) (cached, bool) {
 	e := el.Value.(*lruEntry)
 	hit, room := e.cached, len(e.raws) < maxRawAliases
 	c.mu.Unlock()
-	if room && raw.head != "" && len(raw.head)+len(raw.body) <= maxRawAliasBytes {
+	if room && raw.head != "" && raw.indexable() {
 		c.alias(raw.key(), key)
 	}
 	return hit, true

@@ -1,93 +1,115 @@
 package serve
 
-import (
-	"strconv"
-	"sync"
-)
+import "strconv"
+
+// flatRequest is a scheduling request with its matrix flattened row-major:
+// what the canonical key encodes (see flatRequest.parsed), plus the
+// timeout. decodeFast fills one from a canonical body, its strings
+// aliasing the body and its cells and ready times the request scratch;
+// admitRequest fills one from a validated encoding/json value.
+type flatRequest struct {
+	endpoint  []byte // batch items only
+	heuristic []byte
+	ties      []byte // as sent: empty means "det"
+	seed      uint64
+	seeded    bool
+	timeoutMS int64
+	tasks     int
+	machines  int
+	cells     []float64 // tasks×machines, row-major
+	ready     []float64
+	hasReady  bool // "ready" was sent ("[]" included)
+}
 
 // decodeFast is the one-pass decoder for the canonical subset of the
 // request wire format: exact lowercase field names, each at most once;
 // strings of printable ASCII without escapes; numbers in the strict JSON
 // grammar, each converted in the scan that finds it; true/false for
-// "seeded"; nothing but whitespace after the closing brace. "endpoint" is a
-// known field only when item is set (a /v1/batch item). ok is false for
-// every other body — null values, escapes, case-folded or repeated names,
-// out-of-range numbers, trailing data — and the caller falls back to
-// encoding/json, which alone produces error messages. Whatever decodeFast accepts, encoding/json
-// accepts with a reflect.DeepEqual result: absent slices stay nil, "[]"
-// decodes to an empty non-nil slice (FuzzDecodeRequest pins this).
+// "seeded"; nothing but whitespace after the closing brace. Its matrix
+// must be one a key can be written for: one or more rows of the same
+// non-zero length, every cell positive and finite, checked in the same
+// scan. "endpoint" is a known field only when item is set (a /v1/batch
+// item). ok is false for every other body — null values, escapes,
+// case-folded or repeated names, out-of-range numbers, trailing data, an
+// empty, ragged or invalid matrix — and the caller falls back to
+// encoding/json, which alone produces 400 messages, and validateRequest,
+// which alone reports a matrix's cell-level 422s.
+// Whatever decodeFast accepts, encoding/json accepts with the same values
+// (FuzzDecodeRequest pins this).
 //
-// Allocation is bounded by the result: the ETC rows header, one backing
-// array shared by every row, the ready array and the strings.
-func decodeFast(body []byte, item bool) (it BatchItem, ok bool) {
+// The cells and ready times go to sc's buffers and the strings alias
+// body, so decoding allocates nothing once the scratch has grown.
+func decodeFast(body []byte, item bool, sc *reqScratch) (r flatRequest, ok bool) {
 	d := decoder{b: body}
 	d.skip()
 	if !d.eat('{') {
-		return BatchItem{}, false
+		return flatRequest{}, false
 	}
 	d.skip()
 	if d.eat('}') {
-		return it, d.end()
+		return flatRequest{}, false // no matrix
 	}
 	var seen uint8
 	for {
 		name, ok := d.str()
 		if !ok {
-			return BatchItem{}, false
+			return flatRequest{}, false
 		}
 		d.skip()
 		if !d.eat(':') {
-			return BatchItem{}, false
+			return flatRequest{}, false
 		}
 		d.skip()
 		var bit uint8
 		switch string(name) {
 		case "etc":
 			bit = 1 << 0
-			it.ETC, ok = d.matrix()
+			sc.cells, r.tasks, r.machines, ok = d.matrix(sc.cells[:0])
+			r.cells = sc.cells
 		case "ready":
 			bit = 1 << 1
-			it.Ready, ok = d.floats()
+			sc.ready, ok = d.floatsInto(sc.ready[:0], false)
+			r.ready, r.hasReady = sc.ready, true
 		case "heuristic":
 			bit = 1 << 2
-			it.Heuristic, ok = d.text()
+			r.heuristic, ok = d.str()
 		case "ties":
 			bit = 1 << 3
-			it.Ties, ok = d.text()
+			r.ties, ok = d.str()
 		case "seed":
 			bit = 1 << 4
-			var n num
-			if n, ok = d.number(); ok {
-				it.Seed, ok = parseUint(n.text)
+			var n []byte
+			if n, ok = d.numText(); ok {
+				r.seed, ok = parseUint(n)
 			}
 		case "seeded":
 			bit = 1 << 5
-			it.Seeded, ok = d.boolean()
+			r.seeded, ok = d.boolean()
 		case "timeout_ms":
 			bit = 1 << 6
-			var n num
-			if n, ok = d.number(); ok {
-				it.TimeoutMS, ok = parseInt(n.text)
+			var n []byte
+			if n, ok = d.numText(); ok {
+				r.timeoutMS, ok = parseInt(n)
 			}
 		case "endpoint":
 			bit = 1 << 7
 			if !item {
-				return BatchItem{}, false
+				return flatRequest{}, false
 			}
-			it.Endpoint, ok = d.text()
+			r.endpoint, ok = d.str()
 		default:
-			return BatchItem{}, false
+			return flatRequest{}, false
 		}
 		if !ok || seen&bit != 0 {
-			return BatchItem{}, false
+			return flatRequest{}, false
 		}
 		seen |= bit
 		d.skip()
 		if d.eat('}') {
-			return it, d.end()
+			return r, seen&1 != 0 && d.end()
 		}
 		if !d.eat(',') {
-			return BatchItem{}, false
+			return flatRequest{}, false
 		}
 		d.skip()
 	}
@@ -131,12 +153,6 @@ func (d *decoder) str() ([]byte, bool) {
 	return nil, false
 }
 
-// text is str copied out of the body.
-func (d *decoder) text() (string, bool) {
-	s, ok := d.str()
-	return string(s), ok
-}
-
 func (d *decoder) boolean() (bool, bool) {
 	rest := d.b[d.i:]
 	switch {
@@ -150,35 +166,23 @@ func (d *decoder) boolean() (bool, bool) {
 	return false, false
 }
 
-// num is one scanned JSON number: its bytes and, unless slow is set, its
-// exact value man × 10^exp10.
-type num struct {
-	text  []byte
-	man   uint64 // the first 19 significant digits
-	exp10 int
-	neg   bool
-	// slow marks a value man × 10^exp10 does not hold exactly: a nonzero
-	// digit past the 19th, or an exponent too long to accumulate.
-	slow bool
-}
-
 // maxMantDigits is how many significant decimal digits a uint64 always holds.
 const maxMantDigits = 19
 
-// number scans one number in the strict JSON grammar,
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, accumulating its mantissa
-// and decimal exponent in the same pass; the cursor lives in locals so the
-// digit loops stay in registers. Whatever follows ("01", "1x") is the
-// caller's delimiter check to fail.
-func (d *decoder) number() (num, bool) {
+// scan scans one number in the strict JSON grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, accumulating its exact
+// value man × 10^exp10 in the same pass; slow marks a value that does not
+// hold exactly (a nonzero digit past the 19th, or an exponent too long to
+// accumulate). The cursor lives in locals so the digit loops stay in
+// registers, and it moves only when a number was scanned. Whatever follows
+// ("01", "1x") is the caller's delimiter check to fail.
+func (d *decoder) scan() (man uint64, exp10 int, neg, slow, ok bool) {
 	b, i := d.b, d.i
-	start := i
-	neg := i < len(b) && b[i] == '-'
+	neg = i < len(b) && b[i] == '-'
 	if neg {
 		i++
 	}
-	var man uint64
-	nd, exp10, slow := 0, 0, false // nd counts the significant digits in man
+	nd := 0 // the significant digits in man
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
@@ -193,7 +197,7 @@ func (d *decoder) number() (num, bool) {
 			slow = slow || b[i] != '0'
 		}
 	default:
-		return num{}, false
+		return 0, 0, false, false, false
 	}
 	if i < len(b) && b[i] == '.' {
 		i++
@@ -210,7 +214,7 @@ func (d *decoder) number() (num, bool) {
 			slow = slow || b[i] != '0'
 		}
 		if i == from {
-			return num{}, false
+			return 0, 0, false, false, false
 		}
 	}
 	if i < len(b) && b[i]|0x20 == 'e' {
@@ -229,7 +233,7 @@ func (d *decoder) number() (num, bool) {
 			}
 		}
 		if i == from {
-			return num{}, false
+			return 0, 0, false, false, false
 		}
 		if eneg {
 			e = -e
@@ -237,20 +241,34 @@ func (d *decoder) number() (num, bool) {
 		exp10 += e
 	}
 	d.i = i
-	return num{text: b[start:i], man: man, exp10: exp10, neg: neg, slow: slow}, true
+	return man, exp10, neg, slow, true
 }
 
-// float converts n exactly as strconv.ParseFloat(n.text, 64) does: by
-// Eisel–Lemire when n holds its value and the algorithm decides, else by
-// strconv itself. ok is false for values out of float64 range.
-func (n num) float() (float64, bool) {
-	if !n.slow {
-		if f, ok := eiselLemire(n.man, n.exp10, n.neg); ok {
+// float scans one number and converts it exactly as strconv.ParseFloat
+// does: by Eisel–Lemire when the scan holds its value and the algorithm
+// decides, else by strconv itself. ok is false when no number is there
+// (the cursor stays put) and for values out of float64 range (the cursor
+// moves past the number).
+func (d *decoder) float() (float64, bool) {
+	start := d.i
+	man, exp10, neg, slow, ok := d.scan()
+	if !ok {
+		return 0, false
+	}
+	if !slow {
+		if f, ok := eiselLemire(man, exp10, neg); ok {
 			return f, true
 		}
 	}
-	f, err := strconv.ParseFloat(string(n.text), 64)
+	f, err := strconv.ParseFloat(string(d.b[start:d.i]), 64)
 	return f, err == nil
+}
+
+// numText scans one number and returns its bytes.
+func (d *decoder) numText() ([]byte, bool) {
+	start := d.i
+	_, _, _, _, ok := d.scan()
+	return d.b[start:d.i], ok
 }
 
 // The strconv parsers copy their input into a NumError only on failure,
@@ -265,22 +283,10 @@ func parseInt(n []byte) (int64, bool) {
 	return v, err == nil
 }
 
-// numScratch collects a matrix's cells and row boundaries before they are
-// copied into exact-size result slices.
-type numScratch struct {
-	vals []float64
-	ends []int
-}
-
-var numScratchPool = sync.Pool{New: func() any { return new(numScratch) }}
-
-// maxPooledCells bounds the scratch a pool keeps: one oversized matrix must
-// not pin its buffers for the life of the process.
-const maxPooledCells = 1 << 16
-
 // floatsInto appends one array of numbers — "[" number ("," number)* "]"
-// or "[]" — to vals.
-func (d *decoder) floatsInto(vals []float64) ([]float64, bool) {
+// or "[]" — to vals. With positive set it takes only positive numbers (a
+// converted number is always finite), stopping at the first that is not.
+func (d *decoder) floatsInto(vals []float64, positive bool) ([]float64, bool) {
 	if !d.eat('[') {
 		return vals, false
 	}
@@ -289,15 +295,11 @@ func (d *decoder) floatsInto(vals []float64) ([]float64, bool) {
 		return vals, true
 	}
 	for {
-		n, ok := d.number()
-		if !ok {
+		f, ok := d.float()
+		if !ok || positive && !(f > 0) {
 			return vals, false
 		}
-		f, ok := n.float()
 		vals = append(vals, f)
-		if !ok {
-			return vals, false
-		}
 		d.skip()
 		if d.eat(']') {
 			return vals, true
@@ -309,57 +311,34 @@ func (d *decoder) floatsInto(vals []float64) ([]float64, bool) {
 	}
 }
 
-// floats decodes an array of numbers into an exact-size slice; "[]" yields
-// an empty non-nil slice, as encoding/json does.
-func (d *decoder) floats() ([]float64, bool) {
-	sc := numScratchPool.Get().(*numScratch)
-	defer putNumScratch(sc)
-	var ok bool
-	if sc.vals, ok = d.floatsInto(sc.vals[:0]); !ok {
-		return nil, false
-	}
-	return append(make([]float64, 0, len(sc.vals)), sc.vals...), true
-}
-
-// matrix decodes an array of number arrays. Every row is a capacity-capped
-// window of one backing array, so no row can grow into its neighbour.
-func (d *decoder) matrix() ([][]float64, bool) {
-	sc := numScratchPool.Get().(*numScratch)
-	defer putNumScratch(sc)
-	sc.vals, sc.ends = sc.vals[:0], sc.ends[:0]
+// matrix appends an array of number arrays to vals, row-major, and
+// returns its shape. It accepts only what a key can be written for — at
+// least one row, every row as long as the first and non-empty, every cell
+// positive and finite — and stops at the first cell or row that is not.
+func (d *decoder) matrix(vals []float64) (out []float64, rows, cols int, ok bool) {
 	if !d.eat('[') {
-		return nil, false
+		return vals, 0, 0, false
 	}
 	d.skip()
-	if !d.eat(']') {
-		for {
-			var ok bool
-			if sc.vals, ok = d.floatsInto(sc.vals); !ok {
-				return nil, false
-			}
-			sc.ends = append(sc.ends, len(sc.vals))
-			d.skip()
-			if d.eat(']') {
-				break
-			}
-			if !d.eat(',') {
-				return nil, false
-			}
-			d.skip()
+	for {
+		start := len(vals)
+		if vals, ok = d.floatsInto(vals, true); !ok {
+			return vals, 0, 0, false
 		}
-	}
-	back := append(make([]float64, 0, len(sc.vals)), sc.vals...)
-	rows := make([][]float64, len(sc.ends))
-	start := 0
-	for r, end := range sc.ends {
-		rows[r] = back[start:end:end]
-		start = end
-	}
-	return rows, true
-}
-
-func putNumScratch(sc *numScratch) {
-	if cap(sc.vals) <= maxPooledCells && cap(sc.ends) <= maxPooledCells {
-		numScratchPool.Put(sc)
+		if rows == 0 {
+			cols = len(vals) - start
+		}
+		if cols == 0 || len(vals)-start != cols {
+			return vals, 0, 0, false
+		}
+		rows++
+		d.skip()
+		if d.eat(']') {
+			return vals, rows, cols, true
+		}
+		if !d.eat(',') {
+			return vals, 0, 0, false
+		}
+		d.skip()
 	}
 }

@@ -64,6 +64,8 @@ var decodeSeeds = []string{
 	"{\"heuristic\":\"a\tb\"}",
 	`{"bogus":1}`,
 	``,
+	`{"etc":[[1,2]],"ready":[1,-2,3],"heuristic":"nope","ties":"x","timeout_ms":-1}`,
+	`{"etc":[[1,2]],"ready":[],"heuristic":"olb","ties":"random"}`,
 }
 
 // sameAPIError reports whether two decode outcomes are the same envelope.
@@ -74,27 +76,73 @@ func sameAPIError(a, b *apiError) bool {
 	return a.status == b.status && a.code == b.code && a.msg == b.msg
 }
 
+// sameAdmit fails t unless admitting d gives what admitting the
+// encoding/json value want gives: the same envelope, field errors
+// included, or the same key.
+func sameAdmit(t *testing.T, d decodedRequest, want Request, body []byte) {
+	t.Helper()
+	p, err := d.admit(endpointIterate, limits{})
+	wp, wantErr := admitRequest(endpointIterate, want, limits{})
+	switch {
+	case !sameAPIError(err, wantErr):
+		t.Fatalf("admit = %v, encoding/json path = %v: %q", err, wantErr, body)
+	case err != nil && !reflect.DeepEqual(err.fields, wantErr.fields):
+		t.Fatalf("admit fields %v, encoding/json path %v: %q", err.fields, wantErr.fields, body)
+	case err == nil && p.key != wp.key:
+		t.Fatalf("admit key differs from the encoding/json path's: %q", body)
+	}
+}
+
+// flatItem is the value a fast-path decode stands for, its matrix rebuilt
+// in rows, for comparison with encoding/json's.
+func flatItem(r flatRequest) BatchItem {
+	it := BatchItem{Endpoint: string(r.endpoint), Request: Request{
+		Heuristic: string(r.heuristic), Ties: string(r.ties), Seed: r.seed,
+		Seeded: r.seeded, TimeoutMS: r.timeoutMS,
+	}}
+	for t := 0; t < r.tasks; t++ {
+		it.ETC = append(it.ETC, append([]float64{}, r.cells[t*r.machines:(t+1)*r.machines]...))
+	}
+	if r.hasReady {
+		it.Ready = append([]float64{}, r.ready...)
+	}
+	return it
+}
+
+// decodedItem is the value a decodeBody result stands for.
+func decodedItem(d decodedRequest) BatchItem {
+	if d.fast {
+		return flatItem(d.flat)
+	}
+	return BatchItem{Endpoint: string(d.endpoint), Request: d.slow}
+}
+
 // FuzzDecodeRequest holds the one-pass decoder to encoding/json: whatever
 // the fast path accepts, encoding/json accepts with a reflect.DeepEqual
-// result (nil versus empty slices included), and decodeRequest's output —
-// value and error envelope — always equals the encoding/json path's.
+// result (nil versus empty slices included), and decodeBody's output —
+// value and error envelope — always equals the encoding/json path's, as
+// does admitting it (the 422 and its field errors, or the key).
 func FuzzDecodeRequest(f *testing.F) {
 	for _, s := range decodeSeeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		slow, slowErr := decodeRequestSlow(body)
-		if it, ok := decodeFast(body, false); ok {
+		var sc reqScratch
+		if r, ok := decodeFast(body, false, &sc); ok {
 			if slowErr != nil {
 				t.Fatalf("fast path accepted what encoding/json rejects (%s): %q", slowErr.msg, body)
 			}
-			if it.Endpoint != "" || !reflect.DeepEqual(it.Request, slow) {
+			if it := flatItem(r); it.Endpoint != "" || !reflect.DeepEqual(it.Request, slow) {
 				t.Fatalf("fast %#v\nslow %#v\nbody %q", it, slow, body)
 			}
 		}
-		got, gotErr := decodeRequest(body)
-		if !sameAPIError(gotErr, slowErr) || !reflect.DeepEqual(got, slow) {
-			t.Fatalf("decodeRequest = (%#v, %v), encoding/json path = (%#v, %v)", got, gotErr, slow, slowErr)
+		d, gotErr := decodeBody(body, false, &sc)
+		if !sameAPIError(gotErr, slowErr) || gotErr == nil && !reflect.DeepEqual(decodedItem(d), BatchItem{Request: slow}) {
+			t.Fatalf("decodeBody = (%#v, %v), encoding/json path = (%#v, %v)", d, gotErr, slow, slowErr)
+		}
+		if gotErr == nil {
+			sameAdmit(t, d, slow, body)
 		}
 	})
 }
@@ -107,41 +155,58 @@ func FuzzParseBatchItem(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		slow, slowErr := decodeBatchItemSlow(raw)
-		if it, ok := decodeFast(raw, true); ok {
+		var sc reqScratch
+		if r, ok := decodeFast(raw, true, &sc); ok {
 			if slowErr != nil {
 				t.Fatalf("fast path accepted what encoding/json rejects (%s): %q", slowErr.msg, raw)
 			}
-			if !reflect.DeepEqual(it, slow) {
+			if it := flatItem(r); !reflect.DeepEqual(it, slow) {
 				t.Fatalf("fast %#v\nslow %#v\nraw %q", it, slow, raw)
 			}
 		}
-		got, gotErr := decodeBatchItem(raw)
-		if !sameAPIError(gotErr, slowErr) || !reflect.DeepEqual(got, slow) {
-			t.Fatalf("decodeBatchItem = (%#v, %v), encoding/json path = (%#v, %v)", got, gotErr, slow, slowErr)
+		d, gotErr := decodeBody(raw, true, &sc)
+		if !sameAPIError(gotErr, slowErr) || gotErr == nil && !reflect.DeepEqual(decodedItem(d), slow) {
+			t.Fatalf("decodeBody = (%#v, %v), encoding/json path = (%#v, %v)", d, gotErr, slow, slowErr)
+		}
+		if gotErr == nil {
+			sameAdmit(t, d, slow.Request, raw)
 		}
 	})
 }
 
-// FuzzCanonicalKey pins the property a gateway route memo leans on: the
-// canonical key is a function of the request, not of its encoding. For
-// every body that has a key on an endpoint, repeated calls agree, and both
-// json.Marshal of the decoded request and whitespace-reflowed copies of
-// the body (indented, compacted) get the same key.
+// FuzzCanonicalKey holds the key-first builder to the row-based one it
+// replaced (key_oracle_test.go): CanonicalKey and BatchItemKey give every
+// body the same verdict and byte-identical keys as the oracle. It also
+// pins the property a gateway route memo leans on: the canonical key is a
+// function of the request, not of its encoding. For every body that has a
+// key on an endpoint, repeated calls agree, and both json.Marshal of the
+// decoded request and whitespace-reflowed copies of the body (indented,
+// compacted) get the same key.
 func FuzzCanonicalKey(f *testing.F) {
 	for _, s := range decodeSeeds {
 		f.Add([]byte(s))
 	}
 	f.Add(matrixBody(4, 3, 1))
+	f.Add([]byte(`{"etc":[[1,2],[3,4.5]],"ready":[0.5,-0],"heuristic":"sufferage","ties":"random","seed":9,"seeded":true}`))
+	f.Add([]byte(`{"endpoint":"iterate","etc":[[1,2]],"ready":[1,2],"heuristic":"olb","ties":"det"}`))
+	f.Add([]byte(`{"etc":[[1,2]],"ready":[1],"heuristic":"olb"}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
+		key, ok := BatchItemKey(body)
+		if want, wantOK := oracleBatchItemKey(body); ok != wantOK || key != want {
+			t.Fatalf("BatchItemKey = (%q, %v), oracle (%q, %v): %q", key, ok, want, wantOK, body)
+		}
 		for _, ep := range []string{"/v1/map", "/v1/iterate"} {
 			key, ok := CanonicalKey(ep, body)
+			if want, wantOK := oracleCanonicalKey(ep, body); ok != wantOK || key != want {
+				t.Fatalf("%s: CanonicalKey = (%q, %v), oracle (%q, %v): %q", ep, key, ok, want, wantOK, body)
+			}
 			if again, okAgain := CanonicalKey(ep, body); again != key || okAgain != ok {
 				t.Fatalf("%s: repeated calls disagree on %q", ep, body)
 			}
 			if !ok {
 				continue
 			}
-			rq, aerr := decodeRequest(body)
+			rq, aerr := decodeRequestSlow(body)
 			if aerr != nil {
 				t.Fatalf("%s: keyed body fails to decode (%s): %q", ep, aerr.msg, body)
 			}
@@ -227,7 +292,7 @@ func TestTrailingDataRejected(t *testing.T) {
 					t.Errorf("%s: status %d body %s, want 400 %q", tc.name, rec.Code, rec.Body.String(), tc.msg)
 				}
 			}
-			if _, aerr := parseBatchItem([]byte(item+tail), limits{}); aerr == nil ||
+			if _, aerr := parseBatchItem([]byte(item+tail), limits{}, &reqScratch{}); aerr == nil ||
 				aerr.status != http.StatusBadRequest || aerr.msg != "batch item has trailing data" {
 				t.Errorf("batch item: got %v, want 400 trailing data", aerr)
 			}
@@ -246,43 +311,73 @@ func TestTrailingDataRejected(t *testing.T) {
 }
 
 // TestDecodeFastTakesCanonicalBodies checks that the bodies real clients
-// send — including the benchmark corpus shape — take the fast path.
+// send — including the benchmark corpus shape — take the fast path, and
+// that matrices no key can be written for (empty, ragged, a cell that is
+// not positive) leave it for encoding/json and validateRequest.
 func TestDecodeFastTakesCanonicalBodies(t *testing.T) {
+	var sc reqScratch
 	for _, body := range []string{
-		decodeSeeds[0], decodeSeeds[1], decodeSeeds[2], string(matrixBody(32, 8, 3)),
+		decodeSeeds[0], decodeSeeds[1], string(matrixBody(32, 8, 3)),
 		iterateBody("sufferage", "random", 42),
 	} {
-		if _, ok := decodeFast([]byte(body), false); !ok {
+		if _, ok := decodeFast([]byte(body), false, &sc); !ok {
 			t.Errorf("fast path declined canonical body %q", body)
 		}
 	}
-	if _, ok := decodeFast([]byte(batchItemJSON("iterate", decodeSeeds[0])), true); !ok {
+	if _, ok := decodeFast([]byte(batchItemJSON("iterate", decodeSeeds[0])), true, &sc); !ok {
 		t.Error("fast path declined a canonical batch item")
+	}
+	for _, body := range []string{
+		decodeSeeds[2], decodeSeeds[3], decodeSeeds[4], decodeSeeds[8],
+		`{"etc":[[1,2],[3]]}`, `{"etc":[[1],[2,3]]}`, `{"etc":[[1,0]]}`, `{"etc":[[1],[-2]]}`,
+		`{"etc":[[1],[-0]]}`, `{"etc":[[5e-325]]}`, `{"etc":[[1],[]]}`,
+	} {
+		if _, ok := decodeFast([]byte(body), false, &sc); ok {
+			t.Errorf("fast path took %q, which has no key", body)
+		}
 	}
 }
 
-// TestDecodeAllocs is the decoder's allocation guard at 32×8: the ETC rows
-// header, one backing array shared by the rows, and the two strings.
+// TestDecodeAllocs is the decoder's allocation guard at 32×8: the cells go
+// to the request scratch and the strings alias the body, so a decode
+// allocates nothing.
 func TestDecodeAllocs(t *testing.T) {
+	body := matrixBody(32, 8, 1)
+	var sc reqScratch
+	got := testing.AllocsPerRun(100, func() {
+		if _, aerr := decodeBody(body, false, &sc); aerr != nil {
+			t.Fatal(aerr.msg)
+		}
+	})
+	if got > 0 {
+		t.Fatalf("decoding a 32x8 request costs %.0f allocs, budget 0", got)
+	}
+}
+
+// TestCanonicalKeyAllocs is the key-first budget: CanonicalKey builds no
+// matrix and no instance, so a 32×8 key costs the key and the parsed
+// request around it.
+func TestCanonicalKeyAllocs(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("sync.Pool drops Puts at random under -race")
 	}
 	body := matrixBody(32, 8, 1)
 	got := testing.AllocsPerRun(100, func() {
-		if _, aerr := decodeRequest(body); aerr != nil {
-			t.Fatal(aerr.msg)
+		if _, ok := CanonicalKey("/v1/iterate", body); !ok {
+			t.Fatal("no canonical key")
 		}
 	})
-	if got > 4 {
-		t.Fatalf("decoding a 32x8 request costs %.0f allocs, budget 4", got)
+	if got > 2 {
+		t.Fatalf("keying a 32x8 request costs %.0f allocs, budget 2", got)
 	}
 }
 
 func BenchmarkDecodeRequest(b *testing.B) {
 	body := matrixBody(32, 8, 1)
+	var sc reqScratch
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, aerr := decodeRequest(body); aerr != nil {
+		if _, aerr := decodeBody(body, false, &sc); aerr != nil {
 			b.Fatal(aerr.msg)
 		}
 	}

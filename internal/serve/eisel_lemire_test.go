@@ -15,11 +15,10 @@ import (
 // decodeFast does for an ETC cell or ready time.
 func scanNumber(s []byte) (f float64, end int, scanned, converted bool) {
 	d := decoder{b: s}
-	n, ok := d.number()
-	if !ok {
+	f, converted = d.float()
+	if d.i == 0 { // the cursor moves only past a scanned number
 		return 0, 0, false, false
 	}
-	f, converted = n.float()
 	return f, d.i, true, converted
 }
 

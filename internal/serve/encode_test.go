@@ -44,7 +44,7 @@ func TestEncodeMatchesJSONMarshal(t *testing.T) {
 		for hi, h := range heuristics.Names() {
 			for _, ep := range []endpoint{endpointMap, endpointIterate} {
 				seed := uint64(100*si + hi + 1)
-				rq, aerr := decodeRequest(matrixBody(sh.tasks, sh.machines, seed))
+				rq, aerr := decodeRequestSlow(matrixBody(sh.tasks, sh.machines, seed))
 				if aerr != nil {
 					t.Fatal(aerr.msg)
 				}
@@ -103,7 +103,7 @@ func TestEncodeEdgeValues(t *testing.T) {
 }
 
 func BenchmarkMarshalIterate(b *testing.B) {
-	rq, aerr := decodeRequest(matrixBody(32, 8, 1))
+	rq, aerr := decodeRequestSlow(matrixBody(32, 8, 1))
 	if aerr != nil {
 		b.Fatal(aerr.msg)
 	}

@@ -4,17 +4,18 @@ package serve
 // canonical request key a backend would compute, split batch bodies into
 // the exact per-item extents a backend would see, and re-assemble merged
 // envelopes byte-identically to a single instance. Sharing the private
-// machinery (cacheKey, splitBatch, appendBatchEnvelope, errorEnvelope)
+// machinery (the key writer, splitBatch, appendBatchEnvelope, errorEnvelope)
 // through these thin wrappers is what makes the cluster-vs-singleton
 // byte-identity invariant structural rather than coincidental.
 
 // CanonicalKey computes the canonical cache/routing key for a singleton
 // request body on the given endpoint path ("/v1/map" or "/v1/iterate").
 // It runs the same decode and admission pipeline a backend would, with no
-// admission caps — routing must not depend on gateway-local limits. ok is
-// false for unknown endpoints and bodies a backend would reject before
-// keying (malformed JSON, invalid fields); such requests have no canonical
-// key and the caller routes them by raw bytes instead.
+// admission caps (routing must not depend on gateway-local limits), and
+// builds no instance. ok is false for unknown endpoints and bodies a
+// backend would reject before keying (malformed JSON, invalid fields);
+// such requests have no canonical key and the caller routes them by raw
+// bytes instead.
 func CanonicalKey(ep string, body []byte) (key string, ok bool) {
 	var e endpoint
 	switch ep {
@@ -25,11 +26,13 @@ func CanonicalKey(ep string, body []byte) (key string, ok bool) {
 	default:
 		return "", false
 	}
-	rq, aerr := decodeRequest(body)
+	sc := getScratch()
+	defer putScratch(sc)
+	d, aerr := decodeBody(body, false, sc)
 	if aerr != nil {
 		return "", false
 	}
-	p, aerr := admitRequest(e, rq, limits{})
+	p, aerr := d.admit(e, limits{})
 	if aerr != nil {
 		return "", false
 	}
@@ -41,7 +44,9 @@ func CanonicalKey(ep string, body []byte) (key string, ok bool) {
 // ok is false when the item would fail a backend's item-level decode or
 // validation; the caller routes such items by raw bytes.
 func BatchItemKey(item []byte) (key string, ok bool) {
-	p, aerr := parseBatchItem(item, limits{})
+	sc := getScratch()
+	defer putScratch(sc)
+	p, aerr := parseBatchItem(item, limits{}, sc)
 	if aerr != nil {
 		return "", false
 	}

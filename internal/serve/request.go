@@ -167,13 +167,23 @@ const (
 	endpointIterate endpoint = "/v1/iterate"
 )
 
-// parsedRequest is a validated scheduling request ready for a worker.
+// parsedRequest is an admitted scheduling request ready for a worker. It
+// holds the canonical key and the fields outside the matrix, not the
+// matrix itself: the key encodes every scheduling input exactly, so a
+// worker decodes the instance from it (instance) only when it computes,
+// and a cache or disk hit never builds one.
 type parsedRequest struct {
 	endpoint endpoint
-	req      Request
-	in       *sched.Instance
-	ties     string
 	key      string
+	// heuristic and ties are views of the key's header; ties is
+	// normalized ("det" when the request sent none).
+	heuristic string
+	ties      string
+	seed      uint64
+	seeded    bool
+	timeoutMS int64
+	tasks     int
+	machines  int
 }
 
 // limits are the admission guards a Server threads into parsing: hard caps
@@ -204,75 +214,135 @@ func estimateBytes(ep endpoint, cells, tasks, machines int64) int64 {
 // response arbitrarily large. The message always carries the full count.
 const maxFieldErrors = 16
 
-// validateRequest walks every field of a decoded request and collects
-// field-level errors (capped at maxFieldErrors; total is the uncapped
-// count). It mirrors — and must stay in sync with — the constructors it
-// fronts: etc.New, sched.NewInstance and heuristics.ByName, so that by the
-// time those run, their error (and panic) paths are unreachable.
-func validateRequest(rq Request) (ties string, fields []FieldError, total int) {
-	add := func(path, format string, args ...any) {
-		total++
-		if len(fields) < maxFieldErrors {
-			fields = append(fields, FieldError{Path: path, Message: fmt.Sprintf(format, args...)})
-		}
+// fieldErrors collects field-level validation failures: the first
+// maxFieldErrors in full, and the uncapped count.
+type fieldErrors struct {
+	fields []FieldError
+	total  int
+}
+
+func (e *fieldErrors) add(path, format string, args ...any) {
+	e.total++
+	if len(e.fields) < maxFieldErrors {
+		e.fields = append(e.fields, FieldError{Path: path, Message: fmt.Sprintf(format, args...)})
 	}
-	cols := 0
+}
+
+// err is the one 422 carrying every collected failure; nil when there are
+// none.
+func (e *fieldErrors) err() *apiError {
+	if e.total == 0 {
+		return nil
+	}
+	return &apiError{
+		status: http.StatusUnprocessableEntity,
+		code:   CodeValidationFailed,
+		msg:    fmt.Sprintf("request has %d invalid field(s)", e.total),
+		fields: e.fields,
+	}
+}
+
+// validateRequest walks every field of an encoding/json request. Its
+// checks are those decodeFast makes on the matrix inline and the
+// constructors a worker runs on the key make again — etc.Adopt,
+// sched.NewInstance and heuristics.ByName — so that by the time those
+// run, their error (and panic) paths are unreachable.
+func validateRequest(rq Request) *fieldErrors {
+	var e fieldErrors
+	cols := e.matrix(rq.ETC)
+	e.params(cols, rq.Ready, rq.Ready != nil, rq.Heuristic, rq.Ties, rq.Seed, rq.TimeoutMS)
+	return &e
+}
+
+// matrix checks the ETC matrix and returns the machine count the other
+// fields are checked against (0 when the matrix has no first row).
+func (e *fieldErrors) matrix(m [][]float64) (cols int) {
 	switch {
-	case len(rq.ETC) == 0:
-		add("etc", "matrix has no tasks")
-	case len(rq.ETC[0]) == 0:
-		add("etc[0]", "matrix has no machines")
+	case len(m) == 0:
+		e.add("etc", "matrix has no tasks")
+	case len(m[0]) == 0:
+		e.add("etc[0]", "matrix has no machines")
 	default:
-		cols = len(rq.ETC[0])
-		for t, row := range rq.ETC {
+		cols = len(m[0])
+		for t, row := range m {
 			if len(row) != cols {
-				add(fmt.Sprintf("etc[%d]", t), "row has %d entries, want %d", len(row), cols)
+				e.add(fmt.Sprintf("etc[%d]", t), "row has %d entries, want %d", len(row), cols)
 				continue
 			}
-			for m, v := range row {
+			for c, v := range row {
 				if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
-					add(fmt.Sprintf("etc[%d][%d]", t, m), "%g is not a positive finite value", v)
+					e.add(fmt.Sprintf("etc[%d][%d]", t, c), "%g is not a positive finite value", v)
 				}
 			}
 		}
 	}
-	if rq.Ready != nil && cols > 0 && len(rq.Ready) != cols {
-		add("ready", "%d ready times for %d machines", len(rq.Ready), cols)
+	return cols
+}
+
+// params checks every field outside the matrix, given its machine count
+// cols: the ready times (hasReady: "ready" was sent), heuristic and seed,
+// tie policy and timeout. Both decoders' requests go through it.
+func (e *fieldErrors) params(cols int, ready []float64, hasReady bool, heuristic, ties string, seed uint64, timeoutMS int64) {
+	if hasReady && cols > 0 && len(ready) != cols {
+		e.add("ready", "%d ready times for %d machines", len(ready), cols)
 	}
-	for i, v := range rq.Ready {
+	for i, v := range ready {
 		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			add(fmt.Sprintf("ready[%d]", i), "%g is not a finite non-negative value", v)
+			e.add(fmt.Sprintf("ready[%d]", i), "%g is not a finite non-negative value", v)
 		}
 	}
-	if _, err := heuristics.ByName(rq.Heuristic, rq.Seed); err != nil {
-		add("heuristic", "%v", err)
+	if _, err := heuristics.ByName(heuristic, seed); err != nil {
+		e.add("heuristic", "%v", err)
 	}
-	ties = rq.Ties
 	if ties == "" {
 		ties = "det"
 	}
 	if ties != "det" && ties != "random" {
-		add("ties", "unknown policy %q (want det or random)", ties)
+		e.add("ties", "unknown policy %q (want det or random)", ties)
 	}
-	if rq.TimeoutMS < 0 {
-		add("timeout_ms", "%d is negative", rq.TimeoutMS)
+	if timeoutMS < 0 {
+		e.add("timeout_ms", "%d is negative", timeoutMS)
 	}
-	return ties, fields, total
 }
 
-// decodeRequest decodes a request body. Unknown fields are rejected so a
-// typo'd parameter can never silently change the cache key. It is the
-// handler's "decode" stage; malformed JSON is 400. Canonical bodies take
-// the one-pass decoder; the rest go through encoding/json, which owns every
-// error message.
-func decodeRequest(body []byte) (Request, *apiError) {
-	if it, ok := decodeFast(body, false); ok {
-		return it.Request, nil
-	}
-	return decodeRequestSlow(body)
+// decodedRequest is a request body after the handler's "decode" stage.
+// A body in decodeFast's subset is held flat (its cells in the request
+// scratch); any other body that encoding/json accepts is held as its
+// encoding/json value.
+type decodedRequest struct {
+	endpoint []byte // a batch item's "endpoint" field
+	fast     bool
+	flat     flatRequest // when fast
+	slow     Request     // when !fast
 }
 
-// decodeRequestSlow is decodeRequest's encoding/json path.
+// decodeBody decodes a request body (a batch item when item is set).
+// Unknown fields are rejected so a typo'd parameter can never silently
+// change the cache key. It is the handler's "decode" stage; malformed JSON
+// is 400. Canonical bodies take the one-pass decoder; the rest go through
+// encoding/json, which owns every error message. The result aliases body
+// and sc until it is admitted.
+func decodeBody(body []byte, item bool, sc *reqScratch) (decodedRequest, *apiError) {
+	if r, ok := decodeFast(body, item, sc); ok {
+		return decodedRequest{endpoint: r.endpoint, fast: true, flat: r}, nil
+	}
+	it, aerr := decodeSlow(body, item)
+	if aerr != nil {
+		return decodedRequest{}, aerr
+	}
+	return decodedRequest{endpoint: []byte(it.Endpoint), slow: it.Request}, nil
+}
+
+// decodeSlow is decodeBody's encoding/json path.
+func decodeSlow(body []byte, item bool) (BatchItem, *apiError) {
+	if item {
+		return decodeBatchItemSlow(body)
+	}
+	rq, aerr := decodeRequestSlow(body)
+	return BatchItem{Request: rq}, aerr
+}
+
+// decodeRequestSlow decodes a singleton body with encoding/json.
 func decodeRequestSlow(body []byte) (Request, *apiError) {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
@@ -293,106 +363,184 @@ func trailingData(body []byte, dec *json.Decoder) bool {
 	return skipSpace(body, int(dec.InputOffset())) != len(body)
 }
 
-// admitRequest runs the admission guards and semantic validation on a
-// decoded request — the handler's "validate" stage. Failures are tiered:
-// admission-guard refusals are 413, and semantically invalid fields are one
-// 422 carrying every field-level message (up to maxFieldErrors).
-func admitRequest(ep endpoint, rq Request, lim limits) (*parsedRequest, *apiError) {
-	// Admission guards run before the per-cell walk: counting rows is cheap,
-	// and an over-cap request must cost the server as little as possible.
-	var cells int64
-	for _, row := range rq.ETC {
-		cells += int64(len(row))
+// admit runs the admission guards and semantic validation on a decoded
+// request and writes its canonical key — the handler's "validate" stage.
+// Failures are tiered: admission-guard refusals are 413, and semantically
+// invalid fields are one 422 carrying every field-level message (up to
+// maxFieldErrors). A flat request's matrix was validated as it was
+// decoded, so only its other fields can fail; they are checked on the
+// key's views of its strings, so a valid request converts none.
+func (d *decodedRequest) admit(ep endpoint, lim limits) (*parsedRequest, *apiError) {
+	if !d.fast {
+		return admitRequest(ep, d.slow, lim)
 	}
+	f := &d.flat
+	if aerr := checkAdmission(ep, int64(len(f.cells)), int64(f.tasks), int64(f.machines), lim); aerr != nil {
+		return nil, aerr
+	}
+	p := f.parsed(ep)
+	var e fieldErrors
+	e.params(f.machines, f.ready, f.hasReady, p.heuristic, p.ties, p.seed, p.timeoutMS)
+	if aerr := e.err(); aerr != nil {
+		return nil, aerr
+	}
+	return p, nil
+}
+
+// checkAdmission runs the admission guards. They run before the per-cell
+// validation walk: the counts are cheap, and an over-cap request must cost
+// the server as little as possible.
+func checkAdmission(ep endpoint, cells, tasks, machines int64, lim limits) *apiError {
 	if lim.maxCells > 0 && cells > int64(lim.maxCells) {
-		return nil, &apiError{
+		return &apiError{
 			status: http.StatusRequestEntityTooLarge,
 			code:   CodePayloadTooLarge,
 			msg:    fmt.Sprintf("matrix has %d cells, admission cap is %d", cells, lim.maxCells),
 		}
 	}
-	tasks, machines := int64(len(rq.ETC)), int64(0)
-	if len(rq.ETC) > 0 {
-		machines = int64(len(rq.ETC[0]))
-	}
 	if est := estimateBytes(ep, cells, tasks, machines); lim.maxEstBytes > 0 && est > lim.maxEstBytes {
-		return nil, &apiError{
+		return &apiError{
 			status: http.StatusRequestEntityTooLarge,
 			code:   CodePayloadTooLarge,
 			msg:    fmt.Sprintf("estimated memory %d bytes for this request exceeds the admission cap of %d", est, lim.maxEstBytes),
 		}
 	}
-	ties, fields, total := validateRequest(rq)
-	if total > 0 {
-		return nil, &apiError{
-			status: http.StatusUnprocessableEntity,
-			code:   CodeValidationFailed,
-			msg:    fmt.Sprintf("request has %d invalid field(s)", total),
-			fields: fields,
-		}
-	}
-	// validateRequest proved these constructors cannot fail; a residual error
-	// here is a server bug, not a client one.
-	m, err := etc.New(rq.ETC)
-	if err != nil {
-		return nil, internalError("constructing matrix after validation: %v", err)
-	}
-	in, err := sched.NewInstance(m, rq.Ready)
-	if err != nil {
-		return nil, internalError("constructing instance after validation: %v", err)
-	}
-	p := &parsedRequest{endpoint: ep, req: rq, in: in, ties: ties}
-	p.key = cacheKey(ep, rq, ties, in)
-	return p, nil
+	return nil
 }
 
-// cacheKey builds the exact cache key: every scheduling input in canonical
-// binary form. Exactness (rather than a digest) is deliberate — a key
-// collision would serve one request another request's bytes, violating the
-// determinism guarantee. TimeoutMS is excluded: it can cancel a request but
-// never change a produced response. The key is written once, into a buffer
-// of its exact size that becomes the string without a copy.
-func cacheKey(ep endpoint, rq Request, ties string, in *sched.Instance) string {
-	m := in.ETC()
+// admitRequest admits an encoding/json request: the admission guards,
+// validateRequest, and the same key writer the fast path uses, over the
+// matrix flattened row-major.
+func admitRequest(ep endpoint, rq Request, lim limits) (*parsedRequest, *apiError) {
+	var cells int64
+	for _, row := range rq.ETC {
+		cells += int64(len(row))
+	}
+	tasks, machines := int64(len(rq.ETC)), int64(0)
+	if len(rq.ETC) > 0 {
+		machines = int64(len(rq.ETC[0]))
+	}
+	if aerr := checkAdmission(ep, cells, tasks, machines, lim); aerr != nil {
+		return nil, aerr
+	}
+	if aerr := validateRequest(rq).err(); aerr != nil {
+		return nil, aerr
+	}
+	flat := make([]float64, 0, cells)
+	for _, row := range rq.ETC {
+		flat = append(flat, row...)
+	}
+	f := flatRequest{
+		heuristic: []byte(rq.Heuristic),
+		ties:      []byte(rq.Ties),
+		seed:      rq.Seed,
+		seeded:    rq.Seeded,
+		timeoutMS: rq.TimeoutMS,
+		tasks:     int(tasks),
+		machines:  int(machines),
+		cells:     flat,
+		ready:     rq.Ready,
+		hasReady:  rq.Ready != nil,
+	}
+	return f.parsed(ep), nil
+}
+
+// parsed writes the canonical key of a valid flat request and returns the
+// admitted request around it. The key is every scheduling input in exact
+// binary form, in this order: the endpoint, heuristic and (normalized) tie
+// policy, each followed by a zero byte; a seeded flag byte; then as
+// little-endian uint64s the seed, tasks, machines, every cell's float64
+// bits row-major, and one ready time per machine (zeros when none were
+// sent, so nil and explicit all-zero requests share a key). Exactness
+// (rather than a digest) is deliberate — a key collision would serve one
+// request another request's bytes, violating the determinism guarantee —
+// and so is the fixed layout: the disk tier stores its records under these
+// bytes (testdata/canonical_keys.golden pins them). TimeoutMS is excluded:
+// it can cancel a request but never change a produced response. The key
+// is written once, into a buffer of its exact size that becomes the string
+// without a copy.
+func (f *flatRequest) parsed(ep endpoint) *parsedRequest {
+	ties := f.ties
+	if len(ties) == 0 {
+		ties = tiesDet
+	}
 	var b strings.Builder
-	b.Grow(len(ep) + len(rq.Heuristic) + len(ties) + 4 + 8*(3+m.Tasks()*m.Machines()+in.Machines()))
+	b.Grow(len(ep) + len(f.heuristic) + len(ties) + 4 + 8*(3+len(f.cells)+f.machines))
 	b.WriteString(string(ep))
 	b.WriteByte(0)
-	b.WriteString(rq.Heuristic)
+	b.Write(f.heuristic)
 	b.WriteByte(0)
-	b.WriteString(ties)
+	b.Write(ties)
 	b.WriteByte(0)
-	if rq.Seeded {
+	if f.seeded {
 		b.WriteByte(1)
 	} else {
 		b.WriteByte(0)
 	}
-	var u [8]byte
-	put := func(x uint64) {
-		binary.LittleEndian.PutUint64(u[:], x)
-		b.Write(u[:])
-	}
-	put(rq.Seed)
-	put(uint64(m.Tasks()))
-	put(uint64(m.Machines()))
-	for t := 0; t < m.Tasks(); t++ {
-		for j := 0; j < m.Machines(); j++ {
-			put(math.Float64bits(m.At(t, j)))
+	var hdr [24]byte
+	binary.LittleEndian.PutUint64(hdr[0:], f.seed)
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(f.tasks))
+	binary.LittleEndian.PutUint64(hdr[16:], uint64(f.machines))
+	b.Write(hdr[:])
+	writeFloatBits(&b, f.cells)
+	if f.hasReady {
+		writeFloatBits(&b, f.ready)
+	} else {
+		var zero [8]byte
+		for range f.machines {
+			b.Write(zero[:])
 		}
 	}
-	// Ready times come from the instance, so nil and explicit all-zero
-	// requests normalize to the same key.
-	for j := 0; j < in.Machines(); j++ {
-		put(math.Float64bits(in.Ready(j)))
+	key := b.String()
+	h := len(ep) + 1
+	t := h + len(f.heuristic) + 1
+	return &parsedRequest{
+		endpoint:  ep,
+		key:       key,
+		heuristic: key[h : t-1],
+		ties:      key[t : t+len(ties)],
+		seed:      f.seed,
+		seeded:    f.seeded,
+		timeoutMS: f.timeoutMS,
+		tasks:     f.tasks,
+		machines:  f.machines,
 	}
-	return b.String()
+}
+
+var tiesDet = []byte("det")
+
+// writeFloatBits writes each value's float64 bits, little-endian.
+func writeFloatBits(b *strings.Builder, vals []float64) {
+	var u [8]byte
+	for _, v := range vals {
+		binary.LittleEndian.PutUint64(u[:], math.Float64bits(v))
+		b.Write(u[:])
+	}
+}
+
+// instance decodes the request's scheduling instance from its key: the
+// cells and ready times are the key's last 8×(tasks×machines + machines)
+// bytes. One allocation holds both; the matrix adopts its part without a
+// copy.
+func (p *parsedRequest) instance() (*sched.Instance, error) {
+	n := p.tasks * p.machines
+	raw := p.key[len(p.key)-8*(n+p.machines):]
+	vals := make([]float64, n+p.machines)
+	for i := range vals {
+		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64([]byte(raw[8*i : 8*i+8])))
+	}
+	m, err := etc.Adopt(p.tasks, p.machines, vals[:n:n])
+	if err != nil {
+		return nil, err
+	}
+	return sched.NewInstance(m, vals[n:])
 }
 
 // policy returns the tie-breaking policy function for the request. Built
 // fresh per compute: random policies are stateful streams.
 func (p *parsedRequest) policy() core.PolicyFunc {
 	if p.ties == "random" {
-		return core.FixedPolicy(tiebreak.NewRandom(rng.New(p.req.Seed)))
+		return core.FixedPolicy(tiebreak.NewRandom(rng.New(p.seed)))
 	}
 	return core.Deterministic()
 }
@@ -411,44 +559,48 @@ func (p *parsedRequest) compute() ([]byte, *apiError) {
 // unmarshaled response value — the worker's "compute" stage, separated from
 // "marshal" so traces can attribute their costs independently.
 func (p *parsedRequest) run() (any, *apiError) {
-	h, err := heuristics.ByName(p.req.Heuristic, p.req.Seed)
+	h, err := heuristics.ByName(p.heuristic, p.seed)
 	if err != nil {
 		return nil, badRequest("%v", err) // unreachable: validated at parse
 	}
-	if p.req.Seeded {
+	if p.seeded {
 		h = heuristics.Seeded{Inner: h}
+	}
+	in, err := p.instance()
+	if err != nil {
+		return nil, internalError("decoding the instance from its key: %v", err) // unreachable: validated at parse
 	}
 	switch p.endpoint {
 	case endpointMap:
-		mp, err := h.Map(p.in, p.policy()(0))
+		mp, err := h.Map(in, p.policy()(0))
 		if err != nil {
 			return nil, internalError("%v", err)
 		}
-		s, err := sched.Evaluate(p.in, mp)
+		s, err := sched.Evaluate(in, mp)
 		if err != nil {
 			return nil, internalError("%v", err)
 		}
 		return MapResponse{
-			Heuristic:  p.req.Heuristic,
+			Heuristic:  p.heuristic,
 			Ties:       p.ties,
-			Seed:       p.req.Seed,
-			Tasks:      p.in.Tasks(),
-			Machines:   p.in.Machines(),
+			Seed:       p.seed,
+			Tasks:      p.tasks,
+			Machines:   p.machines,
 			Assign:     s.Mapping.Assign,
 			Completion: s.Completion,
 			Makespan:   s.Makespan(),
 		}, nil
 	case endpointIterate:
-		tr, err := core.Iterate(p.in, h, p.policy())
+		tr, err := core.Iterate(in, h, p.policy())
 		if err != nil {
 			return nil, internalError("%v", err)
 		}
 		resp := IterateResponse{
-			Heuristic:         p.req.Heuristic,
+			Heuristic:         p.heuristic,
 			Ties:              p.ties,
-			Seed:              p.req.Seed,
-			Tasks:             p.in.Tasks(),
-			Machines:          p.in.Machines(),
+			Seed:              p.seed,
+			Tasks:             p.tasks,
+			Machines:          p.machines,
 			FinalAssign:       tr.FinalAssign,
 			FinalCompletion:   tr.FinalCompletion,
 			OriginalMakespan:  tr.OriginalMakespan(),

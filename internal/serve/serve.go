@@ -408,7 +408,7 @@ func (s *Server) computeJob(j *job) (body []byte, aerr *apiError) {
 	if s.opts.PanicTrigger != nil {
 		// Inside the compute span, where a real heuristic or engine panic
 		// would land.
-		s.opts.PanicTrigger(j.p.req.Seed)
+		s.opts.PanicTrigger(j.p.seed)
 	}
 	v, aerr := j.p.run()
 	if aerr != nil {
@@ -533,10 +533,9 @@ func (s *Server) handleSchedule(ep endpoint) http.HandlerFunc {
 		// is served with one map lookup — no JSON decode, no validation
 		// walk, no canonical key build. The entry's stored request summary
 		// keeps the access-log record complete.
-		var raw rawAlias
+		raw := rawAlias{head: rawHead, body: body}
 		if s.cache != nil {
-			raw = rawAlias{head: rawHead, body: body}
-			if c, ok := s.cache.getRaw(sc.rawKey(raw)); ok {
+			if c, ok := sc.getRaw(s.cache, raw); ok {
 				sp.End()
 				// Same canonical key, same deterministic trace identity as
 				// the parse path would derive.
@@ -553,7 +552,7 @@ func (s *Server) handleSchedule(ep endpoint) http.HandlerFunc {
 				return
 			}
 		}
-		rq, aerr := decodeRequest(body)
+		d, aerr := decodeBody(body, false, sc)
 		if aerr != nil {
 			sp.SetErr(aerr.code)
 			sp.End()
@@ -563,7 +562,7 @@ func (s *Server) handleSchedule(ep endpoint) http.HandlerFunc {
 		}
 		sp.End()
 		sp = tr.Start("validate")
-		p, aerr := admitRequest(ep, rq, s.lim)
+		p, aerr := d.admit(ep, s.lim)
 		if aerr != nil {
 			sp.SetErr(aerr.code)
 			sp.End()
@@ -643,7 +642,7 @@ func (s *Server) resolve(rctx context.Context, p *parsedRequest, raw rawAlias, t
 		}
 	}
 	timeout := s.opts.RequestTimeout
-	if t := time.Duration(p.req.TimeoutMS) * time.Millisecond; t > 0 && t < timeout {
+	if t := time.Duration(p.timeoutMS) * time.Millisecond; t > 0 && t < timeout {
 		timeout = t
 	}
 	ctx, cancel := context.WithTimeout(rctx, timeout)
@@ -714,22 +713,25 @@ func (s *Server) resolve(rctx context.Context, p *parsedRequest, raw rawAlias, t
 // metaOf summarizes a parsed request for storage beside its cached body.
 func metaOf(p *parsedRequest) entryMeta {
 	return entryMeta{
-		heuristic: p.req.Heuristic,
-		seed:      p.req.Seed,
-		tasks:     p.in.Tasks(),
-		machines:  p.in.Machines(),
+		heuristic: p.heuristic,
+		seed:      p.seed,
+		tasks:     p.tasks,
+		machines:  p.machines,
 	}
 }
 
-// reqScratch is the pooled per-request scratch: the body read buffer and the
-// raw-key build buffer. Nothing that outlives the handler may alias either
-// buffer — decode copies what it keeps, the cache copies alias keys, and
+// reqScratch is the pooled per-request scratch: the body read buffer, the
+// raw-key build buffer, and the decoder's cell and ready-time buffers.
+// Nothing that outlives the handler may alias any of them — the canonical
+// key is written into its own buffer, the cache copies alias keys, and
 // cached bodies are cache-owned — so returning the scratch to the pool at
 // handler exit is safe (the -race aliasing hammer in serve_race_test.go
 // exercises exactly this).
 type reqScratch struct {
-	buf []byte
-	key []byte
+	buf   []byte
+	key   []byte
+	cells []float64
+	ready []float64
 }
 
 // maxPooledScratch bounds the buffers the scratch pool keeps: one large
@@ -742,16 +744,22 @@ var scratchPool = sync.Pool{New: func() any { return &reqScratch{buf: make([]byt
 func getScratch() *reqScratch { return scratchPool.Get().(*reqScratch) }
 
 func putScratch(sc *reqScratch) {
-	if cap(sc.buf) <= maxPooledScratch && cap(sc.key) <= maxPooledScratch {
+	if cap(sc.buf) <= maxPooledScratch && cap(sc.key) <= maxPooledScratch &&
+		8*(cap(sc.cells)+cap(sc.ready)) <= maxPooledScratch {
 		scratchPool.Put(sc)
 	}
 }
 
-// rawKey builds r's alias key in the scratch's key buffer, for lookups:
-// the map probe on string(k) does not allocate.
-func (sc *reqScratch) rawKey(r rawAlias) []byte {
+// getRaw probes c's raw-alias index for r's exact bytes, building the
+// alias key in the scratch's key buffer (the map probe on string(key) does
+// not allocate). A body the index never admits, over maxRawAliasBytes, is
+// a certain miss: it costs no copy and no hash.
+func (sc *reqScratch) getRaw(c *lru, r rawAlias) (cached, bool) {
+	if !r.indexable() {
+		return cached{}, false
+	}
 	sc.key = append(append(sc.key[:0], r.head...), r.body...)
-	return sc.key
+	return c.getRaw(sc.key)
 }
 
 // readBody reads the request body into the pooled scratch buffer under the
@@ -1070,8 +1078,8 @@ type reqInfo struct {
 func (s *Server) observe(ep endpoint, status int, cacheState string, p *parsedRequest, start time.Time, tr *obs.Trace) {
 	var info reqInfo
 	if p != nil {
-		info = reqInfo{heuristic: p.req.Heuristic, seed: p.req.Seed,
-			tasks: p.in.Tasks(), machines: p.in.Machines(), has: true}
+		info = reqInfo{heuristic: p.heuristic, seed: p.seed,
+			tasks: p.tasks, machines: p.machines, has: true}
 	}
 	s.observeInfo(ep, status, cacheState, info, start, tr)
 }

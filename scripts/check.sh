@@ -2,7 +2,8 @@
 # The full repository gate in one command — CI and builders run the same
 # thing (see CLAUDE.md):
 #
-#   gofmt clean, go vet, build, full test suite, a bounded fuzz leg over
+#   gofmt clean, go vet, build, full test suite, the perfbench module's
+#   own tests, a bounded fuzz leg over
 #   the request decoders, the canonical key, the number converter and the
 #   engine's derived iterations,
 #   paper self-check, the schedd serving smoke
@@ -44,6 +45,14 @@ echo "[ok  ] go test"
 
 go test -race ./internal/... ./cmd/...
 echo "[ok  ] go test -race (internal + cmd)"
+
+# The benchmark harness is its own module (perfbench/go.mod) built against
+# this one, so `go test ./...` above never compiles it. It calls
+# serve.CanonicalKey and decodes serve's response types: a serving API
+# change that breaks it fails here, built offline exactly as
+# perfbench/run.sh builds it.
+(cd perfbench && GOPROXY=off GOFLAGS= GOWORK=off go test .)
+echo "[ok  ] perfbench module tests"
 
 # A bounded fuzz leg per untrusted-bytes parser target: a few seconds of
 # fresh inputs on top of the committed corpus the plain test run replays.
