@@ -271,8 +271,8 @@ func serveForever(gw *cluster.Gateway, addr string, drainTimeout time.Duration, 
 // aggregated health, pinned Table-1 cluster-vs-singleton byte identity with
 // stable warm-cache routing, batch split/merge with an isolated per-item
 // 422, kill → failover → revive → rejoin with identical bytes throughout,
-// the gateway trace stages, statusz aggregation, one cluster chaos
-// scenario, and a graceful drain. Only [ok  ] lines are printed.
+// the gateway trace stages, statusz aggregation, every builtin cluster
+// chaos scenario, and a graceful drain. Only [ok  ] lines are printed.
 func selfCheck(traceOut, accessLog string, stdout io.Writer) error {
 	// Reference single instance: the source of every golden byte.
 	ref := serve.NewServer(serve.Options{})
@@ -469,19 +469,21 @@ func selfCheck(traceOut, accessLog string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "[ok  ] statusz aggregates 3 closed breakers, %d routed posts, conserved outcomes, %d failover(s)\n", routed, st.Failovers)
 
-	// Leg 7: one cluster chaos scenario, every invariant machine-checked.
-	sc, err := chaos.ByName("backend-rejoin")
-	if err != nil {
-		return err
+	// Leg 7: every builtin cluster chaos scenario, every invariant
+	// machine-checked.
+	for _, sc := range chaos.Builtin() {
+		if sc.Topology() != "cluster" {
+			continue
+		}
+		rep, err := chaos.Run(sc)
+		if err == nil {
+			err = rep.Err()
+		}
+		if err != nil {
+			return fmt.Errorf("cluster chaos scenario %s: %w", sc.Name, err)
+		}
+		fmt.Fprintf(stdout, "[ok  ] cluster chaos scenario %s: %d invariants hold\n", rep.Scenario, len(rep.Invariants))
 	}
-	rep, err := chaos.Run(sc)
-	if err == nil {
-		err = rep.Err()
-	}
-	if err != nil {
-		return fmt.Errorf("cluster chaos leg: %w", err)
-	}
-	fmt.Fprintf(stdout, "[ok  ] cluster chaos scenario %s: %d invariants hold\n", rep.Scenario, len(rep.Invariants))
 
 	// Leg 8: drain.
 	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -5,31 +5,43 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/cluster"
 )
 
 // TestSelfcheck runs the full cluster smoke in-process: 3 local backends,
 // gateway on an ephemeral port, byte-identity against a single instance,
-// batch split/merge, kill/failover/revive, traces, statusz, cluster chaos,
-// drain.
+// batch split/merge, kill/failover/revive, traces, statusz, one line per
+// builtin cluster chaos scenario (taken from the registry, so a new one
+// joins the smoke without touching this test), drain.
 func TestSelfcheck(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if err := run([]string{"-selfcheck"}, &stdout, &stderr); err != nil {
 		t.Fatalf("run -selfcheck: %v\nstderr: %s\nstdout: %s", err, stderr.String(), stdout.String())
 	}
-	for _, want := range []string{
+	want := []string{
 		"[ok  ] healthz aggregates all 3 backends",
 		"[ok  ] pinned Table-1 trace through the cluster is byte-identical to a single instance; repeat routes to the warm cache",
 		"[ok  ] /v1/batch splits 6 items across backends and merges byte-identically, 422 isolated in place",
 		"failover computes identical bytes; revive: key returns to the owner's warm cache",
 		"[ok  ] 5 gateway traces well-formed with route/backend_wait/batch_merge/write stages",
 		"conserved outcomes, 1 failover(s)",
-		"[ok  ] cluster chaos scenario backend-rejoin: 7 invariants hold",
-		"[ok  ] drained",
-	} {
-		if !strings.Contains(stdout.String(), want) {
-			t.Errorf("stdout missing %q:\n%s", want, stdout.String())
+	}
+	scenarios := 0
+	for _, sc := range chaos.Builtin() {
+		if sc.Topology() == "cluster" {
+			want = append(want, "[ok  ] cluster chaos scenario "+sc.Name+": ")
+			scenarios++
 		}
+	}
+	want = append(want, "[ok  ] drained")
+	for _, w := range want {
+		if !strings.Contains(stdout.String(), w) {
+			t.Errorf("stdout missing %q:\n%s", w, stdout.String())
+		}
+	}
+	if got := strings.Count(stdout.String(), "[ok  ] cluster chaos scenario "); got != scenarios {
+		t.Errorf("%d cluster chaos scenario lines, want %d (every cluster builtin once):\n%s", got, scenarios, stdout.String())
 	}
 }
 

@@ -1,14 +1,15 @@
 // Package chaos is the deterministic chaos harness: it composes
 // internal/faults specs into phased, seeded scenario timelines, drives a
-// schedload-style workload through an in-process serve stack, and
-// machine-checks invariants after every run — every response is either a
-// documented error envelope or byte-identical to the fault-free golden;
-// metrics conserve (requests_total equals the sum of per-outcome counters);
-// queue depth and in-flight return to zero; the goroutine count returns to
-// its pre-scenario baseline; the circuit breaker only ever takes legal
-// state-machine transitions; and spans conserve (exactly one well-formed
-// span tree per request on each side, even for rejected, faulted or
-// panicking requests).
+// seeded workload of generated ETC matrices through in-process serve
+// stacks, and machine-checks invariants after every run — every response
+// is either a documented error envelope or byte-identical to the
+// fault-free golden; metrics conserve (requests_total equals the sum of
+// per-outcome counters); queue depth and in-flight return to zero; the
+// goroutine count returns to its pre-scenario baseline; the circuit
+// breaker only ever takes legal state-machine transitions; and spans
+// conserve (exactly one well-formed span tree per request on each traced
+// side, even for rejected, faulted or panicking requests, and over a disk
+// tier one disk_lookup span per disk consult).
 //
 // One Scenario type covers four topologies, read off which of its fields
 // are set: a single instance behind a loopback listener, a gateway over
@@ -432,6 +433,9 @@ type run struct {
 	panicBody, batchBody []byte
 	panics               int // panic requests scheduled
 
+	// lifetimes is every store-backed server lifetime (restart, disk).
+	lifetimes []lifetime
+
 	violations []string
 	atExit     []func()
 }
@@ -798,7 +802,8 @@ func classByLabel(label string) etc.Class {
 }
 
 // Builtin returns the harness's stock scenarios, each with a pinned seed.
-// Names are stable: scripts and selfchecks refer to them.
+// Names are stable: scripts and the schedchaos golden refer to them. The
+// schedd and schedgw selfchecks replay every entry, split by topology.
 func Builtin() []Scenario {
 	return []Scenario{
 		{

@@ -3,7 +3,6 @@ package chaos
 import (
 	"fmt"
 
-	"repro/internal/obs"
 	"repro/internal/store"
 )
 
@@ -29,12 +28,10 @@ import (
 // The LRU is disabled outright (CacheEntries -1) so every request exercises
 // the disk tier — the scenario is about the disk path, not memory hits.
 type disk struct {
-	r   *run
-	st  *store.Store
-	ffs *store.FaultFS
-	lt  lifetime
-	// regs holds every lifetime's registry, for the no_disk_5xx sum.
-	regs       []*obs.Metrics
+	r          *run
+	st         *store.Store
+	ffs        *store.FaultFS
+	lt         lifetime
 	warmWrites int64
 }
 
@@ -62,8 +59,7 @@ func (d *disk) up() error {
 
 // start begins a fresh server lifetime over the shared store.
 func (d *disk) start() {
-	d.lt = newLifetime(d.st, -1)
-	d.regs = append(d.regs, d.lt.reg)
+	d.lt = d.r.newLifetime(d.st, -1)
 }
 
 // expect posts bodies[k] to the current lifetime.
@@ -119,11 +115,12 @@ func (d *disk) drive() error {
 	r.check("recovered", r.rep.Recovered == 2 && d.st.Health() == store.Healthy,
 		fmt.Sprintf("health %q after the arc; %d of 2 readback keys served from disk", d.st.HealthState(), r.rep.Recovered))
 	var fiveXX int64
-	for _, reg := range d.regs {
-		fiveXX += countersOf(reg)["serve.responses_5xx"]
+	for _, lt := range r.lifetimes {
+		fiveXX += countersOf(lt.reg)["serve.responses_5xx"]
 	}
 	r.check("no_disk_5xx", fiveXX == 0,
-		fmt.Sprintf("%d 5xx responses across %d server lifetimes (a sick disk must never surface to a client)", fiveXX, len(d.regs)))
+		fmt.Sprintf("%d 5xx responses across %d server lifetimes (a sick disk must never surface to a client)", fiveXX, len(r.lifetimes)))
+	r.diskSpans()
 	r.quiesced(d.lt.reg)
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -12,16 +13,28 @@ import (
 )
 
 // lifetime is one server lifetime over a store: a fresh serve.Server with
-// its own metrics registry. Ending it drains the write-behind queue into
-// the store, so accounting across lifetimes is exact.
+// its own metrics registry and its own tracer and span stream, as a
+// restarted daemon has (trace sequences restart with the process, so the
+// streams are judged one lifetime at a time). The run keeps every lifetime.
+// Ending one drains the write-behind queue into the store, so accounting
+// across lifetimes is exact.
 type lifetime struct {
-	srv *serve.Server
-	reg *obs.Metrics
+	srv   *serve.Server
+	reg   *obs.Metrics
+	spans *obs.Collector
 }
 
-func newLifetime(st *store.Store, cacheEntries int) lifetime {
-	reg := obs.NewMetrics()
-	return lifetime{serve.NewServer(serve.Options{Workers: 2, CacheEntries: cacheEntries, Store: st, Metrics: reg}), reg}
+func (r *run) newLifetime(st *store.Store, cacheEntries int) lifetime {
+	lt := lifetime{reg: obs.NewMetrics(), spans: &obs.Collector{}}
+	lt.srv = serve.NewServer(serve.Options{
+		Workers:      2,
+		CacheEntries: cacheEntries,
+		Store:        st,
+		Metrics:      lt.reg,
+		Tracer:       obs.NewTracer(lt.spans),
+	})
+	r.lifetimes = append(r.lifetimes, lt)
+	return lt
 }
 
 func (l lifetime) end(what string) error {
@@ -73,7 +86,7 @@ func (d *restart) replay(name, first, repeat string) (lt lifetime, opened store.
 		return lt, opened, got, fmt.Errorf("chaos: open store: %w", err)
 	}
 	opened = st.Stats()
-	lt = newLifetime(st, 0)
+	lt = r.newLifetime(st, 0)
 	ph := newPhase(name, 2*r.sc.Distinct)
 	for pass, want := range []string{first, repeat} {
 		for k := range r.sc.Distinct {
@@ -120,6 +133,50 @@ func (d *restart) drive() error {
 		fmt.Sprintf("recovery truncated %d bytes (injected %d), %d of %d keys survived",
 			reopened.RecoveredBytes, sc.TornTailBytes, reopened.Keys, sc.Distinct))
 	r.recovered("post-restart")
+	r.diskSpans()
 	r.quiesced(lt.reg)
 	return nil
+}
+
+// diskSpans checks span conservation across every lifetime of a
+// store-backed run: one well-formed span tree per request, and one
+// disk_lookup span per disk consult — each request that missed the LRU
+// and was not gated off an offline tier — tagged as the disk_hits and
+// disk_misses counters saw it. The untagged rest are read errors;
+// serve.disk_errors cannot stand in for them, as it also counts failed
+// write-behind appends.
+func (r *run) diskSpans() {
+	var roots, requests, consults, hits, misses, lookups, spanHits, spanMisses int64
+	var malformed []string
+	for _, lt := range r.lifetimes {
+		c := countersOf(lt.reg)
+		requests += c["serve.requests_total"]
+		consults += c["serve.requests_total"] - c["serve.cache_hits"] - c["serve.disk_skipped"]
+		hits += c["serve.disk_hits"]
+		misses += c["serve.disk_misses"]
+		spans := spansOf(lt.spans)
+		sum := obs.SummarizeSpans(spans)
+		roots += int64(sum.Roots)
+		malformed = append(malformed, sum.Malformed...)
+		for _, sp := range spans {
+			if sp.Name != "disk_lookup" {
+				continue
+			}
+			lookups++
+			switch sp.Cache {
+			case "disk":
+				spanHits++
+			case "miss":
+				spanMisses++
+			}
+		}
+	}
+	detail := fmt.Sprintf("%d roots for %d requests; %d disk_lookup spans for %d disk consults (%d disk, %d miss, %d read errors) across %d lifetimes",
+		roots, requests, lookups, consults, spanHits, spanMisses, lookups-spanHits-spanMisses, len(r.lifetimes))
+	if len(malformed) > 0 {
+		detail += "; malformed: " + strings.Join(malformed, "; ")
+	}
+	r.check("span_conservation",
+		len(malformed) == 0 && roots == requests && lookups == consults && spanHits == hits && spanMisses == misses,
+		detail)
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/serve"
@@ -638,5 +639,76 @@ func TestServeBodyReadsIntoOneBuffer(t *testing.T) {
 	}
 	if cap(resp.Body) != len(resp.Body) {
 		t.Fatalf("body read into a %d-byte buffer for %d bytes", cap(resp.Body), len(resp.Body))
+	}
+}
+
+// TestRecoversThroughFaultInjector: the resilient client against a real
+// serve stack behind the seeded fault injector. Injected 503s, dropped
+// connections and truncated bodies cost retries, never correctness: every
+// replay of the pinned Table-1 request recovers the cleanly computed bytes,
+// and the shared registry shows each fault kind was injected and retried
+// through. Keep-alives are off so every arrival at the injector is an
+// attempt the client made.
+func TestRecoversThroughFaultInjector(t *testing.T) {
+	reg := obs.NewMetrics()
+	s := serve.NewServer(serve.Options{Workers: 1, Metrics: reg})
+	defer s.Drain(context.Background())
+	clean := httptest.NewServer(s.Handler())
+	defer clean.Close()
+	spec, err := faults.Parse("seed=5,latency=0.2:2ms,reject=0.25:503:1,drop=0.2,truncate=0.2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty := httptest.NewServer(faults.New(spec, s.Handler(), reg))
+	defer faulty.Close()
+
+	body := []byte(`{"etc":[[5,3,6],[4,1,1],[5,3,2],[5,5,4]],"heuristic":"min-min","ties":"det","seed":1}`)
+	plain := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	resp, err := plain.Post(clean.URL+"/v1/iterate", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("clean request: status %d, %v", resp.StatusCode, err)
+	}
+
+	c, _ := newTestClient(Options{
+		MaxRetries:       12,
+		BaseBackoff:      time.Millisecond,
+		MaxBackoff:       5 * time.Millisecond,
+		Timeout:          2 * time.Second,
+		Seed:             1,
+		BreakerThreshold: 1000,
+		HTTPClient:       plain,
+		Metrics:          reg,
+	})
+	const replays = 16
+	for i := 1; i <= replays; i++ {
+		got, err := c.Post(context.Background(), faulty.URL+"/v1/iterate", body)
+		if err != nil {
+			t.Fatalf("replay %d/%d: %v", i, replays, err)
+		}
+		if !bytes.Equal(got.Body, want) {
+			t.Fatalf("replay %d/%d: recovered body differs from the clean response", i, replays)
+		}
+	}
+	counters := map[string]int64{}
+	for _, ct := range reg.Snapshot().Counters {
+		counters[ct.Name] = ct.Value
+	}
+	// The injector's stream and the client's retries are seeded and the
+	// replays serial, so the counts are exact.
+	for name, want := range map[string]int64{
+		"faults.injected_total": 13,
+		"faults.reject_total":   3,
+		"faults.drop_total":     3,
+		"faults.truncate_total": 5,
+		"client.retries_total":  11,
+	} {
+		if counters[name] != want {
+			t.Errorf("%s = %d, want %d", name, counters[name], want)
+		}
 	}
 }

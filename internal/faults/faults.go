@@ -3,7 +3,7 @@
 // and injects configured rates of added latency, 503/429 rejections (with
 // Retry-After), dropped connections and truncated response bodies. It
 // exists so the resilience layer (internal/client, schedload's retry loop,
-// the schedd selfcheck) can be exercised against realistic failure modes —
+// the chaos scenarios) can be exercised against realistic failure modes —
 // stragglers and transient faults are the norm, not the exception, in
 // heterogeneous systems — without ever compromising the repository's
 // determinism guarantee.
@@ -16,8 +16,8 @@
 //     inner handler produced, never different bytes.
 //   - Every random decision flows from the explicit seed in the Spec
 //     through internal/rng (never math/rand). The decision stream is
-//     deterministic in arrival order; with serial requests (the selfcheck,
-//     tests) the entire fault sequence is replayable.
+//     deterministic in arrival order; with serial requests (the chaos
+//     scenarios, tests) the entire fault sequence is replayable.
 //
 // Wall-clock appears only as injected latency, which delays a response but
 // never changes its content.
@@ -91,9 +91,9 @@ func (s Spec) String() string {
 //	       | "drop=P"
 //	       | "truncate=P"
 //
-// Probabilities are in [0, 1]. Unknown fields, malformed values and
-// out-of-range probabilities are errors: a typo'd fault spec must never
-// silently inject nothing.
+// Probabilities are in [0, 1]; NaN is not. Unknown fields, malformed
+// values and out-of-range probabilities are errors: a typo'd fault spec
+// must never silently inject nothing.
 func Parse(spec string) (Spec, error) {
 	var s Spec
 	if strings.TrimSpace(spec) == "" {
@@ -101,7 +101,7 @@ func Parse(spec string) (Spec, error) {
 	}
 	prob := func(field, v string) (float64, error) {
 		p, err := strconv.ParseFloat(v, 64)
-		if err != nil || p < 0 || p > 1 {
+		if err != nil || !(p >= 0 && p <= 1) { // NaN fails both comparisons
 			return 0, fmt.Errorf("faults: %s probability %q not in [0, 1]", field, v)
 		}
 		return p, nil

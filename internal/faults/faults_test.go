@@ -70,12 +70,50 @@ func TestParseErrors(t *testing.T) {
 		"drop=2",            // probability out of range
 		"truncate=nope",     // not a number
 		"seed=1,flakes=0.5", // unknown field
+		// NaN fails every range comparison, so it needs its own rejection:
+		// accepted, it would inject nothing on that field.
+		"latency=NaN:5ms",
+		"reject=NaN:503",
+		"drop=NaN",
+		"truncate=nan",
 	}
 	for _, in := range cases {
 		if _, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q): want error", in)
 		}
 	}
+}
+
+// FuzzFaultsSpec: every spec Parse accepts has each probability in [0, 1],
+// and String∘Parse is idempotent on its own output — a rendered spec
+// parses back and renders to the same bytes.
+func FuzzFaultsSpec(f *testing.F) {
+	for _, in := range []string{
+		"seed=42,latency=0.3:5ms,reject=0.2:503:1,drop=0.1,truncate=0.1",
+		"reject=0.5:429",
+		"seed=3,latency=1:0s,reject=0:503:9",
+	} {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		s, err := Parse(in)
+		if err != nil {
+			return
+		}
+		for _, p := range []float64{s.LatencyP, s.RejectP, s.DropP, s.TruncateP} {
+			if !(p >= 0 && p <= 1) {
+				t.Fatalf("Parse(%q) accepted probability %v", in, p)
+			}
+		}
+		out := s.String()
+		again, err := Parse(out)
+		if err != nil {
+			t.Fatalf("Parse(%q) rejects its own rendering %q: %v", in, out, err)
+		}
+		if got := again.String(); got != out {
+			t.Fatalf("Parse(%q) renders %q, which renders again as %q", in, out, got)
+		}
+	})
 }
 
 // TestDeterministicDecisionStream pins the core guarantee: two injectors

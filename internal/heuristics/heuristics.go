@@ -229,11 +229,20 @@ func Registry(seed uint64) map[string]func() Heuristic {
 // Names returns the registry's heuristic names in sorted order.
 func Names() []string { return append([]string(nil), sortedNames...) }
 
+// Known checks name against the registry without constructing anything: it
+// returns nil for a registered name and ByName's error for any other.
+func Known(name string) error {
+	if _, ok := registry[name]; !ok {
+		return fmt.Errorf("heuristics: unknown heuristic %q (available: %v)", name, sortedNames)
+	}
+	return nil
+}
+
 // ByName constructs the named heuristic or returns an error listing the
 // available names.
 func ByName(name string, seed uint64) (Heuristic, error) {
-	if f, ok := registry[name]; ok {
-		return f(seed), nil
+	if err := Known(name); err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("heuristics: unknown heuristic %q (available: %v)", name, sortedNames)
+	return registry[name](seed), nil
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -128,6 +129,30 @@ func TestBatchColdThenWarm(t *testing.T) {
 	// item count.
 	if total, ok2 := counterValue(t, s, "serve.requests_total"), counterValue(t, s, "serve.responses_2xx"); total != 2 || ok2 != 2 {
 		t.Fatalf("requests/2xx = %d/%d, want 2/2", total, ok2)
+	}
+}
+
+// TestBatchEnvelopeReplayByteIdentical: a batch whose every item is a
+// cache hit stores its whole envelope, and an identical batch is answered
+// with exactly the bytes assembly produced.
+func TestBatchEnvelopeReplayByteIdentical(t *testing.T) {
+	s := NewServer(Options{})
+	defer drain(t, s)
+	single := iterateBody("min-min", "det", 1)
+	if rec := post(s, "/v1/iterate", single); rec.Code != http.StatusOK {
+		t.Fatalf("singleton status %d: %s", rec.Code, rec.Body.String())
+	}
+	body := batchBody(batchItemJSON("iterate", single))
+	assembled := post(s, "/v1/batch", body)
+	if assembled.Code != http.StatusOK {
+		t.Fatalf("batch status %d: %s", assembled.Code, assembled.Body.String())
+	}
+	if _, ok := s.cache.getRaw([]byte(rawHeadBatchEnv + body)); !ok {
+		t.Fatal("an all-hit batch left no whole-envelope entry")
+	}
+	replayed := post(s, "/v1/batch", body)
+	if !bytes.Equal(replayed.Body.Bytes(), assembled.Body.Bytes()) {
+		t.Fatalf("whole-envelope replay differs:\n%s\n%s", replayed.Body.String(), assembled.Body.String())
 	}
 }
 

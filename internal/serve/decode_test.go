@@ -354,6 +354,23 @@ func TestDecodeAllocs(t *testing.T) {
 	}
 }
 
+// TestParamsAllocs: validating a request's heuristic looks its name up and
+// builds nothing, so checking a valid genitor request — whose constructor
+// allocates the heuristic and its rng source — costs no allocation.
+func TestParamsAllocs(t *testing.T) {
+	ready := []float64{0, 1, 2, 3}
+	got := testing.AllocsPerRun(100, func() {
+		var e fieldErrors
+		e.params(4, ready, true, "genitor", "random", 50)
+		if e.total != 0 {
+			t.Fatalf("valid genitor request: %d field errors: %+v", e.total, e.fields)
+		}
+	})
+	if got != 0 {
+		t.Fatalf("validating a genitor request costs %.0f allocs, want 0", got)
+	}
+}
+
 // TestCanonicalKeyAllocs is the key-first budget: CanonicalKey builds no
 // matrix and no instance, so a 32×8 key costs the key and the parsed
 // request around it.

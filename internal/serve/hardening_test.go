@@ -90,6 +90,9 @@ func TestPanicIsolation(t *testing.T) {
 		case obs.RequestDone:
 			if ev.Status == http.StatusInternalServerError {
 				done500++
+				if ev.Cache != "" {
+					t.Fatalf("panic-recovered request_done claims cache state %q", ev.Cache)
+				}
 			}
 		}
 	}

@@ -250,7 +250,7 @@ func (e *fieldErrors) err() *apiError {
 func validateRequest(rq Request) *fieldErrors {
 	var e fieldErrors
 	cols := e.matrix(rq.ETC)
-	e.params(cols, rq.Ready, rq.Ready != nil, rq.Heuristic, rq.Ties, rq.Seed, rq.TimeoutMS)
+	e.params(cols, rq.Ready, rq.Ready != nil, rq.Heuristic, rq.Ties, rq.TimeoutMS)
 	return &e
 }
 
@@ -280,9 +280,10 @@ func (e *fieldErrors) matrix(m [][]float64) (cols int) {
 }
 
 // params checks every field outside the matrix, given its machine count
-// cols: the ready times (hasReady: "ready" was sent), heuristic and seed,
-// tie policy and timeout. Both decoders' requests go through it.
-func (e *fieldErrors) params(cols int, ready []float64, hasReady bool, heuristic, ties string, seed uint64, timeoutMS int64) {
+// cols: the ready times (hasReady: "ready" was sent), heuristic, tie policy
+// and timeout. Both decoders' requests go through it. The heuristic is
+// looked up, not built: the worker builds it once, to compute.
+func (e *fieldErrors) params(cols int, ready []float64, hasReady bool, heuristic, ties string, timeoutMS int64) {
 	if hasReady && cols > 0 && len(ready) != cols {
 		e.add("ready", "%d ready times for %d machines", len(ready), cols)
 	}
@@ -291,7 +292,7 @@ func (e *fieldErrors) params(cols int, ready []float64, hasReady bool, heuristic
 			e.add(fmt.Sprintf("ready[%d]", i), "%g is not a finite non-negative value", v)
 		}
 	}
-	if _, err := heuristics.ByName(heuristic, seed); err != nil {
+	if err := heuristics.Known(heuristic); err != nil {
 		e.add("heuristic", "%v", err)
 	}
 	if ties == "" {
@@ -380,7 +381,7 @@ func (d *decodedRequest) admit(ep endpoint, lim limits) (*parsedRequest, *apiErr
 	}
 	p := f.parsed(ep)
 	var e fieldErrors
-	e.params(f.machines, f.ready, f.hasReady, p.heuristic, p.ties, p.seed, p.timeoutMS)
+	e.params(f.machines, f.ready, f.hasReady, p.heuristic, p.ties, p.timeoutMS)
 	if aerr := e.err(); aerr != nil {
 		return nil, aerr
 	}

@@ -77,8 +77,8 @@ type Options struct {
 	// DefaultMaxBatchItems.
 	MaxBatchItems int
 	// PanicTrigger, when non-nil, runs in the worker just before each
-	// compute with the request's seed. It exists so selfchecks, chaos
-	// scenarios and tests can exercise the panic-isolation path with a
+	// compute with the request's seed. It exists so chaos scenarios and
+	// tests can exercise the panic-isolation path with a
 	// deliberate panic on a sentinel seed; it must never be set in
 	// production.
 	PanicTrigger func(seed uint64)

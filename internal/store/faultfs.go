@@ -80,9 +80,9 @@ func (s FaultSpec) String() string {
 //	       | "shortwrite=P"
 //	       | "enospc=AFTERBYTES"
 //
-// Probabilities are in [0, 1]. Unknown fields, malformed values and
-// out-of-range probabilities are errors: a typo'd fault spec must never
-// silently inject nothing.
+// Probabilities are in [0, 1]; NaN is not. Unknown fields, malformed
+// values and out-of-range probabilities are errors: a typo'd fault spec
+// must never silently inject nothing.
 func ParseFaultSpec(spec string) (FaultSpec, error) {
 	var s FaultSpec
 	if strings.TrimSpace(spec) == "" {
@@ -90,7 +90,7 @@ func ParseFaultSpec(spec string) (FaultSpec, error) {
 	}
 	prob := func(field, v string) (float64, error) {
 		p, err := strconv.ParseFloat(v, 64)
-		if err != nil || p < 0 || p > 1 {
+		if err != nil || !(p >= 0 && p <= 1) { // NaN fails both comparisons
 			return 0, fmt.Errorf("store: %s probability %q not in [0, 1]", field, v)
 		}
 		return p, nil

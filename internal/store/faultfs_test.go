@@ -34,11 +34,49 @@ func TestParseFaultSpec(t *testing.T) {
 		"seed=abc",             // malformed seed
 		"enospc=-1",            // negative budget
 		"seed=1,latency=1:5ms", // a faults.Parse field is not ours
+		// NaN fails every range comparison, so it needs its own rejection:
+		// accepted, it would inject nothing on that field.
+		"readerr=NaN",
+		"writeerr=NaN",
+		"syncerr=nan",
+		"shortwrite=NaN",
 	} {
 		if _, err := ParseFaultSpec(bad); err == nil {
 			t.Fatalf("ParseFaultSpec(%q): expected error", bad)
 		}
 	}
+}
+
+// FuzzFaultFSSpec: every spec ParseFaultSpec accepts has each probability
+// in [0, 1], and String∘ParseFaultSpec is idempotent on its own output — a
+// rendered spec parses back and renders to the same bytes.
+func FuzzFaultFSSpec(f *testing.F) {
+	for _, in := range []string{
+		"seed=7,readerr=0.5,writeerr=0.25,syncerr=0.1,shortwrite=0.2,enospc=4096",
+		"readerr=1",
+		"seed=0,enospc=0,writeerr=0",
+	} {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		s, err := ParseFaultSpec(in)
+		if err != nil {
+			return
+		}
+		for _, p := range []float64{s.ReadErrP, s.WriteErrP, s.SyncErrP, s.ShortWriteP} {
+			if !(p >= 0 && p <= 1) {
+				t.Fatalf("ParseFaultSpec(%q) accepted probability %v", in, p)
+			}
+		}
+		out := s.String()
+		again, err := ParseFaultSpec(out)
+		if err != nil {
+			t.Fatalf("ParseFaultSpec(%q) rejects its own rendering %q: %v", in, out, err)
+		}
+		if got := again.String(); got != out {
+			t.Fatalf("ParseFaultSpec(%q) renders %q, which renders again as %q", in, out, got)
+		}
+	})
 }
 
 // TestFaultFSDeterministic proves the headline property: the same spec

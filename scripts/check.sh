@@ -3,26 +3,23 @@
 # thing (see CLAUDE.md):
 #
 #   gofmt clean, go vet, build, full test suite, the perfbench module's
-#   own tests, a bounded fuzz leg over
-#   the request decoders, the canonical key, the number converter and the
-#   engine's derived iterations,
-#   paper self-check, the schedd serving smoke
-#   (ephemeral port, pinned Table-1 trace, cache byte-identity,
-#   span-tree trace leg, fault-injected recovery, panic
-#   isolation, chaos leg, kill/restart disk-tier recovery, graceful
-#   drain), the schedgw cluster smoke (3 local backends,
+#   own tests, a bounded fuzz leg over the request decoders, the
+#   canonical key, the number converter, the engine's derived iterations
+#   and the two fault-spec parsers, paper self-check, the schedd serving
+#   smoke (ephemeral port, pinned Table-1 trace, cache byte-identity,
+#   span-tree trace leg, every non-cluster builtin chaos scenario,
+#   graceful drain), the schedgw cluster smoke (3 local backends,
 #   cluster-vs-singleton byte-identity, batch split/merge,
-#   kill/failover/revive, cluster chaos, drain), the schedchaos scenario
-#   sweep (every builtin scenario — single-instance, cluster,
-#   restart-recovery and the disk-tier fault/full arcs — every invariant,
-#   stdout pinned against cmd/schedchaos/testdata/all.golden) and the
-#   tracing legs
-#   (schedd/schedgw -trace-out span streams analyzed by schedtrace
-#   -counts, pinned against scripts/testdata/trace_counts.golden and
-#   gateway_trace_counts.golden). The -race leg covers internal/serve's
-#   concurrency tests plus the resilience layer (internal/faults,
-#   internal/client), the cluster gateway, the chaos harness and the
-#   daemons' end-to-end tests.
+#   kill/failover/revive, every cluster chaos scenario, drain), the
+#   schedchaos scenario sweep (every builtin scenario — single-instance,
+#   cluster, restart-recovery and the disk-tier fault/full arcs — every
+#   invariant, stdout pinned against cmd/schedchaos/testdata/all.golden)
+#   and the tracing legs (schedd/schedgw -trace-out span streams analyzed
+#   by schedtrace -counts, pinned against
+#   scripts/testdata/trace_counts.golden and gateway_trace_counts.golden).
+#   The -race leg covers internal/serve's concurrency tests plus the
+#   resilience layer (internal/faults, internal/client), the cluster
+#   gateway, the chaos harness and the daemons' end-to-end tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,7 +58,10 @@ for target in FuzzDecodeRequest FuzzParseBatchItem FuzzSplitBatch FuzzCanonicalK
 done
 # The engine's derived iterations against the slow path they skip.
 go test ./internal/core -run '^$' -fuzz '^FuzzIterateDerived$' -fuzztime 5s -parallel 2 >/dev/null
-echo "[ok  ] fuzz (decoder, batch item, batch splitter, canonical key, number converter, derived iterations; 5 s each)"
+# The -fault-inject and -store-fault-inject grammars.
+go test ./internal/faults -run '^$' -fuzz '^FuzzFaultsSpec$' -fuzztime 5s -parallel 2 >/dev/null
+go test ./internal/store -run '^$' -fuzz '^FuzzFaultFSSpec$' -fuzztime 5s -parallel 2 >/dev/null
+echo "[ok  ] fuzz (decoder, batch item, batch splitter, canonical key, number converter, derived iterations, fault specs; 5 s each)"
 
 go run ./cmd/paperrepro
 echo "[ok  ] paperrepro"
@@ -71,7 +71,9 @@ trap 'rm -rf "$tmp"' EXIT
 go run ./cmd/schedd -selfcheck -trace-out "$tmp/spans.jsonl" >/dev/null
 echo "[ok  ] schedd selfcheck"
 
-# The selfcheck's span stream is deterministic in everything but durations;
+# The selfcheck's span stream — the three Table-1 requests; the chaos
+# scenarios trace on their own stacks and check their own span
+# conservation — is deterministic in everything but durations;
 # schedtrace -counts strips the wall-clock columns, so the remainder must
 # match the pinned golden byte for byte (and schedtrace itself exits
 # non-zero on any structural violation).
