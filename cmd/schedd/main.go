@@ -34,8 +34,12 @@
 // in-process sequence — never from the clock. The trace ID is echoed in the
 // X-Schedd-Trace response header and stamped on access-log records; span
 // durations feed the /statusz stage quantiles. -trace-out additionally
-// appends every span as JSONL (analyze with cmd/schedtrace). -pprof serves
-// net/http/pprof on a secondary listener, never on the service address.
+// writes every span as JSONL (analyze with cmd/schedtrace), truncating the
+// file at startup: trace sequences restart with the process, so a second
+// lifetime appended to the first would repeat its trace IDs. One file
+// holds one lifetime's stream. -access-log appends, as its records are
+// flat and stand alone. -pprof serves net/http/pprof on a secondary
+// listener, never on the service address.
 //
 // Responses are deterministic in the request: same matrix, heuristic, tie
 // policy and seed give byte-identical bodies, cached or computed. -selfcheck
@@ -116,7 +120,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		timeout      = fs.Duration("timeout", 0, "per-request deadline cap (0 = default 5s)")
 		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "how long to wait for in-flight requests on shutdown")
 		accessLog    = fs.String("access-log", "", "append request_done events as JSONL to this path")
-		traceOut     = fs.String("trace-out", "", "append request spans as JSONL to this path (analyze with cmd/schedtrace)")
+		traceOut     = fs.String("trace-out", "", "write request spans as JSONL to this path, truncating it (analyze with cmd/schedtrace)")
 		pprofAddr    = fs.String("pprof", "", "serve net/http/pprof on a secondary listener at this address (e.g. 127.0.0.1:6060); never exposed on -addr")
 		faultInject  = fs.String("fault-inject", "", "STAGING ONLY: wrap the service in the seeded fault injector (e.g. seed=7,latency=0.1:5ms,reject=0.2:503:1,drop=0.05,truncate=0.05)")
 		storeDir     = fs.String("store", "", "crash-safe disk result tier directory (created if missing); after a restart previously computed bodies answer byte-identically with X-Schedd-Cache: disk")
@@ -201,7 +205,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	sinks := obs.Multi{obs.NewSpanMetricsObserver(reg, "serve")}
 	var traceSink *obs.JSONL
 	if *traceOut != "" {
-		f, err := os.OpenFile(*traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := os.OpenFile(*traceOut, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 		if err != nil {
 			return err
 		}

@@ -6,12 +6,14 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/obs"
 )
 
 // TestSelfcheck runs the full end-to-end smoke in-process: ephemeral port,
@@ -170,26 +172,25 @@ func TestBadFlags(t *testing.T) {
 	}
 }
 
-// TestEphemeralAddr pins the embedding contract satellite tools (schedgw
-// -local, scripts, tests) rely on: `-addr 127.0.0.1:0` binds an ephemeral
-// port, the bound address is printed to stdout in the "listening on" line
-// before any request is served, the daemon answers on it, and SIGTERM
-// drains cleanly.
-func TestEphemeralAddr(t *testing.T) {
+// startDaemon runs the daemon in-process with args plus an ephemeral
+// -addr and returns the base URL from its "listening on" line, and stop,
+// which sends SIGTERM and waits for a clean drain. Call stop only after a
+// request has been answered: serving starts after the signal handler is
+// installed, so an answer proves SIGTERM drains rather than kills.
+func startDaemon(t *testing.T, args ...string) (base string, stop func()) {
+	t.Helper()
 	pr, pw := io.Pipe()
 	var stderr bytes.Buffer
 	done := make(chan error, 1)
 	go func() {
-		err := run([]string{"-addr", "127.0.0.1:0"}, pw, &stderr)
+		err := run(append([]string{"-addr", "127.0.0.1:0"}, args...), pw, &stderr)
 		pw.Close()
 		done <- err
 	}()
 
 	sc := bufio.NewScanner(pr)
-	base := ""
 	for sc.Scan() {
-		line := sc.Text()
-		if rest, ok := strings.CutPrefix(line, "schedd: listening on "); ok {
+		if rest, ok := strings.CutPrefix(sc.Text(), "schedd: listening on "); ok {
 			base = rest[:strings.Index(rest, " ")]
 			break
 		}
@@ -197,15 +198,37 @@ func TestEphemeralAddr(t *testing.T) {
 	if base == "" {
 		t.Fatalf("no listening line before stdout closed; stderr: %s", stderr.String())
 	}
-	if strings.HasSuffix(base, ":0") {
-		t.Fatalf("listening line still carries port 0: %q", base)
-	}
 	// Keep draining stdout so the daemon's drain messages never block.
 	go func() {
 		for sc.Scan() {
 		}
 	}()
+	return base, func() {
+		t.Helper()
+		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("run returned %v after SIGTERM; stderr: %s", err, stderr.String())
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("daemon did not drain within 10s of SIGTERM")
+		}
+	}
+}
 
+// TestEphemeralAddr pins the embedding contract satellite tools (schedgw
+// -local, scripts, tests) rely on: `-addr 127.0.0.1:0` binds an ephemeral
+// port, the bound address is printed to stdout in the "listening on" line
+// before any request is served, the daemon answers on it, and SIGTERM
+// drains cleanly.
+func TestEphemeralAddr(t *testing.T) {
+	base, stop := startDaemon(t)
+	if strings.HasSuffix(base, ":0") {
+		t.Fatalf("listening line still carries port 0: %q", base)
+	}
 	resp, err := http.Get(base + "/healthz")
 	if err != nil {
 		t.Fatalf("GET %s/healthz: %v", base, err)
@@ -215,16 +238,40 @@ func TestEphemeralAddr(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status %d", resp.StatusCode)
 	}
+	stop()
+}
 
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+// TestTraceOutHoldsOneLifetime: two daemon lifetimes on one -trace-out path
+// leave a well-formed stream. Trace IDs are the request key's hash plus a
+// per-process sequence that restarts at 1, so a restarted daemon appending
+// to the file would repeat the first lifetime's IDs; -trace-out truncates
+// instead, and the file holds the last lifetime's single trace.
+func TestTraceOutHoldsOneLifetime(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "spans.jsonl")
+	body := `{"etc":[[5,3,6],[4,1,1],[5,3,2],[5,5,4]],"heuristic":"min-min","ties":"det","seed":1}`
+	for lifetime := 0; lifetime < 2; lifetime++ {
+		base, stop := startDaemon(t, "-trace-out", path)
+		resp, err := http.Post(base+"/v1/iterate", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("lifetime %d: %v", lifetime, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("lifetime %d: status %d", lifetime, resp.StatusCode)
+		}
+		stop()
+	}
+	f, err := os.Open(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run returned %v after SIGTERM; stderr: %s", err, stderr.String())
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("daemon did not drain within 10s of SIGTERM")
+	defer f.Close()
+	spans, err := obs.ReadSpans(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := obs.SummarizeSpans(spans); !sum.WellFormed() || sum.Roots != 1 {
+		t.Fatalf("-trace-out after two lifetimes: %d roots, malformed %v; want one well-formed trace", sum.Roots, sum.Malformed)
 	}
 }

@@ -8,8 +8,9 @@
 // goroutine count returns to its pre-scenario baseline; the circuit
 // breaker only ever takes legal state-machine transitions; and spans
 // conserve (exactly one well-formed span tree per request on each traced
-// side, even for rejected, faulted or panicking requests, and over a disk
-// tier one disk_lookup span per disk consult).
+// side, even for rejected, faulted or panicking requests; through a
+// gateway one span per stage and routed attempt; and over a disk tier one
+// disk_lookup span per disk consult).
 //
 // One Scenario type covers four topologies, read off which of its fields
 // are set: a single instance behind a loopback listener, a gateway over

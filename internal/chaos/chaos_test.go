@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cluster"
@@ -428,6 +429,53 @@ func TestRoutingCheckDerivesKeyHashFromBytesSent(t *testing.T) {
 			c.settle("phase test", true)
 			if len(c.misroutes) != tc.misroutes || c.routed != 1 {
 				t.Fatalf("routed %d, misroutes %q; want 1 routed, %d misroutes", c.routed, c.misroutes, tc.misroutes)
+			}
+		})
+	}
+}
+
+// dropSpans forwards every event except the spans drop selects.
+type dropSpans struct {
+	next obs.Observer
+	drop func(obs.Span) bool
+}
+
+func (d dropSpans) Observe(e obs.Event) {
+	if sp, ok := e.(obs.Span); ok && d.drop(sp) {
+		return
+	}
+	d.next.Observe(e)
+}
+
+// TestClusterSpanConservationCatchesDroppedSpans: the gateway stage
+// equalities can fail. A gateway stream missing every backend_wait span,
+// or a single write span, still has one well-formed tree per arrival, so
+// only the per-stage counts can tell — and the verdict must name
+// span_conservation.
+func TestClusterSpanConservationCatchesDroppedSpans(t *testing.T) {
+	sc, err := ByName("backend-kill")
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := gatewaySpanSink
+	defer func() { gatewaySpanSink = orig }()
+	var droppedWrite atomic.Bool
+	for _, tc := range []struct {
+		name string
+		drop func(obs.Span) bool
+	}{
+		{"every backend_wait", func(sp obs.Span) bool { return sp.Name == "backend_wait" }},
+		{"one write", func(sp obs.Span) bool { return sp.Name == "write" && droppedWrite.CompareAndSwap(false, true) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gatewaySpanSink = func(col *obs.Collector) obs.Observer { return dropSpans{next: col, drop: tc.drop} }
+			rep, err := Run(sc)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if err := rep.Err(); err == nil || !strings.Contains(err.Error(), "invariant span_conservation violated") || rep.Pass {
+				b, _ := rep.JSON()
+				t.Fatalf("Err() = %v, want span_conservation violated:\n%s", err, b)
 			}
 		})
 	}

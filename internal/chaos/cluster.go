@@ -24,7 +24,8 @@ import (
 // serves on each key's rendezvous owner), minimal disruption (with
 // backends down, each key serves on its first reachable preference — and
 // only keys owned by dead backends move), gateway metrics conservation,
-// breaker health and span conservation for the gateway's own trace stream.
+// breaker health and span conservation for the gateway's own trace stream,
+// stage by stage against the gateway's counters.
 type clustered struct {
 	r     *run
 	local *cluster.Local
@@ -46,6 +47,11 @@ type clustered struct {
 	routed    int
 	misroutes []string
 }
+
+// gatewaySpanSink is where a cluster run's gateway emits its spans: the
+// run's own collector. Tests substitute a lossy sink to show that
+// span_conservation catches a missing span.
+var gatewaySpanSink = func(col *obs.Collector) obs.Observer { return col }
 
 func (c *clustered) up() error {
 	sc := c.r.sc
@@ -82,7 +88,7 @@ func (c *clustered) up() error {
 		},
 		Metrics:  c.reg,
 		Observer: &c.events,
-		Tracer:   obs.NewTracer(&c.spans),
+		Tracer:   obs.NewTracer(gatewaySpanSink(&c.spans)),
 	})
 	return err
 }
@@ -239,7 +245,8 @@ func (c *clustered) drive() error {
 		routeDetail = strings.Join(c.misroutes, "; ")
 	}
 	r.check("routing", len(c.misroutes) == 0 && c.routed > 0, routeDetail)
-	total := r.conserved(countersOf(c.reg), "gateway")
+	counters := countersOf(c.reg)
+	total := r.conserved(counters, "gateway")
 	r.recovered("fault-free")
 	states := c.gw.BreakerStates()
 	var open []string
@@ -254,11 +261,35 @@ func (c *clustered) drive() error {
 		breakerDetail = strings.Join(open, " ")
 	}
 	r.check("breakers_closed", len(open) == 0, breakerDetail)
-	sum := obs.SummarizeSpans(spansOf(&c.spans))
-	spanDetail := fmt.Sprintf("gateway %d roots for %d arrivals", sum.Roots, total)
-	if !sum.WellFormed() {
-		spanDetail += "; malformed: " + strings.Join(sum.Malformed, "; ")
-	}
-	r.check("span_conservation", sum.WellFormed() && int64(sum.Roots) == total, spanDetail)
+	c.spanConservation(counters, total)
 	return nil
+}
+
+// spanConservation checks the gateway's trace stream stage by stage against
+// its own counters: one well-formed tree per arrival, each with exactly one
+// decode, route and write span; one backend_wait span per routed attempt
+// (every gateway.routed.<backend> increment opens one); one batch_merge per
+// batch (every batch the scenarios send splits).
+func (c *clustered) spanConservation(counters map[string]int64, total int64) {
+	sum := obs.SummarizeSpans(spansOf(&c.spans))
+	stages := map[string]int64{}
+	for _, st := range sum.Stages {
+		stages[st.Name] = int64(st.Count)
+	}
+	var routed int64
+	for name, n := range counters {
+		if strings.HasPrefix(name, "gateway.routed.") {
+			routed += n
+		}
+	}
+	batches := counters["gateway.batch_requests_total"]
+	ok := sum.WellFormed() && int64(sum.Roots) == total &&
+		stages["decode"] == total && stages["route"] == total && stages["write"] == total &&
+		stages["backend_wait"] == routed && stages["batch_merge"] == batches
+	detail := fmt.Sprintf("gateway %d roots for %d arrivals (decode %d, route %d, write %d); %d backend_wait spans for %d routed attempts; %d batch_merge spans for %d batches",
+		sum.Roots, total, stages["decode"], stages["route"], stages["write"], stages["backend_wait"], routed, stages["batch_merge"], batches)
+	if !sum.WellFormed() {
+		detail += "; malformed: " + strings.Join(sum.Malformed, "; ")
+	}
+	c.r.check("span_conservation", ok, detail)
 }

@@ -198,7 +198,7 @@ func (d *disk) fault() (func(), error) {
 		// machine.
 		decided := resumeCounters["serve.disk_writes"] + resumeCounters["serve.disk_write_drops"]
 		r.check("resume_accounting",
-			decided == int64(gated+sc.Resume) && resumeCounters["serve.disk_errors"] == 0,
+			decided == int64(gated+sc.Resume) && resumeCounters["serve.disk_write_errors"] == 0,
 			fmt.Sprintf("%d write-behind decisions for %d gated recomputes + %d fresh bodies; every computed body written or dropped, never errored",
 				decided, gated, sc.Resume))
 	}, nil
@@ -246,7 +246,7 @@ func (d *disk) full() (func(), error) {
 	expandCounters := countersOf(d.lt.reg)
 
 	return func() {
-		fullErrs, fullDrops := fullCounters["serve.disk_errors"], fullCounters["serve.disk_write_drops"]
+		fullErrs, fullDrops := fullCounters["serve.disk_write_errors"], fullCounters["serve.disk_write_drops"]
 		r.check("warm_persisted", d.warmWrites == int64(sc.Distinct),
 			fmt.Sprintf("%d of %d warm bodies durable before the disk filled", d.warmWrites, sc.Distinct))
 		r.check("read_only_served", readOnlyServed == sc.Storm && fullCounters["serve.disk_skipped"] == 0,
@@ -263,7 +263,7 @@ func (d *disk) full() (func(), error) {
 				fullErrs, fullDrops, sc.Storm, degradedState))
 		decided := expandCounters["serve.disk_writes"] + expandCounters["serve.disk_write_drops"]
 		r.check("expanded",
-			decided == int64(sc.Resume) && expandCounters["serve.disk_writes"] >= 1 && expandCounters["serve.disk_errors"] == 0,
+			decided == int64(sc.Resume) && expandCounters["serve.disk_writes"] >= 1 && expandCounters["serve.disk_write_errors"] == 0,
 			fmt.Sprintf("%d appended + %d dropped on the probe ladder account for all %d post-expand bodies",
 				expandCounters["serve.disk_writes"], expandCounters["serve.disk_write_drops"], sc.Resume))
 	}, nil

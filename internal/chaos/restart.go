@@ -142,11 +142,9 @@ func (d *restart) drive() error {
 // store-backed run: one well-formed span tree per request, and one
 // disk_lookup span per disk consult — each request that missed the LRU
 // and was not gated off an offline tier — tagged as the disk_hits and
-// disk_misses counters saw it. The untagged rest are read errors;
-// serve.disk_errors cannot stand in for them, as it also counts failed
-// write-behind appends.
+// disk_misses counters saw it, the untagged rest as disk_read_errors did.
 func (r *run) diskSpans() {
-	var roots, requests, consults, hits, misses, lookups, spanHits, spanMisses int64
+	var roots, requests, consults, hits, misses, readErrs, lookups, spanHits, spanMisses int64
 	var malformed []string
 	for _, lt := range r.lifetimes {
 		c := countersOf(lt.reg)
@@ -154,6 +152,7 @@ func (r *run) diskSpans() {
 		consults += c["serve.requests_total"] - c["serve.cache_hits"] - c["serve.disk_skipped"]
 		hits += c["serve.disk_hits"]
 		misses += c["serve.disk_misses"]
+		readErrs += c["serve.disk_read_errors"]
 		spans := spansOf(lt.spans)
 		sum := obs.SummarizeSpans(spans)
 		roots += int64(sum.Roots)
@@ -177,6 +176,7 @@ func (r *run) diskSpans() {
 		detail += "; malformed: " + strings.Join(malformed, "; ")
 	}
 	r.check("span_conservation",
-		len(malformed) == 0 && roots == requests && lookups == consults && spanHits == hits && spanMisses == misses,
+		len(malformed) == 0 && roots == requests && lookups == consults && spanHits == hits && spanMisses == misses &&
+			lookups-spanHits-spanMisses == readErrs,
 		detail)
 }

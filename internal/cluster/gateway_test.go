@@ -193,13 +193,15 @@ func TestGatewayRoutingStability(t *testing.T) {
 }
 
 // TestGatewayBatchMirrorsSingleton drives a mixed batch (two endpoints, a
-// malformed item, a validation failure) through the cluster and through a
-// single instance: per-item status and body must be byte-identical.
+// malformed item, a validation failure, an unknown heuristic) through the
+// cluster and through a single instance: per-item status and body must be
+// byte-identical, and a failing item is isolated in place.
 func TestGatewayBatchMirrorsSingleton(t *testing.T) {
 	_, g, ref := startCluster(t, 3, Options{})
 
 	items := []string{
 		`{"endpoint":"map","etc":[[4,9,9],[9,2,2],[9,9,3]],"heuristic":"min-min"}`,
+		`{"endpoint":"iterate","etc":[[4,9,9],[9,2,2],[9,9,3]],"heuristic":"nope","ties":"det","seed":1}`,
 		`{"endpoint":"iterate","etc":[[4,9,9],[9,2,2],[9,9,3]],"heuristic":"sufferage","ties":"random","seed":7}`,
 		`{"endpoint":"map","etc":[[-1]],"heuristic":"min-min"}`,
 		`{"endpoint":"reduce","etc":[[1]],"heuristic":"min-min"}`,
@@ -230,6 +232,10 @@ func TestGatewayBatchMirrorsSingleton(t *testing.T) {
 		if string(got.Results[i].Body) != string(want.Results[i].Body) {
 			t.Fatalf("item %d body differs:\n got %s\nwant %s", i, got.Results[i].Body, want.Results[i].Body)
 		}
+	}
+	if got.Results[0].Status != http.StatusOK || got.Results[1].Status != http.StatusUnprocessableEntity || got.Results[2].Status != http.StatusOK {
+		t.Fatalf("items 0-2 statuses %d %d %d, want the unknown heuristic an isolated 422 between two 200s",
+			got.Results[0].Status, got.Results[1].Status, got.Results[2].Status)
 	}
 
 	// Batch-level error envelopes forward whole and stay byte-identical too.

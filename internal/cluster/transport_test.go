@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"net/http/httptrace"
 	"sync"
 	"testing"
@@ -67,8 +69,10 @@ func (c *connLog) counts(host string) (attempts, reused int) {
 // TestGatewayFailoverPooled is the kill → failover → revive arc on pooled
 // connections: a backend killed while the gateway holds idle connections to
 // it costs at most one failed attempt before the key fails over to its
-// next rendezvous backend with byte-identical bytes, and once revived it
-// owns the key again on the very next request.
+// next rendezvous backend with byte-identical bytes (computed cold there),
+// and once revived it owns the key again on the very next request, served
+// from its warm cache. /statusz then reports the arc: one failover, every
+// breaker closed, every backend healthy, one routed count per attempt.
 func TestGatewayFailoverPooled(t *testing.T) {
 	log := &connLog{base: newTransport(), hits: map[string]int{}, reus: map[string]int{}}
 	col := &obs.Collector{}
@@ -126,6 +130,9 @@ func TestGatewayFailoverPooled(t *testing.T) {
 	if r := lastRoute(); r.Primary != rank[0] || r.Served != rank[1] || r.Failovers != 1 {
 		t.Fatalf("after kill: route %+v, want primary %s served %s failovers 1", r, rank[0], rank[1])
 	}
+	if c := rec.Header().Get("X-Schedd-Cache"); c != "miss" {
+		t.Fatalf("after kill: cache %q, want miss (the failover backend computes cold)", c)
+	}
 
 	if err := local.Revive(owner); err != nil {
 		t.Fatal(err)
@@ -136,5 +143,32 @@ func TestGatewayFailoverPooled(t *testing.T) {
 	}
 	if r := lastRoute(); r.Served != rank[0] || r.Failovers != 0 {
 		t.Fatalf("after revive: route %+v, want served %s with no failover", r, rank[0])
+	}
+	if c := rec.Header().Get("X-Schedd-Cache"); c != "hit" {
+		t.Fatalf("after revive: cache %q, want hit (the owner kept its warm cache through the kill)", c)
+	}
+
+	// Count the attempts before /statusz: its health probes share the
+	// logged transport.
+	attempts := 0
+	for i := range 3 {
+		n, _ := log.counts(local.Addr(i))
+		attempts += n
+	}
+	sz := httptest.NewRecorder()
+	g.Handler().ServeHTTP(sz, httptest.NewRequest(http.MethodGet, "/statusz", nil))
+	var st gwStatus
+	if err := json.Unmarshal(sz.Body.Bytes(), &st); err != nil {
+		t.Fatalf("statusz: %v\n%s", err, sz.Body.String())
+	}
+	var routed int64
+	for _, b := range st.Backends {
+		if b.Breaker != "closed" || b.Health != "ok" {
+			t.Fatalf("statusz backend %s: breaker %q health %q, want closed and ok", b.Name, b.Breaker, b.Health)
+		}
+		routed += b.Routed
+	}
+	if len(st.Backends) != 3 || st.Failovers != 1 || routed != int64(attempts) {
+		t.Fatalf("statusz: %d backends, %d failovers, %d routed; want 3, 1 and the %d attempts made", len(st.Backends), st.Failovers, routed, attempts)
 	}
 }

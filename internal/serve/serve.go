@@ -159,7 +159,10 @@ type Server struct {
 	mDiskMisses *obs.Counter
 	mDiskWrites *obs.Counter
 	mDiskDrops  *obs.Counter
-	mDiskErrors *obs.Counter
+	// Failed disk_lookup reads and failed write-behind appends, apart: a
+	// sick disk may fail one and not the other.
+	mDiskReadErrors  *obs.Counter
+	mDiskWriteErrors *obs.Counter
 	// Degradation observability (health-aware stores only): consults the
 	// gate declined, and the current health state as a gauge.
 	mDiskSkipped *obs.Counter
@@ -279,7 +282,8 @@ func NewServer(opts Options) *Server {
 		s.mDiskMisses = reg.Counter("serve.disk_misses")
 		s.mDiskWrites = reg.Counter("serve.disk_writes")
 		s.mDiskDrops = reg.Counter("serve.disk_write_drops")
-		s.mDiskErrors = reg.Counter("serve.disk_errors")
+		s.mDiskReadErrors = reg.Counter("serve.disk_read_errors")
+		s.mDiskWriteErrors = reg.Counter("serve.disk_write_errors")
 		if th, ok := opts.Store.(TierHealth); ok {
 			s.tierHealth = th
 			s.mDiskSkipped = reg.Counter("serve.disk_skipped")
@@ -624,7 +628,7 @@ func (s *Server) resolve(rctx context.Context, p *parsedRequest, raw rawAlias, t
 		case err != nil:
 			sp.SetErr(CodeInternal)
 			sp.End()
-			s.mDiskErrors.Inc()
+			s.mDiskReadErrors.Inc()
 		case ok:
 			sp.SetCache("disk")
 			sp.End()
@@ -890,13 +894,14 @@ type statusState struct {
 // dropped writes, skipped consults, quarantine-style errors — diagnosable
 // at a glance.
 type statusDisk struct {
-	Health     string `json:"health,omitempty"`
-	Hits       int64  `json:"hits"`
-	Misses     int64  `json:"misses"`
-	Writes     int64  `json:"writes"`
-	WriteDrops int64  `json:"write_drops"`
-	Errors     int64  `json:"errors"`
-	Skipped    int64  `json:"skipped"`
+	Health      string `json:"health,omitempty"`
+	Hits        int64  `json:"hits"`
+	Misses      int64  `json:"misses"`
+	Writes      int64  `json:"writes"`
+	WriteDrops  int64  `json:"write_drops"`
+	ReadErrors  int64  `json:"read_errors"`
+	WriteErrors int64  `json:"write_errors"`
+	Skipped     int64  `json:"skipped"`
 }
 
 // handleStatusz renders the operational summary. Quantiles come from
@@ -928,12 +933,13 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.store != nil {
 		st.Disk = &statusDisk{
-			Hits:       counters["serve.disk_hits"],
-			Misses:     counters["serve.disk_misses"],
-			Writes:     counters["serve.disk_writes"],
-			WriteDrops: counters["serve.disk_write_drops"],
-			Errors:     counters["serve.disk_errors"],
-			Skipped:    counters["serve.disk_skipped"],
+			Hits:        counters["serve.disk_hits"],
+			Misses:      counters["serve.disk_misses"],
+			Writes:      counters["serve.disk_writes"],
+			WriteDrops:  counters["serve.disk_write_drops"],
+			ReadErrors:  counters["serve.disk_read_errors"],
+			WriteErrors: counters["serve.disk_write_errors"],
+			Skipped:     counters["serve.disk_skipped"],
 		}
 		if s.tierHealth != nil {
 			st.Disk.Health = s.tierHealth.HealthState()

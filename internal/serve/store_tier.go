@@ -18,10 +18,11 @@ package serve
 type ResultStore interface {
 	// Get returns the stored body for a canonical request key. ok reports
 	// presence; err is an I/O failure (treated as a miss by the server,
-	// counted in serve.disk_errors).
+	// counted in serve.disk_read_errors).
 	Get(key string) ([]byte, bool, error)
 	// Put durably appends the body for a key. Duplicate keys may be
-	// skipped: bodies are deterministic in their key.
+	// skipped: bodies are deterministic in their key. A failure costs one
+	// future recompute, counted in serve.disk_write_errors.
 	Put(key string, body []byte) error
 }
 
@@ -79,7 +80,7 @@ func (s *Server) storeWriter() {
 			continue
 		}
 		if err := s.store.Put(w.key, w.body); err != nil {
-			s.mDiskErrors.Inc()
+			s.mDiskWriteErrors.Inc()
 			s.noteDiskHealth()
 			continue
 		}

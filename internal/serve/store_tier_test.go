@@ -146,8 +146,12 @@ func TestDiskTierErrorIsAMiss(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: a broken store must not fail requests", rec.Code)
 	}
-	if got := counterValue(t, s, "serve.disk_errors"); got < 1 {
-		t.Fatalf("disk_errors = %d, want >= 1 (read and/or write failure)", got)
+	if got := counterValue(t, s, "serve.disk_read_errors"); got != 1 {
+		t.Fatalf("disk_read_errors = %d, want 1 (the request's consult)", got)
+	}
+	drain(t, s) // flushes the write-behind append
+	if got := counterValue(t, s, "serve.disk_write_errors"); got != 1 {
+		t.Fatalf("disk_write_errors = %d, want 1 (the computed body's append)", got)
 	}
 }
 
@@ -274,8 +278,8 @@ func TestDiskTierGracefulDegradation(t *testing.T) {
 	if got := counterValue(t, s, "serve.disk_write_drops"); got < 1 {
 		t.Fatalf("disk_write_drops = %d, want >= 1", got)
 	}
-	if got := counterValue(t, s, "serve.disk_errors"); got < 1 {
-		t.Fatalf("disk_errors = %d, want >= 1 (the storm read)", got)
+	if got := counterValue(t, s, "serve.disk_read_errors"); got < 1 {
+		t.Fatalf("disk_read_errors = %d, want >= 1 (the storm read)", got)
 	}
 
 	// /statusz surfaces the whole arc.
@@ -288,7 +292,7 @@ func TestDiskTierGracefulDegradation(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &status); err != nil || status.Disk == nil {
 		t.Fatalf("statusz disk section missing: err=%v body=%s", err, w.Body.String())
 	}
-	if status.Disk.Health != "healthy" || status.Disk.Skipped != 1 || status.Disk.WriteDrops < 1 {
-		t.Fatalf("statusz disk = %+v, want healthy, 1 skipped, >=1 drops", status.Disk)
+	if status.Disk.Health != "healthy" || status.Disk.Skipped != 1 || status.Disk.WriteDrops < 1 || status.Disk.ReadErrors < 1 {
+		t.Fatalf("statusz disk = %+v, want healthy, 1 skipped, >=1 drops, >=1 read errors", status.Disk)
 	}
 }

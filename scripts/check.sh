@@ -8,12 +8,13 @@
 #   and the two fault-spec parsers, paper self-check, the schedd serving
 #   smoke (ephemeral port, pinned Table-1 trace, cache byte-identity,
 #   span-tree trace leg, every non-cluster builtin chaos scenario,
-#   graceful drain), the schedgw cluster smoke (3 local backends,
-#   cluster-vs-singleton byte-identity, batch split/merge,
-#   kill/failover/revive, every cluster chaos scenario, drain), the
-#   schedchaos scenario sweep (every builtin scenario — single-instance,
-#   cluster, restart-recovery and the disk-tier fault/full arcs — every
-#   invariant, stdout pinned against cmd/schedchaos/testdata/all.golden)
+#   graceful drain), the schedgw cluster smoke (3 local backends, the
+#   Table-1 miss byte-identical to a single instance and its
+#   byte-identical hit, their span trees, every cluster chaos scenario,
+#   drain), the schedchaos scenario sweep (every builtin scenario —
+#   single-instance, cluster, restart-recovery and the disk-tier
+#   fault/full arcs — every invariant, stdout pinned against
+#   cmd/schedchaos/testdata/all.golden)
 #   and the tracing legs (schedd/schedgw -trace-out span streams analyzed
 #   by schedtrace -counts, pinned against
 #   scripts/testdata/trace_counts.golden and gateway_trace_counts.golden).
@@ -84,8 +85,10 @@ echo "[ok  ] schedd -trace-out span stream matches the schedtrace golden"
 go run ./cmd/schedgw -selfcheck -trace-out "$tmp/gwspans.jsonl" >/dev/null
 echo "[ok  ] schedgw selfcheck"
 
-# Same determinism contract for the gateway's span stream: route,
-# backend_wait, batch_merge and write stage counts are pinned.
+# Same determinism contract for the gateway's span stream — the two
+# Table-1 requests; the cluster chaos scenarios check their own per-stage
+# span conservation, pinned in all.golden — whose stage counts are pinned.
+# This is the only check of the gateway's -trace-out JSONL path.
 go run ./cmd/schedtrace -counts "$tmp/gwspans.jsonl" >"$tmp/gateway_trace_counts.txt"
 diff -u scripts/testdata/gateway_trace_counts.golden "$tmp/gateway_trace_counts.txt"
 echo "[ok  ] schedgw -trace-out span stream matches the schedtrace golden"
