@@ -7,6 +7,7 @@ import (
 	"repro/internal/heuristics"
 	"repro/internal/rng"
 	"repro/internal/sched"
+	"repro/internal/tiebreak"
 )
 
 // Iterate's allocation guard: each trace owns one arena (the restricted
@@ -109,6 +110,106 @@ func TestDerivedIterationsAllocateNothing(t *testing.T) {
 		if all > first+derivedAllocSlack {
 			t.Errorf("%s on 1024x64: %v allocs over %d iterations, want <= %v (iteration 0 alone: %v)",
 				h.Name(), all, iters, first+derivedAllocSlack, first)
+		}
+	}
+}
+
+// roundRobin maps task i to machine i mod m in one reused buffer: a
+// Seedable heuristic that allocates nothing once its buffer has grown, so
+// a trace's allocations under it are the engine's own.
+type roundRobin struct{ buf []int }
+
+func (*roundRobin) Name() string { return "round-robin" }
+
+func (r *roundRobin) Map(in *sched.Instance, _ tiebreak.Policy) (sched.Mapping, error) {
+	if cap(r.buf) < in.Tasks() {
+		r.buf = make([]int, in.Tasks())
+	}
+	a := r.buf[:in.Tasks()]
+	for i := range a {
+		a[i] = i % in.Machines()
+	}
+	return sched.Mapping{Assign: a}, nil
+}
+
+func (r *roundRobin) MapSeeded(in *sched.Instance, tb tiebreak.Policy, _ sched.Mapping) (sched.Mapping, error) {
+	return r.Map(in, tb)
+}
+
+// TestWarmWorkspaceAllocatesOnlyHeuristicRuns: a second Iterate on a warm
+// Workspace allocates only what the heuristic's runs allocate. Under a
+// heuristic that allocates nothing the whole trace allocates nothing — for
+// every option set, and for a smaller shape than the one that warmed the
+// workspace — and under each corpus heuristic it stays within the
+// per-iteration budget with no fixed part.
+func TestWarmWorkspaceAllocatesOnlyHeuristicRuns(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the race runtime drops sync.Pool puts at random, so the kernels' scratch refills are not counted reproducibly; the non-race run enforces the bound")
+	}
+	shape := func(tasks, machines int) *sched.Instance {
+		m, err := etc.GenerateRange(etc.RangeParams{
+			Tasks: tasks, Machines: machines, TaskHet: 100, MachineHet: 10,
+		}, rng.New(11))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sched.MustInstance(m, nil)
+	}
+	big, small := shape(256, 32), shape(64, 8)
+	var ws Workspace
+	rr := &roundRobin{}
+	for _, in := range []*sched.Instance{big, small} {
+		for _, o := range corpusOptions {
+			if _, err := ws.Iterate(in, rr, Deterministic(), o.opts); err != nil {
+				t.Fatal(err)
+			}
+			if got := testing.AllocsPerRun(5, func() {
+				if _, err := ws.Iterate(in, rr, Deterministic(), o.opts); err != nil {
+					t.Fatal(err)
+				}
+			}); got != 0 {
+				t.Errorf("round-robin on %dx%d, %s: a warm workspace allocates %v per trace, want 0",
+					in.Tasks(), in.Machines(), o.label, got)
+			}
+		}
+	}
+	// The small shape fits what the big one grew: not even its first
+	// trace allocates. AllocsPerRun(1) runs twice, so grow two workspaces.
+	grown := make([]Workspace, 2)
+	for i := range grown {
+		if _, err := grown[i].Iterate(big, rr, Deterministic(), Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	if got := testing.AllocsPerRun(1, func() {
+		if _, err := grown[next].Iterate(small, rr, Deterministic(), Options{}); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}); got != 0 {
+		t.Errorf("a 64x8 trace on a workspace grown by 256x32 allocates %v, want 0", got)
+	}
+
+	for _, name := range corpusHeuristics {
+		base, err := heuristics.ByName(name, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range []heuristics.Heuristic{base, heuristics.Seeded{Inner: base}} {
+			tr, err := ws.Iterate(small, h, Deterministic(), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			iters := len(tr.Iterations)
+			if got := testing.AllocsPerRun(20, func() {
+				if _, err := ws.Iterate(small, h, Deterministic(), Options{}); err != nil {
+					t.Fatal(err)
+				}
+			}); got > float64(iterateAllocsPerIter*iters) {
+				t.Errorf("%s on a warm workspace: %v allocs over %d iterations, want <= %d",
+					h.Name(), got, iters, iterateAllocsPerIter*iters)
+			}
 		}
 	}
 }

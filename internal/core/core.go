@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"time"
+	"unsafe"
 
 	"repro/internal/heuristics"
 	"repro/internal/obs"
@@ -158,21 +159,26 @@ const comparisonEpsilon = 1e-9
 // MachineOutcomes classifies every machine's final completion time against
 // the original mapping.
 func (tr *Trace) MachineOutcomes() []MachineOutcome {
-	orig := tr.Iterations[0]
 	out := make([]MachineOutcome, tr.Instance.Machines())
 	for m := range out {
-		before, _ := orig.MachineCompletion(m)
-		after := tr.FinalCompletion[m]
-		switch {
-		case after < before-comparisonEpsilon:
-			out[m] = Improved
-		case after > before+comparisonEpsilon:
-			out[m] = Worsened
-		default:
-			out[m] = Unchanged
-		}
+		out[m] = tr.MachineOutcome(m)
 	}
 	return out
+}
+
+// MachineOutcome classifies machine m's final completion time against the
+// original mapping.
+func (tr *Trace) MachineOutcome(m int) MachineOutcome {
+	before, _ := tr.Iterations[0].MachineCompletion(m)
+	after := tr.FinalCompletion[m]
+	switch {
+	case after < before-comparisonEpsilon:
+		return Improved
+	case after > before+comparisonEpsilon:
+		return Worsened
+	default:
+		return Unchanged
+	}
 }
 
 // Changed reports whether any iteration's mapping differs from the original
@@ -235,7 +241,37 @@ func Iterate(in *sched.Instance, h heuristics.Heuristic, policy PolicyFunc) (*Tr
 	return IterateOpts(in, h, policy, Options{})
 }
 
-// IterateOpts is Iterate with ablation options.
+// IterateOpts is Iterate with ablation options: one run on a fresh
+// Workspace, whose trace the caller then owns outright.
+func IterateOpts(in *sched.Instance, h heuristics.Heuristic, policy PolicyFunc, opts Options) (*Trace, error) {
+	w := new(Workspace)
+	tr, err := w.Iterate(in, h, policy, opts)
+	// The trace keeps the workspace alive; let go of the scratch nobody
+	// will reuse (the restricted instance, the seed, the active sets).
+	w.a = arena{}
+	return tr, err
+}
+
+// Workspace is reusable storage for runs of the iterative technique: the
+// engine's arena (active sets, local machine table, restricted instance,
+// seed) and the trace with the backing arrays of its slices. A caller that
+// runs many traces in turn, such as a service worker, keeps one Workspace
+// and allocates per trace only what the heuristic's runs allocate.
+//
+// Reuse contract: the Trace that Iterate returns, and every slice in it,
+// stay valid only until the next Iterate on the same Workspace, which
+// overwrites them; a caller that keeps a trace longer copies it first (or
+// uses IterateOpts, which gives each trace its own). Each Iterate resets
+// all of the workspace at its start, so a run that returned an error or
+// panicked partway leaves nothing behind that a later run can see. A
+// Workspace is not safe for concurrent use. The zero value is ready.
+type Workspace struct {
+	tr Trace
+	a  arena
+}
+
+// Iterate runs the technique as IterateOpts does, in the workspace's
+// storage (see the reuse contract on Workspace).
 //
 // For a restricting heuristic (heuristics.Restricts: Min-Min, MCT, MET, OLB
 // and Seeded over them) the engine derives iterations instead of computing
@@ -246,7 +282,7 @@ func Iterate(in *sched.Instance, h heuristics.Heuristic, policy PolicyFunc) (*Tr
 // bit-identical to a computed one and emits the same observer events; its
 // HeuristicDone counts one single-candidate choice per task, as the
 // skipped run would have.
-func IterateOpts(in *sched.Instance, h heuristics.Heuristic, policy PolicyFunc, opts Options) (*Trace, error) {
+func (w *Workspace) Iterate(in *sched.Instance, h heuristics.Heuristic, policy PolicyFunc, opts Options) (*Trace, error) {
 	if in == nil {
 		return nil, errors.New("core: nil instance")
 	}
@@ -267,21 +303,21 @@ func IterateOpts(in *sched.Instance, h heuristics.Heuristic, policy PolicyFunc, 
 	if opts.MaxIterations > 0 && opts.MaxIterations < maxIters {
 		maxIters = opts.MaxIterations
 	}
-	tr := &Trace{
-		Instance:        in,
-		Heuristic:       h.Name(),
-		Iterations:      make([]Iteration, 0, maxIters),
-		FinalAssign:     make([]int, nT),
-		FinalCompletion: in.ReadyTimes(), // the default for machines left idle
-	}
-	a := &arena{
-		activeTasks:    ascending(nT),
-		activeMachines: ascending(nM),
-		local:          ascending(nM),
-	}
 	// Completion vectors need exactly one entry per active machine per
 	// iteration: nM, nM-1, ... for at most maxIters iterations.
 	floatsTotal := maxIters * (2*nM - maxIters + 1) / 2
+	tr, a := &w.tr, &w.a
+	a.reset(nT, nM, floatsTotal)
+	*tr = Trace{
+		Instance:        in,
+		Heuristic:       h.Name(),
+		Iterations:      reuse(tr.Iterations, maxIters)[:0],
+		FinalAssign:     reuse(tr.FinalAssign, nT),
+		FinalCompletion: reuse(tr.FinalCompletion, nM),
+	}
+	for m := range tr.FinalCompletion {
+		tr.FinalCompletion[m] = in.Ready(m) // the default for machines left idle
+	}
 
 	observer := opts.Observer
 	var runStart time.Time
@@ -319,6 +355,7 @@ func IterateOpts(in *sched.Instance, h heuristics.Heuristic, policy PolicyFunc, 
 					return nil, fmt.Errorf("core: iteration %d: %w", iter, err)
 				}
 				sub = &a.sub
+				a.subTasks, a.subCells = max(a.subTasks, k), max(a.subCells, k*m)
 			}
 			tb = policy(iter)
 			// The arena's Counting sees the run's ties, for the observer
@@ -337,6 +374,7 @@ func IterateOpts(in *sched.Instance, h heuristics.Heuristic, policy PolicyFunc, 
 		// Carve this iteration's slices: Tasks, Assign and Machines from one
 		// int span, Completion from the float arena.
 		ints := carve(&a.ints, 2*k+m, (2*k+m)*(maxIters-iter+1)/2)
+		a.intsUsed += 2*k + m
 		it := Iteration{
 			Index:      iter,
 			Tasks:      ints[:k:k],
@@ -437,11 +475,12 @@ func IterateOpts(in *sched.Instance, h heuristics.Heuristic, policy PolicyFunc, 
 	return tr, nil
 }
 
-// arena is one trace's working storage. The active sets only shrink, so
-// everything is sized by the first iteration that needs it and reused by
-// every later one: the restricted instance, the seed, and the
-// global-to-local machine table. The Iterations' own slices are carved from
-// shared backing arrays.
+// arena is a Workspace's working storage. Within a trace the active sets
+// only shrink, so everything is sized by the first iteration that needs it
+// and reused by every later one: the restricted instance, the seed, and
+// the global-to-local machine table. The Iterations' own slices are carved
+// from shared backing arrays. Across traces reset keeps every buffer that
+// is large enough.
 type arena struct {
 	// activeTasks and activeMachines are the considered global indices,
 	// ascending, compacted in place as machines freeze.
@@ -450,13 +489,49 @@ type arena struct {
 	// frozen.
 	local []int
 	sub   sched.Instance // the restricted instance of iterations 1, 2, ...
-	seed  []int
-	// ints and floats back the Iterations' slices.
-	ints   []int
-	floats []float64
+	// subTasks and subCells are the largest shape restricted into sub, the
+	// size its buffers have grown to (RestrictInto grows them to fit).
+	subTasks, subCells int
+	seed               []int
+	// ints and floats back the Iterations' slices. intsUsed counts the ints
+	// the current trace has carved, so the next reset can size ints to hold
+	// a repeat of it in one array.
+	ints     []int
+	floats   []float64
+	intsUsed int
 	// counting wraps the policy of each computed run that has an observer
 	// or a restricting heuristic, so the engine sees its ties.
 	counting tiebreak.Counting
+}
+
+// reset readies the arena for a trace over nT tasks and nM machines whose
+// completion vectors need floatsTotal entries. It rewrites everything a
+// trace reads before writing it, so nothing from an earlier trace, finished
+// or abandoned, can reach this one. ints grows to what the previous trace
+// carved: the engine cannot know this trace's need ahead of time, and
+// carve covers any shortfall.
+func (a *arena) reset(nT, nM, floatsTotal int) {
+	a.activeTasks = ascending(a.activeTasks, nT)
+	a.activeMachines = ascending(a.activeMachines, nM)
+	a.local = ascending(a.local, nM)
+	a.ints = reuse(a.ints, a.intsUsed)[:0]
+	a.floats = reuse(a.floats, floatsTotal)[:0]
+	a.intsUsed = 0
+}
+
+// Footprint returns the bytes the workspace's buffers hold, so an owner
+// that keeps a Workspace between runs can bound what it retains.
+func (w *Workspace) Footprint() int {
+	const word = int(unsafe.Sizeof(0))
+	a := &w.a
+	n := word * (cap(a.activeTasks) + cap(a.activeMachines) + cap(a.local) + cap(a.seed) + cap(a.ints))
+	n += 8 * cap(a.floats)
+	// The restricted instance: its cells, its row headers, and at most one
+	// ready time per machine.
+	n += 8*a.subCells + int(unsafe.Sizeof([]float64(nil)))*a.subTasks + 8*cap(a.local)
+	tr := &w.tr
+	n += int(unsafe.Sizeof(Iteration{}))*cap(tr.Iterations) + word*cap(tr.FinalAssign) + 8*cap(tr.FinalCompletion)
+	return n
 }
 
 // derive fills it, whose Tasks and Machines are already set, from prev
@@ -553,10 +628,21 @@ func (a *arena) runHeuristic(h heuristics.Heuristic, sub *sched.Instance, tb tie
 	return mp, "", err
 }
 
-func ascending(n int) []int {
-	s := make([]int, n)
+// ascending returns 0, 1, ..., n-1 in buf's storage when it is large
+// enough.
+func ascending(buf []int, n int) []int {
+	s := reuse(buf, n)
 	for i := range s {
 		s[i] = i
 	}
 	return s
+}
+
+// reuse returns s resliced to length n when its capacity allows, else a new
+// slice of length n. The contents are the caller's to overwrite.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

@@ -128,10 +128,20 @@ func renderTrace(w io.Writer, tr *Trace, rec *tiebreak.Recorder) {
 	fmt.Fprintf(w, "\nties %v picks %v\n", rec.Ties, rec.Picks)
 }
 
-// renderCorpus runs every corpus case and returns the golden text.
-func renderCorpus(t *testing.T) []byte {
+// corpusRun is one line of the corpus: a case, a heuristic, a tie policy
+// and an option set.
+type corpusRun struct {
+	ci   int // the case's index, which seeds its random ties
+	c    corpusCase
+	h    heuristics.Heuristic
+	ties string
+	o    corpusOpts
+}
+
+// corpusRuns lists every corpus run in golden-file order.
+func corpusRuns(t *testing.T) []corpusRun {
 	t.Helper()
-	var out bytes.Buffer
+	var runs []corpusRun
 	for ci, c := range corpusCases(t) {
 		for _, name := range corpusHeuristics {
 			base, err := heuristics.ByName(name, 7)
@@ -141,26 +151,44 @@ func renderCorpus(t *testing.T) []byte {
 			for _, h := range []heuristics.Heuristic{base, heuristics.Seeded{Inner: base}} {
 				for _, ties := range []string{"det", "random"} {
 					for _, o := range corpusOptions {
-						if !c.allOpts && o.label != "all" {
-							continue
+						if c.allOpts || o.label == "all" {
+							runs = append(runs, corpusRun{ci, c, h, ties, o})
 						}
-						var inner tiebreak.Policy = tiebreak.First{}
-						if ties == "random" {
-							inner = tiebreak.NewRandom(rng.New(uint64(8800 + ci)))
-						}
-						rec := tiebreak.NewRecorder(inner)
-						tr, err := IterateOpts(c.in, h, FixedPolicy(rec), o.opts)
-						if err != nil {
-							t.Fatalf("%s %s %s %s: %v", c.name, h.Name(), ties, o.label, err)
-						}
-						sum := sha256.New()
-						renderTrace(sum, tr, rec)
-						fmt.Fprintf(&out, "%s %s %s %s iters=%d %x\n",
-							c.name, h.Name(), ties, o.label, len(tr.Iterations), sum.Sum(nil)[:8])
 					}
 				}
 			}
 		}
+	}
+	return runs
+}
+
+// iterateFunc is IterateOpts or a Workspace's Iterate.
+type iterateFunc func(*sched.Instance, heuristics.Heuristic, PolicyFunc, Options) (*Trace, error)
+
+// line runs r through iterate and returns its golden line.
+func (r corpusRun) line(t *testing.T, iterate iterateFunc) string {
+	t.Helper()
+	var inner tiebreak.Policy = tiebreak.First{}
+	if r.ties == "random" {
+		inner = tiebreak.NewRandom(rng.New(uint64(8800 + r.ci)))
+	}
+	rec := tiebreak.NewRecorder(inner)
+	tr, err := iterate(r.c.in, r.h, FixedPolicy(rec), r.o.opts)
+	if err != nil {
+		t.Fatalf("%s %s %s %s: %v", r.c.name, r.h.Name(), r.ties, r.o.label, err)
+	}
+	sum := sha256.New()
+	renderTrace(sum, tr, rec)
+	return fmt.Sprintf("%s %s %s %s iters=%d %x\n",
+		r.c.name, r.h.Name(), r.ties, r.o.label, len(tr.Iterations), sum.Sum(nil)[:8])
+}
+
+// renderCorpus runs every corpus case and returns the golden text.
+func renderCorpus(t *testing.T) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	for _, r := range corpusRuns(t) {
+		out.WriteString(r.line(t, IterateOpts))
 	}
 	return out.Bytes()
 }
@@ -200,4 +228,92 @@ func TestIterateCorpusGolden(t *testing.T) {
 	}
 	t.Fatalf("iterate corpus drifted from %s (%d vs %d bytes); first differences:\n%s",
 		corpusGolden, len(got), len(want), strings.Join(diffs, "\n"))
+}
+
+// failAt wraps a heuristic so that its nth Map call panics or returns an
+// invalid mapping, abandoning a trace partway with the workspace dirty.
+type failAt struct {
+	heuristics.Heuristic
+	n, calls int
+	panics   bool
+}
+
+func (f *failAt) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
+	f.calls++
+	if f.calls < f.n {
+		return f.Heuristic.Map(in, tb)
+	}
+	if f.panics {
+		panic("failAt: deliberate panic")
+	}
+	return sched.Mapping{Assign: []int{-1}}, nil
+}
+
+// TestIterateCorpusSharedWorkspace is the workspace reuse differential:
+// every corpus run goes through one shared Workspace, in a seeded shuffle
+// that alternates large and small shapes and mixes heuristics, tie
+// policies, option sets and Seeded, and every line must equal the golden.
+// Every few runs a trace is abandoned partway — by a panic or by an invalid
+// mapping — on the same workspace. A trace that read anything a previous
+// one left behind would change its digest.
+func TestIterateCorpusSharedWorkspace(t *testing.T) {
+	want, err := os.ReadFile(corpusGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(want), "\n")
+	runs := corpusRuns(t)
+	if len(lines)-1 != len(runs) {
+		t.Fatalf("%s has %d lines for %d corpus runs", corpusGolden, len(lines)-1, len(runs))
+	}
+	src := rng.New(4321)
+	var large, small []int
+	for i, r := range runs {
+		if r.c.in.Tasks()*r.c.in.Machines() >= 240 {
+			large = append(large, i)
+		} else {
+			small = append(small, i)
+		}
+	}
+	src.Shuffle(len(large), func(i, j int) { large[i], large[j] = large[j], large[i] })
+	src.Shuffle(len(small), func(i, j int) { small[i], small[j] = small[j], small[i] })
+	var order []int
+	for len(large) > 0 || len(small) > 0 {
+		if len(large) > 0 {
+			order, large = append(order, large[0]), large[1:]
+		}
+		if len(small) > 0 {
+			order, small = append(order, small[0]), small[1:]
+		}
+	}
+
+	var ws Workspace
+	abandoned := 0
+	for step, i := range order {
+		r := runs[i]
+		if step%7 == 5 && abandon(t, &ws, r, step%2 == 0) {
+			abandoned++
+		}
+		if got := r.line(t, ws.Iterate); got != lines[i] {
+			t.Fatalf("step %d on a shared workspace:\n got %s want %s", step, got, lines[i])
+		}
+	}
+	if abandoned < 20 {
+		t.Fatalf("only %d traces abandoned", abandoned)
+	}
+}
+
+// abandon starts r's trace on ws with a heuristic that fails at its third
+// run (mid-trace), by a panic or by an invalid mapping, and reports whether
+// the trace failed; a trace that ends within two runs does not.
+func abandon(t *testing.T, ws *Workspace, r corpusRun, panics bool) (failed bool) {
+	t.Helper()
+	defer func() {
+		if v := recover(); v != nil {
+			failed = true
+		}
+	}()
+	h := &failAt{Heuristic: r.h, n: 3, panics: panics}
+	_, err := ws.Iterate(r.c.in, h, Deterministic(), Options{})
+	return err != nil
 }

@@ -62,24 +62,41 @@ func New(values [][]float64) (*Matrix, error) {
 // for callers that already hold the values in one exact-size array, such
 // as a service decoding an instance from its canonical request key.
 func Adopt(tasks, machines int, cells []float64) (*Matrix, error) {
+	m := new(Matrix)
+	if err := AdoptInto(m, tasks, machines, cells); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// AdoptInto is Adopt writing into dst, reusing its row headers when it has
+// room for tasks rows (they grow to exactly tasks rows when it does not). A
+// caller that decodes one instance after another, such as a service
+// worker, rebuilds one Matrix in place; the matrix previously held in dst
+// is overwritten, so nothing may retain it across calls. On error dst is
+// left unchanged.
+func AdoptInto(dst *Matrix, tasks, machines int, cells []float64) error {
 	switch {
 	case tasks <= 0:
-		return nil, errors.New("etc: matrix has no tasks")
+		return errors.New("etc: matrix has no tasks")
 	case machines <= 0:
-		return nil, errors.New("etc: matrix has no machines")
+		return errors.New("etc: matrix has no machines")
 	case len(cells) != tasks*machines:
-		return nil, fmt.Errorf("etc: %d cells for a %dx%d matrix", len(cells), tasks, machines)
+		return fmt.Errorf("etc: %d cells for a %dx%d matrix", len(cells), tasks, machines)
 	}
 	for i, v := range cells {
 		if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
-			return nil, fmt.Errorf("etc: entry [%d][%d] = %g is not a positive finite value", i/machines, i%machines, v)
+			return fmt.Errorf("etc: entry [%d][%d] = %g is not a positive finite value", i/machines, i%machines, v)
 		}
 	}
-	vs := make([][]float64, tasks)
-	for t := range vs {
-		vs[t] = cells[t*machines : (t+1)*machines : (t+1)*machines]
+	if cap(dst.values) < tasks {
+		dst.values = make([][]float64, tasks)
 	}
-	return &Matrix{values: vs}, nil
+	dst.values = dst.values[:tasks]
+	for t := range dst.values {
+		dst.values[t] = cells[t*machines : (t+1)*machines : (t+1)*machines]
+	}
+	return nil
 }
 
 // copyRows deep-copies a rectangular matrix into one backing array. Each

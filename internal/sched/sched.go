@@ -30,22 +30,43 @@ type Instance struct {
 // ready may be nil, meaning all machines start at time zero. Ready times
 // must be finite and non-negative.
 func NewInstance(m *etc.Matrix, ready []float64) (*Instance, error) {
-	if m == nil {
-		return nil, errors.New("sched: nil ETC matrix")
+	in := new(Instance)
+	if err := NewInstanceInto(in, m, ready); err != nil {
+		return nil, err
 	}
-	r := make([]float64, m.Machines())
+	return in, nil
+}
+
+// NewInstanceInto is NewInstance writing into dst, reusing its ready-time
+// storage when it has room for every machine. The instance previously held
+// in dst is overwritten, so nothing may retain it across calls. On error
+// dst is left unchanged.
+func NewInstanceInto(dst *Instance, m *etc.Matrix, ready []float64) error {
+	if m == nil {
+		return errors.New("sched: nil ETC matrix")
+	}
 	if ready != nil {
 		if len(ready) != m.Machines() {
-			return nil, fmt.Errorf("sched: %d ready times for %d machines", len(ready), m.Machines())
+			return fmt.Errorf("sched: %d ready times for %d machines", len(ready), m.Machines())
 		}
 		for i, v := range ready {
 			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				return nil, fmt.Errorf("sched: ready time %d = %g is not a finite non-negative value", i, v)
+				return fmt.Errorf("sched: ready time %d = %g is not a finite non-negative value", i, v)
 			}
-			r[i] = v
 		}
 	}
-	return &Instance{m: m, ready: r}, nil
+	r := dst.ready
+	if cap(r) < m.Machines() {
+		r = make([]float64, m.Machines())
+	}
+	r = r[:m.Machines()]
+	if ready != nil {
+		copy(r, ready)
+	} else {
+		clear(r)
+	}
+	dst.m, dst.ready = m, r
+	return nil
 }
 
 // MustInstance is NewInstance but panics on error; for constants and tests.

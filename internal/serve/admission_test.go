@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -171,6 +172,55 @@ func TestScratchPoolBound(t *testing.T) {
 		}
 	}
 	t.Fatal("a scratch at the cap was never pooled")
+}
+
+// TestWorkerScratchBound pins the worker compute scratch's cap: after a
+// MaxCells-sized compute the worker keeps no scratch above
+// maxPooledScratch, while ordinary jobs keep reusing one scratch.
+func TestWorkerScratchBound(t *testing.T) {
+	s := NewServer(Options{Workers: 1, MaxBodyBytes: 8 << 20})
+	defer drain(t, s)
+	var (
+		mu   sync.Mutex
+		kept []*computeScratch
+		size []int
+	)
+	s.testHookComputed = func(sc *computeScratch) {
+		mu.Lock()
+		defer mu.Unlock()
+		kept, size = append(kept, sc), append(size, sc.footprint())
+	}
+	// DefaultMaxCells cells, 1024×256: the largest matrix admitted.
+	bodies := []string{
+		missBody(128, 16, "kpb", true, 1),
+		missBody(64, 8, "sufferage", false, 2),
+		missBody(1024, 256, "mct", false, 3),
+		missBody(128, 16, "kpb", true, 4),
+	}
+	for i, body := range bodies {
+		if rec := post(s, "/v1/iterate", body); rec.Code != http.StatusOK {
+			t.Fatalf("request %d: status %d: %.200s", i, rec.Code, rec.Body.String())
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(kept) != len(bodies) {
+		t.Fatalf("%d computed jobs, want %d", len(kept), len(bodies))
+	}
+	for i, n := range size {
+		if n > maxPooledScratch {
+			t.Errorf("after job %d the worker keeps a %d-byte scratch, over the %d-byte cap", i, n, maxPooledScratch)
+		}
+	}
+	if size[0] == 0 || kept[1] != kept[0] {
+		t.Fatalf("small jobs did not reuse one scratch (%d bytes kept)", size[0])
+	}
+	if kept[2] == kept[1] || size[2] != 0 {
+		t.Fatalf("the MaxCells job's scratch was kept (%d bytes)", size[2])
+	}
+	if kept[3] != kept[2] {
+		t.Fatal("the fresh scratch was not reused")
+	}
 }
 
 // TestRawAliasKeyCopiesOnce: admitting an alias copies the request bytes

@@ -1,11 +1,16 @@
 package serve
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/heuristics"
 )
 
 // The serve-path allocation guards. The issue's target: an untraced,
@@ -107,5 +112,98 @@ func TestCacheHitAllocs(t *testing.T) {
 				t.Fatal("guard measured a non-hit path")
 			}
 		})
+	}
+}
+
+// engineMissHeuristics are the greedy heuristics the engine-miss workload
+// draws from.
+var engineMissHeuristics = []string{"min-min", "max-min", "duplex", "sufferage", "mct", "kpb", "swa"}
+
+// missBody is a tasks×machines /v1/iterate body for heuristic, with random
+// ties, optionally seeded.
+func missBody(tasks, machines int, heuristic string, seeded bool, seed uint64) string {
+	body := strings.Replace(string(matrixBody(tasks, machines, seed)), `"heuristic":"min-min"`, `"heuristic":"`+heuristic+`"`, 1)
+	if seeded {
+		body = strings.Replace(body, `"seed":`, `"seeded":true,"seed":`, 1)
+	}
+	return body
+}
+
+// computedMissFixedAllocs is what a computed /v1/iterate miss may allocate
+// beyond its engine run: the parsed request and its canonical key, the
+// deadline context, the job and its result channel, the coalescing
+// flight, the response headers and the body. None of it depends on the
+// matrix's shape; the instance, the trace's storage and the response
+// value come from the worker's compute scratch.
+const computedMissFixedAllocs = 18
+
+// TestComputedMissAllocs is the served-miss alloc guard. For every
+// engine-miss heuristic, plain and seeded, at 64×8 and 128×16, a computed
+// /v1/iterate miss through the real mux (one worker, no cache, so every
+// request computes) allocates its engine run — measured on its own as a
+// warm core.Workspace running the same heuristic, tie policy and instance,
+// which allocates only the heuristic's runs — plus at most
+// computedMissFixedAllocs.
+func TestComputedMissAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the race runtime drops sync.Pool puts at random, so the pooled scratch refills are not counted reproducibly; the non-race run enforces the bound")
+	}
+	s := NewServer(Options{Workers: 1, CacheEntries: -1})
+	defer drain(t, s)
+	h := s.Handler()
+	w := &nullResponseWriter{h: http.Header{}}
+	const seed = 5
+	for _, sh := range []struct{ tasks, machines int }{{64, 8}, {128, 16}} {
+		for _, name := range engineMissHeuristics {
+			for _, seeded := range []bool{false, true} {
+				body := missBody(sh.tasks, sh.machines, name, seeded, seed)
+				label := fmt.Sprintf("%s seeded=%v %dx%d", name, seeded, sh.tasks, sh.machines)
+				req, rb := newReplayRequest("/v1/iterate", body)
+				rb.reset()
+				h.ServeHTTP(w, req) // warm-up: grows the worker's scratch
+				served := testing.AllocsPerRun(20, func() {
+					rb.reset()
+					h.ServeHTTP(w, req)
+				})
+
+				var rsc reqScratch
+				d, aerr := decodeBody([]byte(body), false, &rsc)
+				if aerr != nil {
+					t.Fatalf("%s: %s", label, aerr.msg)
+				}
+				p, aerr := d.admit(endpointIterate, limits{})
+				if aerr != nil {
+					t.Fatalf("%s: %s", label, aerr.msg)
+				}
+				in, err := p.instance(new(computeScratch))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var ws core.Workspace
+				engine := testing.AllocsPerRun(20, func() {
+					// Built per run, as the server builds them per request.
+					hh, err := heuristics.ByName(name, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if seeded {
+						hh = heuristics.Seeded{Inner: hh}
+					}
+					if _, err := ws.Iterate(in, hh, p.policy(), core.Options{}); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if served > engine+computedMissFixedAllocs {
+					t.Errorf("%s: a computed miss costs %v allocs, its engine run %v: %v over the run, want <= %d",
+						label, served, engine, served-engine, computedMissFixedAllocs)
+				}
+			}
+		}
+	}
+	// The writer discards the status: the counters show that every
+	// measured request was a computed miss answered 200.
+	reqs := counterValue(t, s, "serve.requests_total")
+	if misses, ok := counterValue(t, s, "serve.cache_misses"), counterValue(t, s, "serve.responses_2xx"); misses != reqs || ok != reqs {
+		t.Fatalf("%d requests: %d cache misses and %d 2xx, want every request a computed miss answered 200", reqs, misses, ok)
 	}
 }

@@ -21,16 +21,17 @@ var encodeBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); retu
 const maxPooledEncodeBuf = 1 << 20
 
 // marshalResponse produces the canonical response bytes (compact JSON plus
-// a trailing newline). Field order is fixed by the encoders, which is what
-// lets cache hits be byte-identical to fresh computations.
+// a trailing newline) of a *MapResponse or *IterateResponse. Field order is
+// fixed by the encoders, which is what lets cache hits be byte-identical to
+// fresh computations.
 func marshalResponse(v any) ([]byte, *apiError) {
 	bp := encodeBufPool.Get().(*[]byte)
 	e := jsonEncoder{b: (*bp)[:0]}
 	switch r := v.(type) {
-	case MapResponse:
-		e.mapResponse(&r)
-	case IterateResponse:
-		e.iterateResponse(&r)
+	case *MapResponse:
+		e.mapResponse(r)
+	case *IterateResponse:
+		e.iterateResponse(r)
 	default:
 		encodeBufPool.Put(bp)
 		return nil, internalError("marshaling unsupported response type %T", v)

@@ -35,6 +35,22 @@ func checkEncoding(t *testing.T, name string, v any) {
 	}
 }
 
+// runFresh computes p on a fresh worker scratch and returns its response
+// value.
+func runFresh(t testing.TB, p *parsedRequest) any {
+	t.Helper()
+	sc := new(computeScratch)
+	in, err := p.instance(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, aerr := p.run(in, sc)
+	if aerr != nil {
+		t.Fatalf("%s: %s", p.heuristic, aerr.msg)
+	}
+	return v
+}
+
 // TestEncodeMatchesJSONMarshal is the encoder differential over seeded
 // engine output: every heuristic, both endpoints, both tie policies,
 // seeded and unseeded, at several matrix shapes.
@@ -57,11 +73,7 @@ func TestEncodeMatchesJSONMarshal(t *testing.T) {
 				if aerr != nil {
 					t.Fatalf("%s: %s", h, aerr.msg)
 				}
-				v, aerr := p.run()
-				if aerr != nil {
-					t.Fatalf("%s: %s", h, aerr.msg)
-				}
-				checkEncoding(t, string(ep)+" "+h, v)
+				checkEncoding(t, string(ep)+" "+h, runFresh(t, p))
 			}
 		}
 	}
@@ -78,12 +90,12 @@ func TestEncodeEdgeValues(t *testing.T) {
 		math.MaxFloat64, -math.MaxFloat64, 3000.0000000000005,
 	}
 	strs := []string{"", "min-min", `<a href="x">&</a>`, "tab\there\nnl\\", "\x00\x1f\x7f", "é\u2028ü\u2029☃", "\u2028\u2029", "bad\xffutf8\xc3"}
-	checkEncoding(t, "map floats", MapResponse{Heuristic: strs[2], Ties: strs[3], Seed: math.MaxUint64,
+	checkEncoding(t, "map floats", &MapResponse{Heuristic: strs[2], Ties: strs[3], Seed: math.MaxUint64,
 		Tasks: -1, Machines: math.MaxInt64, Assign: []int{0, -5, math.MinInt64}, Completion: floats, Makespan: 1e-7})
-	checkEncoding(t, "map nil slices", MapResponse{})
-	checkEncoding(t, "map empty slices", MapResponse{Assign: []int{}, Completion: []float64{}})
-	checkEncoding(t, "iterate nil slices", IterateResponse{})
-	checkEncoding(t, "iterate edges", IterateResponse{
+	checkEncoding(t, "map nil slices", &MapResponse{})
+	checkEncoding(t, "map empty slices", &MapResponse{Assign: []int{}, Completion: []float64{}})
+	checkEncoding(t, "iterate nil slices", &IterateResponse{})
+	checkEncoding(t, "iterate edges", &IterateResponse{
 		Heuristic: strs[4], Ties: strs[5], Seed: 7, Tasks: 2, Machines: 3,
 		Iterations: []IterationResult{
 			{Index: 0, Tasks: []int{0, 1}, Machines: []int{0, 1, 2}, Assign: []int{2, 0}, Completion: floats, Makespan: math.Nextafter(1e21, 0), MakespanMachine: 2, Frozen: 2},
@@ -93,7 +105,7 @@ func TestEncodeEdgeValues(t *testing.T) {
 		MakespanIncreased: true, Outcomes: strs,
 	})
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		v := IterateResponse{Iterations: []IterationResult{{Completion: []float64{1, f}}}, FinalMakespan: math.NaN()}
+		v := &IterateResponse{Iterations: []IterationResult{{Completion: []float64{1, f}}}, FinalMakespan: math.NaN()}
 		_, want := json.Marshal(v)
 		body, aerr := marshalResponse(v)
 		if want == nil || aerr == nil || body != nil || aerr.msg != want.Error() || aerr.code != CodeInternal {
@@ -111,10 +123,7 @@ func BenchmarkMarshalIterate(b *testing.B) {
 	if aerr != nil {
 		b.Fatal(aerr.msg)
 	}
-	v, aerr := p.run()
-	if aerr != nil {
-		b.Fatal(aerr.msg)
-	}
+	v := runFresh(b, p)
 	b.ReportAllocs()
 	for b.Loop() {
 		if _, aerr := marshalResponse(v); aerr != nil {

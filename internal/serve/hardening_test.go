@@ -110,6 +110,39 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
+// TestPanicLeavesNoStaleScratch: a request that panics mid-compute, after
+// its instance was decoded into the worker's scratch and a larger trace
+// before it filled the workspace, leaves nothing that reaches the next
+// request on that worker — whose body is byte-identical to a fresh
+// server's, for both endpoints.
+func TestPanicLeavesNoStaleScratch(t *testing.T) {
+	s := panicServer(Options{Workers: 1})
+	defer drain(t, s)
+	if rec := post(s, "/v1/iterate", missBody(128, 16, "kpb", true, 1)); rec.Code != http.StatusOK {
+		t.Fatalf("warm-up: status %d: %s", rec.Code, rec.Body.String())
+	}
+	for i, next := range []struct{ path, body string }{
+		{"/v1/iterate", missBody(32, 4, "sufferage", false, 2)},
+		{"/v1/map", missBody(48, 6, "duplex", true, 3)},
+		{"/v1/iterate", iterateBody("min-min", "random", 4)},
+	} {
+		if rec := post(s, "/v1/iterate", missBody(64, 8+i, "swa", i%2 == 0, panicSeed)); rec.Code != http.StatusInternalServerError {
+			t.Fatalf("panicking request %d: status %d, want 500", i, rec.Code)
+		}
+		got := post(s, next.path, next.body)
+		fresh := NewServer(Options{})
+		want := post(fresh, next.path, next.body)
+		drain(t, fresh)
+		if got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("request %d after a panic: status %d, body differs from a fresh server's:\n got %.300s\nwant %.300s",
+				i, got.Code, got.Body.Bytes(), want.Body.Bytes())
+		}
+	}
+	if got := counterValue(t, s, "serve.panics_total"); got != 3 {
+		t.Fatalf("serve.panics_total = %d, want 3", got)
+	}
+}
+
 // TestResponseConservation pins the chaos harness's metrics-conservation
 // invariant at the unit level: after a mix of outcomes (200, 405, 422, 500
 // panic), serve.requests_total equals the sum of the per-outcome counters.

@@ -102,6 +102,8 @@ func oracleCacheKey(ep endpoint, rq Request, ties string, in *sched.Instance) st
 // absent, zero, non-zero and -0; shapes up to 128×16).
 func TestInstanceFromKey(t *testing.T) {
 	var sc reqScratch
+	// One compute scratch decodes every body in turn, as a worker's does.
+	var csc computeScratch
 	checked := 0
 	for _, c := range keyCorpus(t) {
 		d, aerr := decodeBody([]byte(c.body), false, &sc)
@@ -112,7 +114,7 @@ func TestInstanceFromKey(t *testing.T) {
 		if aerr != nil {
 			continue
 		}
-		got, err := p.instance()
+		got, err := p.instance(&csc)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

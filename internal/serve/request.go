@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"strings"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/etc"
@@ -519,22 +520,71 @@ func writeFloatBits(b *strings.Builder, vals []float64) {
 	}
 }
 
-// instance decodes the request's scheduling instance from its key: the
-// cells and ready times are the key's last 8×(tasks×machines + machines)
-// bytes. One allocation holds both; the matrix adopts its part without a
-// copy.
-func (p *parsedRequest) instance() (*sched.Instance, error) {
+// computeScratch is a serve worker's reusable compute storage: the
+// decoded cells and ready times, the matrix and instance over them, the
+// engine's Workspace, and the response value with the backing of its
+// Iterations and Outcomes. Each worker owns one and hands it to every job
+// it computes, so a computed result allocates its canonical key, its body
+// and the mappings the heuristic returns, and nothing per task beyond them.
+// Everything a job writes here is dead once its body is marshaled, which
+// happens before the worker dequeues its next job; every job overwrites
+// what it reads, so a job that panicked partway leaves nothing a later one
+// can see.
+type computeScratch struct {
+	vals []float64 // the cells, row-major, then the ready times
+	// tasks and machines are the largest shape decoded: m's row headers and
+	// in's ready times have grown to fit it.
+	tasks, machines int
+	m               etc.Matrix
+	in              sched.Instance
+	ws              core.Workspace
+	mapResp         MapResponse
+	iterResp        IterateResponse
+	completion      []float64 // mapResp.Completion
+	iters           []IterationResult
+	outcomes        []string
+}
+
+// footprint returns the bytes sc's buffers hold. A worker drops a scratch
+// whose footprint passed maxPooledScratch, so one large request cannot pin
+// its buffers for the life of the process.
+func (sc *computeScratch) footprint() int {
+	return 8*(cap(sc.vals)+sc.machines+cap(sc.completion)) +
+		int(unsafe.Sizeof([]float64(nil)))*sc.tasks +
+		int(unsafe.Sizeof(IterationResult{}))*cap(sc.iters) +
+		int(unsafe.Sizeof(""))*cap(sc.outcomes) +
+		sc.ws.Footprint()
+}
+
+// resize returns s resliced to length n when its capacity allows, else a
+// new slice of length n.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// instance decodes the request's scheduling instance from its key into sc:
+// the cells and ready times are the key's last 8×(tasks×machines +
+// machines) bytes. The matrix adopts its part of sc.vals without a copy.
+// The instance lives in sc until the next decode.
+func (p *parsedRequest) instance(sc *computeScratch) (*sched.Instance, error) {
 	n := p.tasks * p.machines
 	raw := p.key[len(p.key)-8*(n+p.machines):]
-	vals := make([]float64, n+p.machines)
+	vals := resize(sc.vals, n+p.machines)
+	sc.vals = vals
 	for i := range vals {
 		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64([]byte(raw[8*i : 8*i+8])))
 	}
-	m, err := etc.Adopt(p.tasks, p.machines, vals[:n:n])
-	if err != nil {
+	if err := etc.AdoptInto(&sc.m, p.tasks, p.machines, vals[:n:n]); err != nil {
 		return nil, err
 	}
-	return sched.NewInstance(m, vals[n:])
+	if err := sched.NewInstanceInto(&sc.in, &sc.m, vals[n:]); err != nil {
+		return nil, err
+	}
+	sc.tasks, sc.machines = max(sc.tasks, p.tasks), max(sc.machines, p.machines)
+	return &sc.in, nil
 }
 
 // policy returns the tie-breaking policy function for the request. Built
@@ -546,20 +596,13 @@ func (p *parsedRequest) policy() core.PolicyFunc {
 	return core.Deterministic()
 }
 
-// compute runs the request and returns the marshaled response body. It is
-// fully deterministic in the request: no wall-clock, no shared state.
-func (p *parsedRequest) compute() ([]byte, *apiError) {
-	v, aerr := p.run()
-	if aerr != nil {
-		return nil, aerr
-	}
-	return marshalResponse(v)
-}
-
-// run executes the request's heuristic or iterative run and returns the
-// unmarshaled response value — the worker's "compute" stage, separated from
-// "marshal" so traces can attribute their costs independently.
-func (p *parsedRequest) run() (any, *apiError) {
+// run executes the request's heuristic or iterative run on in, the
+// instance decoded into sc, and returns the response value (a
+// *MapResponse or *IterateResponse held in sc) — the worker's "compute"
+// stage, separated from "marshal" so traces can attribute their costs
+// independently. It is fully deterministic in the request: no wall-clock,
+// no shared state.
+func (p *parsedRequest) run(in *sched.Instance, sc *computeScratch) (any, *apiError) {
 	h, err := heuristics.ByName(p.heuristic, p.seed)
 	if err != nil {
 		return nil, badRequest("%v", err) // unreachable: validated at parse
@@ -567,49 +610,39 @@ func (p *parsedRequest) run() (any, *apiError) {
 	if p.seeded {
 		h = heuristics.Seeded{Inner: h}
 	}
-	in, err := p.instance()
-	if err != nil {
-		return nil, internalError("decoding the instance from its key: %v", err) // unreachable: validated at parse
-	}
 	switch p.endpoint {
 	case endpointMap:
 		mp, err := h.Map(in, p.policy()(0))
 		if err != nil {
 			return nil, internalError("%v", err)
 		}
-		s, err := sched.Evaluate(in, mp)
+		// The mapping is the heuristic's own, so the response takes it
+		// as it is; the completion vector is the one sched.Evaluate
+		// builds, bit for bit.
+		completion, err := sched.Completions(in, mp, sc.completion)
 		if err != nil {
 			return nil, internalError("%v", err)
 		}
-		return MapResponse{
+		sc.completion = completion
+		sc.mapResp = MapResponse{
 			Heuristic:  p.heuristic,
 			Ties:       p.ties,
 			Seed:       p.seed,
 			Tasks:      p.tasks,
 			Machines:   p.machines,
-			Assign:     s.Mapping.Assign,
-			Completion: s.Completion,
-			Makespan:   s.Makespan(),
-		}, nil
+			Assign:     mp.Assign,
+			Completion: completion,
+			Makespan:   sched.Makespan(completion),
+		}
+		return &sc.mapResp, nil
 	case endpointIterate:
-		tr, err := core.Iterate(in, h, p.policy())
+		tr, err := sc.ws.Iterate(in, h, p.policy(), core.Options{})
 		if err != nil {
 			return nil, internalError("%v", err)
 		}
-		resp := IterateResponse{
-			Heuristic:         p.heuristic,
-			Ties:              p.ties,
-			Seed:              p.seed,
-			Tasks:             p.tasks,
-			Machines:          p.machines,
-			FinalAssign:       tr.FinalAssign,
-			FinalCompletion:   tr.FinalCompletion,
-			OriginalMakespan:  tr.OriginalMakespan(),
-			FinalMakespan:     tr.FinalMakespan(),
-			MakespanIncreased: tr.MakespanIncreased(),
-		}
+		iters := resize(sc.iters, len(tr.Iterations))
 		for i, it := range tr.Iterations {
-			ir := IterationResult{
+			iters[i] = IterationResult{
 				Index:           it.Index,
 				Tasks:           it.Tasks,
 				Machines:        it.Machines,
@@ -619,15 +652,28 @@ func (p *parsedRequest) run() (any, *apiError) {
 				MakespanMachine: it.MakespanMachine,
 				Frozen:          it.Frozen,
 			}
-			if i == len(tr.Iterations)-1 {
-				ir.Frozen = -1
-			}
-			resp.Iterations = append(resp.Iterations, ir)
 		}
-		for _, o := range tr.MachineOutcomes() {
-			resp.Outcomes = append(resp.Outcomes, o.String())
+		iters[len(iters)-1].Frozen = -1
+		outcomes := resize(sc.outcomes, p.machines)
+		for m := range outcomes {
+			outcomes[m] = tr.MachineOutcome(m).String()
 		}
-		return resp, nil
+		sc.iters, sc.outcomes = iters, outcomes
+		sc.iterResp = IterateResponse{
+			Heuristic:         p.heuristic,
+			Ties:              p.ties,
+			Seed:              p.seed,
+			Tasks:             p.tasks,
+			Machines:          p.machines,
+			Iterations:        iters,
+			FinalAssign:       tr.FinalAssign,
+			FinalCompletion:   tr.FinalCompletion,
+			OriginalMakespan:  tr.OriginalMakespan(),
+			FinalMakespan:     tr.FinalMakespan(),
+			MakespanIncreased: tr.MakespanIncreased(),
+			Outcomes:          outcomes,
+		}
+		return &sc.iterResp, nil
 	default:
 		return nil, internalError("unknown endpoint %q", p.endpoint)
 	}

@@ -76,8 +76,9 @@ type Options struct {
 	// batches over it are refused with 413 before any per-item work. 0 means
 	// DefaultMaxBatchItems.
 	MaxBatchItems int
-	// PanicTrigger, when non-nil, runs in the worker just before each
-	// compute with the request's seed. It exists so chaos scenarios and
+	// PanicTrigger, when non-nil, runs in the worker during each compute,
+	// once the request's instance is decoded and before the heuristic or
+	// engine runs, with the request's seed. It exists so chaos scenarios and
 	// tests can exercise the panic-isolation path with a
 	// deliberate panic on a sentinel seed; it must never be set in
 	// production.
@@ -180,6 +181,9 @@ type Server struct {
 	// job is dequeued and before it is computed. Tests use it to hold jobs
 	// in flight deterministically; it must never be set in production.
 	testHookDequeued func(*job)
+	// testHookComputed, when non-nil, runs in the worker goroutine after
+	// each computed job with the scratch the worker keeps for the next one.
+	testHookComputed func(*computeScratch)
 
 	mux *http.ServeMux
 }
@@ -371,8 +375,13 @@ func (s *Server) endRequest() {
 // worker computes queued jobs until the queue is closed. Jobs whose context
 // is already done are skipped: the produced response could no longer reach
 // the client, and skipping keeps a timed-out backlog from stalling drain.
+//
+// Each worker owns one computeScratch, reused by every job it computes; a
+// job that grew it past maxPooledScratch leaves it behind for the garbage
+// collector and the worker starts the next job on a fresh one.
 func (s *Server) worker() {
 	defer s.workers.Done()
+	sc := new(computeScratch)
 	for j := range s.queue {
 		s.gQueue.Set(float64(s.queued.Add(-1)))
 		if s.testHookDequeued != nil {
@@ -383,7 +392,13 @@ func (s *Server) worker() {
 			j.done <- jobResult{err: timeoutError()}
 			continue
 		}
-		body, err := s.computeJob(j)
+		body, err := s.computeJob(j, sc)
+		if sc.footprint() > maxPooledScratch {
+			sc = new(computeScratch)
+		}
+		if s.testHookComputed != nil {
+			s.testHookComputed(sc)
+		}
 		if err == nil {
 			if s.cache != nil {
 				s.cache.add(j.p.key, body, metaOf(j.p))
@@ -399,7 +414,10 @@ func (s *Server) worker() {
 // the worker goroutine survives and the waiting handler receives a
 // structured 500. The recovered result is never cached — only successful,
 // deterministic bodies enter the cache.
-func (s *Server) computeJob(j *job) (body []byte, aerr *apiError) {
+//
+// The job computes in the worker's scratch sc, and its body is marshaled
+// before computeJob returns, so the next job may overwrite sc.
+func (s *Server) computeJob(j *job, sc *computeScratch) (body []byte, aerr *apiError) {
 	defer func() {
 		if v := recover(); v != nil {
 			// The compute (or marshal) span is still open; the handler's
@@ -409,12 +427,21 @@ func (s *Server) computeJob(j *job) (body []byte, aerr *apiError) {
 		}
 	}()
 	sp := j.tr.Start("compute")
+	in, err := j.p.instance(sc)
+	if err != nil {
+		// Unreachable: the key holds only cells and ready times that
+		// passed validation at parse.
+		aerr = internalError("decoding the instance from its key: %v", err)
+		sp.SetErr(aerr.code)
+		sp.End()
+		return nil, aerr
+	}
 	if s.opts.PanicTrigger != nil {
-		// Inside the compute span, where a real heuristic or engine panic
-		// would land.
+		// Inside the compute span, with the scratch already rewritten,
+		// where a real heuristic or engine panic would land.
 		s.opts.PanicTrigger(j.p.seed)
 	}
-	v, aerr := j.p.run()
+	v, aerr := j.p.run(in, sc)
 	if aerr != nil {
 		sp.SetErr(aerr.code)
 		sp.End()
@@ -738,9 +765,10 @@ type reqScratch struct {
 	ready []float64
 }
 
-// maxPooledScratch bounds the buffers the scratch pool keeps: one large
-// body, or a large batch envelope assembled in key, must not stay pinned by
-// the pool after its request is done.
+// maxPooledScratch bounds the buffers the scratch pool keeps, and the
+// compute scratch each worker keeps: one large body, a large batch
+// envelope assembled in key, or one large computation must not stay
+// pinned after its request is done.
 const maxPooledScratch = 256 << 10
 
 var scratchPool = sync.Pool{New: func() any { return &reqScratch{buf: make([]byte, 0, 4096)} }}

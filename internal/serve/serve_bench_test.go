@@ -111,24 +111,33 @@ func BenchmarkBatchServe(b *testing.B) {
 
 // BenchmarkServeMissLRU measures first sightings with the LRU on, which
 // every other miss benchmark leaves out (they run with CacheEntries: -1):
-// a 32×8 /v1/iterate singleton and a 16-item batch of fresh 32×8 items.
-// Every body carries a new seed, so each request or item computes and
-// enters the cache, and none repeats. Building the bodies costs one
-// allocation per body or item, the same at every commit.
+// /v1/iterate singletons at 32×8 and at 128×16 (engine-miss's heaviest
+// shape) and a 16-item batch of fresh 32×8 items. Every body carries a new
+// seed, so each request or item computes and enters the cache, and none
+// repeats. Building the bodies costs one allocation per body or item, the
+// same at every commit.
 func BenchmarkServeMissLRU(b *testing.B) {
-	prefix := string(matrixBody(32, 8, 1))
-	prefix = prefix[:len(prefix)-len(`1}`)] // ends in "seed":
-	body := func(seed int) string { return prefix + strconv.Itoa(seed) + "}" }
-	b.Run("singleton-32x8", func(b *testing.B) {
-		s := NewServer(Options{})
-		defer benchDrain(b, s)
-		b.ReportAllocs()
-		for seed := 1; b.Loop(); seed++ {
-			if rec := post(s, "/v1/iterate", body(seed)); rec.Code != http.StatusOK {
-				b.Fatalf("status %d", rec.Code)
+	bodies := func(tasks, machines int) func(seed int) string {
+		prefix := string(matrixBody(tasks, machines, 1))
+		prefix = prefix[:len(prefix)-len(`1}`)] // ends in "seed":
+		return func(seed int) string { return prefix + strconv.Itoa(seed) + "}" }
+	}
+	body := bodies(32, 8)
+	for _, sh := range []struct {
+		name string
+		body func(seed int) string
+	}{{"singleton-32x8", body}, {"singleton-128x16", bodies(128, 16)}} {
+		b.Run(sh.name, func(b *testing.B) {
+			s := NewServer(Options{})
+			defer benchDrain(b, s)
+			b.ReportAllocs()
+			for seed := 1; b.Loop(); seed++ {
+				if rec := post(s, "/v1/iterate", sh.body(seed)); rec.Code != http.StatusOK {
+					b.Fatalf("status %d", rec.Code)
+				}
 			}
-		}
-	})
+		})
+	}
 	b.Run("batch-16x32x8", func(b *testing.B) {
 		const n = 16
 		s := NewServer(Options{})

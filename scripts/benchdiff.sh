@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Compare two records in BENCH_1.json — the last two, or any two by label —
-# and flag regressions on the hot-path benchmarks, both ns/op and
-# allocs/op. Pure bash + awk, no dependencies.
+# and flag regressions on the hot-path benchmarks: ns/op, allocs/op and
+# B/op. Pure bash + awk, no dependencies.
 #
 # Usage:
 #
@@ -15,9 +15,12 @@
 #
 # Prints a before/after Δ table (ns/op, allocs/op and, where both records
 # carry it, B/op) for every benchmark present in both records whose name
-# matches PATTERN, and exits 1 if any matched benchmark's ns/op OR
-# allocs/op regressed by more than THRESHOLD percent (default 20); the
-# failure message names each offending benchmark and which metric moved.
+# matches PATTERN, and exits 1 if any matched benchmark's ns/op, allocs/op
+# or — when both records carry it — B/op regressed by more than THRESHOLD
+# percent (default 20); the failure message names each offending
+# benchmark and which metric moved. B/op is gated like allocs/op: a change
+# that keeps the allocation count but makes each allocation larger is a
+# regression too.
 # The default PATTERN covers the batch-heuristic kernels, every
 # heuristic's single Map and the full iterative technique
 # (HeuristicMap, IterativeTechnique), the serving
@@ -138,7 +141,13 @@ END {
         ob = by["old" "," name]; nb = by["new" "," name]
         bytes = sprintf("%10s %10s %8s", "-", "-", "-")
         if (ob != "" && nb != "") {
-            bytes = sprintf("%10.0f %10.0f %+7.1f%%", ob, nb, pct(ob, nb))
+            dby = pct(ob, nb)
+            bytes = sprintf("%10.0f %10.0f %+7.1f%%", ob, nb, dby)
+            if (dby > threshold) {
+                flag = flag "  BYTES-REGRESSION"
+                offenders = offenders sprintf("\n  %s: B/op %+.1f%% (%.0f -> %.0f)", name, dby, ob, nb)
+                regressions++
+            }
         }
         printf "%-52s %12.0f %12.0f %+7.1f%% %9.0f %9.0f %+7.1f%% %s%s\n", \
             name, o, n, dns, oa, na, dal, bytes, flag
@@ -152,5 +161,5 @@ END {
             regressions, threshold, offenders > "/dev/stderr"
         exit 1
     }
-    printf "\nbenchdiff: ok (%d benchmarks within %s%% on ns/op and allocs/op)\n", compared, threshold
+    printf "\nbenchdiff: ok (%d benchmarks within %s%% on ns/op, allocs/op and B/op)\n", compared, threshold
 }'
