@@ -240,7 +240,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 			handler = faults.New(faultSpec, handler, srv.Metrics())
 			fmt.Fprintf(stdout, "schedd: FAULT INJECTION ACTIVE (%s)\n", faultSpec)
 		}
-		err = serveForever(srv, handler, *addr, *drainTimeout, stdout)
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		defer stop()
+		err = serve.ServeUntil(ctx, "schedd", *addr, handler, srv, *drainTimeout, stdout)
 	}
 	if err != nil {
 		return err
@@ -255,38 +257,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("writing -trace-out: %w", err)
 		}
 	}
-	return nil
-}
-
-// serveForever listens on addr and serves until SIGTERM/SIGINT, then drains:
-// the listener stops accepting, in-flight requests finish (bounded by
-// drainTimeout), the worker pool exits.
-func serveForever(srv *serve.Server, handler http.Handler, addr string, drainTimeout time.Duration, stdout io.Writer) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "schedd: listening on http://%s (%s)\n", ln.Addr(), srv)
-	hs := &http.Server{Handler: handler}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	fmt.Fprintln(stdout, "schedd: signal received, draining")
-	sctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	if err := hs.Shutdown(sctx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := srv.Drain(sctx); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	fmt.Fprintln(stdout, "schedd: drained")
 	return nil
 }
 

@@ -215,7 +215,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	if err := serveForever(gw, *addr, *drainTimeout, stdout); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := serve.ServeUntil(ctx, "schedgw", *addr, gw.Handler(), gw, *drainTimeout, stdout); err != nil {
 		return err
 	}
 	if logSink != nil {
@@ -242,37 +244,6 @@ func parseBackends(spec string) ([]cluster.Backend, error) {
 		out = append(out, cluster.Backend{Name: name, URL: strings.TrimSuffix(url, "/")})
 	}
 	return out, nil
-}
-
-// serveForever listens on addr and routes until SIGTERM/SIGINT, then
-// drains the gateway (backends drain on their own schedule).
-func serveForever(gw *cluster.Gateway, addr string, drainTimeout time.Duration, stdout io.Writer) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "schedgw: listening on http://%s (%s)\n", ln.Addr(), gw)
-	hs := &http.Server{Handler: gw.Handler()}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	fmt.Fprintln(stdout, "schedgw: signal received, draining")
-	sctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	if err := hs.Shutdown(sctx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := gw.Drain(sctx); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	fmt.Fprintln(stdout, "schedgw: drained")
-	return nil
 }
 
 // selfCheck boots a 3-backend local cluster, fronts it with a gateway on an

@@ -1,9 +1,15 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"io"
+	"net/http"
+	"os"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/cluster"
@@ -136,3 +142,72 @@ func TestFlagValueValidation(t *testing.T) {
 type errOpaque struct{}
 
 func (errOpaque) Error() string { return "runtime failure" }
+
+// startDaemon runs the gateway in-process with args plus an ephemeral
+// -addr and returns the base URL from its "listening on" line, and stop,
+// which sends SIGTERM and waits for a clean drain. Call stop only after a
+// request has been answered: serving starts after the signal handler is
+// installed, so an answer proves SIGTERM drains rather than kills.
+func startDaemon(t *testing.T, args ...string) (base string, stop func()) {
+	t.Helper()
+	pr, pw := io.Pipe()
+	var stderr bytes.Buffer
+	done := make(chan error, 1)
+	go func() {
+		err := run(append([]string{"-addr", "127.0.0.1:0"}, args...), pw, &stderr)
+		pw.Close()
+		done <- err
+	}()
+
+	sc := bufio.NewScanner(pr)
+	for sc.Scan() {
+		if rest, ok := strings.CutPrefix(sc.Text(), "schedgw: listening on "); ok {
+			base = rest[:strings.Index(rest, " ")]
+			break
+		}
+	}
+	if base == "" {
+		t.Fatalf("no listening line before stdout closed; stderr: %s", stderr.String())
+	}
+	// Keep draining stdout so the daemon's drain messages never block.
+	go func() {
+		for sc.Scan() {
+		}
+	}()
+	return base, func() {
+		t.Helper()
+		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("run returned %v after SIGTERM; stderr: %s", err, stderr.String())
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("gateway did not drain within 10s of SIGTERM")
+		}
+	}
+}
+
+// TestEphemeralAddr: `-local 1 -addr 127.0.0.1:0` binds an ephemeral port,
+// prints the bound address in the "listening on" line before any request
+// is served, routes a scheduling request on it, and SIGTERM drains
+// cleanly.
+func TestEphemeralAddr(t *testing.T) {
+	base, stop := startDaemon(t, "-local", "1")
+	if strings.HasSuffix(base, ":0") {
+		t.Fatalf("listening line still carries port 0: %q", base)
+	}
+	body := `{"etc":[[5,3,6],[4,1,1],[5,3,2],[5,5,4]],"heuristic":"min-min","ties":"det","seed":1}`
+	resp, err := http.Post(base+"/v1/iterate", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST %s/v1/iterate: %v", base, err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/iterate status %d", resp.StatusCode)
+	}
+	stop()
+}

@@ -8,9 +8,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/client"
@@ -66,12 +63,13 @@ type Options struct {
 // scheduling request to a backend by the canonical request key via
 // rendezvous hashing, fails over along each key's deterministic preference
 // order, and merges batch fan-outs byte-identically to a single instance.
-// Create with NewGateway; stop with Drain.
+// Create with NewGateway; stop with Drain, which is the embedded front's:
+// backends are not touched, they drain on their own schedule.
 type Gateway struct {
+	*serve.Front
 	opts     Options
 	router   *Router
 	backends map[string]*gwBackend
-	reg      *obs.Metrics
 	mux      *http.ServeMux
 	hc       *http.Client // introspection probes (healthz/metricz/statusz)
 
@@ -82,23 +80,11 @@ type Gateway struct {
 	// and itemNS.
 	memos map[string]*routeMemo
 
-	mu        sync.Mutex // guards draining and inflight Add vs Wait
-	draining  bool
-	inflight  sync.WaitGroup
-	inflightN atomic.Int64
-
-	mRequests   *obs.Counter
 	mBatches    *obs.Counter
 	mBatchItems *obs.Counter
 	mFailovers  *obs.Counter
 	mUnavail    *obs.Counter
 	mMemoHits   *obs.Counter
-	// Conservation: every arrival resolves to exactly one outcome counter,
-	// so gateway.requests_total == 2xx+4xx+5xx always (the cluster chaos
-	// harness checks it after every run).
-	m2xx, m4xx, m5xx *obs.Counter
-	gInflight        *obs.Gauge
-	hLatency         *obs.Histogram
 }
 
 // gwBackend is one member with its resilient client and routed counter.
@@ -128,30 +114,21 @@ func NewGateway(opts Options) (*Gateway, error) {
 		opts.Client.HTTPClient = &http.Client{Transport: tr}
 		probes = &http.Client{Transport: tr, Timeout: 5 * time.Second}
 	}
-	reg := opts.Metrics
-	if reg == nil {
-		reg = obs.NewMetrics()
-	}
+	front := serve.NewFront("gateway", opts.Metrics, opts.Tracer, opts.Observer)
+	reg := front.Metrics()
 	g := &Gateway{
+		Front:    front,
 		opts:     opts,
 		router:   router,
 		backends: make(map[string]*gwBackend, len(opts.Backends)),
-		reg:      reg,
 		maxBody:  opts.MaxBodyBytes,
 		maxItems: opts.MaxBatchItems,
 
-		mRequests:   reg.Counter("gateway.requests_total"),
 		mBatches:    reg.Counter("gateway.batch_requests_total"),
 		mBatchItems: reg.Counter("gateway.batch_items_total"),
 		mFailovers:  reg.Counter("gateway.failovers_total"),
 		mUnavail:    reg.Counter("gateway.unavailable_total"),
 		mMemoHits:   reg.Counter("gateway.route_memo_hits"),
-		m2xx:        reg.Counter("gateway.responses_2xx"),
-		m4xx:        reg.Counter("gateway.responses_4xx"),
-		m5xx:        reg.Counter("gateway.responses_5xx"),
-		gInflight:   reg.Gauge("gateway.inflight"),
-		// Latency is wall-clock and observational only.
-		hLatency: reg.Histogram("gateway.latency_ms", 0, 1000, 50),
 	}
 	if g.maxBody <= 0 {
 		g.maxBody = serve.DefaultMaxBodyBytes
@@ -186,9 +163,10 @@ func NewGateway(opts Options) (*Gateway, error) {
 	}
 	g.hc = probes
 	g.mux = http.NewServeMux()
-	g.mux.HandleFunc("/v1/map", g.handleSchedule("/v1/map"))
-	g.mux.HandleFunc("/v1/iterate", g.handleSchedule("/v1/iterate"))
-	g.mux.HandleFunc("/v1/batch", g.handleBatch)
+	for _, ep := range []string{"/v1/map", "/v1/iterate"} {
+		g.mux.HandleFunc(ep, g.Handle(ep, nil, g.handleSchedule(ep)))
+	}
+	g.mux.HandleFunc("/v1/batch", g.Handle("/v1/batch", g.mBatches, g.handleBatch))
 	g.mux.HandleFunc("/healthz", g.handleHealthz)
 	g.mux.HandleFunc("/metricz", g.handleMetricz)
 	g.mux.HandleFunc("/statusz", g.handleStatusz)
@@ -198,9 +176,6 @@ func NewGateway(opts Options) (*Gateway, error) {
 // Handler returns the gateway's HTTP handler: the same endpoint surface as
 // a single schedd instance.
 func (g *Gateway) Handler() http.Handler { return g.mux }
-
-// Metrics returns the gateway's metrics registry.
-func (g *Gateway) Metrics() *obs.Metrics { return g.reg }
 
 // Router returns the gateway's rendezvous router (for observers that want
 // to verify routing decisions independently).
@@ -214,49 +189,6 @@ func (g *Gateway) BreakerStates() map[string]string {
 		out[name] = b.cl.BreakerState()
 	}
 	return out
-}
-
-// Draining reports whether Drain has begun.
-func (g *Gateway) Draining() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.draining
-}
-
-// Drain gracefully stops the gateway: new requests are refused with 503
-// immediately, in-flight requests run to completion. Backends are not
-// touched — they drain on their own schedule.
-func (g *Gateway) Drain(ctx context.Context) error {
-	g.mu.Lock()
-	g.draining = true
-	g.mu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		g.inflight.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (g *Gateway) beginRequest() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.draining {
-		return false
-	}
-	g.inflight.Add(1)
-	g.gInflight.Set(float64(g.inflightN.Add(1)))
-	return true
-}
-
-func (g *Gateway) endRequest() {
-	g.gInflight.Set(float64(g.inflightN.Add(-1)))
-	g.inflight.Done()
 }
 
 // String summarizes the gateway configuration for logs.
@@ -286,92 +218,69 @@ type forwardResult struct {
 }
 
 // forward posts body along the key's rendezvous preference order: the
-// owner first, then each next-ranked backend when the previous one is
-// unreachable (transport failure, retries exhausted on retryable statuses,
-// open breaker). A non-retryable status is a deterministic answer — every
-// backend would say the same — so it is returned verbatim, never failed
-// over. When every backend is exhausted the result has served=="" and the
-// caller renders the gateway's own 503 upstream_unavailable.
+// owner first, then each next-ranked backend while the previous one is
+// unreachable (see attempt). When every backend is exhausted the result
+// has served=="" and the caller renders the gateway's own 503
+// upstream_unavailable.
 func (g *Gateway) forward(ctx context.Context, rank []string, path string, body []byte, tr *obs.Trace) forwardResult {
 	for i, name := range rank {
-		b := g.backends[name]
-		b.mRouted.Inc()
-		sp := tr.Start("backend_wait")
-		resp, err := b.cl.Post(ctx, b.url+path, body)
-		if err == nil {
-			sp.SetStatus(resp.Status)
-			sp.SetCache(resp.Cache)
-			sp.End()
+		if res, ok := g.attempt(ctx, g.backends[name], path, body, tr); ok {
 			if i > 0 {
 				g.mFailovers.Add(int64(i))
 			}
-			return forwardResult{status: resp.Status, body: resp.Body, cache: resp.Cache, served: name, tried: i}
+			res.served, res.tried = name, i
+			return res
 		}
-		var se *client.StatusError
-		if errors.As(err, &se) && !client.Retryable(se.Status) {
-			// The backend answered deterministically (400/404/413/422...):
-			// forward its exact bytes. Failing over would just recompute the
-			// same envelope elsewhere.
-			sp.SetStatus(se.Status)
-			sp.End()
-			if i > 0 {
-				g.mFailovers.Add(int64(i))
-			}
-			return forwardResult{status: se.Status, body: se.Body, served: name, tried: i}
-		}
-		switch {
-		case errors.Is(err, client.ErrBreakerOpen):
-			sp.SetErr("breaker_open")
-		case errors.As(err, &se):
-			sp.SetStatus(se.Status)
-			sp.SetErr("upstream_status")
-		default:
-			sp.SetErr("transport")
-		}
-		sp.End()
 	}
 	g.mUnavail.Inc()
 	return forwardResult{status: http.StatusServiceUnavailable, tried: len(rank)}
 }
 
-// handleSchedule serves one scheduling endpoint: compute the canonical
-// routing key, forward along the rendezvous order, and relay the backend's
-// bytes verbatim. The gateway never alters a response body — byte identity
-// with a single instance is structural.
-func (g *Gateway) handleSchedule(ep string) http.HandlerFunc {
+// attempt posts body to backend b under one backend_wait span and applies
+// the gateway's one per-attempt rule. ok is true when the backend
+// answered: a 2xx response, or a deterministic refusal (a status
+// !client.Retryable, 400/404/413/422...) whose exact bytes are the answer,
+// since every backend would say the same and failing over would only
+// recompute the envelope elsewhere. ok is false when the backend is
+// unreachable — open breaker, retries exhausted on retryable statuses, or
+// transport failure — and the span is tagged breaker_open,
+// upstream_status or transport.
+func (g *Gateway) attempt(ctx context.Context, b *gwBackend, path string, body []byte, tr *obs.Trace) (forwardResult, bool) {
+	b.mRouted.Inc()
+	sp := tr.Start("backend_wait")
+	defer sp.End()
+	resp, err := b.cl.Post(ctx, b.url+path, body)
+	if err == nil {
+		sp.SetStatus(resp.Status)
+		sp.SetCache(resp.Cache)
+		return forwardResult{status: resp.Status, body: resp.Body, cache: resp.Cache}, true
+	}
+	var se *client.StatusError
+	switch {
+	case errors.As(err, &se) && !client.Retryable(se.Status):
+		sp.SetStatus(se.Status)
+		return forwardResult{status: se.Status, body: se.Body}, true
+	case errors.Is(err, client.ErrBreakerOpen):
+		sp.SetErr("breaker_open")
+	case se != nil:
+		sp.SetStatus(se.Status)
+		sp.SetErr("upstream_status")
+	default:
+		sp.SetErr("transport")
+	}
+	return forwardResult{}, false
+}
+
+// handleSchedule serves one scheduling endpoint between the front's gate
+// and its epilogue: compute the canonical routing key, forward along the
+// rendezvous order, and relay the backend's bytes verbatim. The gateway
+// never alters a response body — byte identity with a single instance is
+// structural.
+func (g *Gateway) handleSchedule(ep string) func(http.ResponseWriter, *http.Request, serve.Arrival) {
 	memo := g.memos[ep]
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now() // observational only
-		tr := g.opts.Tracer.StartTrace("gateway")
-		if tr != nil {
-			tr.SetEndpoint(ep)
-			if remote := r.Header.Get(serve.TraceHeader); remote != "" {
-				tr.SetRemote(remote)
-			}
-		}
-		defer func() {
-			if v := recover(); v != nil {
-				if v == http.ErrAbortHandler {
-					panic(v)
-				}
-				g.writeError(w, http.StatusInternalServerError, serve.CodePanic, "internal panic (recovered)", tr)
-				g.observe(ep, http.StatusInternalServerError, "", nil, start, tr)
-			}
-		}()
-		g.mRequests.Inc()
-		if r.Method != http.MethodPost {
-			w.Header().Set("Allow", http.MethodPost)
-			g.writeError(w, http.StatusMethodNotAllowed, serve.CodeMethodNotAllowed, "use POST", tr)
-			g.observe(ep, http.StatusMethodNotAllowed, "", nil, start, tr)
-			return
-		}
-		if !g.beginRequest() {
-			g.writeError(w, http.StatusServiceUnavailable, serve.CodeDraining, "draining", tr)
-			g.observe(ep, http.StatusServiceUnavailable, "", nil, start, tr)
-			return
-		}
-		defer g.endRequest()
-		body, ok := g.readBody(w, r, ep, start, tr)
+	return func(w http.ResponseWriter, r *http.Request, a serve.Arrival) {
+		tr := a.Trace()
+		body, ok := g.readBody(w, r, &a)
 		if !ok {
 			return
 		}
@@ -387,63 +296,32 @@ func (g *Gateway) handleSchedule(ep string) http.HandlerFunc {
 		rank := g.router.RankHash(kh)
 		sp.End()
 		res := g.forward(r.Context(), rank, ep, body, tr)
-		rt := &route{endpoint: ep, keyHash: kh, primary: rank[0], served: res.served, failovers: res.tried}
-		if res.served == "" {
-			g.writeError(w, http.StatusServiceUnavailable, serve.CodeUpstreamUnavailable, "no backend reachable", tr)
-			g.observe(ep, http.StatusServiceUnavailable, "", rt, start, tr)
-			return
-		}
-		g.relay(w, res, tr)
-		g.observe(ep, res.status, res.cache, rt, start, tr)
+		g.respond(w, &a, res, route{endpoint: ep, keyHash: kh, primary: rank[0], served: res.served, failovers: res.tried})
 	}
 }
 
-// relay writes a forwarded backend response verbatim: status, body bytes,
-// and the cache-state header; the trace header carries the gateway's own
-// trace ID.
-func (g *Gateway) relay(w http.ResponseWriter, res forwardResult, tr *obs.Trace) {
-	sp := tr.Start("write")
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(res.body)))
-	if res.cache != "" {
-		h.Set("X-Schedd-Cache", res.cache)
+// respond writes a forwarded result — the backend's status, bytes and
+// cache state verbatim, or the gateway's own 503 upstream_unavailable when
+// no backend was reachable — and runs the epilogue with its one route.
+func (g *Gateway) respond(w http.ResponseWriter, a *serve.Arrival, res forwardResult, rt route) {
+	if res.served == "" {
+		a.WriteError(w, http.StatusServiceUnavailable, serve.CodeUpstreamUnavailable, "no backend reachable")
+	} else {
+		a.WriteBody(w, res.status, res.body, res.cache)
 	}
-	if id := tr.ID(); id != "" {
-		h.Set(serve.TraceHeader, id)
-	}
-	if res.status != http.StatusOK {
-		w.WriteHeader(res.status)
-	}
-	w.Write(res.body)
-	sp.End()
+	g.done(a, res.status, res.cache, []route{rt}, rt.items)
 }
 
-// writeError renders the gateway's own error envelope — the shared serve
-// wire form, so gateway-originated errors are indistinguishable in shape
-// from backend ones.
-func (g *Gateway) writeError(w http.ResponseWriter, status int, code, msg string, tr *obs.Trace) {
-	sp := tr.Start("write")
-	body := append(serve.ErrorEnvelope(code, msg), '\n')
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(body)))
-	if id := tr.ID(); id != "" {
-		h.Set(serve.TraceHeader, id)
-	}
-	w.WriteHeader(status)
-	w.Write(body)
-	sp.End()
-}
-
-// readBody reads the request body under the MaxBodyBytes limit, writing
-// the canonical 413 (same message a backend would produce) on overflow. A
-// declared Content-Length within the limit is read into one buffer of
-// exactly that size, and a body shorter than it is a 400; chunked bodies
-// and declared lengths over the limit go through io.ReadAll, which meets
-// the limit as the bytes arrive.
-func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request, ep string, start time.Time, tr *obs.Trace) ([]byte, bool) {
-	sp := tr.Start("decode")
+// readBody reads the request body under the MaxBodyBytes limit, failing
+// the arrival with the canonical 413 (same message a backend would
+// produce) on overflow. A declared Content-Length within the limit is read
+// into one buffer of exactly that size, and a body shorter than it is a
+// 400; chunked bodies and declared lengths over the limit go through
+// io.ReadAll, which meets the limit as the bytes arrive. The body is the
+// gateway's own copy, never pooled: http.Transport may still read a
+// forwarded body after RoundTrip returns.
+func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request, a *serve.Arrival) ([]byte, bool) {
+	sp := a.Trace().Start("decode")
 	rd := http.MaxBytesReader(w, r.Body, g.maxBody)
 	var body []byte
 	var err error
@@ -453,25 +331,20 @@ func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request, ep string, st
 	} else {
 		body, err = io.ReadAll(rd)
 	}
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			sp.SetErr(serve.CodePayloadTooLarge)
-			sp.End()
-			g.writeError(w, http.StatusRequestEntityTooLarge, serve.CodePayloadTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", mbe.Limit), tr)
-			g.observe(ep, http.StatusRequestEntityTooLarge, "", nil, start, tr)
-		} else {
-			sp.SetErr(serve.CodeBadRequest)
-			sp.End()
-			g.writeError(w, http.StatusBadRequest, serve.CodeBadRequest,
-				fmt.Sprintf("reading body: %v", err), tr)
-			g.observe(ep, http.StatusBadRequest, "", nil, start, tr)
-		}
-		return nil, false
+	if err == nil {
+		sp.End()
+		return body, true
 	}
+	status, code, msg := http.StatusBadRequest, serve.CodeBadRequest, fmt.Sprintf("reading body: %v", err)
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		status, code, msg = http.StatusRequestEntityTooLarge, serve.CodePayloadTooLarge, fmt.Sprintf("request body exceeds %d bytes", mbe.Limit)
+	}
+	sp.SetErr(code)
 	sp.End()
-	return body, true
+	a.WriteError(w, status, code, msg)
+	a.Done(status, "", obs.RequestDone{})
+	return nil, false
 }
 
 // routeHash returns body's routing hash through memo, counting memo hits.
@@ -490,31 +363,10 @@ func RawRouteKey(ns string, body []byte) string {
 	return "raw\x00" + ns + "\x00" + string(body)
 }
 
-// observe is the single request epilogue: outcome accounting exactly once
-// per arrival, GatewayRoute events (input order) before the RequestDone
-// record, then the trace finish. All wall-clock readings stay here.
-func (g *Gateway) observe(ep string, status int, cache string, rt *route, start time.Time, tr *obs.Trace) {
-	g.observeRoutes(ep, status, cache, sliceOf(rt), 0, start, tr)
-}
-
-func sliceOf(rt *route) []route {
-	if rt == nil {
-		return nil
-	}
-	return []route{*rt}
-}
-
-func (g *Gateway) observeRoutes(ep string, status int, cache string, routes []route, items int, start time.Time, tr *obs.Trace) {
-	switch {
-	case status < 300:
-		g.m2xx.Inc()
-	case status < 500:
-		g.m4xx.Inc()
-	default:
-		g.m5xx.Inc()
-	}
-	elapsed := time.Since(start)
-	g.hLatency.Observe(float64(elapsed) / float64(time.Millisecond))
+// done is the gateway's part of the epilogue: one GatewayRoute event per
+// routed unit (input order), then the front's epilogue with the request
+// summary.
+func (g *Gateway) done(a *serve.Arrival, status int, cache string, routes []route, items int) {
 	if g.opts.Observer != nil {
 		for _, rt := range routes {
 			g.opts.Observer.Observe(obs.GatewayRoute{
@@ -526,16 +378,8 @@ func (g *Gateway) observeRoutes(ep string, status int, cache string, routes []ro
 				Items:     rt.items,
 			})
 		}
-		g.opts.Observer.Observe(obs.RequestDone{
-			Endpoint:  ep,
-			Status:    status,
-			Cache:     cache,
-			Items:     items,
-			TraceID:   tr.ID(),
-			ElapsedNS: elapsed.Nanoseconds(),
-		})
 	}
-	tr.Finish(status, cache)
+	a.Done(status, cache, obs.RequestDone{Items: items})
 }
 
 // handleBatch serves POST /v1/batch: split the body into the exact
@@ -551,40 +395,10 @@ func (g *Gateway) observeRoutes(ep string, status int, cache string, routes []ro
 // request stream stays deterministic under chaos replay (concurrent
 // fan-out would interleave nondeterministically at a shared backend), and
 // cross-request concurrency still spreads load across the cluster.
-func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now() // observational only
+func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request, a serve.Arrival) {
 	const ep = "/v1/batch"
-	tr := g.opts.Tracer.StartTrace("gateway")
-	if tr != nil {
-		tr.SetEndpoint(ep)
-		if remote := r.Header.Get(serve.TraceHeader); remote != "" {
-			tr.SetRemote(remote)
-		}
-	}
-	defer func() {
-		if v := recover(); v != nil {
-			if v == http.ErrAbortHandler {
-				panic(v)
-			}
-			g.writeError(w, http.StatusInternalServerError, serve.CodePanic, "internal panic (recovered)", tr)
-			g.observe(ep, http.StatusInternalServerError, "", nil, start, tr)
-		}
-	}()
-	g.mRequests.Inc()
-	g.mBatches.Inc()
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		g.writeError(w, http.StatusMethodNotAllowed, serve.CodeMethodNotAllowed, "use POST", tr)
-		g.observe(ep, http.StatusMethodNotAllowed, "", nil, start, tr)
-		return
-	}
-	if !g.beginRequest() {
-		g.writeError(w, http.StatusServiceUnavailable, serve.CodeDraining, "draining", tr)
-		g.observe(ep, http.StatusServiceUnavailable, "", nil, start, tr)
-		return
-	}
-	defer g.endRequest()
-	body, ok := g.readBody(w, r, ep, start, tr)
+	tr := a.Trace()
+	body, ok := g.readBody(w, r, &a)
 	if !ok {
 		return
 	}
@@ -592,6 +406,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	sp := tr.Start("route")
 	items, split := serve.SplitBatchItems(body)
+	g.mBatchItems.Add(int64(len(items)))
 	if !split || len(items) == 0 || len(items) > g.maxItems {
 		// Forward the whole body to one backend (routed by its raw bytes):
 		// the backend produces the canonical 400/422/413 envelope, so error
@@ -599,19 +414,10 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		kh := KeyHash(RawRouteKey(ep, body))
 		rank := g.router.RankHash(kh)
 		sp.End()
-		g.mBatchItems.Add(int64(len(items)))
 		res := g.forward(r.Context(), rank, ep, body, tr)
-		rt := route{endpoint: ep, keyHash: kh, primary: rank[0], served: res.served, failovers: res.tried, items: len(items)}
-		if res.served == "" {
-			g.writeError(w, http.StatusServiceUnavailable, serve.CodeUpstreamUnavailable, "no backend reachable", tr)
-			g.observeRoutes(ep, http.StatusServiceUnavailable, "", []route{rt}, len(items), start, tr)
-			return
-		}
-		g.relay(w, res, tr)
-		g.observeRoutes(ep, res.status, "", []route{rt}, len(items), start, tr)
+		g.respond(w, &a, res, route{endpoint: ep, keyHash: kh, primary: rank[0], served: res.served, failovers: res.tried, items: len(items)})
 		return
 	}
-	g.mBatchItems.Add(int64(len(items)))
 	// Per-item canonical keys and rendezvous hashes; malformed items route
 	// by raw bytes and come back as the backend's per-item error envelope.
 	khs := make([]uint64, len(items))
@@ -631,17 +437,8 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	msp := tr.Start("batch_merge")
 	env := serve.AppendBatchResults(nil, results)
 	msp.End()
-
-	wsp := tr.Start("write")
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(env)))
-	if id := tr.ID(); id != "" {
-		h.Set(serve.TraceHeader, id)
-	}
-	w.Write(env)
-	wsp.End()
-	g.observeRoutes(ep, http.StatusOK, "", routes, len(items), start, tr)
+	a.WriteBody(w, http.StatusOK, env, "")
+	g.done(&a, http.StatusOK, "", routes, len(items))
 }
 
 // dispatch routes every item to the first member of its preference order
@@ -687,15 +484,10 @@ func (g *Gateway) dispatch(ctx context.Context, items [][]byte, khs []uint64, re
 		sort.Strings(targets)
 		for _, target := range targets {
 			idxs := groups[target]
-			b := g.backends[target]
-			b.mRouted.Inc()
-			sub := buildBatchBody(items, idxs)
-			sp := tr.Start("backend_wait")
-			resp, err := b.cl.Post(ctx, b.url+"/v1/batch", sub)
-			if err == nil {
-				sp.SetStatus(resp.Status)
-				sp.End()
-				if perItem, perr := parseBatchEnvelope(resp.Body, len(idxs)); perr == nil {
+			res, ok := g.attempt(ctx, g.backends[target], "/v1/batch", buildBatchBody(items, idxs), tr)
+			switch {
+			case ok && res.status < 300:
+				if perItem, perr := parseBatchEnvelope(res.body, len(idxs)); perr == nil {
 					for j, i := range idxs {
 						results[i] = perItem[j]
 						routes[i].served = target
@@ -717,30 +509,16 @@ func (g *Gateway) dispatch(ctx context.Context, items [][]byte, khs []uint64, re
 					routes[i].served = target
 				}
 				continue
-			}
-			var se *client.StatusError
-			if errors.As(err, &se) && !client.Retryable(se.Status) {
+			case ok:
 				// Deterministic refusal of the whole sub-batch (unreachable
 				// in practice: items were already split and re-assembled
 				// within caps). Apply the envelope to every item.
-				sp.SetStatus(se.Status)
-				sp.End()
 				for _, i := range idxs {
-					results[i] = serve.BatchItemResult{Status: se.Status, Body: trimNL(se.Body)}
+					results[i] = serve.BatchItemResult{Status: res.status, Body: trimNL(res.body)}
 					routes[i].served = target
 				}
 				continue
 			}
-			switch {
-			case errors.Is(err, client.ErrBreakerOpen):
-				sp.SetErr("breaker_open")
-			case errors.As(err, &se):
-				sp.SetStatus(se.Status)
-				sp.SetErr("upstream_status")
-			default:
-				sp.SetErr("transport")
-			}
-			sp.End()
 			// Failover: re-enter these items with the target excluded.
 			ex := make(map[string]bool, len(wk.excluded)+1)
 			for k := range wk.excluded {
@@ -813,9 +591,7 @@ type gwHealth struct {
 // gateway serves 503 only when it is itself draining — a degraded cluster
 // still routes around its dead members.
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		g.writeError(w, http.StatusMethodNotAllowed, serve.CodeMethodNotAllowed, "use GET", nil)
+	if !g.GetOnly(w, r) {
 		return
 	}
 	h := gwHealth{Status: "ok", Backends: map[string]string{}}
@@ -859,14 +635,12 @@ func (g *Gateway) probe(url string) string {
 // handleMetricz aggregates: the gateway's own registry snapshot plus each
 // backend's raw /metricz body (null for unreachable backends).
 func (g *Gateway) handleMetricz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		g.writeError(w, http.StatusMethodNotAllowed, serve.CodeMethodNotAllowed, "use GET", nil)
+	if !g.GetOnly(w, r) {
 		return
 	}
-	gw, err := g.reg.Snapshot().JSON()
+	gw, err := g.Metrics().Snapshot().JSON()
 	if err != nil {
-		g.writeError(w, http.StatusInternalServerError, serve.CodeInternal, err.Error(), nil)
+		g.WriteError(w, http.StatusInternalServerError, serve.CodeInternal, err.Error())
 		return
 	}
 	backends := map[string]json.RawMessage{}
@@ -879,7 +653,7 @@ func (g *Gateway) handleMetricz(w http.ResponseWriter, r *http.Request) {
 	}{Gateway: gw, Backends: backends}
 	body, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
-		g.writeError(w, http.StatusInternalServerError, serve.CodeInternal, err.Error(), nil)
+		g.WriteError(w, http.StatusInternalServerError, serve.CodeInternal, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -949,13 +723,11 @@ func (g *Gateway) diskStatus(url string) (string, int64) {
 // handleStatusz renders the cluster's operational summary: gateway
 // counters plus per-backend health, breaker state and routed counts.
 func (g *Gateway) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		g.writeError(w, http.StatusMethodNotAllowed, serve.CodeMethodNotAllowed, "use GET", nil)
+	if !g.GetOnly(w, r) {
 		return
 	}
 	counters := map[string]int64{}
-	for _, c := range g.reg.Snapshot().Counters {
+	for _, c := range g.Metrics().Snapshot().Counters {
 		counters[c.Name] = c.Value
 	}
 	st := gwStatus{
@@ -986,7 +758,7 @@ func (g *Gateway) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := json.MarshalIndent(st, "", "  ")
 	if err != nil {
-		g.writeError(w, http.StatusInternalServerError, serve.CodeInternal, err.Error(), nil)
+		g.WriteError(w, http.StatusInternalServerError, serve.CodeInternal, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/etc"
@@ -211,5 +212,35 @@ func TestWarmWorkspaceAllocatesOnlyHeuristicRuns(t *testing.T) {
 					h.Name(), got, iters, iterateAllocsPerIter*iters)
 			}
 		}
+	}
+}
+
+// TestShortTraceAllocatesWhatItCarves: a trace holds O(what it carves), not
+// the M(M+1)/2 triangle of every iteration that could run. One task over
+// 1000 machines runs one iteration under MCT; its trace needs about 1000
+// completion floats and 1002 ints, so the whole run stays far under the
+// 8 MB the triangle would reserve.
+func TestShortTraceAllocatesWhatItCarves(t *testing.T) {
+	row := make([][]float64, 1)
+	row[0] = make([]float64, 1000)
+	for m := range row[0] {
+		row[0][m] = float64(1 + m%7)
+	}
+	in := sched.MustInstance(etc.MustNew(row), nil)
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		tr, err := IterateOpts(in, heuristics.MCT{}, Deterministic(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tr.Iterations) != 1 {
+			t.Fatalf("%d iterations, want 1", len(tr.Iterations))
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 128<<10 {
+		t.Errorf("1x1000 MCT trace allocates %d B, want < 128 KiB", per)
 	}
 }

@@ -303,15 +303,18 @@ func (w *Workspace) Iterate(in *sched.Instance, h heuristics.Heuristic, policy P
 	if opts.MaxIterations > 0 && opts.MaxIterations < maxIters {
 		maxIters = opts.MaxIterations
 	}
-	// Completion vectors need exactly one entry per active machine per
-	// iteration: nM, nM-1, ... for at most maxIters iterations.
-	floatsTotal := maxIters * (2*nM - maxIters + 1) / 2
+	// A hint, never a cap: when every iteration freezes at least one task
+	// (the makespan rule over zero ready times) a trace runs at most nT
+	// iterations. A first array sized for that many holds a typical trace
+	// whole; a longer one, such as FreezeMinCompletion on one task, grows
+	// in carve.
+	expect := min(maxIters, nT)
 	tr, a := &w.tr, &w.a
-	a.reset(nT, nM, floatsTotal)
+	a.reset(nT, nM)
 	*tr = Trace{
 		Instance:        in,
 		Heuristic:       h.Name(),
-		Iterations:      reuse(tr.Iterations, maxIters)[:0],
+		Iterations:      reuse(tr.Iterations, expect)[:0],
 		FinalAssign:     reuse(tr.FinalAssign, nT),
 		FinalCompletion: reuse(tr.FinalCompletion, nM),
 	}
@@ -372,15 +375,18 @@ func (w *Workspace) Iterate(in *sched.Instance, h heuristics.Heuristic, policy P
 			heurStart = time.Now()
 		}
 		// Carve this iteration's slices: Tasks, Assign and Machines from one
-		// int span, Completion from the float arena.
-		ints := carve(&a.ints, 2*k+m, (2*k+m)*(maxIters-iter+1)/2)
+		// int span, Completion from the float arena. A fresh array is sized
+		// for the expected iterations left at this iteration's width.
+		left := max(expect-iter, 1) + 1
+		ints := carve(&a.ints, 2*k+m, (2*k+m)*left/2)
 		a.intsUsed += 2*k + m
+		a.floatsUsed += m
 		it := Iteration{
 			Index:      iter,
 			Tasks:      ints[:k:k],
 			Assign:     ints[k : 2*k : 2*k],
 			Machines:   ints[2*k:],
-			Completion: carve(&a.floats, m, floatsTotal),
+			Completion: carve(&a.floats, m, m*left/2),
 		}
 		copy(it.Tasks, activeTasks)
 		copy(it.Machines, activeMachines)
@@ -493,30 +499,29 @@ type arena struct {
 	// size its buffers have grown to (RestrictInto grows them to fit).
 	subTasks, subCells int
 	seed               []int
-	// ints and floats back the Iterations' slices. intsUsed counts the ints
-	// the current trace has carved, so the next reset can size ints to hold
-	// a repeat of it in one array.
-	ints     []int
-	floats   []float64
-	intsUsed int
+	// ints and floats back the Iterations' slices. intsUsed and floatsUsed
+	// count what the current trace has carved, so the next reset can size
+	// each to hold a repeat of it in one array.
+	ints                 []int
+	floats               []float64
+	intsUsed, floatsUsed int
 	// counting wraps the policy of each computed run that has an observer
 	// or a restricting heuristic, so the engine sees its ties.
 	counting tiebreak.Counting
 }
 
-// reset readies the arena for a trace over nT tasks and nM machines whose
-// completion vectors need floatsTotal entries. It rewrites everything a
-// trace reads before writing it, so nothing from an earlier trace, finished
-// or abandoned, can reach this one. ints grows to what the previous trace
-// carved: the engine cannot know this trace's need ahead of time, and
-// carve covers any shortfall.
-func (a *arena) reset(nT, nM, floatsTotal int) {
+// reset readies the arena for a trace over nT tasks and nM machines. It
+// rewrites everything a trace reads before writing it, so nothing from an
+// earlier trace, finished or abandoned, can reach this one. ints and floats
+// grow to what the previous trace carved: the engine cannot know this
+// trace's iteration count ahead of time, and carve covers any shortfall.
+func (a *arena) reset(nT, nM int) {
 	a.activeTasks = ascending(a.activeTasks, nT)
 	a.activeMachines = ascending(a.activeMachines, nM)
 	a.local = ascending(a.local, nM)
 	a.ints = reuse(a.ints, a.intsUsed)[:0]
-	a.floats = reuse(a.floats, floatsTotal)[:0]
-	a.intsUsed = 0
+	a.floats = reuse(a.floats, a.floatsUsed)[:0]
+	a.intsUsed, a.floatsUsed = 0, 0
 }
 
 // Footprint returns the bytes the workspace's buffers hold, so an owner
@@ -558,11 +563,12 @@ func derive(it, prev *Iteration) {
 
 // carve returns the next n elements of *buf, capacity-capped so an append
 // through one Iteration's slice cannot write into the next. When the spare
-// capacity is short it starts a new backing array of max(n, want) elements;
-// slices carved earlier keep the old one.
+// capacity is short it starts a new backing array of max(n, 2·cap, want)
+// elements, so a trace holds O(what it carves); slices carved earlier keep
+// the old one.
 func carve[T any](buf *[]T, n, want int) []T {
 	if cap(*buf)-len(*buf) < n {
-		*buf = make([]T, 0, max(n, want))
+		*buf = make([]T, 0, max(n, 2*cap(*buf), want))
 	}
 	l := len(*buf)
 	*buf = (*buf)[:l+n]

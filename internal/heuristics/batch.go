@@ -153,12 +153,12 @@ func sufferageMap(in *sched.Instance, tb tiebreak.Policy, wantTrace bool) (sched
 	ready := in.ReadyTimes()
 	s := sufferagePool.Get().(*sufferageScratch)
 	defer sufferagePool.Put(s)
-	s.inList = growBools(s.inList, nT)
+	s.inList = grow(s.inList, nT)
 	for i := range s.inList {
 		s.inList[i] = true
 	}
-	s.holder = growInts(s.holder, nM) // task tentatively holding each machine, -1 if none
-	s.sufferageOf = growFloats(s.sufferageOf, nT)
+	s.holder = grow(s.holder, nM) // task tentatively holding each machine, -1 if none
+	s.sufferageOf = grow(s.sufferageOf, nT)
 	etcm := in.ETC()
 	remaining := nT
 	var passes []SufferagePass

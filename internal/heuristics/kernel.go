@@ -51,25 +51,11 @@ type twoPhaseKernel struct {
 
 var twoPhasePool = sync.Pool{New: func() any { return new(twoPhaseKernel) }}
 
-// growFloats returns s resliced to n, reallocating only when capacity is
+// grow returns s resliced to n, reallocating only when capacity is
 // insufficient; contents are unspecified.
-func growFloats(s []float64, n int) []float64 {
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
-}
-
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -80,10 +66,10 @@ func growInts(s []int, n int) []int {
 func (k *twoPhaseKernel) init(in *sched.Instance, ready []float64) {
 	nT, nM := in.Tasks(), in.Machines()
 	k.nT, k.nM = nT, nM
-	k.etc = growFloats(k.etc, nT*nM)
-	k.rows = growFloats(k.rows, nT*nM)
-	k.best = growFloats(k.best, nT)
-	k.order = growInts(k.order, nT)
+	k.etc = grow(k.etc, nT*nM)
+	k.rows = grow(k.rows, nT*nM)
+	k.best = grow(k.best, nT)
+	k.order = grow(k.order, nT)
 	k.cands = k.cands[:0]
 	etcm := in.ETC()
 	for t := 0; t < nT; t++ {
@@ -110,13 +96,13 @@ func (k *twoPhaseKernel) init(in *sched.Instance, ready []float64) {
 func (k *twoPhaseKernel) copyFrom(o *twoPhaseKernel) {
 	k.nT, k.nM = o.nT, o.nM
 	n := o.nT * o.nM
-	k.etc = growFloats(k.etc, n)
+	k.etc = grow(k.etc, n)
 	copy(k.etc, o.etc[:n])
-	k.rows = growFloats(k.rows, n)
+	k.rows = grow(k.rows, n)
 	copy(k.rows, o.rows[:n])
-	k.best = growFloats(k.best, o.nT)
+	k.best = grow(k.best, o.nT)
 	copy(k.best, o.best[:o.nT])
-	k.order = growInts(k.order, len(o.order))
+	k.order = grow(k.order, len(o.order))
 	copy(k.order, o.order)
 	k.cands = k.cands[:0]
 }

@@ -8,7 +8,8 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
+
+	"repro/internal/obs"
 )
 
 // POST /v1/batch: many scheduling requests in one HTTP exchange. The body is
@@ -65,49 +66,17 @@ type itemOutcome struct {
 	body   []byte // compact JSON, no trailing newline
 }
 
-// handleBatch serves POST /v1/batch. It mirrors handleSchedule's skeleton —
-// same panic isolation, same arrival accounting, same epilogue — with the
-// per-item fan-out in between: split the body into raw item extents, serve
+// handleBatch serves POST /v1/batch between the front's gate and its
+// epilogue — one arrival, one epilogue, whatever the item count: the
+// conservation invariant counts batches, not items, while per-item cache
+// traffic still lands in the hit/miss/coalesced counters. In between is
+// the per-item fan-out: split the body into raw item extents, serve
 // raw-alias repeats inline, and resolve the rest concurrently through the
 // singleton path (cache, singleflight, bounded queue). The batch itself is
 // always 200 once admitted; per-item failures are expressed in the
 // envelope, so one bad item never poisons its neighbors.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now() // observational only: latency metrics and events
-	ep := endpointBatch
-	tr := s.opts.Tracer.StartTrace("serve")
-	if tr != nil {
-		tr.SetEndpoint(string(ep))
-		if remote := r.Header.Get(TraceHeader); remote != "" {
-			tr.SetRemote(remote)
-		}
-	}
-	defer func() {
-		if v := recover(); v != nil {
-			if v == http.ErrAbortHandler {
-				panic(v)
-			}
-			aerr := s.recoverPanic(ep, v)
-			s.writeError(w, aerr, tr)
-			s.observe(ep, aerr.status, "", nil, start, tr)
-		}
-	}()
-	// One arrival, one observe, whatever the item count: the conservation
-	// invariant counts batches, not items. Per-item cache traffic still
-	// lands in the hit/miss/coalesced counters.
-	s.mRequests.Inc()
-	s.mBatches.Inc()
-	if r.Method != http.MethodPost {
-		s.writeError(w, &apiError{status: http.StatusMethodNotAllowed, code: CodeMethodNotAllowed, msg: "use POST", allow: http.MethodPost}, tr)
-		s.observe(ep, http.StatusMethodNotAllowed, "", nil, start, tr)
-		return
-	}
-	if !s.beginRequest() {
-		s.writeError(w, &apiError{status: http.StatusServiceUnavailable, code: CodeDraining, msg: "draining"}, tr)
-		s.observe(ep, http.StatusServiceUnavailable, "", nil, start, tr)
-		return
-	}
-	defer s.endRequest()
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, a Arrival) {
+	tr := a.tr
 	sc := getScratch()
 	defer putScratch(sc)
 	sp := tr.Start("decode")
@@ -132,8 +101,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			// the envelope is those same hits again.
 			s.mHits.Add(int64(env.meta.items))
 			s.mBatchItems.Add(int64(env.meta.items))
-			s.writeBody(w, env.body, env.clen, "", tr)
-			s.observeInfo(ep, http.StatusOK, "hit", reqInfo{items: env.meta.items}, start, tr)
+			s.writeBody(w, http.StatusOK, env.body, env.clen, "", tr)
+			a.Done(http.StatusOK, "hit", env.meta.summary())
 			return
 		}
 	}
@@ -166,7 +135,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		sp.SetErr(aerr.code)
 		sp.End()
 		s.writeError(w, aerr, tr)
-		s.observeInfo(ep, aerr.status, "", reqInfo{items: len(items)}, start, tr)
+		a.Done(aerr.status, "", obs.RequestDone{Items: len(items)})
 		return
 	}
 	sp.End()
@@ -241,8 +210,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	s.writeBody(w, env, nil, "", tr)
-	s.observeInfo(ep, http.StatusOK, "", reqInfo{items: len(items)}, start, tr)
+	s.writeBody(w, http.StatusOK, env, nil, "", tr)
+	a.Done(http.StatusOK, "", obs.RequestDone{Items: len(items)})
 }
 
 // parseBatchItem decodes and admits one batch item — the item-level

@@ -21,8 +21,6 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"runtime/debug"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -111,19 +109,16 @@ type Options struct {
 }
 
 // Server is the scheduling service: an http.Handler plus the worker pool
-// and cache behind it. Create with NewServer; stop with Drain.
+// and cache behind it. Create with NewServer; stop with Drain. The
+// embedded Front owns the HTTP lifecycle around the handlers.
 type Server struct {
+	*Front
 	opts  Options
-	reg   *obs.Metrics
 	cache *lru
 	queue chan *job
 	lim   limits
 
-	workers sync.WaitGroup
-
-	mu       sync.Mutex // guards draining and inflight Add vs Wait
-	draining bool
-	inflight sync.WaitGroup
+	workers  sync.WaitGroup
 	stopOnce sync.Once
 
 	// Disk tier (nil/unused when Options.Store is nil): reads happen inline
@@ -136,22 +131,18 @@ type Server struct {
 	storeDone  chan struct{}
 	storeStop  sync.Once
 
-	queued    atomic.Int64
-	inflightN atomic.Int64
+	queued atomic.Int64
 
 	// flights coalesces concurrent identical cache misses (singleflight):
 	// the first request for a key computes, followers wait for its bytes.
 	flightMu sync.Mutex
 	flights  map[string]*flight
 
-	mRequests   *obs.Counter
 	mHits       *obs.Counter
 	mMisses     *obs.Counter
 	mCoalesced  *obs.Counter
 	mShed       *obs.Counter
 	mTimeouts   *obs.Counter
-	mErrors     *obs.Counter
-	mPanics     *obs.Counter
 	mBatches    *obs.Counter
 	mBatchItems *obs.Counter
 	// Disk-tier traffic. Registered only when a store is configured, so
@@ -168,14 +159,8 @@ type Server struct {
 	// gate declined, and the current health state as a gauge.
 	mDiskSkipped *obs.Counter
 	gDiskHealth  *obs.Gauge
-	// Per-outcome response counters. Every scheduling arrival resolves to
-	// exactly one of these, so requests_total == 2xx+4xx+5xx always — the
-	// conservation invariant the chaos harness checks after every run.
-	m2xx, m4xx, m5xx *obs.Counter
 
-	gQueue    *obs.Gauge
-	gInflight *obs.Gauge
-	hLatency  *obs.Histogram
+	gQueue *obs.Gauge
 
 	// testHookDequeued, when non-nil, runs in the worker goroutine after a
 	// job is dequeued and before it is computed. Tests use it to hold jobs
@@ -229,10 +214,9 @@ func NewServer(opts Options) *Server {
 	if opts.RequestTimeout <= 0 {
 		opts.RequestTimeout = DefaultRequestTimeout
 	}
-	reg := opts.Metrics
-	if reg == nil {
-		reg = obs.NewMetrics()
-	}
+	front := NewFront("serve", opts.Metrics, opts.Tracer, opts.Observer)
+	reg := front.reg
+	front.mErrors = reg.Counter("serve.errors_total")
 	var lim limits
 	switch {
 	case opts.MaxCells == 0:
@@ -247,29 +231,20 @@ func NewServer(opts Options) *Server {
 		lim.maxEstBytes = opts.MaxEstimatedBytes
 	}
 	s := &Server{
+		Front:   front,
 		opts:    opts,
-		reg:     reg,
 		queue:   make(chan *job, opts.QueueDepth),
 		flights: make(map[string]*flight),
 		lim:     lim,
 
-		mRequests:   reg.Counter("serve.requests_total"),
 		mHits:       reg.Counter("serve.cache_hits"),
 		mMisses:     reg.Counter("serve.cache_misses"),
 		mCoalesced:  reg.Counter("serve.coalesced_total"),
 		mShed:       reg.Counter("serve.shed_total"),
 		mTimeouts:   reg.Counter("serve.timeouts_total"),
-		mErrors:     reg.Counter("serve.errors_total"),
-		mPanics:     reg.Counter("serve.panics_total"),
 		mBatches:    reg.Counter("serve.batch_requests_total"),
 		mBatchItems: reg.Counter("serve.batch_items_total"),
-		m2xx:        reg.Counter("serve.responses_2xx"),
-		m4xx:        reg.Counter("serve.responses_4xx"),
-		m5xx:        reg.Counter("serve.responses_5xx"),
 		gQueue:      reg.Gauge("serve.queue_depth"),
-		gInflight:   reg.Gauge("serve.inflight"),
-		// Latency is wall-clock and observational only.
-		hLatency: reg.Histogram("serve.latency_ms", 0, 1000, 50),
 	}
 	if opts.CacheEntries >= 0 {
 		n := opts.CacheEntries
@@ -297,9 +272,10 @@ func NewServer(opts Options) *Server {
 		go s.storeWriter()
 	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc(string(endpointMap), s.handleSchedule(endpointMap))
-	s.mux.HandleFunc(string(endpointIterate), s.handleSchedule(endpointIterate))
-	s.mux.HandleFunc(string(endpointBatch), s.handleBatch)
+	for _, ep := range []endpoint{endpointMap, endpointIterate} {
+		s.mux.HandleFunc(string(ep), s.Handle(string(ep), nil, s.handleSchedule(ep)))
+	}
+	s.mux.HandleFunc(string(endpointBatch), s.Handle(string(endpointBatch), s.mBatches, s.handleBatch))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metricz", s.handleMetricz)
 	s.mux.HandleFunc("/statusz", s.handleStatusz)
@@ -314,36 +290,16 @@ func NewServer(opts Options) *Server {
 // /v1/iterate, POST /v1/batch, GET /healthz, GET /metricz, GET /statusz.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Metrics returns the server's metrics registry.
-func (s *Server) Metrics() *obs.Metrics { return s.reg }
-
-// Draining reports whether Drain has begun.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
-// Drain gracefully stops the server: new scheduling requests are refused
-// with 503 immediately, in-flight requests run to completion, then the
-// worker pool exits. It returns ctx's error if the context expires while
-// requests are still in flight. Drain is idempotent and safe to call
-// concurrently. Callers embedding the handler in an http.Server should
-// call http.Server.Shutdown first (to stop accepting connections), then
-// Drain.
+// Drain gracefully stops the server: the front's Drain (new scheduling
+// requests are refused with 503 immediately, in-flight requests run to
+// completion), then the worker pool exits and the write-behind queue is
+// flushed. It returns ctx's error if the context expires while requests
+// are still in flight. Drain is idempotent and safe to call concurrently.
+// Callers embedding the handler in an http.Server should call
+// http.Server.Shutdown first (to stop accepting connections), then Drain.
 func (s *Server) Drain(ctx context.Context) error {
-	s.mu.Lock()
-	s.draining = true
-	s.mu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		s.inflight.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		return ctx.Err()
+	if err := s.Front.Drain(ctx); err != nil {
+		return err
 	}
 	s.stopOnce.Do(func() { close(s.queue) })
 	s.workers.Wait()
@@ -352,24 +308,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	// store.
 	s.drainStore()
 	return nil
-}
-
-// beginRequest registers an in-flight request unless the server is
-// draining. The mutex orders inflight.Add against Drain's Wait.
-func (s *Server) beginRequest() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return false
-	}
-	s.inflight.Add(1)
-	s.gInflight.Set(float64(s.inflightN.Add(1)))
-	return true
-}
-
-func (s *Server) endRequest() {
-	s.gInflight.Set(float64(s.inflightN.Add(-1)))
-	s.inflight.Done()
 }
 
 // worker computes queued jobs until the queue is closed. Jobs whose context
@@ -423,7 +361,7 @@ func (s *Server) computeJob(j *job, sc *computeScratch) (body []byte, aerr *apiE
 			// The compute (or marshal) span is still open; the handler's
 			// Finish force-closes it as Unfinished, which is how a panicking
 			// request still yields a complete span tree.
-			body, aerr = nil, s.recoverPanic(j.p.endpoint, v)
+			body, aerr = nil, s.recoverPanic(string(j.p.endpoint), v)
 		}
 	}()
 	sp := j.tr.Start("compute")
@@ -452,23 +390,6 @@ func (s *Server) computeJob(j *job, sc *computeScratch) (body []byte, aerr *apiE
 	body, aerr = marshalResponse(v)
 	sp.End()
 	return body, aerr
-}
-
-// recoverPanic converts a recovered request-path panic into the service's
-// structured 500. The client-facing message is fixed — panic values and
-// stacks are nondeterministic, and response bodies must stay byte-identical
-// across runs — so the diagnostic detail goes to the observational path
-// only: the serve.panics_total counter and a panic_recovered event.
-func (s *Server) recoverPanic(ep endpoint, v any) *apiError {
-	s.mPanics.Inc()
-	if s.opts.Observer != nil {
-		s.opts.Observer.Observe(obs.PanicRecovered{
-			Endpoint: string(ep),
-			Value:    fmt.Sprint(v),
-			Stack:    string(debug.Stack()),
-		})
-	}
-	return &apiError{status: http.StatusInternalServerError, code: CodePanic, msg: "internal panic (recovered)"}
 }
 
 // timeoutError is the canonical 504: one constructor so every deadline path
@@ -502,52 +423,13 @@ func (s *Server) resolveFlight(key string, f *flight, body []byte, err *apiError
 	close(f.done)
 }
 
-// handleSchedule serves one scheduling endpoint: validate, consult the
-// cache, join the key's in-flight computation, or queue for a worker under
-// the request deadline.
-func (s *Server) handleSchedule(ep endpoint) http.HandlerFunc {
+// handleSchedule serves one scheduling endpoint between the front's gate
+// and its epilogue: validate, consult the cache, join the key's in-flight
+// computation, or queue for a worker under the request deadline.
+func (s *Server) handleSchedule(ep endpoint) func(http.ResponseWriter, *http.Request, Arrival) {
 	rawHead := rawHeadSingleton(ep)
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now() // observational only: latency metrics and events
-		// One trace per arrival (nil when tracing is off — every tr and span
-		// method below is then a free no-op). The inbound propagation header
-		// joins this trace to the caller's.
-		tr := s.opts.Tracer.StartTrace("serve")
-		if tr != nil {
-			tr.SetEndpoint(string(ep))
-			if remote := r.Header.Get(TraceHeader); remote != "" {
-				tr.SetRemote(remote)
-			}
-		}
-		// Handler-level panic isolation: the worker path has its own recover
-		// (computeJob), so anything caught here is a bug in parsing or
-		// response writing. The connection-killing sentinel is re-raised for
-		// net/http; everything else becomes a best-effort structured 500 so
-		// the access log and conservation counters still see the request.
-		defer func() {
-			if v := recover(); v != nil {
-				if v == http.ErrAbortHandler {
-					panic(v)
-				}
-				aerr := s.recoverPanic(ep, v)
-				s.writeError(w, aerr, tr)
-				s.observe(ep, aerr.status, "", nil, start, tr)
-			}
-		}()
-		// Every arrival counts, whatever its outcome: rejected methods,
-		// draining refusals and shed requests all show up in requests_total.
-		s.mRequests.Inc()
-		if r.Method != http.MethodPost {
-			s.writeError(w, &apiError{status: http.StatusMethodNotAllowed, code: CodeMethodNotAllowed, msg: "use POST", allow: http.MethodPost}, tr)
-			s.observe(ep, http.StatusMethodNotAllowed, "", nil, start, tr)
-			return
-		}
-		if !s.beginRequest() {
-			s.writeError(w, &apiError{status: http.StatusServiceUnavailable, code: CodeDraining, msg: "draining"}, tr)
-			s.observe(ep, http.StatusServiceUnavailable, "", nil, start, tr)
-			return
-		}
-		defer s.endRequest()
+	return func(w http.ResponseWriter, r *http.Request, a Arrival) {
+		tr := a.tr
 		sc := getScratch()
 		defer putScratch(sc)
 		sp := tr.Start("decode")
@@ -555,8 +437,7 @@ func (s *Server) handleSchedule(ep endpoint) http.HandlerFunc {
 		if aerr != nil {
 			sp.SetErr(aerr.code)
 			sp.End()
-			s.writeError(w, aerr, tr)
-			s.observe(ep, aerr.status, "", nil, start, tr)
+			a.fail(w, aerr)
 			return
 		}
 		// Raw fast path: the exact bytes of this body were seen at least
@@ -575,11 +456,8 @@ func (s *Server) handleSchedule(ep endpoint) http.HandlerFunc {
 				csp.SetCache("hit")
 				csp.End()
 				s.mHits.Inc()
-				s.writeBody(w, c.body, c.clen, "hit", tr)
-				s.observeInfo(ep, http.StatusOK, "hit", reqInfo{
-					heuristic: c.meta.heuristic, seed: c.meta.seed,
-					tasks: c.meta.tasks, machines: c.meta.machines, has: true,
-				}, start, tr)
+				s.writeBody(w, http.StatusOK, c.body, c.clen, "hit", tr)
+				a.Done(http.StatusOK, "hit", c.meta.summary())
 				return
 			}
 		}
@@ -587,8 +465,7 @@ func (s *Server) handleSchedule(ep endpoint) http.HandlerFunc {
 		if aerr != nil {
 			sp.SetErr(aerr.code)
 			sp.End()
-			s.writeError(w, aerr, tr)
-			s.observe(ep, aerr.status, "", nil, start, tr)
+			a.fail(w, aerr)
 			return
 		}
 		sp.End()
@@ -597,8 +474,7 @@ func (s *Server) handleSchedule(ep endpoint) http.HandlerFunc {
 		if aerr != nil {
 			sp.SetErr(aerr.code)
 			sp.End()
-			s.writeError(w, aerr, tr)
-			s.observe(ep, aerr.status, "", nil, start, tr)
+			a.fail(w, aerr)
 			return
 		}
 		sp.End()
@@ -610,11 +486,11 @@ func (s *Server) handleSchedule(ep endpoint) http.HandlerFunc {
 		body2, state, aerr := s.resolve(r.Context(), p, raw, tr)
 		if aerr != nil {
 			s.writeError(w, aerr, tr)
-			s.observe(ep, aerr.status, state, p, start, tr)
+			a.Done(aerr.status, state, metaOf(p).summary())
 			return
 		}
-		s.writeBody(w, body2, nil, state, tr)
-		s.observe(ep, http.StatusOK, state, p, start, tr)
+		s.writeBody(w, http.StatusOK, body2, nil, state, tr)
+		a.Done(http.StatusOK, state, metaOf(p).summary())
 	}
 }
 
@@ -751,6 +627,12 @@ func metaOf(p *parsedRequest) entryMeta {
 	}
 }
 
+// summary is the front's own part of a request's access-log record: the
+// request shape, or a batch envelope's item count.
+func (m entryMeta) summary() obs.RequestDone {
+	return obs.RequestDone{Heuristic: m.heuristic, Seed: m.seed, Tasks: m.tasks, Machines: m.machines, Items: m.items}
+}
+
 // reqScratch is the pooled per-request scratch: the body read buffer, the
 // raw-key build buffer, and the decoder's cell and ready-time buffers.
 // Nothing that outlives the handler may alias any of them — the canonical
@@ -837,8 +719,7 @@ type healthState struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeError(w, &apiError{status: http.StatusMethodNotAllowed, code: CodeMethodNotAllowed, msg: "use GET", allow: http.MethodGet}, nil)
+	if !s.GetOnly(w, r) {
 		return
 	}
 	h := healthState{
@@ -865,8 +746,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleMetricz renders the metrics registry: deterministic JSON snapshot
 // by default, the obs text rendering with ?format=text.
 func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeError(w, &apiError{status: http.StatusMethodNotAllowed, code: CodeMethodNotAllowed, msg: "use GET", allow: http.MethodGet}, nil)
+	if !s.GetOnly(w, r) {
 		return
 	}
 	snap := s.reg.Snapshot()
@@ -936,8 +816,7 @@ type statusDisk struct {
 // HistogramValue.Quantile over the registry snapshot, so the body is
 // deterministic in the metric values (maps marshal with sorted keys).
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeError(w, &apiError{status: http.StatusMethodNotAllowed, code: CodeMethodNotAllowed, msg: "use GET", allow: http.MethodGet}, nil)
+	if !s.GetOnly(w, r) {
 		return
 	}
 	snap := s.reg.Snapshot()
@@ -1005,154 +884,6 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(append(body, '\n'))
-}
-
-// TraceHeader is the trace propagation header: clients send their trace ID
-// in it, and the server echoes the request's own trace ID back in it. IDs
-// travel only in headers and logs — never in response bodies, which must
-// stay byte-identical however the bytes were obtained.
-const TraceHeader = "X-Schedd-Trace"
-
-// Preallocated header value slices: Header().Set allocates a fresh
-// []string per call, which is most of what a cache hit would spend. The
-// keys are already in canonical MIME form, and the shared slices are never
-// mutated downstream (net/http and httptest read them only).
-var (
-	headerJSON       = []string{"application/json"}
-	headerCacheState = map[string][]string{
-		"hit":       {"hit"},
-		"miss":      {"miss"},
-		"coalesced": {"coalesced"},
-		"disk":      {"disk"},
-	}
-)
-
-// contentLength is the Content-Length header value framing body. Every
-// buffered response carries one, so net/http sends bodies of any size
-// unchunked and a client can read each into one exact-size buffer.
-func contentLength(body []byte) []string {
-	return []string{strconv.Itoa(len(body))}
-}
-
-// writeBody writes a 200 scheduling response. cacheState ("hit", "disk",
-// "miss" or "coalesced") goes in the X-Schedd-Cache header: headers may differ by how
-// the bytes were obtained, bodies never do. A batch envelope passes "" and
-// gets no such header; its items carry their own states. clen is body's
-// Content-Length value when the cache already holds it, else nil. The
-// write itself is the trace's "write" stage.
-func (s *Server) writeBody(w http.ResponseWriter, body []byte, clen []string, cacheState string, tr *obs.Trace) {
-	sp := tr.Start("write")
-	h := w.Header()
-	h["Content-Type"] = headerJSON
-	if clen == nil {
-		clen = contentLength(body)
-	}
-	h["Content-Length"] = clen
-	if cacheState != "" {
-		v, ok := headerCacheState[cacheState]
-		if !ok {
-			v = []string{cacheState}
-		}
-		h["X-Schedd-Cache"] = v
-	}
-	if id := tr.ID(); id != "" {
-		h.Set(TraceHeader, id)
-	}
-	w.Write(body)
-	sp.End()
-}
-
-// writeError renders the uniform error envelope. Every non-2xx body the
-// service writes goes through here, so the shape — and the stable code — is
-// the same whether the failure was a bad method, a validation error, shed
-// load or a recovered panic. tr may be nil (introspection endpoints); when
-// live, rejected requests get their trace ID echoed exactly like successes.
-func (s *Server) writeError(w http.ResponseWriter, aerr *apiError, tr *obs.Trace) {
-	sp := tr.Start("write")
-	if aerr.status >= http.StatusInternalServerError && aerr.status != http.StatusServiceUnavailable {
-		s.mErrors.Inc()
-	}
-	if aerr.allow != "" {
-		w.Header().Set("Allow", aerr.allow)
-	}
-	if aerr.retryAfterSec > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(aerr.retryAfterSec))
-	}
-	// The envelope bytes are shared with batch item results (errorEnvelope)
-	// so the two can never drift.
-	body := append(errorEnvelope(aerr), '\n')
-	h := w.Header()
-	h["Content-Type"] = headerJSON
-	h["Content-Length"] = contentLength(body)
-	if id := tr.ID(); id != "" {
-		h.Set(TraceHeader, id)
-	}
-	w.WriteHeader(aerr.status)
-	w.Write(body)
-	sp.End()
-}
-
-// reqInfo carries the request summary for the access-log record without
-// requiring a parsedRequest: the raw fast path fills it from the cache
-// entry's metadata, the batch handler from its item count. Passed by value
-// so the hit path stays allocation-free.
-type reqInfo struct {
-	heuristic string
-	seed      uint64
-	tasks     int
-	machines  int
-	items     int
-	has       bool // request-shape fields are meaningful
-}
-
-// observe folds the request into the latency histogram, emits the
-// request_done access-log event when an Observer is configured, and
-// finishes the request's trace (parsedRequest-shaped convenience over
-// observeInfo).
-func (s *Server) observe(ep endpoint, status int, cacheState string, p *parsedRequest, start time.Time, tr *obs.Trace) {
-	var info reqInfo
-	if p != nil {
-		info = reqInfo{heuristic: p.heuristic, seed: p.seed,
-			tasks: p.tasks, machines: p.machines, has: true}
-	}
-	s.observeInfo(ep, status, cacheState, info, start, tr)
-}
-
-// observeInfo is the single request epilogue. All wall-clock readings stay
-// on this observational path. It runs exactly once per scheduling arrival —
-// which is what makes both the counter conservation invariant
-// (requests_total == 2xx+4xx+5xx) and the one-root-span-per-request
-// invariant hold.
-func (s *Server) observeInfo(ep endpoint, status int, cacheState string, info reqInfo, start time.Time, tr *obs.Trace) {
-	// Outcome accounting first: exactly once per scheduling arrival.
-	switch {
-	case status < 300:
-		s.m2xx.Inc()
-	case status < 500:
-		s.m4xx.Inc()
-	default:
-		s.m5xx.Inc()
-	}
-	elapsed := time.Since(start)
-	s.hLatency.Observe(float64(elapsed) / float64(time.Millisecond))
-	if s.opts.Observer != nil {
-		ev := obs.RequestDone{
-			Endpoint:  string(ep),
-			Status:    status,
-			Cache:     cacheState,
-			TraceID:   tr.ID(),
-			ElapsedNS: elapsed.Nanoseconds(),
-			Items:     info.items,
-		}
-		if info.has {
-			ev.Heuristic = info.heuristic
-			ev.Seed = info.seed
-			ev.Tasks = info.tasks
-			ev.Machines = info.machines
-		}
-		s.opts.Observer.Observe(ev)
-	}
-	tr.Finish(status, cacheState)
 }
 
 // String summarizes the server configuration for logs.
