@@ -27,8 +27,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptrace"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -381,8 +383,24 @@ func retryable(status int) bool {
 // truncated reads, 429 and 5xx) with seeded-jitter exponential backoff
 // under the circuit breaker. It returns the first successful Response, a
 // *StatusError for a non-retryable status, or the last failure once
-// retries are exhausted.
+// retries are exhausted. The response body is read into one buffer of
+// exactly its declared length.
 func (c *Client) Post(ctx context.Context, url string, body []byte) (*Response, error) {
+	resp, err := c.PostInto(ctx, url, body, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &resp, nil
+}
+
+// PostInto is Post over storage the caller owns. A non-nil loan tracks
+// the transport's readers over body (see Loan), so the caller can tell
+// when body may be reused. The response body — a Response's or a
+// StatusError's — is read into dst's storage when it fits (a larger or
+// unframed one grows past it), so it is valid until the caller reuses
+// dst. A nil dst reads a declared length into one exact-size buffer, as
+// Post does.
+func (c *Client) PostInto(ctx context.Context, url string, body []byte, loan *Loan, dst []byte) (Response, error) {
 	tr := c.opts.Tracer.StartTrace("post")
 	var traceID string
 	if tr != nil {
@@ -398,14 +416,14 @@ func (c *Client) Post(ctx context.Context, url string, body []byte) (*Response, 
 		if err != nil {
 			tr.Finish(0, "")
 			if lastErr != nil {
-				return nil, fmt.Errorf("%w (last failure: %v)", err, lastErr)
+				return Response{}, fmt.Errorf("%w (last failure: %v)", err, lastErr)
 			}
-			return nil, err
+			return Response{}, err
 		}
 		c.mAttempts.Inc()
 		asp := tr.Start("attempt")
 		asp.SetAttempt(attempt)
-		resp, status, ra, echo, err := c.attempt(ctx, url, body, traceID)
+		resp, status, ra, echo, err := c.attempt(ctx, url, body, loan, dst, traceID)
 		asp.SetStatus(status)
 		if echo != "" {
 			asp.SetRemote(echo)
@@ -427,12 +445,12 @@ func (c *Client) Post(ctx context.Context, url string, body []byte) (*Response, 
 			// answered; this is not a fault, so the breaker stays put.
 			c.onSuccess(probe)
 			tr.Finish(se.Status, "")
-			return nil, err
+			return Response{}, err
 		}
 		c.onFailure(probe)
 		if attempt > c.opts.MaxRetries || ctx.Err() != nil {
 			tr.Finish(status, "")
-			return nil, fmt.Errorf("client: %d attempt(s) failed: %w", attempt, lastErr)
+			return Response{}, fmt.Errorf("client: %d attempt(s) failed: %w", attempt, lastErr)
 		}
 		delay := c.backoff(attempt, ra)
 		c.mRetries.Inc()
@@ -451,7 +469,7 @@ func (c *Client) Post(ctx context.Context, url string, body []byte) (*Response, 
 		bsp.End()
 		if err != nil {
 			tr.Finish(0, "")
-			return nil, fmt.Errorf("client: interrupted after %d attempt(s): %w (last failure: %v)", attempt, err, lastErr)
+			return Response{}, fmt.Errorf("client: interrupted after %d attempt(s): %w (last failure: %v)", attempt, err, lastErr)
 		}
 	}
 }
@@ -465,38 +483,50 @@ func errText(err error, status int) string {
 	return err.Error()
 }
 
-// attempt performs one POST under the per-attempt timeout. status is the
-// HTTP status when one was received (even on failure); ra is the parsed
-// Retry-After; echo is the server's X-Schedd-Trace response header (the
-// server-side trace this attempt caused), when one arrived. traceID, when
-// non-empty, propagates the client's trace to the server.
-func (c *Client) attempt(ctx context.Context, url string, body []byte, traceID string) (resp *Response, status int, ra time.Duration, echo string, err error) {
+// attempt performs one POST of body under the per-attempt timeout, its
+// readers tracked by loan when non-nil, and reads the response into dst.
+// status is the HTTP status when one was received (even on failure);
+// ra is the parsed Retry-After; echo is the server's X-Schedd-Trace
+// response header (the server-side trace this attempt caused), when one
+// arrived. traceID, when non-empty, propagates the client's trace to the
+// server.
+func (c *Client) attempt(ctx context.Context, url string, body []byte, loan *Loan, dst []byte, traceID string) (resp Response, status int, ra time.Duration, echo string, err error) {
 	actx, cancel := context.WithTimeout(ctx, c.opts.Timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return nil, 0, 0, "", err
+	rctx := actx
+	if loan != nil && len(body) > 0 {
+		rctx = loan.traced(actx)
 	}
+	req, err := http.NewRequestWithContext(rctx, http.MethodPost, url, nil)
+	if err != nil {
+		return Response{}, 0, 0, "", err
+	}
+	attach(req, body, loan)
 	req.Header.Set("Content-Type", "application/json")
 	if traceID != "" {
 		req.Header.Set(traceHeader, traceID)
 	}
 	hr, err := c.hc.Do(req)
+	if loan != nil && (err != nil || hr.Request != nil && hr.Request.Method != http.MethodPost) {
+		// A followed redirect may have written a bodyless request, whose
+		// finished write would count against a reader still being written.
+		loan.spoiled.Store(true)
+	}
 	if err != nil {
-		return nil, 0, 0, "", err
+		return Response{}, 0, 0, "", err
 	}
 	defer hr.Body.Close()
 	echo = hr.Header.Get(traceHeader)
-	b, err := readBody(hr.Body, hr.ContentLength)
+	b, err := readBody(hr.Body, hr.ContentLength, dst)
 	if err != nil {
 		// Truncated or severed mid-body: a partial body must never be
 		// surfaced as a Response.
-		return nil, 0, 0, echo, fmt.Errorf("client: reading body: %w", err)
+		return Response{}, 0, 0, echo, fmt.Errorf("client: reading body: %w", err)
 	}
 	if hr.StatusCode < 200 || hr.StatusCode > 299 {
-		return nil, hr.StatusCode, retryAfter(hr), echo, &StatusError{Status: hr.StatusCode, Body: b}
+		return Response{}, hr.StatusCode, retryAfter(hr), echo, &StatusError{Status: hr.StatusCode, Body: b}
 	}
-	return &Response{Status: hr.StatusCode, Body: b, Cache: hr.Header.Get("X-Schedd-Cache")}, hr.StatusCode, 0, echo, nil
+	return Response{Status: hr.StatusCode, Body: b, Cache: hr.Header.Get("X-Schedd-Cache")}, hr.StatusCode, 0, echo, nil
 }
 
 // exactBodyCap bounds readBody's up-front allocation: a declared
@@ -504,16 +534,98 @@ func (c *Client) attempt(ctx context.Context, url string, body []byte, traceID s
 const exactBodyCap = 4 << 20
 
 // readBody reads a response body whose Content-Length is n (-1 when
-// unknown). A known length up to exactBodyCap is read into one buffer of
-// exactly that size; otherwise io.ReadAll grows one as the bytes arrive. A
-// body shorter than its declared length is an error, never a short slice.
-func readBody(r io.Reader, n int64) ([]byte, error) {
+// unknown) into dst's storage. A known length up to exactBodyCap is read
+// into dst when it fits, else into one new buffer of exactly that size;
+// otherwise the body is appended to dst[:0], growing it as the bytes
+// arrive. A body shorter than its declared length is an error, never a
+// short slice.
+func readBody(r io.Reader, n int64, dst []byte) ([]byte, error) {
 	if n < 0 || n > exactBodyCap {
-		return io.ReadAll(r)
+		b := bytes.NewBuffer(dst[:0])
+		if _, err := b.ReadFrom(r); err != nil {
+			return nil, err
+		}
+		return b.Bytes(), nil
 	}
-	b := make([]byte, n)
+	if int64(cap(dst)) < n {
+		dst = make([]byte, n)
+	}
+	b := dst[:n]
 	if _, err := io.ReadFull(r, b); err != nil {
 		return nil, err
 	}
 	return b, nil
+}
+
+// attach sets req's body to a reader over body, and GetBody to hand out
+// another one for each rewind, counting each in loan when non-nil. The
+// readers are the in-memory kind net/http writes in one piece with the
+// request head; an empty body lends nothing.
+func attach(req *http.Request, body []byte, loan *Loan) {
+	if len(body) == 0 {
+		req.Body = http.NoBody
+		return
+	}
+	open := func() (io.ReadCloser, error) {
+		if loan != nil {
+			loan.lent.Add(1)
+		}
+		return io.NopCloser(bytes.NewReader(body)), nil
+	}
+	req.ContentLength = int64(len(body))
+	req.Body, _ = open()
+	req.GetBody = open
+}
+
+// A Loan keeps the release rule for a request body the caller lends the
+// transport and wants back. The client counts every reader it hands the
+// transport over the body — each attempt's first one and each GetBody
+// rewind, across every post made under the loan — and every write of the
+// request the transport reports finished (httptrace's WroteRequest, which
+// net/http calls once the request and its body are written and the body
+// closed; a reader is written at most once, since a rewind replaces it).
+// An http.RoundTripper may go on reading a body after RoundTrip has
+// returned: a write can still be racing the response. So the body may be
+// reused only once Returned is true; a loan that is not returned is left
+// to the garbage collector with its body, never waited for. A post that
+// failed, or that followed a redirect to a bodyless request, keeps its
+// loan out for good.
+//
+// Finished writes are the signal, not Close: a request body of a type
+// net/http cannot tell is in memory has its head flushed in a separate
+// write and is copied through a fresh body-sized buffer, which costs more
+// than the copy the loan saves.
+type Loan struct {
+	lent, wrote atomic.Int32
+	spoiled     atomic.Bool
+	// trace counts finished writes; built once per Loan, so that a pooled
+	// Loan traces its attempts without allocating hooks.
+	trace *httptrace.ClientTrace
+}
+
+// Returned reports whether the transport has finished writing every
+// reader it was handed under the loan. Call it once no post under the
+// loan is in progress: no reader is handed out after that.
+func (l *Loan) Returned() bool { return !l.spoiled.Load() && l.wrote.Load() == l.lent.Load() }
+
+// Reset starts the loan afresh. Only a returned (or new) Loan may be
+// reset: a write still in progress would count against the next body.
+func (l *Loan) Reset() {
+	l.lent.Store(0)
+	l.wrote.Store(0)
+	l.spoiled.Store(false)
+}
+
+// traced returns ctx carrying the loan's write counter.
+func (l *Loan) traced(ctx context.Context) context.Context {
+	if l.trace == nil {
+		l.trace = &httptrace.ClientTrace{WroteRequest: func(httptrace.WroteRequestInfo) { l.wrote.Add(1) }}
+	}
+	if httptrace.ContextClientTrace(ctx) != nil {
+		// WithClientTrace composes into the trace it is given; keep the
+		// shared one unchanged.
+		t := *l.trace
+		return httptrace.WithClientTrace(ctx, &t)
+	}
+	return httptrace.WithClientTrace(ctx, l.trace)
 }

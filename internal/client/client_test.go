@@ -264,7 +264,7 @@ func TestShortBodyIsAnError(t *testing.T) {
 	}
 	// The same for a reader that ends early or at once.
 	for _, r := range []io.Reader{strings.NewReader("abc"), strings.NewReader("")} {
-		if b, err := readBody(r, 10); err == nil || b != nil {
+		if b, err := readBody(r, 10, nil); err == nil || b != nil {
 			t.Fatalf("readBody of a short body = %q, %v; want an error", b, err)
 		}
 	}
@@ -303,7 +303,7 @@ func TestOverCapLengthReadsAsItArrives(t *testing.T) {
 	}
 	// Over the cap the declared length is not trusted with a buffer: a
 	// short body under a huge Content-Length costs only what arrived.
-	b, err := readBody(strings.NewReader("abc"), 1<<40)
+	b, err := readBody(strings.NewReader("abc"), 1<<40, nil)
 	if err != nil || string(b) != "abc" || cap(b) >= exactBodyCap {
 		t.Fatalf("readBody over the cap = %q (cap %d), %v", b, cap(b), err)
 	}
@@ -317,7 +317,7 @@ func TestKnownLengthBodyReadsIntoOneBuffer(t *testing.T) {
 	var r bytes.Reader
 	allocs := testing.AllocsPerRun(20, func() {
 		r.Reset(body)
-		b, err := readBody(&r, int64(len(body)))
+		b, err := readBody(&r, int64(len(body)), nil)
 		if err != nil || len(b) != len(body) || cap(b) != len(body) {
 			t.Fatalf("readBody = %d bytes (cap %d), %v", len(b), cap(b), err)
 		}

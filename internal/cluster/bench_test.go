@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -98,27 +99,59 @@ func BenchmarkGatewayHit(b *testing.B) {
 	}
 }
 
-// gatewayHitAllocsBound is a warm gateway hit's allocation count over one
-// local backend and the pooled transport, recorder and request included,
-// as measured at the commit before the shared front (117 on Linux,
-// go1.24). The front's preallocated header values only lower it.
-const gatewayHitAllocsBound = 117
+// gatewayHitBounds bound what a warm gateway hit allocates over one local
+// backend and the pooled transport, recorder and request included, per
+// request shape: the counts as measured (Linux, go1.24), and bytes with
+// headroom. Before the gateway read bodies into pooled buffers and relayed
+// responses from them it took 117 allocations and 15.8 KB (3×3), and 121
+// and 26.5 KB (32×8).
+var gatewayHitBounds = []struct {
+	name   string
+	body   func(seed uint64) string
+	allocs float64
+	bytes  float64
+}{
+	{"3x3", iterBody, 112, 15400},
+	{"32x8", floatBody, 113, 18800},
+}
 
-// TestGatewayHitAllocs pins what BenchmarkGatewayHit/backends-1 measures:
-// a warm hit through the gateway, its loopback hop to the owner's cache
-// and back, may allocate no more than it did before the gateway shared
-// serve's front.
+// TestGatewayHitAllocs pins what BenchmarkGatewayHit/backends-1 and
+// 32x8-backends-1 measure: a warm hit through the gateway, its loopback
+// hop to the owner's cache and back, within the allocation count and
+// bytes of gatewayHitBounds.
 func TestGatewayHitAllocs(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("the race runtime drops sync.Pool puts at random; the non-race run enforces the bound")
 	}
 	g, stop := benchCluster(t, 1)
 	defer stop()
-	body := iterBody(1)
-	benchPost(t, g.Handler(), "/v1/iterate", body) // warm the owner's cache
-	if got := testing.AllocsPerRun(200, func() { benchPost(t, g.Handler(), "/v1/iterate", body) }); got > gatewayHitAllocsBound {
-		t.Errorf("warm gateway hit: %v allocs, want <= %d", got, gatewayHitAllocsBound)
+	for _, tc := range gatewayHitBounds {
+		t.Run(tc.name, func(t *testing.T) {
+			body := tc.body(1)
+			hit := func() { benchPost(t, g.Handler(), "/v1/iterate", body) }
+			hit() // warm the owner's cache
+			if got := testing.AllocsPerRun(200, hit); got > tc.allocs {
+				t.Errorf("warm gateway hit: %v allocs, want <= %v", got, tc.allocs)
+			}
+			if got := bytesPerRun(200, hit); got > tc.bytes {
+				t.Errorf("warm gateway hit: %.0f bytes, want <= %.0f", got, tc.bytes)
+			}
+		})
 	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes f
+// allocates per call, after one warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // BenchmarkGatewayBatchHit measures the warm batch path: an 8-item batch is

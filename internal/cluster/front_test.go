@@ -30,8 +30,9 @@ func (w *panicOnFirstWrite) Write(b []byte) (int, error) {
 
 // TestFrontPanicGuard posts a panicking ResponseWriter to every scheduling
 // handler on both fronts: the serve singleton and batch handlers and the
-// gateway's. Each must answer the fixed 500 panic envelope, keep
-// requests_total == 2xx+4xx+5xx, emit exactly one root span and count one
+// gateway's. Each must answer the fixed 500 panic envelope without the
+// aborted response's X-Schedd-Cache header, keep requests_total ==
+// 2xx+4xx+5xx, emit exactly one root span and count one
 // <front>.panics_total.
 func TestFrontPanicGuard(t *testing.T) {
 	batch := `{"items":[` + batchItem("iterate", iterBody(1)) + `]}`
@@ -63,6 +64,10 @@ func TestFrontPanicGuard(t *testing.T) {
 				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
 				if w.Code != http.StatusInternalServerError || w.Body.String() != want {
 					t.Fatalf("got %d %q, want 500 %q", w.Code, w.Body.String(), want)
+				}
+				// The aborted write's cache state must not reach the envelope.
+				if v := w.Result().Header.Values("X-Schedd-Cache"); len(v) != 0 {
+					t.Errorf("500 panic envelope carries X-Schedd-Cache %q, want none", v)
 				}
 				c := map[string]int64{}
 				for _, v := range reg.Snapshot().Counters {

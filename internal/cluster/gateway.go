@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/client"
@@ -73,7 +75,6 @@ type Gateway struct {
 	mux      *http.ServeMux
 	hc       *http.Client // introspection probes (healthz/metricz/statusz)
 
-	maxBody  int64
 	maxItems int
 
 	// memos route repeat bodies, one per namespace: /v1/map, /v1/iterate
@@ -91,6 +92,7 @@ type Gateway struct {
 type gwBackend struct {
 	name    string
 	url     string
+	urls    map[string]string // scheduling path -> url+path, built once
 	cl      *client.Client
 	mRouted *obs.Counter
 }
@@ -114,14 +116,13 @@ func NewGateway(opts Options) (*Gateway, error) {
 		opts.Client.HTTPClient = &http.Client{Transport: tr}
 		probes = &http.Client{Transport: tr, Timeout: 5 * time.Second}
 	}
-	front := serve.NewFront("gateway", opts.Metrics, opts.Tracer, opts.Observer)
+	front := serve.NewFront("gateway", opts.MaxBodyBytes, opts.Metrics, opts.Tracer, opts.Observer)
 	reg := front.Metrics()
 	g := &Gateway{
 		Front:    front,
 		opts:     opts,
 		router:   router,
 		backends: make(map[string]*gwBackend, len(opts.Backends)),
-		maxBody:  opts.MaxBodyBytes,
 		maxItems: opts.MaxBatchItems,
 
 		mBatches:    reg.Counter("gateway.batch_requests_total"),
@@ -129,9 +130,6 @@ func NewGateway(opts Options) (*Gateway, error) {
 		mFailovers:  reg.Counter("gateway.failovers_total"),
 		mUnavail:    reg.Counter("gateway.unavailable_total"),
 		mMemoHits:   reg.Counter("gateway.route_memo_hits"),
-	}
-	if g.maxBody <= 0 {
-		g.maxBody = serve.DefaultMaxBodyBytes
 	}
 	if g.maxItems <= 0 {
 		g.maxItems = serve.DefaultMaxBatchItems
@@ -154,9 +152,15 @@ func NewGateway(opts Options) (*Gateway, error) {
 		co.Metrics = obs.NewMetrics()
 		co.Observer = opts.Observer
 		co.Tracer = nil // the gateway emits its own spans
+		url := byName[name]
+		urls := make(map[string]string, 3)
+		for _, p := range []string{"/v1/map", "/v1/iterate", "/v1/batch"} {
+			urls[p] = url + p
+		}
 		g.backends[name] = &gwBackend{
 			name:    name,
-			url:     byName[name],
+			url:     url,
+			urls:    urls,
 			cl:      client.New(co),
 			mRouted: reg.Counter("gateway.routed." + name),
 		}
@@ -211,20 +215,66 @@ type route struct {
 // preference order.
 type forwardResult struct {
 	status int
-	body   []byte // verbatim backend bytes (trailing newline included)
+	body   []byte // verbatim backend bytes (trailing newline included), in fwdScratch.resp
 	cache  string // X-Schedd-Cache echo, 2xx only
 	served string // backend that answered; "" when none was reachable
 	tried  int    // backends abandoned before served answered
 }
 
-// forward posts body along the key's rendezvous preference order: the
-// owner first, then each next-ranked backend while the previous one is
+// fwdScratch is one gateway request's pooled storage: the request body,
+// lent to the transport under loan, and the buffer every backend response
+// of the request is read into and relayed from.
+type fwdScratch struct {
+	body []byte
+	loan client.Loan
+	resp []byte
+}
+
+var fwdPool = sync.Pool{New: func() any { return new(fwdScratch) }}
+
+func getFwd() *fwdScratch { return fwdPool.Get().(*fwdScratch) }
+
+// keep adopts body's storage as the response buffer when the read grew
+// past it.
+func (fs *fwdScratch) keep(body []byte) {
+	if cap(body) > cap(fs.resp) {
+		fs.resp = body[:0]
+	}
+}
+
+// release returns fs to the pool once its response is written, under the
+// loan's release rule (client.Loan): while the transport may still read
+// a reader it was handed over the request body, fs is left to the garbage
+// collector instead. Buffers grown past serve.MaxPooledScratch are never
+// pooled.
+func (fs *fwdScratch) release() {
+	if fs.loan.Returned() && cap(fs.body) <= serve.MaxPooledScratch && cap(fs.resp) <= serve.MaxPooledScratch {
+		fwdPool.Put(fs)
+	}
+}
+
+// read reads the request body into fs's storage through the front's
+// reader (serve.Arrival.ReadBody) and starts its loan. The decode span
+// covers the read alone.
+func (fs *fwdScratch) read(w http.ResponseWriter, r *http.Request, a *serve.Arrival) ([]byte, bool) {
+	sp := a.Trace().Start("decode")
+	body, ok := a.ReadBody(w, r, fs.body, sp)
+	fs.body = body
+	fs.loan.Reset()
+	if ok {
+		sp.End()
+	}
+	return body, ok
+}
+
+// forward posts fs's body along the key's rendezvous preference order:
+// the owner first, then each next-ranked backend while the previous one is
 // unreachable (see attempt). When every backend is exhausted the result
 // has served=="" and the caller renders the gateway's own 503
 // upstream_unavailable.
-func (g *Gateway) forward(ctx context.Context, rank []string, path string, body []byte, tr *obs.Trace) forwardResult {
+func (g *Gateway) forward(ctx context.Context, rank []string, path string, fs *fwdScratch, tr *obs.Trace) forwardResult {
 	for i, name := range rank {
-		if res, ok := g.attempt(ctx, g.backends[name], path, body, tr); ok {
+		if res, ok := g.attempt(ctx, g.backends[name], path, fs.body, &fs.loan, fs, tr); ok {
 			if i > 0 {
 				g.mFailovers.Add(int64(i))
 			}
@@ -236,21 +286,22 @@ func (g *Gateway) forward(ctx context.Context, rank []string, path string, body 
 	return forwardResult{status: http.StatusServiceUnavailable, tried: len(rank)}
 }
 
-// attempt posts body to backend b under one backend_wait span and applies
-// the gateway's one per-attempt rule. ok is true when the backend
-// answered: a 2xx response, or a deterministic refusal (a status
-// !client.Retryable, 400/404/413/422...) whose exact bytes are the answer,
-// since every backend would say the same and failing over would only
-// recompute the envelope elsewhere. ok is false when the backend is
-// unreachable — open breaker, retries exhausted on retryable statuses, or
-// transport failure — and the span is tagged breaker_open,
-// upstream_status or transport.
-func (g *Gateway) attempt(ctx context.Context, b *gwBackend, path string, body []byte, tr *obs.Trace) (forwardResult, bool) {
+// attempt posts body to backend b under one backend_wait span (under
+// loan when non-nil), reads the response into fs, and applies the
+// gateway's one per-attempt rule. ok is true when the backend answered: a
+// 2xx response, or a deterministic refusal (a status !client.Retryable,
+// 400/404/413/422...) whose exact bytes are the answer, since every
+// backend would say the same and failing over would only recompute the
+// envelope elsewhere. ok is false when the backend is unreachable — open
+// breaker, retries exhausted on retryable statuses, or transport failure —
+// and the span is tagged breaker_open, upstream_status or transport.
+func (g *Gateway) attempt(ctx context.Context, b *gwBackend, path string, body []byte, loan *client.Loan, fs *fwdScratch, tr *obs.Trace) (forwardResult, bool) {
 	b.mRouted.Inc()
 	sp := tr.Start("backend_wait")
 	defer sp.End()
-	resp, err := b.cl.Post(ctx, b.url+path, body)
+	resp, err := b.cl.PostInto(ctx, b.urls[path], body, loan, fs.resp)
 	if err == nil {
+		fs.keep(resp.Body)
 		sp.SetStatus(resp.Status)
 		sp.SetCache(resp.Cache)
 		return forwardResult{status: resp.Status, body: resp.Body, cache: resp.Cache}, true
@@ -258,6 +309,7 @@ func (g *Gateway) attempt(ctx context.Context, b *gwBackend, path string, body [
 	var se *client.StatusError
 	switch {
 	case errors.As(err, &se) && !client.Retryable(se.Status):
+		fs.keep(se.Body)
 		sp.SetStatus(se.Status)
 		return forwardResult{status: se.Status, body: se.Body}, true
 	case errors.Is(err, client.ErrBreakerOpen):
@@ -280,7 +332,9 @@ func (g *Gateway) handleSchedule(ep string) func(http.ResponseWriter, *http.Requ
 	memo := g.memos[ep]
 	return func(w http.ResponseWriter, r *http.Request, a serve.Arrival) {
 		tr := a.Trace()
-		body, ok := g.readBody(w, r, &a)
+		fs := getFwd()
+		defer fs.release()
+		body, ok := fs.read(w, r, &a)
 		if !ok {
 			return
 		}
@@ -295,7 +349,7 @@ func (g *Gateway) handleSchedule(ep string) func(http.ResponseWriter, *http.Requ
 		tr.SetKeyHash(kh)
 		rank := g.router.RankHash(kh)
 		sp.End()
-		res := g.forward(r.Context(), rank, ep, body, tr)
+		res := g.forward(r.Context(), rank, ep, fs, tr)
 		g.respond(w, &a, res, route{endpoint: ep, keyHash: kh, primary: rank[0], served: res.served, failovers: res.tried})
 	}
 }
@@ -310,41 +364,6 @@ func (g *Gateway) respond(w http.ResponseWriter, a *serve.Arrival, res forwardRe
 		a.WriteBody(w, res.status, res.body, res.cache)
 	}
 	g.done(a, res.status, res.cache, []route{rt}, rt.items)
-}
-
-// readBody reads the request body under the MaxBodyBytes limit, failing
-// the arrival with the canonical 413 (same message a backend would
-// produce) on overflow. A declared Content-Length within the limit is read
-// into one buffer of exactly that size, and a body shorter than it is a
-// 400; chunked bodies and declared lengths over the limit go through
-// io.ReadAll, which meets the limit as the bytes arrive. The body is the
-// gateway's own copy, never pooled: http.Transport may still read a
-// forwarded body after RoundTrip returns.
-func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request, a *serve.Arrival) ([]byte, bool) {
-	sp := a.Trace().Start("decode")
-	rd := http.MaxBytesReader(w, r.Body, g.maxBody)
-	var body []byte
-	var err error
-	if n := r.ContentLength; n >= 0 && n <= g.maxBody {
-		body = make([]byte, n)
-		_, err = io.ReadFull(rd, body)
-	} else {
-		body, err = io.ReadAll(rd)
-	}
-	if err == nil {
-		sp.End()
-		return body, true
-	}
-	status, code, msg := http.StatusBadRequest, serve.CodeBadRequest, fmt.Sprintf("reading body: %v", err)
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		status, code, msg = http.StatusRequestEntityTooLarge, serve.CodePayloadTooLarge, fmt.Sprintf("request body exceeds %d bytes", mbe.Limit)
-	}
-	sp.SetErr(code)
-	sp.End()
-	a.WriteError(w, status, code, msg)
-	a.Done(status, "", obs.RequestDone{})
-	return nil, false
 }
 
 // routeHash returns body's routing hash through memo, counting memo hits.
@@ -398,7 +417,9 @@ func (g *Gateway) done(a *serve.Arrival, status int, cache string, routes []rout
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request, a serve.Arrival) {
 	const ep = "/v1/batch"
 	tr := a.Trace()
-	body, ok := g.readBody(w, r, &a)
+	fs := getFwd()
+	defer fs.release()
+	body, ok := fs.read(w, r, &a)
 	if !ok {
 		return
 	}
@@ -414,7 +435,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request, a serve.Ar
 		kh := KeyHash(RawRouteKey(ep, body))
 		rank := g.router.RankHash(kh)
 		sp.End()
-		res := g.forward(r.Context(), rank, ep, body, tr)
+		res := g.forward(r.Context(), rank, ep, fs, tr)
 		g.respond(w, &a, res, route{endpoint: ep, keyHash: kh, primary: rank[0], served: res.served, failovers: res.tried, items: len(items)})
 		return
 	}
@@ -432,7 +453,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request, a serve.Ar
 	for i := range routes {
 		routes[i] = route{endpoint: ep, keyHash: khs[i], primary: g.router.PickHash(khs[i])}
 	}
-	g.dispatch(r.Context(), items, khs, results, routes, tr)
+	g.dispatch(r.Context(), items, khs, results, routes, fs, tr)
 
 	msp := tr.Start("batch_merge")
 	env := serve.AppendBatchResults(nil, results)
@@ -446,7 +467,9 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request, a serve.Ar
 // items of a failed target with that backend excluded — per-item failover
 // that preserves input order in the merged results. Items whose entire
 // order is exhausted get the gateway's 503 upstream_unavailable envelope.
-func (g *Gateway) dispatch(ctx context.Context, items [][]byte, khs []uint64, results []serve.BatchItemResult, routes []route, tr *obs.Trace) {
+// Every sub-batch response is read into fs; what the merge keeps of one is
+// copied out before the next is read.
+func (g *Gateway) dispatch(ctx context.Context, items [][]byte, khs []uint64, results []serve.BatchItemResult, routes []route, fs *fwdScratch, tr *obs.Trace) {
 	type work struct {
 		idxs     []int
 		excluded map[string]bool
@@ -484,7 +507,9 @@ func (g *Gateway) dispatch(ctx context.Context, items [][]byte, khs []uint64, re
 		sort.Strings(targets)
 		for _, target := range targets {
 			idxs := groups[target]
-			res, ok := g.attempt(ctx, g.backends[target], "/v1/batch", buildBatchBody(items, idxs), tr)
+			// A sub-batch body is the request's own allocation, left to
+			// the garbage collector, so it needs no loan.
+			res, ok := g.attempt(ctx, g.backends[target], "/v1/batch", buildBatchBody(items, idxs), nil, fs, tr)
 			switch {
 			case ok && res.status < 300:
 				if perItem, perr := parseBatchEnvelope(res.body, len(idxs)); perr == nil {
@@ -513,8 +538,9 @@ func (g *Gateway) dispatch(ctx context.Context, items [][]byte, khs []uint64, re
 				// Deterministic refusal of the whole sub-batch (unreachable
 				// in practice: items were already split and re-assembled
 				// within caps). Apply the envelope to every item.
+				env := bytes.Clone(trimNL(res.body))
 				for _, i := range idxs {
-					results[i] = serve.BatchItemResult{Status: res.status, Body: trimNL(res.body)}
+					results[i] = serve.BatchItemResult{Status: res.status, Body: env}
 					routes[i].served = target
 				}
 				continue

@@ -140,15 +140,15 @@ func TestFirstSightingCopiesNoBody(t *testing.T) {
 }
 
 // TestScratchPoolBound pins the request scratch pool's cap: a scratch whose
-// body or key buffer grew past maxPooledScratch is dropped, not pooled, so
+// body or key buffer grew past MaxPooledScratch is dropped, not pooled, so
 // one large request cannot pin its buffers for the life of the process.
 func TestScratchPoolBound(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		sc   *reqScratch
 	}{
-		{"buf", &reqScratch{buf: make([]byte, 0, maxPooledScratch+1)}},
-		{"key", &reqScratch{key: make([]byte, 0, maxPooledScratch+1)}},
+		{"buf", &reqScratch{buf: make([]byte, 0, MaxPooledScratch+1)}},
+		{"key", &reqScratch{key: make([]byte, 0, MaxPooledScratch+1)}},
 	} {
 		t.Run(fmt.Sprintf("oversized-%s", tc.name), func(t *testing.T) {
 			putScratch(tc.sc)
@@ -165,7 +165,7 @@ func TestScratchPoolBound(t *testing.T) {
 	// The control: a scratch at the cap is pooled (a GC between Put and Get
 	// may empty the pool, so allow a few tries).
 	for try := 0; try < 8; try++ {
-		sc := &reqScratch{buf: make([]byte, 0, maxPooledScratch), key: make([]byte, 0, maxPooledScratch)}
+		sc := &reqScratch{buf: make([]byte, 0, MaxPooledScratch), key: make([]byte, 0, MaxPooledScratch)}
 		putScratch(sc)
 		if getScratch() == sc {
 			return
@@ -176,7 +176,7 @@ func TestScratchPoolBound(t *testing.T) {
 
 // TestWorkerScratchBound pins the worker compute scratch's cap: after a
 // MaxCells-sized compute the worker keeps no scratch above
-// maxPooledScratch, while ordinary jobs keep reusing one scratch.
+// MaxPooledScratch, while ordinary jobs keep reusing one scratch.
 func TestWorkerScratchBound(t *testing.T) {
 	s := NewServer(Options{Workers: 1, MaxBodyBytes: 8 << 20})
 	defer drain(t, s)
@@ -208,8 +208,8 @@ func TestWorkerScratchBound(t *testing.T) {
 		t.Fatalf("%d computed jobs, want %d", len(kept), len(bodies))
 	}
 	for i, n := range size {
-		if n > maxPooledScratch {
-			t.Errorf("after job %d the worker keeps a %d-byte scratch, over the %d-byte cap", i, n, maxPooledScratch)
+		if n > MaxPooledScratch {
+			t.Errorf("after job %d the worker keeps a %d-byte scratch, over the %d-byte cap", i, n, MaxPooledScratch)
 		}
 	}
 	if size[0] == 0 || kept[1] != kept[0] {

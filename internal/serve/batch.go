@@ -80,18 +80,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, a Arrival) 
 	sc := getScratch()
 	defer putScratch(sc)
 	sp := tr.Start("decode")
-	body, aerr := s.readBody(w, r, sc)
-	if aerr == nil {
-		// The trace identity is deterministic in the full batch content.
-		tr.SetKeyBytes(body)
+	body, ok := a.ReadBody(w, r, sc.buf, sp)
+	sc.buf = body
+	if !ok {
+		return
 	}
+	// The trace identity is deterministic in the full batch content.
+	tr.SetKeyBytes(body)
 	// Whole-envelope fast path: an all-hit batch caches its assembled
 	// envelope under the exact batch body, so a repeat of the same batch is
 	// one map lookup — no split, no per-item lookups, no assembly. Only
 	// all-hit envelopes are stored (their replay is what a full
 	// re-resolution would produce), so statuses and bodies are identical
 	// either way.
-	if aerr == nil && s.cache != nil {
+	if s.cache != nil {
 		if env, ok := sc.getRaw(s.cache, rawAlias{head: rawHeadBatchEnv, body: body}); ok {
 			sp.End()
 			csp := tr.Start("cache_lookup")
@@ -106,10 +108,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, a Arrival) 
 			return
 		}
 	}
-	var items [][]byte
-	if aerr == nil {
-		items, aerr = splitBatch(body)
-	}
+	items, aerr := splitBatch(body)
 	if aerr == nil {
 		max := s.opts.MaxBatchItems
 		if max <= 0 {

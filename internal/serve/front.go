@@ -2,11 +2,13 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -25,6 +27,7 @@ import (
 //   - trace start, joining the caller's trace from TraceHeader;
 //   - the handler-level panic guard;
 //   - the POST and GET method gates and the draining refusal;
+//   - the request body reader, under the front's body limit;
 //   - the JSON body and error writers.
 //
 // Every scheduling arrival passes the gate and the epilogue (Arrival.Done)
@@ -32,6 +35,7 @@ import (
 // root span per request hold.
 type Front struct {
 	name     string // trace name and metric prefix: "serve" or "gateway"
+	maxBody  int64  // request body limit
 	reg      *obs.Metrics
 	tracer   *obs.Tracer
 	observer obs.Observer
@@ -52,14 +56,20 @@ type Front struct {
 	hLatency         *obs.Histogram
 }
 
-// NewFront builds a front whose traces and metrics are named name. A nil
-// reg creates a private registry; a nil tracer or observer is off.
-func NewFront(name string, reg *obs.Metrics, tracer *obs.Tracer, observer obs.Observer) *Front {
+// NewFront builds a front whose traces and metrics are named name, and
+// whose request bodies may hold up to maxBody bytes (0 means
+// DefaultMaxBodyBytes). A nil reg creates a private registry; a nil tracer
+// or observer is off.
+func NewFront(name string, maxBody int64, reg *obs.Metrics, tracer *obs.Tracer, observer obs.Observer) *Front {
+	if maxBody <= 0 {
+		maxBody = DefaultMaxBodyBytes
+	}
 	if reg == nil {
 		reg = obs.NewMetrics()
 	}
 	return &Front{
 		name:      name,
+		maxBody:   maxBody,
 		reg:       reg,
 		tracer:    tracer,
 		observer:  observer,
@@ -221,6 +231,67 @@ func (f *Front) WriteError(w http.ResponseWriter, status int, code, msg string) 
 // Trace returns the arrival's trace; nil when tracing is off.
 func (a *Arrival) Trace() *obs.Trace { return a.tr }
 
+// ReadBody reads the request body into buf's storage under the front's
+// body limit, growing it as needed, and returns the bytes read. A declared
+// Content-Length within the limit is read exactly, into storage grown to
+// hold it, and a body shorter than it is a 400; an unframed body,
+// or a declared length over the limit, is read until it ends or passes the
+// limit. On failure ReadBody tags and ends sp, the caller's open decode
+// span, writes the 413 or 400 envelope and runs the epilogue, and ok is
+// false. Either way body holds buf's storage as grown, for the caller to
+// recycle.
+func (a *Arrival) ReadBody(w http.ResponseWriter, r *http.Request, buf []byte, sp *obs.SpanHandle) (body []byte, ok bool) {
+	// rd is read in this function only, so it stays on the stack.
+	rd := http.MaxBytesReader(w, r.Body, a.f.maxBody)
+	n := r.ContentLength
+	exact := n > 0 && n <= a.f.maxBody
+	body = buf[:0]
+	if exact {
+		// Grown as append grows, so that a pooled buffer meeting bodies
+		// a little larger each time is not reallocated for each.
+		body = slices.Grow(body, int(n))
+	}
+	var err error
+	for !exact || int64(len(body)) < n {
+		if len(body) == cap(body) {
+			body = append(body, 0)[:len(body)]
+		}
+		end := cap(body)
+		if exact {
+			end = int(n)
+		}
+		var m int
+		m, err = rd.Read(body[len(body):end])
+		body = body[:len(body)+m]
+		if err == io.EOF {
+			err = nil
+			if exact && int64(len(body)) < n {
+				err = io.ErrUnexpectedEOF
+			}
+			break
+		}
+		if err != nil {
+			break
+		}
+	}
+	if err == nil {
+		return body, true
+	}
+	aerr := badRequest("reading body: %v", err)
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		aerr = &apiError{
+			status: http.StatusRequestEntityTooLarge,
+			code:   CodePayloadTooLarge,
+			msg:    fmt.Sprintf("request body exceeds %d bytes", mbe.Limit),
+		}
+	}
+	sp.SetErr(aerr.code)
+	sp.End()
+	a.fail(w, aerr)
+	return body, false
+}
+
 // WriteBody writes a scheduling response body under the front's headers;
 // see writeBody.
 func (a *Arrival) WriteBody(w http.ResponseWriter, status int, body []byte, cacheState string) {
@@ -335,6 +406,9 @@ func (f *Front) writeBody(w http.ResponseWriter, status int, body []byte, clen [
 // exactly like successes.
 func (f *Front) writeError(w http.ResponseWriter, aerr *apiError, tr *obs.Trace) {
 	sp := tr.Start("write")
+	// A body write that panicked may have set its cache state already; the
+	// envelope replaces that response.
+	delete(w.Header(), "X-Schedd-Cache")
 	if f.mErrors != nil && aerr.status >= http.StatusInternalServerError && aerr.status != http.StatusServiceUnavailable {
 		f.mErrors.Inc()
 	}

@@ -546,7 +546,7 @@ type computeScratch struct {
 }
 
 // footprint returns the bytes sc's buffers hold. A worker drops a scratch
-// whose footprint passed maxPooledScratch, so one large request cannot pin
+// whose footprint passed MaxPooledScratch, so one large request cannot pin
 // its buffers for the life of the process.
 func (sc *computeScratch) footprint() int {
 	return 8*(cap(sc.vals)+sc.machines+cap(sc.completion)) +

@@ -16,7 +16,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -120,6 +119,7 @@ type Server struct {
 
 	workers  sync.WaitGroup
 	stopOnce sync.Once
+	stopped  chan struct{} // closed once the workers are gone and the store is flushed
 
 	// Disk tier (nil/unused when Options.Store is nil): reads happen inline
 	// in resolve; writes flow worker → storeQ → storeWriter goroutine.
@@ -214,7 +214,7 @@ func NewServer(opts Options) *Server {
 	if opts.RequestTimeout <= 0 {
 		opts.RequestTimeout = DefaultRequestTimeout
 	}
-	front := NewFront("serve", opts.Metrics, opts.Tracer, opts.Observer)
+	front := NewFront("serve", opts.MaxBodyBytes, opts.Metrics, opts.Tracer, opts.Observer)
 	reg := front.reg
 	front.mErrors = reg.Counter("serve.errors_total")
 	var lim limits
@@ -234,6 +234,7 @@ func NewServer(opts Options) *Server {
 		Front:   front,
 		opts:    opts,
 		queue:   make(chan *job, opts.QueueDepth),
+		stopped: make(chan struct{}),
 		flights: make(map[string]*flight),
 		lim:     lim,
 
@@ -293,21 +294,36 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Drain gracefully stops the server: the front's Drain (new scheduling
 // requests are refused with 503 immediately, in-flight requests run to
 // completion), then the worker pool exits and the write-behind queue is
-// flushed. It returns ctx's error if the context expires while requests
-// are still in flight. Drain is idempotent and safe to call concurrently.
-// Callers embedding the handler in an http.Server should call
-// http.Server.Shutdown first (to stop accepting connections), then Drain.
+// flushed. It returns ctx's error if the context expires first, whether
+// requests are still in flight or a worker is still computing a job its
+// handler has abandoned (a request past its deadline gets its 504 at
+// once). In the latter case the compute keeps running in the background,
+// its result reaches no client, and the store flush runs after it
+// finishes; a later Drain waits for both. Drain is idempotent and safe to
+// call concurrently. Callers embedding the handler in an http.Server
+// should call http.Server.Shutdown first (to stop accepting connections),
+// then Drain.
 func (s *Server) Drain(ctx context.Context) error {
 	if err := s.Front.Drain(ctx); err != nil {
 		return err
 	}
-	s.stopOnce.Do(func() { close(s.queue) })
-	s.workers.Wait()
-	// Workers (the only storeQ senders) are gone; flush the write-behind
-	// queue so every computed body is durable before the caller closes the
-	// store.
-	s.drainStore()
-	return nil
+	s.stopOnce.Do(func() {
+		close(s.queue)
+		go func() {
+			s.workers.Wait()
+			// Workers (the only storeQ senders) are gone; flush the
+			// write-behind queue so every computed body is durable before
+			// the caller closes the store.
+			s.drainStore()
+			close(s.stopped)
+		}()
+	})
+	select {
+	case <-s.stopped:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // worker computes queued jobs until the queue is closed. Jobs whose context
@@ -315,7 +331,7 @@ func (s *Server) Drain(ctx context.Context) error {
 // the client, and skipping keeps a timed-out backlog from stalling drain.
 //
 // Each worker owns one computeScratch, reused by every job it computes; a
-// job that grew it past maxPooledScratch leaves it behind for the garbage
+// job that grew it past MaxPooledScratch leaves it behind for the garbage
 // collector and the worker starts the next job on a fresh one.
 func (s *Server) worker() {
 	defer s.workers.Done()
@@ -331,7 +347,7 @@ func (s *Server) worker() {
 			continue
 		}
 		body, err := s.computeJob(j, sc)
-		if sc.footprint() > maxPooledScratch {
+		if sc.footprint() > MaxPooledScratch {
 			sc = new(computeScratch)
 		}
 		if s.testHookComputed != nil {
@@ -433,11 +449,9 @@ func (s *Server) handleSchedule(ep endpoint) func(http.ResponseWriter, *http.Req
 		sc := getScratch()
 		defer putScratch(sc)
 		sp := tr.Start("decode")
-		body, aerr := s.readBody(w, r, sc)
-		if aerr != nil {
-			sp.SetErr(aerr.code)
-			sp.End()
-			a.fail(w, aerr)
+		body, ok := a.ReadBody(w, r, sc.buf, sp)
+		sc.buf = body
+		if !ok {
 			return
 		}
 		// Raw fast path: the exact bytes of this body were seen at least
@@ -647,19 +661,19 @@ type reqScratch struct {
 	ready []float64
 }
 
-// maxPooledScratch bounds the buffers the scratch pool keeps, and the
-// compute scratch each worker keeps: one large body, a large batch
-// envelope assembled in key, or one large computation must not stay
-// pinned after its request is done.
-const maxPooledScratch = 256 << 10
+// MaxPooledScratch bounds the buffers the scratch pool keeps, the compute
+// scratch each worker keeps and the gateway's pooled forward buffers: one
+// large body, a large batch envelope assembled in key, or one large
+// computation must not stay pinned after its request is done.
+const MaxPooledScratch = 256 << 10
 
 var scratchPool = sync.Pool{New: func() any { return &reqScratch{buf: make([]byte, 0, 4096)} }}
 
 func getScratch() *reqScratch { return scratchPool.Get().(*reqScratch) }
 
 func putScratch(sc *reqScratch) {
-	if cap(sc.buf) <= maxPooledScratch && cap(sc.key) <= maxPooledScratch &&
-		8*(cap(sc.cells)+cap(sc.ready)) <= maxPooledScratch {
+	if cap(sc.buf) <= MaxPooledScratch && cap(sc.key) <= MaxPooledScratch &&
+		8*(cap(sc.cells)+cap(sc.ready)) <= MaxPooledScratch {
 		scratchPool.Put(sc)
 	}
 }
@@ -674,38 +688,6 @@ func (sc *reqScratch) getRaw(c *lru, r rawAlias) (cached, bool) {
 	}
 	sc.key = append(append(sc.key[:0], r.head...), r.body...)
 	return c.getRaw(sc.key)
-}
-
-// readBody reads the request body into the pooled scratch buffer under the
-// MaxBodyBytes limit — io.ReadAll without the per-request allocation. The
-// returned slice aliases the scratch and is valid only inside the handler.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request, sc *reqScratch) ([]byte, *apiError) {
-	rd := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	buf := sc.buf[:0]
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := rd.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			sc.buf = buf
-			return buf, nil
-		}
-		if err != nil {
-			sc.buf = buf
-			aerr := badRequest("reading body: %v", err)
-			var mbe *http.MaxBytesError
-			if errors.As(err, &mbe) {
-				aerr = &apiError{
-					status: http.StatusRequestEntityTooLarge,
-					code:   CodePayloadTooLarge,
-					msg:    fmt.Sprintf("request body exceeds %d bytes", mbe.Limit),
-				}
-			}
-			return nil, aerr
-		}
-	}
 }
 
 // healthState is the /healthz body.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -349,6 +350,36 @@ func TestRequestTimeout(t *testing.T) {
 		t.Fatalf("follow-up: status %d: %s", ok.Code, ok.Body.String())
 	}
 	drain(t, s)
+}
+
+// TestDrainHonoursDeadline: a worker still computing a job whose handler
+// already answered 504 must not hold Drain past its context. Drain returns
+// the context's error in time, and once the worker finishes, a second
+// Drain completes the stop.
+func TestDrainHonoursDeadline(t *testing.T) {
+	s := NewServer(Options{Workers: 1, RequestTimeout: 20 * time.Millisecond})
+	entered, release := make(chan struct{}), make(chan struct{})
+	s.testHookDequeued = func(j *job) {
+		close(entered)
+		<-release
+	}
+	if rec := post(s, "/v1/iterate", iterateBody("min-min", "det", 1)); rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504: %s", rec.Code, rec.Body.String())
+	}
+	<-entered
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if err := s.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Drain with a busy worker = %v, want %v", err, context.DeadlineExceeded)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Drain returned after %v, want its 200ms deadline to hold", d)
+	}
+	close(release)
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatalf("second Drain: %v", err)
+	}
 }
 
 func TestRequestValidation(t *testing.T) {
