@@ -8,13 +8,13 @@
 // The headline invariant, machine-checked by the cluster chaos scenarios:
 // a cluster of N backends returns byte-identical response bodies to a
 // single schedd instance for every request — cache hit, miss, coalesced,
-// or failed-over — under fault injection and backend loss. -selfcheck boots
-// a local 3-backend cluster and checks aggregated health, the pinned
-// Table-1 trace (a miss byte-identical to a single instance, then a
-// byte-identical hit) and the span trees it left, replays every builtin
-// cluster chaos scenario (internal/chaos) — batch split/merge,
-// kill/failover/revive, routing, metrics and per-stage span conservation —
-// requiring every invariant to hold, drains, and exits 0.
+// or failed-over — under fault injection and backend loss. -selfcheck
+// implies -local 3 and checks the gateway that run builds over it:
+// aggregated health, the pinned Table-1 trace (a miss byte-identical to a
+// single instance, then a byte-identical hit) and the span trees it left,
+// replays every builtin cluster chaos scenario (internal/chaos) — batch
+// split/merge, kill/failover/revive, routing, metrics and per-stage span
+// conservation — requiring every invariant to hold, drains, and exits 0.
 //
 // Usage:
 //
@@ -118,7 +118,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		drainTimeout  = fs.Duration("drain-timeout", 10*time.Second, "how long to wait for in-flight requests on shutdown")
 		accessLog     = fs.String("access-log", "", "append request_done and gateway_route events as JSONL to this path")
 		traceOut      = fs.String("trace-out", "", "write gateway spans as JSONL to this path, truncating it (analyze with cmd/schedtrace)")
-		selfcheck     = fs.Bool("selfcheck", false, "boot a local 3-backend cluster, verify the pinned Table-1 trace and every cluster chaos scenario end to end, drain, exit")
+		selfcheck     = fs.Bool("selfcheck", false, "imply -local 3, verify the pinned Table-1 trace and every cluster chaos scenario end to end, drain, exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return usageError{err}
@@ -141,7 +141,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *backendSpec != "" || *local != 0 {
 			return usagef("-selfcheck runs its own local cluster; drop -backends/-local")
 		}
-		return selfCheck(*traceOut, *accessLog, stdout)
+		*local = selfcheckBackends
 	}
 
 	var backends []cluster.Backend
@@ -183,7 +183,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		observers = append(observers, logSink)
 	}
 	// Tracing is always on, as in schedd: span durations feed /statusz-style
-	// stage metrics on the gateway registry; -trace-out streams the spans.
+	// stage metrics on the gateway registry; -trace-out streams the spans,
+	// and the selfcheck adds an in-memory collector for its trace leg.
 	sinks := obs.Multi{obs.NewSpanMetricsObserver(reg, "gateway")}
 	var traceSink *obs.JSONL
 	if *traceOut != "" {
@@ -194,6 +195,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		defer f.Close()
 		traceSink = obs.NewJSONL(f)
 		sinks = append(sinks, traceSink)
+	}
+	var spanCol *obs.Collector
+	if *selfcheck {
+		spanCol = &obs.Collector{}
+		sinks = append(sinks, spanCol)
 	}
 
 	gw, err := cluster.NewGateway(cluster.Options{
@@ -215,9 +221,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := serve.ServeUntil(ctx, "schedgw", *addr, gw.Handler(), gw, *drainTimeout, stdout); err != nil {
+	if *selfcheck {
+		err = selfCheck(gw, spanCol, stdout)
+	} else {
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		defer stop()
+		err = serve.ServeUntil(ctx, "schedgw", *addr, gw.Handler(), gw, *drainTimeout, stdout)
+	}
+	if err != nil {
 		return err
 	}
 	if logSink != nil {
@@ -246,53 +257,19 @@ func parseBackends(spec string) ([]cluster.Backend, error) {
 	return out, nil
 }
 
-// selfCheck boots a 3-backend local cluster, fronts it with a gateway on an
-// ephemeral port, and machine-checks it end to end over real HTTP:
+// selfcheckBackends is the local cluster size -selfcheck implies.
+const selfcheckBackends = 3
+
+// selfCheck fronts the local cluster's gateway, as run built it, with an
+// ephemeral port and machine-checks it end to end over real HTTP:
 // aggregated health; the pinned Table-1 trace through the cluster,
 // byte-identical to a single instance, its repeat a byte-identical hit on
-// the owner's warm cache; the span trees those two requests left; every
-// builtin cluster chaos scenario (internal/chaos), which carries the
-// batch split/merge, kill/failover/revive, routing and gateway metrics and
-// span checks; and a graceful drain. Only [ok  ] lines are printed.
-func selfCheck(traceOut, accessLog string, stdout io.Writer) error {
-	local, err := cluster.StartLocal(3, serve.Options{})
-	if err != nil {
-		return err
-	}
-	defer local.Close()
-
-	reg := obs.NewMetrics()
-	spanCol := &obs.Collector{}
-	sinks := obs.Multi{obs.NewSpanMetricsObserver(reg, "gateway"), spanCol}
-	if traceOut != "" {
-		f, err := os.OpenFile(traceOut, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		sinks = append(sinks, obs.NewJSONL(f))
-	}
-	var observers obs.Multi
-	if accessLog != "" {
-		f, err := os.OpenFile(accessLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		observers = append(observers, obs.NewJSONL(f))
-	}
-
-	gw, err := cluster.NewGateway(cluster.Options{
-		Backends: local.Backends(),
-		// No HTTPClient: the shipped pooled transport.
-		Client:   client.Options{Seed: 1},
-		Metrics:  reg,
-		Observer: observers,
-		Tracer:   obs.NewTracer(sinks),
-	})
-	if err != nil {
-		return err
-	}
+// the owner's warm cache; the span trees those two requests left in
+// spanCol; every builtin cluster chaos scenario (internal/chaos), which
+// carries the batch split/merge, kill/failover/revive, routing and gateway
+// metrics and span checks; and a graceful drain. Only [ok  ] lines are
+// printed.
+func selfCheck(gw *cluster.Gateway, spanCol *obs.Collector, stdout io.Writer) error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
@@ -300,7 +277,7 @@ func selfCheck(traceOut, accessLog string, stdout io.Writer) error {
 	hs := &http.Server{Handler: gw.Handler()}
 	go hs.Serve(ln)
 	base := "http://" + ln.Addr().String()
-	fmt.Fprintf(stdout, "schedgw: selfcheck against %s (3 local backends)\n", base)
+	fmt.Fprintf(stdout, "schedgw: selfcheck against %s (%d local backends)\n", base, selfcheckBackends)
 
 	resp, err := http.Get(base + "/healthz")
 	if err != nil {
@@ -312,10 +289,10 @@ func selfCheck(traceOut, accessLog string, stdout io.Writer) error {
 	}
 	err = json.NewDecoder(resp.Body).Decode(&health)
 	resp.Body.Close()
-	if err != nil || health.Status != "ok" || len(health.Backends) != 3 {
-		return fmt.Errorf("healthz: %+v (%v), want ok with 3 backends", health, err)
+	if err != nil || health.Status != "ok" || len(health.Backends) != selfcheckBackends {
+		return fmt.Errorf("healthz: %+v (%v), want ok with %d backends", health, err, selfcheckBackends)
 	}
-	fmt.Fprintln(stdout, "[ok  ] healthz aggregates all 3 backends")
+	fmt.Fprintf(stdout, "[ok  ] healthz aggregates all %d backends\n", selfcheckBackends)
 
 	// The pinned Table-1 matrix (experiments.MinMinExampleETC) under
 	// deterministic Min-Min; schedd -selfcheck pins its trace, so here a

@@ -34,9 +34,11 @@
 // With -trace-out every Post is traced client-side — a root span per
 // logical request with one child span per HTTP attempt (carrying the
 // propagated trace ID and the server's echo) and per backoff sleep —
-// appended as JSONL for cmd/schedtrace. Span IDs derive from the request
+// written as JSONL for cmd/schedtrace. Span IDs derive from the request
 // key and a sequence, so the span set is deterministic in the flags even
-// though durations are wall-clock.
+// though durations are wall-clock. The sequence restarts with every run,
+// so -trace-out truncates the file at startup, as schedd and schedgw do:
+// a second run appended to the first would repeat its trace IDs.
 package main
 
 import (
@@ -123,7 +125,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		backoff     = fs.Duration("backoff", 10*time.Millisecond, "base retry backoff (exponential, seeded jitter)")
 		timeout     = fs.Duration("timeout", 5*time.Second, "per-attempt request timeout (a stalled daemon costs bounded time)")
 		faultSpec   = fs.String("faults", "", "interpose an in-process seeded fault proxy, e.g. seed=7,reject=0.2:503:1,drop=0.1,truncate=0.1")
-		traceOut    = fs.String("trace-out", "", "append client-side request spans as JSONL to this path (analyze with cmd/schedtrace)")
+		traceOut    = fs.String("trace-out", "", "write client-side request spans as JSONL to this path, truncating it (analyze with cmd/schedtrace)")
 		verify      = fs.Bool("verify", true, "assert byte-identical responses for identical request bodies")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -201,7 +203,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var traceSink *obs.JSONL
 	var tracer *obs.Tracer
 	if *traceOut != "" {
-		f, err := os.OpenFile(*traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := os.OpenFile(*traceOut, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 		if err != nil {
 			return err
 		}

@@ -5,10 +5,13 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -174,6 +177,35 @@ func TestFaultProxyRecovers(t *testing.T) {
 	}
 	if strings.Contains(out, " 0 retries") {
 		t.Errorf("resilient client never retried:\n%s", out)
+	}
+}
+
+// TestTraceOutHoldsOneRun: two runs on one -trace-out path leave a
+// well-formed stream. Trace IDs are the request key's hash plus a
+// per-process sequence that restarts at 1, so a second run appended to the
+// first would repeat its IDs; -trace-out truncates instead, and the file
+// holds the last run's traces.
+func TestTraceOutHoldsOneRun(t *testing.T) {
+	_, ts := startServer(t, serve.Options{})
+	path := filepath.Join(t.TempDir(), "spans.jsonl")
+	args := []string{"-addr", ts.URL, "-requests", "4", "-distinct", "2", "-trace-out", path}
+	for i := 0; i < 2; i++ {
+		var stdout, stderr bytes.Buffer
+		if err := run(args, &stdout, &stderr); err != nil {
+			t.Fatalf("run %d: %v\nstderr: %s", i, err, stderr.String())
+		}
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	spans, err := obs.ReadSpans(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := obs.SummarizeSpans(spans); !sum.WellFormed() || sum.Roots != 4 {
+		t.Fatalf("-trace-out after two runs: %d roots, malformed %v; want the last run's 4 well-formed traces", sum.Roots, sum.Malformed)
 	}
 }
 

@@ -7,8 +7,8 @@ import "repro/internal/store"
 // request key and holding marshaled response bodies verbatim. A restarted
 // daemon answers previously computed requests from disk — byte-identical,
 // X-Schedd-Cache: disk — instead of recomputing them cold. Append-only
-// segment files; a bloom filter and an in-memory index of 8-byte key
-// fingerprints, so a miss costs zero disk reads and a hit one
+// segment files; an in-memory index of 8-byte key fingerprints that
+// answers every miss with zero disk reads, so a hit costs one
 // key-verified read; and recovery that truncates a torn tail rather than
 // ever serving it.
 type (
@@ -17,10 +17,10 @@ type (
 	// it under the LRU as a read-through/write-behind second tier.
 	ResultStore = store.Store
 	// ResultStoreOptions configures a ResultStore; the zero value uses
-	// default segment/bloom sizing over the real filesystem.
+	// default segment size over the real filesystem.
 	ResultStoreOptions = store.Options
 	// ResultStoreStats is a point-in-time snapshot of store state and
-	// counters (keys, segments, recovered bytes, bloom negatives, reads,
+	// counters (keys, segments, recovered bytes, index misses, reads,
 	// health transitions and quarantined records).
 	ResultStoreStats = store.Stats
 	// ResultStoreHealth is the store's health state machine position:

@@ -54,7 +54,7 @@ func BenchmarkStoreGet(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreGetMiss measures the bloom-filtered miss path — the cost a
+// BenchmarkStoreGetMiss measures the index-miss path — the cost a
 // cold cluster pays per request that has never been computed anywhere.
 func BenchmarkStoreGetMiss(b *testing.B) {
 	st, _ := fillStore(b)
@@ -145,8 +145,8 @@ func BenchmarkStoreGetCanonical(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreGetMissCanonical is the bloom-filtered miss for absent
-// canonical keys: all of its cost is the key hash and the filter probe.
+// BenchmarkStoreGetMissCanonical is the index miss for absent canonical
+// keys: all of its cost is the key hash and one map probe.
 func BenchmarkStoreGetMissCanonical(b *testing.B) {
 	st, err := Open(b.TempDir(), Options{})
 	if err != nil {

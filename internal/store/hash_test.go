@@ -52,7 +52,7 @@ func TestHashSingleWordChangeNeverCollides(t *testing.T) {
 		canonicalKey(t, 32, 8, "sufferage", 2),
 		canonicalKey(t, 7, 3, "duplex", 3),
 	} {
-		base, _ := hash128(key)
+		base := fingerprint(key)
 		if len(key)%8 == 0 {
 			t.Fatalf("%d-byte key has no tail to check", len(key))
 		}
@@ -65,7 +65,7 @@ func TestHashSingleWordChangeNeverCollides(t *testing.T) {
 					return
 				}
 				binary.LittleEndian.PutUint64(word, v)
-				h1, _ := hash128(key)
+				h1 := fingerprint(key)
 				binary.LittleEndian.PutUint64(word, orig)
 				if h1 == base {
 					t.Fatalf("%d-byte key: word %d changed %#x -> %#x, h1 unchanged", len(key), w, orig, v)
@@ -85,7 +85,7 @@ func TestHashSingleWordChangeNeverCollides(t *testing.T) {
 					continue
 				}
 				key[i] = byte(v)
-				h1, _ := hash128(key)
+				h1 := fingerprint(key)
 				key[i] = orig
 				if h1 == base {
 					t.Fatalf("%d-byte key: tail byte %d changed %#x -> %#x, h1 unchanged", len(key), i, orig, v)
@@ -117,7 +117,7 @@ func TestHashNearDuplicateCorpusNoCollision(t *testing.T) {
 			// variant is a different key, and none is the base.
 			v := orig ^ uint64(i/256+1)<<8
 			binary.LittleEndian.PutUint64(key[off:], v)
-			h1, _ := hash128(key)
+			h1 := fingerprint(key)
 			binary.LittleEndian.PutUint64(key[off:], orig)
 			if _, dup := seen[h1]; dup {
 				t.Fatalf("h1 collision at base %d variant %d", b, i)

@@ -155,7 +155,7 @@ func TestConsultGating(t *testing.T) {
 }
 
 // TestOfflineProbeOnAbsentKey: while Offline, a Get for a key that would not
-// touch disk (bloom negative) still probes the disk so recovery cannot
+// touch disk (an index miss) still probes the disk so recovery cannot
 // stall on a miss-only workload.
 func TestOfflineProbeOnAbsentKey(t *testing.T) {
 	st, ffs := openFaulted(t, FaultSpec{Seed: 5, ReadErrP: 1}, 1, 2)
@@ -198,7 +198,7 @@ func testQuarantineCorruptRecord(t *testing.T) {
 		t.Fatalf("Sync: %v", err)
 	}
 	// Flip one byte inside record 1's body, in place, on disk.
-	h1, _ := hash128(testKey(1))
+	h1 := fingerprint(testKey(1))
 	l := st.index[h1]
 	off := l.off + recordHeaderLen + int64(l.keyLen)
 	name := filepath.Join(dir, segName(0))

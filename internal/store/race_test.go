@@ -64,7 +64,7 @@ func testConcurrentHammer(t *testing.T) {
 					t.Errorf("Get(%d): wrong body %q", k, body)
 					return
 				}
-				// Absent keys exercise the bloom path concurrently.
+				// Absent keys exercise the index-miss path concurrently.
 				if _, ok, err := st.Get(fmt.Sprintf("hammer-absent-%d-%d", r, i)); ok || err != nil {
 					t.Errorf("absent Get: ok=%v err=%v", ok, err)
 					return

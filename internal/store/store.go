@@ -1,8 +1,8 @@
 // Package store is the crash-safe on-disk result tier behind the serving
 // LRU (ROADMAP item 2): an append-only log of (canonical request key,
 // marshaled response body) records, split into size-rotated segment files,
-// fronted by a bloom filter and an in-memory fingerprint index so misses
-// cost zero disk reads and hits cost exactly one.
+// fronted by an in-memory fingerprint index: a miss is answered from the
+// index with zero disk reads, and a hit costs exactly one.
 //
 // The design is deliberately LSM-shaped but stops before compaction:
 // response bodies are deterministic in their key (the serving layer's core
@@ -13,11 +13,11 @@
 // torn or corrupt record truncates its segment to the valid prefix — a
 // partially flushed tail from a crash is dropped, never served.
 //
-// The index maps each key's 64-bit fingerprint — the bloom filter's first
-// hash, computed once per operation for both, before any lock is taken —
-// to one record location. Memory per key is a fixed few dozen bytes
-// however long the key (canonical keys encode a whole ETC matrix, so they
-// run to kilobytes).
+// The index maps each key's 64-bit fingerprint — computed once per
+// operation, before any lock is taken — to one record location. It is the
+// only lookup structure: a key it does not hold is absent. Memory per key
+// is a fixed few dozen bytes however long the key (canonical keys encode a
+// whole ETC matrix, so they run to kilobytes).
 // Every Get reads the record and compares the stored key byte for byte, so
 // a fingerprint collision is a miss, never a wrong body; Put treats a
 // fingerprint already present as a duplicate, so a colliding key (odds
@@ -32,9 +32,9 @@
 // the serving tier consults for graceful degradation.
 //
 // Determinism: the store holds bytes produced by the deterministic serving
-// layer and returns them verbatim. No clock, no randomness — the bloom and
-// fingerprint hashes are fixed, unseeded functions of the key bytes (a
-// word-at-a-time fold, bloom.go), and health recovery probes are
+// layer and returns them verbatim. No clock, no randomness — the
+// fingerprint is a fixed, unseeded function of the key bytes (a
+// word-at-a-time fold, hash.go), and health recovery probes are
 // request-counted, never timer-driven. The index lives only in memory and
 // is rebuilt by replay on Open, so the hash is not part of the on-disk
 // format.
@@ -53,19 +53,15 @@ import (
 	"sync/atomic"
 )
 
-// Defaults for the zero Options value.
-const (
-	DefaultMaxSegmentBytes = 8 << 20
-	DefaultBloomBits       = 1 << 17
-)
+// DefaultMaxSegmentBytes is the segment rotation size of the zero Options
+// value.
+const DefaultMaxSegmentBytes = 8 << 20
 
 // Options configures a Store. The zero value is a working configuration.
 type Options struct {
 	// MaxSegmentBytes rotates the active segment once it would exceed this
 	// size. 0 means DefaultMaxSegmentBytes.
 	MaxSegmentBytes int64
-	// BloomBits sizes the bloom filter bitset. 0 means DefaultBloomBits.
-	BloomBits int
 	// FS is the filesystem seam all segment I/O flows through. nil means
 	// OSFS (the real disk); tests and the chaos harness interpose a
 	// FaultFS here.
@@ -84,8 +80,10 @@ type Stats struct {
 	Segments int
 	// RecoveredBytes is how many torn-tail bytes Open truncated.
 	RecoveredBytes int64
-	// BloomNegatives counts Gets answered "absent" by the filter alone —
-	// zero disk reads.
+	// BloomNegatives counts Gets the in-memory index answers "absent" —
+	// zero disk reads. The name is older than the index being the only
+	// lookup structure (a bloom filter once stood in front of it); it stays
+	// because the benchmark harness reads it.
 	BloomNegatives int64
 	// DiskReads counts record reads served from segment files.
 	DiskReads int64
@@ -131,11 +129,10 @@ type Store struct {
 	mu     sync.RWMutex
 	closed bool
 	segs   []*segment
-	index  map[uint64]recordLoc // key fingerprint (hash128's h1) → newest record
-	filter *bloom
+	index  map[uint64]recordLoc // key fingerprint → newest record
 
 	recovered                int64
-	bloomNegatives           atomic.Int64
+	indexMisses              atomic.Int64
 	diskReads, puts, dupPuts atomic.Int64
 	quarantined              atomic.Int64
 	health                   health
@@ -163,15 +160,12 @@ func recordLen(keyLen, bodyLen int) int64 {
 func segName(id int) string { return fmt.Sprintf("seg-%06d.log", id) }
 
 // Open opens (or creates) the store rooted at dir, replaying and validating
-// every segment: readable records rebuild the index and bloom filter, and
-// the first invalid record in a segment truncates that segment to its valid
-// prefix (a torn tail from a crash is dropped, never served).
+// every segment: readable records rebuild the index, and the first invalid
+// record in a segment truncates that segment to its valid prefix (a torn
+// tail from a crash is dropped, never served).
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.MaxSegmentBytes <= 0 {
 		opts.MaxSegmentBytes = DefaultMaxSegmentBytes
-	}
-	if opts.BloomBits <= 0 {
-		opts.BloomBits = DefaultBloomBits
 	}
 	if opts.ProbeAfter <= 0 {
 		opts.ProbeAfter = DefaultProbeAfter
@@ -188,10 +182,9 @@ func Open(dir string, opts Options) (*Store, error) {
 		opts:       opts,
 		fs:         fs,
 		probeAfter: opts.ProbeAfter,
-		filter:     newBloom(opts.BloomBits),
+		index:      make(map[uint64]recordLoc),
 	}
 	s.scratch.New = func() any { b := make([]byte, 0, 4096); return &b }
-	s.index = make(map[uint64]recordLoc)
 
 	names, err := fs.Glob(filepath.Join(dir, "seg-*.log"))
 	if err != nil {
@@ -265,8 +258,9 @@ func (s *Store) replaySegment(seg *segment) error {
 		if crc.Sum32() != binary.LittleEndian.Uint32(rest[keyLen+bodyLen:]) {
 			break
 		}
-		h1, h2 := hash128(rest[:keyLen])
-		s.insert(h1, h2, recordLoc{seg: len(s.segs) - 1, off: off, keyLen: keyLen, bodyLen: bodyLen})
+		// Newest wins, so a key re-appended after a quarantine replays to
+		// its latest record.
+		s.index[fingerprint(rest[:keyLen])] = recordLoc{seg: len(s.segs) - 1, off: off, keyLen: keyLen, bodyLen: bodyLen}
 		off += n
 	}
 	if off < total {
@@ -304,14 +298,6 @@ func (s *Store) readHeader(seg *segment, off, total int64, hdr []byte) (keyLen, 
 	return keyLen, bodyLen, true, nil
 }
 
-// insert indexes loc under the key fingerprint h1 (newest wins, so a key
-// re-appended after a quarantine replays to its latest record) and adds
-// the key's hashes to the bloom filter.
-func (s *Store) insert(h1, h2 uint64, loc recordLoc) {
-	s.index[h1] = loc
-	s.filter.insert(h1, h2)
-}
-
 func (s *Store) addSegment(id int) error {
 	name := filepath.Join(s.dir, segName(id))
 	f, err := s.fs.OpenFile(name, os.O_RDWR|os.O_CREATE, 0o644)
@@ -328,29 +314,28 @@ func (s *Store) closeFiles() {
 	}
 }
 
-// Get returns the stored body for key. A bloom-filter negative or an index
-// miss answers without touching disk; otherwise Get reads exactly one
-// record. Every record read re-verifies the CRC before any byte is
-// returned: a record that rots on disk after Open is quarantined
-// (de-indexed and counted in Stats.Quarantined) and reported as a miss —
-// corrupt bytes are never served. A CRC-valid record whose stored key is
-// not key is a fingerprint collision: a miss, with the record left in place
-// for the key that owns it. Read outcomes feed the health state
-// machine; while Offline a Get that would not otherwise touch disk doubles
-// as the recovery probe. The returned slice is freshly allocated and owned
-// by the caller.
+// Get returns the stored body for key. An index miss answers without
+// touching disk; otherwise Get reads exactly one record. Every record read
+// re-verifies the CRC before any byte is returned: a record that rots on
+// disk after Open is quarantined (de-indexed and counted in
+// Stats.Quarantined) and reported as a miss — corrupt bytes are never
+// served. A CRC-valid record whose stored key is not key is a fingerprint
+// collision: a miss, with the record left in place for the key that owns
+// it. Read outcomes feed the health state machine; while Offline a Get
+// that would not otherwise touch disk doubles as the recovery probe. The
+// returned slice is freshly allocated and owned by the caller.
 func (s *Store) Get(key string) ([]byte, bool, error) {
-	h1, h2 := hash128(key) // a pure function of key: no lock needed
+	fp := fingerprint(key) // a pure function of key: no lock needed
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
 		return nil, false, fmt.Errorf("store: closed")
 	}
-	body, ok, touched, readErr, rotten := s.lookupLocked(key, h1, h2)
+	body, ok, touched, readErr, rotten := s.lookupLocked(key, fp)
 	if !touched && Health(s.health.state.Load()) == Offline {
 		// This Get was let through as an Offline recovery probe but its key
-		// never reached the disk (bloom negative or index miss); probe with
-		// one real read so the consult still gathers evidence.
+		// never reached the disk (an index miss); probe with one real read
+		// so the consult still gathers evidence.
 		touched, readErr = s.probeLocked()
 	}
 	s.mu.RUnlock()
@@ -370,17 +355,14 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 	return body, ok, nil
 }
 
-// lookupLocked resolves key, whose hash128 is (h1, h2), under the read
+// lookupLocked resolves key, whose fingerprint is fp, under the read
 // lock. touched reports whether any disk read was attempted; a corrupt
 // record is returned for quarantine rather than de-indexed in place (the
 // caller holds only the read lock).
-func (s *Store) lookupLocked(key string, h1, h2 uint64) (body []byte, ok, touched bool, readErr error, rotten *quarantineRec) {
-	if !s.filter.maybe(h1, h2) {
-		s.bloomNegatives.Add(1)
-		return nil, false, false, nil, nil
-	}
-	loc, found := s.index[h1]
+func (s *Store) lookupLocked(key string, fp uint64) (body []byte, ok, touched bool, readErr error, rotten *quarantineRec) {
+	loc, found := s.index[fp]
 	if !found || int(loc.keyLen) != len(key) {
+		s.indexMisses.Add(1)
 		return nil, false, false, nil, nil
 	}
 	b, valid, match, err := s.readRecordChecked(loc, key)
@@ -388,7 +370,7 @@ func (s *Store) lookupLocked(key string, h1, h2 uint64) (body []byte, ok, touche
 	case err != nil:
 		return nil, false, true, err, nil
 	case !valid:
-		return nil, false, true, nil, &quarantineRec{fp: h1, loc: loc}
+		return nil, false, true, nil, &quarantineRec{fp: fp, loc: loc}
 	case !match:
 		return nil, false, true, nil, nil // fingerprint collision
 	}
@@ -491,13 +473,13 @@ func (s *Store) Put(key string, body []byte) error {
 	if len(key) == 0 {
 		return fmt.Errorf("store: empty key")
 	}
-	h1, h2 := hash128(key)
+	fp := fingerprint(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("store: closed")
 	}
-	if _, dup := s.index[h1]; dup {
+	if _, dup := s.index[fp]; dup {
 		s.dupPuts.Add(1)
 		return nil
 	}
@@ -529,7 +511,7 @@ func (s *Store) Put(key string, body []byte) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	s.health.noteWriteOK()
-	s.insert(h1, h2, recordLoc{seg: len(s.segs) - 1, off: active.size, keyLen: uint32(len(key)), bodyLen: uint32(len(body))})
+	s.index[fp] = recordLoc{seg: len(s.segs) - 1, off: active.size, keyLen: uint32(len(key)), bodyLen: uint32(len(body))}
 	active.size += n
 	s.puts.Add(1)
 	return nil
@@ -583,7 +565,7 @@ func (s *Store) Stats() Stats {
 		Keys:           len(s.index),
 		Segments:       len(s.segs),
 		RecoveredBytes: s.recovered,
-		BloomNegatives: s.bloomNegatives.Load(),
+		BloomNegatives: s.indexMisses.Load(),
 		DiskReads:      s.diskReads.Load(),
 		Puts:           s.puts.Load(),
 		DupPuts:        s.dupPuts.Load(),

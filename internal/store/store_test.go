@@ -18,7 +18,7 @@ func testBody(i int) []byte {
 func testKey(i int) string { return fmt.Sprintf("key-%04d-%032d", i, i*i) }
 
 // runFullIndex runs f as the "full" subtest. The store keeps a single
-// index, keyed by each key's full 128-bit fingerprint; the subtest name
+// index, keyed by each key's 64-bit fingerprint; the subtest name
 // keeps these tests' IDs the same as when the index layout was a choice.
 func runFullIndex(t *testing.T, f func(t *testing.T)) { t.Run("full", f) }
 
@@ -106,7 +106,9 @@ func TestSegmentRotation(t *testing.T) {
 	}
 }
 
-func TestBloomNegativesSkipDisk(t *testing.T) {
+// TestMissesSkipDisk: the in-memory index answers every absent key, so each
+// one counts in BloomNegatives and none costs a disk read.
+func TestMissesSkipDisk(t *testing.T) {
 	st, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -117,22 +119,19 @@ func TestBloomNegativesSkipDisk(t *testing.T) {
 			t.Fatalf("Put: %v", err)
 		}
 	}
-	before := st.Stats().DiskReads
+	before := st.Stats()
 	misses := 200
 	for i := 0; i < misses; i++ {
 		if _, ok, err := st.Get(fmt.Sprintf("absent-%d", i)); ok || err != nil {
 			t.Fatalf("Get(absent): ok=%v err=%v", ok, err)
 		}
 	}
-	stats := st.Stats()
-	// The filter must shed nearly all absent-key lookups without disk I/O;
-	// with 10 keys in 2^17 bits the false-positive rate is ~0, but allow a
-	// little slack rather than pin an exact hash outcome.
-	if stats.BloomNegatives < int64(misses)-5 {
-		t.Errorf("BloomNegatives = %d, want >= %d", stats.BloomNegatives, misses-5)
+	after := st.Stats()
+	if got := after.BloomNegatives - before.BloomNegatives; got != int64(misses) {
+		t.Errorf("BloomNegatives rose by %d, want %d (every absent key)", got, misses)
 	}
-	if stats.DiskReads-before > 5 {
-		t.Errorf("absent-key lookups cost %d disk reads, want ~0", stats.DiskReads-before)
+	if got := after.DiskReads - before.DiskReads; got != 0 {
+		t.Errorf("absent-key lookups cost %d disk reads, want 0", got)
 	}
 }
 
@@ -319,9 +318,7 @@ func TestFingerprintCollisionIsAMiss(t *testing.T) {
 	if err := st.Put(a, testBody(1)); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	ha, _ := hash128(a)
-	hb1, hb2 := hash128(b)
-	st.insert(hb1, hb2, st.index[ha])
+	st.index[fingerprint(b)] = st.index[fingerprint(a)]
 
 	before := st.Stats()
 	if body, ok, err := st.Get(b); ok || err != nil {

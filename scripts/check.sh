@@ -4,8 +4,9 @@
 #
 #   gofmt clean, go vet, build, full test suite, the perfbench module's
 #   own tests, a bounded fuzz leg over the request decoders, the
-#   canonical key, the number converter, the engine's derived iterations
-#   and the two fault-spec parsers, paper self-check, the schedd serving
+#   canonical key, the number converter, the engine's derived iterations,
+#   the two fault-spec parsers and the store's segment replay, paper
+#   self-check, the schedd serving
 #   smoke (ephemeral port, pinned Table-1 trace, cache byte-identity,
 #   span-tree trace leg, every non-cluster builtin chaos scenario,
 #   graceful drain), the schedgw cluster smoke (3 local backends, the
@@ -17,7 +18,8 @@
 #   cmd/schedchaos/testdata/all.golden)
 #   and the tracing legs (schedd/schedgw -trace-out span streams analyzed
 #   by schedtrace -counts, pinned against
-#   scripts/testdata/trace_counts.golden and gateway_trace_counts.golden).
+#   scripts/testdata/trace_counts.golden and gateway_trace_counts.golden),
+#   and a self-test of scripts/benchdiff.sh over fixture records.
 #   The -race leg covers internal/serve's concurrency tests plus the
 #   resilience layer (internal/faults, internal/client), the cluster
 #   gateway, the chaos harness and the daemons' end-to-end tests.
@@ -62,7 +64,9 @@ go test ./internal/core -run '^$' -fuzz '^FuzzIterateDerived$' -fuzztime 5s -par
 # The -fault-inject and -store-fault-inject grammars.
 go test ./internal/faults -run '^$' -fuzz '^FuzzFaultsSpec$' -fuzztime 5s -parallel 2 >/dev/null
 go test ./internal/store -run '^$' -fuzz '^FuzzFaultFSSpec$' -fuzztime 5s -parallel 2 >/dev/null
-echo "[ok  ] fuzz (decoder, batch item, batch splitter, canonical key, number converter, derived iterations, fault specs; 5 s each)"
+# The disk tier's segment replay over arbitrary bytes.
+go test ./internal/store -run '^$' -fuzz '^FuzzReplaySegment$' -fuzztime 5s -parallel 2 >/dev/null
+echo "[ok  ] fuzz (decoder, batch item, batch splitter, canonical key, number converter, derived iterations, fault specs, segment replay; 5 s each)"
 
 go run ./cmd/paperrepro
 echo "[ok  ] paperrepro"
@@ -100,3 +104,20 @@ echo "[ok  ] schedgw -trace-out span stream matches the schedtrace golden"
 go run ./cmd/schedchaos -json >"$tmp/chaos.txt"
 diff -u cmd/schedchaos/testdata/all.golden "$tmp/chaos.txt"
 echo "[ok  ] schedchaos scenarios (single-instance + cluster + restart + disk) match the golden"
+
+# The benchdiff gate itself, over fixture records: an identical pair must
+# pass, and a +25% ns/op row and a +25% B/op row must each fail with exit
+# 1, naming the row and the metric that moved. The gate under test is the
+# default one, so an inherited THRESHOLD or PATTERN is dropped.
+env -u THRESHOLD -u PATTERN scripts/benchdiff.sh scripts/testdata/benchdiff_same.json >/dev/null
+for row in "ns-up:BenchmarkStoreGetMiss: ns/op" "bytes-up:BenchmarkStorePut: B/op"; do
+    label=${row%%:*} want=${row#*:}
+    status=0
+    env -u THRESHOLD -u PATTERN scripts/benchdiff.sh scripts/testdata/benchdiff_regressed.json parent "$label" >/dev/null 2>"$tmp/benchdiff.err" || status=$?
+    if [ "$status" -ne 1 ] || ! grep -qF "$want" "$tmp/benchdiff.err"; then
+        echo "benchdiff self-test: parent -> $label exited $status, want 1 naming '$want':" >&2
+        cat "$tmp/benchdiff.err" >&2
+        exit 1
+    fi
+done
+echo "[ok  ] benchdiff passes an identical pair and fails a 25% ns/op or B/op regression"
