@@ -95,6 +95,14 @@ type Options struct {
 // would drag the whole engine into every client binary).
 const traceHeader = "X-Schedd-Trace"
 
+// jsonContentType is the Content-Type value of every post.
+var jsonContentType = []string{"application/json"}
+
+// untracedHeader is the header of every untraced attempt, shared and never
+// written: net/http's RoundTripper contract forbids mutating a request, so
+// a transport that adds headers clones the request first.
+var untracedHeader = http.Header{"Content-Type": jsonContentType}
+
 // ErrBreakerOpen is returned (wrapped) when the circuit breaker refuses a
 // request without sending it.
 var ErrBreakerOpen = errors.New("client: circuit breaker open")
@@ -502,9 +510,10 @@ func (c *Client) attempt(ctx context.Context, url string, body []byte, loan *Loa
 		return Response{}, 0, 0, "", err
 	}
 	attach(req, body, loan)
-	req.Header.Set("Content-Type", "application/json")
 	if traceID != "" {
-		req.Header.Set(traceHeader, traceID)
+		req.Header = http.Header{"Content-Type": jsonContentType, traceHeader: {traceID}}
+	} else {
+		req.Header = untracedHeader
 	}
 	hr, err := c.hc.Do(req)
 	if loan != nil && (err != nil || hr.Request != nil && hr.Request.Method != http.MethodPost) {

@@ -149,3 +149,40 @@ func TestClientTraceBreakerFastFail(t *testing.T) {
 		t.Fatalf("span stream malformed: %v", sum.Malformed)
 	}
 }
+
+// TestAttemptHeaders: an untraced attempt is sent with the shared
+// Content-Type header and no trace header, a traced one with both, and no
+// post, traced or not, writes into the shared header.
+func TestAttemptHeaders(t *testing.T) {
+	type seen struct{ contentType, trace string }
+	var mu sync.Mutex
+	var got []seen
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		got = append(got, seen{r.Header.Get("Content-Type"), r.Header.Get(traceHeader)})
+		mu.Unlock()
+		w.Write([]byte(`{}`))
+	}))
+	defer ts.Close()
+	plain, _ := newTestClient(Options{Seed: 1})
+	traced, _ := newTestClient(Options{Seed: 1, Tracer: obs.NewTracer(&obs.Collector{})})
+	for _, c := range []*Client{plain, traced, plain} {
+		if _, err := c.Post(context.Background(), ts.URL, []byte(`{"x":1}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(got) != 3 {
+		t.Fatalf("%d requests, want 3", len(got))
+	}
+	for i, g := range got {
+		if g.contentType != "application/json" {
+			t.Errorf("request %d: Content-Type %q, want application/json", i, g.contentType)
+		}
+		if wantTrace := i == 1; (g.trace != "") != wantTrace {
+			t.Errorf("request %d: trace header %q, want one: %v", i, g.trace, wantTrace)
+		}
+	}
+	if len(untracedHeader) != 1 || len(untracedHeader["Content-Type"]) != 1 || untracedHeader.Get("Content-Type") != "application/json" {
+		t.Fatalf("the shared untraced header was written: %v", untracedHeader)
+	}
+}

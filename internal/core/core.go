@@ -242,10 +242,13 @@ func Iterate(in *sched.Instance, h heuristics.Heuristic, policy PolicyFunc) (*Tr
 }
 
 // IterateOpts is Iterate with ablation options: one run on a fresh
-// Workspace, whose trace the caller then owns outright.
+// Workspace, whose trace the caller then owns outright. The heuristic's
+// runs borrow a pooled heuristics.Scratch, which no slice of the trace
+// aliases.
 func IterateOpts(in *sched.Instance, h heuristics.Heuristic, policy PolicyFunc, opts Options) (*Trace, error) {
-	w := new(Workspace)
+	w := &Workspace{a: arena{hs: heuristics.GetScratch()}}
 	tr, err := w.Iterate(in, h, policy, opts)
+	heuristics.PutScratch(w.a.hs)
 	// The trace keeps the workspace alive; let go of the scratch nobody
 	// will reuse (the restricted instance, the seed, the active sets).
 	w.a = arena{}
@@ -254,9 +257,12 @@ func IterateOpts(in *sched.Instance, h heuristics.Heuristic, policy PolicyFunc, 
 
 // Workspace is reusable storage for runs of the iterative technique: the
 // engine's arena (active sets, local machine table, restricted instance,
-// seed) and the trace with the backing arrays of its slices. A caller that
-// runs many traces in turn, such as a service worker, keeps one Workspace
-// and allocates per trace only what the heuristic's runs allocate.
+// seed, the heuristics' Scratch) and the trace with the backing arrays of
+// its slices. A caller that runs many traces in turn, such as a service
+// worker, keeps one Workspace; once it has grown, a trace of a greedy
+// heuristic (heuristics.Into) allocates nothing beyond its heuristic name,
+// as every run maps straight into its iteration's Assign slice. The search
+// heuristics, which map through Map only, allocate their own mappings.
 //
 // Reuse contract: the Trace that Iterate returns, and every slice in it,
 // stay valid only until the next Iterate on the same Workspace, which
@@ -311,6 +317,9 @@ func (w *Workspace) Iterate(in *sched.Instance, h heuristics.Heuristic, policy P
 	expect := min(maxIters, nT)
 	tr, a := &w.tr, &w.a
 	a.reset(nT, nM)
+	if a.hs == nil {
+		a.hs = new(heuristics.Scratch)
+	}
 	*tr = Trace{
 		Instance:        in,
 		Heuristic:       h.Name(),
@@ -398,7 +407,10 @@ func (w *Workspace) Iterate(in *sched.Instance, h heuristics.Heuristic, policy P
 			if iter > 0 {
 				prev = &tr.Iterations[iter-1]
 			}
-			mp, sel, err := a.runHeuristic(h, sub, tb, prev)
+			// An Into heuristic maps straight into it.Assign, in local
+			// machine coordinates, which the loop below turns global in
+			// place.
+			mp, sel, err := a.runHeuristic(h, sub, tb, prev, it.Assign)
 			if err != nil {
 				return nil, fmt.Errorf("core: iteration %d: %w", iter, err)
 			}
@@ -499,6 +511,9 @@ type arena struct {
 	// size its buffers have grown to (RestrictInto grows them to fit).
 	subTasks, subCells int
 	seed               []int
+	// hs is the heuristics' run scratch; mapped backs Workspace.Map.
+	hs     *heuristics.Scratch
+	mapped []int
 	// ints and floats back the Iterations' slices. intsUsed and floatsUsed
 	// count what the current trace has carved, so the next reset can size
 	// each to hold a repeat of it in one array.
@@ -529,8 +544,8 @@ func (a *arena) reset(nT, nM int) {
 func (w *Workspace) Footprint() int {
 	const word = int(unsafe.Sizeof(0))
 	a := &w.a
-	n := word * (cap(a.activeTasks) + cap(a.activeMachines) + cap(a.local) + cap(a.seed) + cap(a.ints))
-	n += 8 * cap(a.floats)
+	n := word * (cap(a.activeTasks) + cap(a.activeMachines) + cap(a.local) + cap(a.seed) + cap(a.ints) + cap(a.mapped))
+	n += 8*cap(a.floats) + a.hs.Footprint()
 	// The restricted instance: its cells, its row headers, and at most one
 	// ready time per machine.
 	n += 8*a.subCells + int(unsafe.Sizeof([]float64(nil)))*a.subTasks + 8*cap(a.local)
@@ -596,20 +611,16 @@ func (a *arena) freeze(frozen int, tasks, assign []int) {
 	a.local[frozen] = -1
 }
 
-// runHeuristic invokes h on sub, seeding it with the previous iteration's
-// mapping (restricted to the active sets) when the heuristic supports
-// seeding. For composite heuristics (heuristics.Selector, e.g. Duplex) the
-// returned string names the sub-heuristic whose mapping won, for the
-// HeuristicDone event; it is empty otherwise.
+// runHeuristic invokes h on sub into dst, seeding it with the previous
+// iteration's mapping (restricted to the active sets) when the heuristic
+// supports seeding. For composite heuristics (heuristics.Selector, e.g.
+// Duplex) the returned string names the sub-heuristic whose mapping won,
+// for the HeuristicDone event; it is empty otherwise.
 func (a *arena) runHeuristic(h heuristics.Heuristic, sub *sched.Instance, tb tiebreak.Policy,
-	prev *Iteration) (sched.Mapping, string, error) {
+	prev *Iteration, dst []int) (sched.Mapping, string, error) {
 	seedable, ok := h.(heuristics.Seedable)
 	if !ok || prev == nil {
-		if sel, ok := h.(heuristics.Selector); ok {
-			return sel.MapSelect(sub, tb)
-		}
-		mp, err := h.Map(sub, tb)
-		return mp, "", err
+		return heuristics.Run(h, sub, tb, a.hs, dst)
 	}
 	// Build the seed in local coordinates by a merge walk: the active tasks
 	// are an ascending subsequence of prev.Tasks, and every one was mapped
@@ -625,13 +636,32 @@ func (a *arena) runHeuristic(h heuristics.Heuristic, sub *sched.Instance, tb tie
 			p++
 		}
 		if p == len(prev.Tasks) || prev.Tasks[p] != t || a.local[prev.Assign[p]] < 0 {
-			mp, err := h.Map(sub, tb) // defensive: no usable seed
-			return mp, "", err
+			return heuristics.Run(h, sub, tb, a.hs, dst) // defensive: no usable seed
 		}
 		seed.Assign[i] = a.local[prev.Assign[p]]
 	}
+	if si, ok := h.(heuristics.SeedableInto); ok {
+		mp, err := si.MapSeededInto(sub, tb, a.hs, seed, dst)
+		return mp, "", err
+	}
 	mp, err := seedable.MapSeeded(sub, tb, seed)
 	return mp, "", err
+}
+
+// Map runs one mapping of in by h, as Iterate runs its original mapping,
+// in the workspace's storage: the returned mapping stays valid until the
+// next Map on w. Map leaves the trace of the last Iterate intact.
+func (w *Workspace) Map(in *sched.Instance, h heuristics.Heuristic, tb tiebreak.Policy) (sched.Mapping, error) {
+	a := &w.a
+	if a.hs == nil {
+		a.hs = new(heuristics.Scratch)
+	}
+	mp, _, err := heuristics.Run(h, in, tb, a.hs, a.mapped)
+	if err != nil {
+		return sched.Mapping{}, err
+	}
+	a.mapped = mp.Assign
+	return mp, nil
 }
 
 // ascending returns 0, 1, ..., n-1 in buf's storage when it is large

@@ -25,8 +25,13 @@ type MinMin struct{}
 func (MinMin) Name() string { return "min-min" }
 
 // Map implements Heuristic.
-func (MinMin) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
-	return greedyTwoPhase(in, tb, false)
+func (h MinMin) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
+	return mapPooled(in, tb, h.MapInto)
+}
+
+// MapInto implements Into.
+func (MinMin) MapInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, error) {
+	return greedyTwoPhase(in, tb, sc, false, dst)
 }
 
 // MaxMin is the companion heuristic: first phase identical, second phase
@@ -38,19 +43,24 @@ type MaxMin struct{}
 func (MaxMin) Name() string { return "max-min" }
 
 // Map implements Heuristic.
-func (MaxMin) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
-	return greedyTwoPhase(in, tb, true)
+func (h MaxMin) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
+	return mapPooled(in, tb, h.MapInto)
+}
+
+// MapInto implements Into.
+func (MaxMin) MapInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, error) {
+	return greedyTwoPhase(in, tb, sc, true, dst)
 }
 
 // greedyTwoPhase implements Min-Min (useMax=false) and Max-Min (useMax=true)
 // through the incremental completion-time kernel (kernel.go); behavior is
 // bit-identical to referenceGreedyTwoPhase.
-func greedyTwoPhase(in *sched.Instance, tb tiebreak.Policy, useMax bool) (sched.Mapping, error) {
-	k := twoPhasePool.Get().(*twoPhaseKernel)
-	defer twoPhasePool.Put(k)
-	ready := in.ReadyTimes()
-	k.init(in, ready)
-	return k.run(in, tb, useMax, ready)
+func greedyTwoPhase(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, useMax bool, dst []int) (sched.Mapping, error) {
+	sc.ready = in.ReadyTimesInto(sc.ready)
+	sc.kMin.init(in, sc.ready)
+	mp := assignInto(dst, in.Tasks())
+	sc.kMin.run(tb, useMax, sc.ready, mp)
+	return mp, nil
 }
 
 // Duplex runs Min-Min and Max-Min on the same instance and returns whichever
@@ -62,35 +72,37 @@ func (Duplex) Name() string { return "duplex" }
 
 // Map implements Heuristic.
 func (d Duplex) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
-	mp, _, err := d.MapSelect(in, tb)
+	return mapPooled(in, tb, d.MapInto)
+}
+
+// MapInto implements Into.
+func (d Duplex) MapInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, error) {
+	mp, _, err := d.MapSelectInto(in, tb, sc, dst)
 	return mp, err
 }
 
-// MapSelect implements Selector: it is Map, additionally naming the side
-// ("min-min" or "max-min") whose mapping was returned. The two runs share a
-// single kernel cache build (the first phase over the initial ready times is
-// identical for both), and the policy is consumed by the Min-Min run first,
-// exactly as two independent Map calls would.
-func (Duplex) MapSelect(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, string, error) {
-	kMin := twoPhasePool.Get().(*twoPhaseKernel)
-	defer twoPhasePool.Put(kMin)
-	kMax := twoPhasePool.Get().(*twoPhaseKernel)
-	defer twoPhasePool.Put(kMax)
-	ready := in.ReadyTimes()
-	kMin.init(in, ready)
-	kMax.copyFrom(kMin)
-	mn, err := kMin.run(in, tb, false, ready)
-	if err != nil {
-		return sched.Mapping{}, "", err
-	}
-	mx, err := kMax.run(in, tb, true, in.ReadyTimes())
-	if err != nil {
-		return sched.Mapping{}, "", err
-	}
+// MapSelectInto implements Selector: it is MapInto, additionally naming the
+// side ("min-min" or "max-min") whose mapping was returned. The two runs
+// share a single kernel cache build (the first phase over the initial ready
+// times is identical for both), and the policy is consumed by the Min-Min
+// run first, exactly as two independent Map calls would. Min-Min maps into
+// dst and Max-Min into the scratch; a winning Max-Min mapping is copied
+// into dst.
+func (Duplex) MapSelectInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, string, error) {
+	nT := in.Tasks()
+	sc.ready = in.ReadyTimesInto(sc.ready)
+	sc.kMin.init(in, sc.ready)
+	sc.kMax.copyFrom(&sc.kMin)
+	mn := assignInto(dst, nT)
+	sc.kMin.run(tb, false, sc.ready, mn)
+	mx := assignInto(sc.alt, nT)
+	sc.alt = mx.Assign
+	sc.ready = in.ReadyTimesInto(sc.ready) // Min-Min is done with it
+	sc.kMax.run(tb, true, sc.ready, mx)
 	// Compare makespans as sched.Evaluate computes them, summed in task
 	// order; the runs' ready vectors accumulated in commit order, which can
-	// differ in the last ulp. ready is free now, so it is the scratch.
-	cs, err := sched.Completions(in, mn, ready)
+	// differ in the last ulp.
+	cs, err := sched.Completions(in, mn, sc.completion)
 	if err != nil {
 		return sched.Mapping{}, "", err
 	}
@@ -98,8 +110,10 @@ func (Duplex) MapSelect(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, 
 	if cs, err = sched.Completions(in, mx, cs); err != nil {
 		return sched.Mapping{}, "", err
 	}
+	sc.completion = cs
 	if sched.Makespan(cs) < msMin {
-		return mx, "max-min", nil
+		copy(mn.Assign, mx.Assign)
+		return mn, "max-min", nil
 	}
 	return mn, "min-min", nil
 }
@@ -132,44 +146,50 @@ type SufferagePass struct {
 	Decisions []SufferageDecision
 }
 
-// Map implements Heuristic. Unlike MapTrace it builds no decision records,
-// so the only per-call allocations are the mapping and the ready vector
-// (the pass-local state is pooled).
-func (Sufferage) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
-	mp, _, err := sufferageMap(in, tb, false)
+// Map implements Heuristic. Unlike MapTrace it builds no decision records.
+func (h Sufferage) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
+	return mapPooled(in, tb, h.MapInto)
+}
+
+// MapInto implements Into.
+func (Sufferage) MapInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, error) {
+	mp, _, err := sufferageMap(in, tb, sc, dst, false)
 	return mp, err
 }
 
 // MapTrace is Map returning the per-pass decision trace.
 func (Sufferage) MapTrace(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, []SufferagePass, error) {
-	return sufferageMap(in, tb, true)
+	sc := GetScratch()
+	defer PutScratch(sc)
+	return sufferageMap(in, tb, sc, nil, true)
 }
 
 // sufferageMap is the Sufferage pass loop, decision-identical to
 // referenceSufferage; wantTrace gates building the decision records.
-func sufferageMap(in *sched.Instance, tb tiebreak.Policy, wantTrace bool) (sched.Mapping, []SufferagePass, error) {
+func sufferageMap(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int, wantTrace bool) (sched.Mapping, []SufferagePass, error) {
 	nT, nM := in.Tasks(), in.Machines()
-	mp := sched.NewMapping(nT)
-	ready := in.ReadyTimes()
-	s := sufferagePool.Get().(*sufferageScratch)
-	defer sufferagePool.Put(s)
-	s.inList = grow(s.inList, nT)
-	for i := range s.inList {
-		s.inList[i] = true
+	mp := assignInto(dst, nT)
+	ready := in.ReadyTimesInto(sc.ready)
+	sc.ready = ready
+	inList := grow(sc.inList, nT)
+	for i := range inList {
+		inList[i] = true
 	}
-	s.holder = grow(s.holder, nM) // task tentatively holding each machine, -1 if none
-	s.sufferageOf = grow(s.sufferageOf, nT)
+	holder := grow(sc.holder, nM) // task tentatively holding each machine, -1 if none
+	sufferageOf := grow(sc.sufferageOf, nT)
+	idx := sc.candidates(nM)
+	sc.inList, sc.holder, sc.sufferageOf = inList, holder, sufferageOf
 	etcm := in.ETC()
 	remaining := nT
 	var passes []SufferagePass
 	for remaining > 0 {
-		for m := range s.holder {
-			s.holder[m] = -1
+		for m := range holder {
+			holder[m] = -1
 		}
 		var pass SufferagePass
 		// Snapshot of the list at pass start, ascending task order.
 		for t := 0; t < nT; t++ {
-			if !s.inList[t] {
+			if !inList[t] {
 				continue
 			}
 			// One pass over CT(t, ·), read in place: the earliest and
@@ -192,31 +212,31 @@ func sufferageMap(in *sched.Instance, tb tiebreak.Policy, wantTrace bool) (sched
 			if nM > 1 {
 				suff = second - first
 			}
-			s.sufferageOf[t] = suff
+			sufferageOf[t] = suff
 			// The candidates within Epsilon of the minimum (minIndicesInto's
 			// set): the argmin alone unless the runner-up is that close. The
 			// negated test also rescans the NaN gap of an all-infinite row.
-			s.idx = append(s.idx[:0], arg)
+			idx = append(idx[:0], arg)
 			if !(second-first > Epsilon) {
-				s.idx = s.idx[:0]
+				idx = idx[:0]
 				for m := 0; m < nM; m++ {
 					if approxEqual(etcm.At(t, m)+ready[m], first) {
-						s.idx = append(s.idx, m)
+						idx = append(idx, m)
 					}
 				}
 			}
-			m := tb.Choose(s.idx)
+			m := tb.Choose(idx)
 			var outcome string
-			switch prev := s.holder[m]; {
+			switch prev := holder[m]; {
 			case prev == -1:
-				s.holder[m] = t
-				s.inList[t] = false
+				holder[m] = t
+				inList[t] = false
 				outcome = "assigned"
-			case s.sufferageOf[prev] < suff:
+			case sufferageOf[prev] < suff:
 				// Displace the weaker claim; it returns to the list.
-				s.inList[prev] = true
-				s.holder[m] = t
-				s.inList[t] = false
+				inList[prev] = true
+				holder[m] = t
+				inList[t] = false
 				outcome = "displaced"
 			default:
 				outcome = "rejected"
@@ -228,7 +248,7 @@ func sufferageMap(in *sched.Instance, tb tiebreak.Policy, wantTrace bool) (sched
 			}
 		}
 		// Commit the pass: update ready times for all tentative holders.
-		for m, t := range s.holder {
+		for m, t := range holder {
 			if t >= 0 {
 				mp.Assign[t] = m
 				ready[m] += in.ETC().At(t, m)

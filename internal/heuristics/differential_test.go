@@ -234,12 +234,14 @@ func TestDifferentialSufferageTrace(t *testing.T) {
 	}
 }
 
-// TestDuplexMapSelectWinner checks MapSelect's reported winner against an
-// independent evaluation of both sides.
+// TestDuplexMapSelectWinner checks MapSelectInto's reported winner against
+// an independent evaluation of both sides, on one Scratch reused by every
+// trial.
 func TestDuplexMapSelectWinner(t *testing.T) {
+	var sc Scratch
 	for trial := 0; trial < 60; trial++ {
 		in := diffInstance(t, trial)
-		mp, winner, err := (Duplex{}).MapSelect(in, tiebreak.First{})
+		mp, winner, err := (Duplex{}).MapSelectInto(in, tiebreak.First{}, &sc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +270,7 @@ func TestDuplexMapSelectWinner(t *testing.T) {
 				trial, winner, want, smn.Makespan(), smx.Makespan())
 		}
 		if !mp.Equal(wantMap) {
-			t.Fatalf("trial %d: MapSelect mapping disagrees with %s mapping", trial, want)
+			t.Fatalf("trial %d: MapSelectInto mapping disagrees with %s mapping", trial, want)
 		}
 	}
 }
@@ -337,8 +339,8 @@ func allocsPerRun(runs int, f func()) float64 {
 }
 
 // TestSufferageAllocs is the scratch-reuse regression guard (pattern:
-// TestNilObserverAddsNoAllocations in internal/core): with the pooled pass
-// state, Sufferage.Map may allocate only the mapping and the ready vector,
+// TestNilObserverAddsNoAllocations in internal/core): with the pass state
+// in a pooled Scratch, Sufferage.Map may allocate only the mapping,
 // independent of instance size. The seed implementation allocated ~70 per
 // Map on the 64×8 shape (and ~9.6k across one iterative-technique run).
 func TestSufferageAllocs(t *testing.T) {
@@ -349,8 +351,8 @@ func TestSufferageAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		// 3 steady-state allocations: Mapping.Assign, ReadyTimes, and the
-		// occasional pool refill; allow headroom for GC clearing the pool.
+		// 1 steady-state allocation, Mapping.Assign, and the occasional
+		// pool refill; allow headroom for GC clearing the pool.
 		if allocs > 8 {
 			t.Fatalf("Sufferage.Map on %dx%d allocates %v per run, want <= 8",
 				shape.tasks, shape.machines, allocs)
@@ -377,8 +379,8 @@ func TestGreedyTwoPhaseAllocs(t *testing.T) {
 }
 
 // TestImmediateAllocs extends the guard to the list-order heuristics: each
-// Map allocates its mapping, its ready vector and one set of per-call
-// scratch, whatever the task count.
+// Map allocates its mapping and, when the pool was emptied, a Scratch,
+// whatever the task count.
 func TestImmediateAllocs(t *testing.T) {
 	for _, shape := range allocShapes {
 		in := allocInstance(t, shape.tasks, shape.machines)
@@ -391,6 +393,40 @@ func TestImmediateAllocs(t *testing.T) {
 			if allocs > 8 {
 				t.Fatalf("%s.Map on %dx%d allocates %v per run, want <= 8",
 					h.Name(), shape.tasks, shape.machines, allocs)
+			}
+		}
+	}
+}
+
+// TestMapIntoAllocatesNothing: on a warm Scratch and a dst that holds the
+// mapping, every greedy heuristic's MapInto, and Seeded's MapSeededInto
+// over it, allocates nothing, whatever the instance's size.
+func TestMapIntoAllocatesNothing(t *testing.T) {
+	for _, shape := range allocShapes {
+		in := allocInstance(t, shape.tasks, shape.machines)
+		seed := sched.NewMapping(shape.tasks)
+		for i := range seed.Assign {
+			seed.Assign[i] = i % shape.machines
+		}
+		var sc Scratch
+		dst := make([]int, shape.tasks)
+		for _, h := range greedyHeuristics {
+			s := Seeded{Inner: h}
+			for _, run := range []struct {
+				name string
+				f    func() error
+			}{
+				{h.Name(), func() error { _, err := h.MapInto(in, tiebreak.First{}, &sc, dst); return err }},
+				{"seeded " + h.Name(), func() error { _, err := s.MapSeededInto(in, tiebreak.First{}, &sc, seed, dst); return err }},
+			} {
+				if allocs := testing.AllocsPerRun(shape.runs, func() {
+					if err := run.f(); err != nil {
+						t.Fatal(err)
+					}
+				}); allocs != 0 {
+					t.Errorf("%s.MapInto on %dx%d allocates %v per run on a warm scratch, want 0",
+						run.name, shape.tasks, shape.machines, allocs)
+				}
 			}
 		}
 	}

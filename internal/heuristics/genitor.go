@@ -200,9 +200,24 @@ func (s Seeded) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, erro
 	return s.Inner.Map(in, tb)
 }
 
+// MapInto implements Into (no seed: delegates). The result aliases dst
+// when Inner is Into; otherwise it is Inner.Map's own mapping.
+func (s Seeded) MapInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, error) {
+	mp, _, err := Run(s.Inner, in, tb, sc, dst)
+	return mp, err
+}
+
 // MapSeeded implements Seedable.
 func (s Seeded) MapSeeded(in *sched.Instance, tb tiebreak.Policy, seed sched.Mapping) (sched.Mapping, error) {
-	mp, err := s.Inner.Map(in, tb)
+	return mapPooled(in, tb, func(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, error) {
+		return s.MapSeededInto(in, tb, sc, seed, dst)
+	})
+}
+
+// MapSeededInto implements SeedableInto: the inner heuristic maps into dst
+// (see MapInto), and a strictly better seed is copied over its mapping.
+func (s Seeded) MapSeededInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, seed sched.Mapping, dst []int) (sched.Mapping, error) {
+	mp, err := s.MapInto(in, tb, sc, dst)
 	if err != nil {
 		return sched.Mapping{}, err
 	}
@@ -212,9 +227,7 @@ func (s Seeded) MapSeeded(in *sched.Instance, tb tiebreak.Policy, seed sched.Map
 	if err := seed.Validate(in); err != nil {
 		return sched.Mapping{}, fmt.Errorf("heuristics: seed invalid: %w", err)
 	}
-	// The caller may reuse seed after this call returns, so a winning seed
-	// is returned as a clone.
-	cs, err := sched.Completions(in, mp, nil)
+	cs, err := sched.Completions(in, mp, sc.completion)
 	if err != nil {
 		return sched.Mapping{}, err
 	}
@@ -222,8 +235,11 @@ func (s Seeded) MapSeeded(in *sched.Instance, tb tiebreak.Policy, seed sched.Map
 	if cs, err = sched.Completions(in, seed, cs); err != nil {
 		return sched.Mapping{}, err
 	}
+	sc.completion = cs
 	if sched.Makespan(cs) < innerMS {
-		return seed.Clone(), nil
+		// The caller may reuse seed after this call returns, so the
+		// result holds a copy of it.
+		copy(mp.Assign, seed.Assign)
 	}
 	return mp, nil
 }

@@ -39,8 +39,16 @@ func approxEqual(a, b float64) bool {
 // restricted instance and one seed buffer in place between iterations, so
 // a retained reference would silently change under the heuristic. The
 // search heuristics (Genitor, GA, SA, tabu) clone the seed before keeping
-// it in a population or a walk, and Seeded returns a winning seed as a
-// clone.
+// it in a population or a walk, and Seeded copies a winning seed into its
+// result.
+//
+// The into-variants (Into.MapInto, Selector.MapSelectInto,
+// SeedableInto.MapSeededInto) extend the contract to caller storage: the
+// returned mapping aliases dst, and the run works in the caller's Scratch,
+// so both stay the caller's and are overwritten by the next run that is
+// handed them; neither may be retained by the heuristic. Map's result
+// aliases neither, and the caller owns it outright. A Scratch belongs to
+// one goroutine at a time.
 type Heuristic interface {
 	// Name is a stable identifier, e.g. "min-min".
 	Name() string
@@ -51,14 +59,14 @@ type Heuristic interface {
 }
 
 // Selector is a composite Heuristic that runs several sub-heuristics and
-// returns one of their mappings. MapSelect additionally names the winner, so
-// the engine can surface the selection in its observability events instead
-// of silently swallowing it (Duplex implements this).
+// returns one of their mappings. MapSelectInto additionally names the
+// winner, so the engine can surface the selection in its observability
+// events instead of silently swallowing it (Duplex implements this).
 type Selector interface {
-	Heuristic
-	// MapSelect is Map, additionally returning the stable name of the
-	// sub-heuristic whose mapping was selected.
-	MapSelect(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, string, error)
+	Into
+	// MapSelectInto is MapInto, additionally returning the stable name of
+	// the sub-heuristic whose mapping was selected.
+	MapSelectInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, string, error)
 }
 
 // Seedable is a Heuristic that can incorporate a previously found mapping,
@@ -170,11 +178,9 @@ func maxIndices(vals []float64) []int {
 	return idx
 }
 
-// completionRow returns CT(t, m) = ETC(t, m) + ready[m] for every machine.
+// completionRow writes CT(t, m) = ETC(t, m) + ready[m] into dst, one entry
+// per machine, and returns it.
 func completionRow(in *sched.Instance, task int, ready []float64, dst []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, in.Machines())
-	}
 	for m := range dst {
 		dst[m] = in.ETC().At(task, m) + ready[m]
 	}

@@ -17,10 +17,14 @@ type OLB struct{}
 func (OLB) Name() string { return "olb" }
 
 // Map implements Heuristic.
-func (OLB) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
-	mp := sched.NewMapping(in.Tasks())
-	ready := in.ReadyTimes()
-	idx := make([]int, 0, in.Machines())
+func (h OLB) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
+	return mapPooled(in, tb, h.MapInto)
+}
+
+// MapInto implements Into.
+func (OLB) MapInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, error) {
+	mp := assignInto(dst, in.Tasks())
+	ready, _, idx := sc.listBuffers(in)
 	for t := 0; t < in.Tasks(); t++ {
 		idx = minIndicesInto(ready, idx)
 		m := tb.Choose(idx)
@@ -38,9 +42,14 @@ type MET struct{}
 func (MET) Name() string { return "met" }
 
 // Map implements Heuristic.
-func (MET) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
-	mp := sched.NewMapping(in.Tasks())
-	idx := make([]int, 0, in.Machines())
+func (h MET) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
+	return mapPooled(in, tb, h.MapInto)
+}
+
+// MapInto implements Into.
+func (MET) MapInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, error) {
+	mp := assignInto(dst, in.Tasks())
+	_, _, idx := sc.listBuffers(in)
 	for t := 0; t < in.Tasks(); t++ {
 		idx = minETCInto(in, t, idx)
 		mp.Assign[t] = tb.Choose(idx)
@@ -74,11 +83,14 @@ type MCT struct{}
 func (MCT) Name() string { return "mct" }
 
 // Map implements Heuristic.
-func (MCT) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
-	mp := sched.NewMapping(in.Tasks())
-	ready := in.ReadyTimes()
-	ct := make([]float64, in.Machines())
-	idx := make([]int, 0, in.Machines())
+func (h MCT) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
+	return mapPooled(in, tb, h.MapInto)
+}
+
+// MapInto implements Into.
+func (MCT) MapInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, error) {
+	mp := assignInto(dst, in.Tasks())
+	ready, ct, idx := sc.listBuffers(in)
 	for t := 0; t < in.Tasks(); t++ {
 		completionRow(in, t, ready, ct)
 		idx = minIndicesInto(ct, idx)
@@ -118,18 +130,26 @@ func (k KPercentBest) SubsetSize(machines int) int {
 
 // Map implements Heuristic.
 func (k KPercentBest) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
+	return mapPooled(in, tb, k.MapInto)
+}
+
+// MapInto implements Into.
+func (k KPercentBest) MapInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, error) {
 	if k.Percent <= 0 || k.Percent > 100 {
 		return sched.Mapping{}, fmt.Errorf("heuristics: k-percent best with percent=%g outside (0,100]", k.Percent)
 	}
-	mp := sched.NewMapping(in.Tasks())
-	ready := in.ReadyTimes()
+	mp := assignInto(dst, in.Tasks())
+	ready := in.ReadyTimesInto(sc.ready)
+	sc.ready = ready
 	size := k.SubsetSize(in.Machines())
-	// Per-call scratch, reused for every task: the ranking, and the subset,
-	// its tied positions and their machines carved from one int array.
-	ranked := make([]kpbCand, in.Machines())
-	ints := make([]int, 3*size)
-	subset, idx, cands := ints[:size], ints[size:size:2*size], ints[2*size:2*size:3*size]
-	cts := make([]float64, size)
+	// Scratch reused for every task: the ranking, the subset, its
+	// completion times, its tied positions and their machines.
+	ranked := grow(sc.ranked, in.Machines())
+	subset := grow(sc.subset, size)
+	cts := grow(sc.row, size)
+	idx := grow(sc.pos, size)[:0]
+	sc.ranked, sc.subset, sc.row, sc.pos = ranked, subset, cts, idx
+	cands := sc.candidates(size)
 	for t := 0; t < in.Tasks(); t++ {
 		bestSubset(in, t, ranked, subset)
 		// Earliest completion within the subset.
@@ -206,26 +226,31 @@ type SWAStep struct {
 
 // Map implements Heuristic. Unlike MapTrace it builds no decision log.
 func (s SWA) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
-	mp, _, err := s.mapSWA(in, tb, false)
+	return mapPooled(in, tb, s.MapInto)
+}
+
+// MapInto implements Into.
+func (s SWA) MapInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, error) {
+	mp, _, err := s.mapSWA(in, tb, sc, dst, false)
 	return mp, err
 }
 
 // MapTrace is Map returning the per-task decision trace (paper Tables 10
 // and 11 print it).
 func (s SWA) MapTrace(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, []SWAStep, error) {
-	return s.mapSWA(in, tb, true)
+	sc := GetScratch()
+	defer PutScratch(sc)
+	return s.mapSWA(in, tb, sc, nil, true)
 }
 
 // mapSWA is the switching loop; wantTrace gates building the decision log
 // and its per-task ready snapshots.
-func (s SWA) mapSWA(in *sched.Instance, tb tiebreak.Policy, wantTrace bool) (sched.Mapping, []SWAStep, error) {
+func (s SWA) mapSWA(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int, wantTrace bool) (sched.Mapping, []SWAStep, error) {
 	if !(s.Low >= 0 && s.Low < s.High && s.High <= 1) {
 		return sched.Mapping{}, nil, fmt.Errorf("heuristics: SWA thresholds low=%g high=%g invalid", s.Low, s.High)
 	}
-	mp := sched.NewMapping(in.Tasks())
-	ready := in.ReadyTimes()
-	ct := make([]float64, in.Machines())
-	idx := make([]int, 0, in.Machines())
+	mp := assignInto(dst, in.Tasks())
+	ready, ct, idx := sc.listBuffers(in)
 	useMET := false // step 2: the first task is mapped using MCT
 	var steps []SWAStep
 	if wantTrace {

@@ -3,7 +3,6 @@ package heuristics
 import (
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/sched"
 	"repro/internal/tiebreak"
@@ -38,8 +37,8 @@ import (
 // twoPhaseKernel caches each unmapped task's completion row
 // CT(t,m) = ETC(t,m) + ready[m], the exact row minimum, and a row-major
 // copy of the ETC matrix (so hot loops touch flat slices, not the matrix
-// interface). Kernels are pooled (twoPhasePool) so steady-state mappings
-// reuse one scratch arena.
+// interface). Kernels live in a Scratch, so steady-state mappings reuse
+// one arena.
 type twoPhaseKernel struct {
 	nT, nM int
 	etc    []float64 // nT*nM row-major ETC copy
@@ -49,7 +48,10 @@ type twoPhaseKernel struct {
 	cands  []int     // phase-2 candidate scratch, reused across rounds
 }
 
-var twoPhasePool = sync.Pool{New: func() any { return new(twoPhaseKernel) }}
+// footprint returns the bytes k's buffers hold.
+func (k *twoPhaseKernel) footprint() int {
+	return 8*(cap(k.etc)+cap(k.rows)+cap(k.best)) + word*(cap(k.order)+cap(k.cands))
+}
 
 // grow returns s resliced to n, reallocating only when capacity is
 // insufficient; contents are unspecified.
@@ -152,12 +154,12 @@ func (k *twoPhaseKernel) commit(task, machine int, rm float64, useMax bool) floa
 	return target
 }
 
-// run executes the two-phase greedy loop over the cache: Min-Min when
-// useMax is false, Max-Min when true. ready must be the vector init (or the
-// copied-from kernel's init) was built from; run advances it in place.
-func (k *twoPhaseKernel) run(in *sched.Instance, tb tiebreak.Policy, useMax bool, ready []float64) (sched.Mapping, error) {
+// run executes the two-phase greedy loop over the cache into mp, a mapping
+// of the kernel's task count: Min-Min when useMax is false, Max-Min when
+// true. ready must be the vector init (or the copied-from kernel's init)
+// was built from; run advances it in place.
+func (k *twoPhaseKernel) run(tb tiebreak.Policy, useMax bool, ready []float64, mp sched.Mapping) {
 	nT, nM := k.nT, k.nM
-	mp := sched.NewMapping(nT)
 	// Phase 1 for the first round: fold the per-task minima into the
 	// target; later rounds get it from commit, whose refresh loop already
 	// visits every remaining task.
@@ -200,18 +202,4 @@ func (k *twoPhaseKernel) run(in *sched.Instance, tb tiebreak.Policy, useMax bool
 		ready[m] += k.etc[t*nM+m]
 		target = k.commit(t, m, ready[m], useMax)
 	}
-	return mp, nil
 }
-
-// sufferageScratch is the pooled pass-local state of the Sufferage loop: the
-// seed implementation allocated holder and sufferageOf per pass and a fresh
-// minIndices slice per task examination (the dominant share of its ~9.6k
-// allocs/op under the iterative technique).
-type sufferageScratch struct {
-	inList      []bool
-	holder      []int
-	idx         []int // candidate-machine buffer, reused across examinations
-	sufferageOf []float64
-}
-
-var sufferagePool = sync.Pool{New: func() any { return new(sufferageScratch) }}

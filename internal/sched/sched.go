@@ -91,10 +91,17 @@ func (in *Instance) Machines() int { return in.m.Machines() }
 func (in *Instance) Ready(m int) float64 { return in.ready[m] }
 
 // ReadyTimes returns a copy of all initial ready times.
-func (in *Instance) ReadyTimes() []float64 {
-	r := make([]float64, len(in.ready))
-	copy(r, in.ready)
-	return r
+func (in *Instance) ReadyTimes() []float64 { return in.ReadyTimesInto(nil) }
+
+// ReadyTimesInto is ReadyTimes writing into dst, which is reallocated only
+// when shorter than the machine count.
+func (in *Instance) ReadyTimesInto(dst []float64) []float64 {
+	if cap(dst) < len(in.ready) {
+		dst = make([]float64, len(in.ready))
+	}
+	dst = dst[:len(in.ready)]
+	copy(dst, in.ready)
+	return dst
 }
 
 // Restrict returns the sub-instance over the given task and machine index

@@ -196,16 +196,20 @@ type limits struct {
 }
 
 // estimateBytes is the per-request memory estimate the admission guard
-// checks: the instance copy (~24 B per cell including slice headers) plus
-// the response. /v1/iterate responses repeat per-iteration assign/completion
-// arrays up to machines times (~48 B per retained entry); /v1/map carries
-// one assignment and one completion row.
+// checks, an upper bound on the compute scratch a worker keeps after the
+// request (TestEstimateBytesCoversFootprint). Both endpoints decode the
+// instance (8 B per cell) and run a heuristic, whose scratch is largest
+// for Duplex: two kernels of two float arrays (32 B per cell) and their
+// tie candidates (up to one per cell each, in lists append may have grown
+// to twice that: 32 B per cell); per task and per machine come the row
+// headers, the mapping, the kernels' row minima and task lists, the ready
+// times and the completion vectors (80 B covers each). A /v1/iterate
+// trace adds per-iteration assign/completion arrays, up to machines of
+// them (~48 B per retained entry).
 func estimateBytes(ep endpoint, cells, tasks, machines int64) int64 {
-	est := 24 * cells
+	est := 72*cells + 80*(tasks+machines)
 	if ep == endpointIterate {
 		est += 48 * machines * (tasks + machines)
-	} else {
-		est += 24 * (tasks + machines)
 	}
 	return est
 }
@@ -522,10 +526,11 @@ func writeFloatBits(b *strings.Builder, vals []float64) {
 
 // computeScratch is a serve worker's reusable compute storage: the
 // decoded cells and ready times, the matrix and instance over them, the
-// engine's Workspace, and the response value with the backing of its
-// Iterations and Outcomes. Each worker owns one and hands it to every job
-// it computes, so a computed result allocates its canonical key, its body
-// and the mappings the heuristic returns, and nothing per task beyond them.
+// engine's Workspace (with the heuristics' run scratch, which /v1/map runs
+// in too), and the response value with the backing of its Iterations and
+// Outcomes. Each worker owns one and hands it to every job it computes, so
+// a computed result allocates its canonical key, its body and a fixed
+// handful of per-request values, and nothing per task or per iteration.
 // Everything a job writes here is dead once its body is marshaled, which
 // happens before the worker dequeues its next job; every job overwrites
 // what it reads, so a job that panicked partway leaves nothing a later one
@@ -612,13 +617,13 @@ func (p *parsedRequest) run(in *sched.Instance, sc *computeScratch) (any, *apiEr
 	}
 	switch p.endpoint {
 	case endpointMap:
-		mp, err := h.Map(in, p.policy()(0))
+		mp, err := sc.ws.Map(in, h, p.policy()(0))
 		if err != nil {
 			return nil, internalError("%v", err)
 		}
-		// The mapping is the heuristic's own, so the response takes it
-		// as it is; the completion vector is the one sched.Evaluate
-		// builds, bit for bit.
+		// The mapping lives in the workspace until its next Map, so the
+		// response takes it as it is; the completion vector is the one
+		// sched.Evaluate builds, bit for bit.
 		completion, err := sched.Completions(in, mp, sc.completion)
 		if err != nil {
 			return nil, internalError("%v", err)

@@ -39,7 +39,7 @@ const (
 	// let one request monopolize a worker.
 	DefaultMaxCells = 1 << 18
 	// DefaultMaxEstimatedBytes caps the per-request memory estimate
-	// (instance copy plus response, see estimateBytes).
+	// (instance, heuristic scratch and response, see estimateBytes).
 	DefaultMaxEstimatedBytes = 64 << 20
 	// DefaultMaxBatchItems caps the item count of one POST /v1/batch body.
 	DefaultMaxBatchItems = 256

@@ -5,7 +5,8 @@
 #   gofmt clean, go vet, build, full test suite, the perfbench module's
 #   own tests, a bounded fuzz leg over the request decoders, the
 #   canonical key, the number converter, the engine's derived iterations,
-#   the two fault-spec parsers and the store's segment replay, paper
+#   the two fault-spec parsers, the store's segment replay and the
+#   greedy heuristics' runs into caller storage, paper
 #   self-check, the schedd serving
 #   smoke (ephemeral port, pinned Table-1 trace, cache byte-identity,
 #   span-tree trace leg, every non-cluster builtin chaos scenario,
@@ -66,7 +67,10 @@ go test ./internal/faults -run '^$' -fuzz '^FuzzFaultsSpec$' -fuzztime 5s -paral
 go test ./internal/store -run '^$' -fuzz '^FuzzFaultFSSpec$' -fuzztime 5s -parallel 2 >/dev/null
 # The disk tier's segment replay over arbitrary bytes.
 go test ./internal/store -run '^$' -fuzz '^FuzzReplaySegment$' -fuzztime 5s -parallel 2 >/dev/null
-echo "[ok  ] fuzz (decoder, batch item, batch splitter, canonical key, number converter, derived iterations, fault specs, segment replay; 5 s each)"
+# The greedy heuristics' runs in reused caller storage against fresh ones
+# and the reference implementations.
+go test ./internal/heuristics -run '^$' -fuzz '^FuzzMapInto$' -fuzztime 5s -parallel 2 >/dev/null
+echo "[ok  ] fuzz (decoder, batch item, batch splitter, canonical key, number converter, derived iterations, fault specs, segment replay, heuristic runs into caller storage; 5 s each)"
 
 go run ./cmd/paperrepro
 echo "[ok  ] paperrepro"
