@@ -98,9 +98,13 @@ const traceHeader = "X-Schedd-Trace"
 // jsonContentType is the Content-Type value of every post.
 var jsonContentType = []string{"application/json"}
 
-// untracedHeader is the header of every untraced attempt, shared and never
-// written: net/http's RoundTripper contract forbids mutating a request, so
-// a transport that adds headers clones the request first.
+// untracedHeader is the header of every untraced attempt made through an
+// http.Client without a cookie jar, shared and never written. Client.send
+// writes into a request's own header only to add a jar's cookies; it forks
+// the request before adding URL credentials, a redirect gets a header of
+// its own, and net/http's RoundTripper contract forbids mutating a request,
+// so a transport that adds headers clones the request first. A client with
+// a jar gets a fresh header per attempt.
 var untracedHeader = http.Header{"Content-Type": jsonContentType}
 
 // ErrBreakerOpen is returned (wrapped) when the circuit breaker refuses a
@@ -510,9 +514,12 @@ func (c *Client) attempt(ctx context.Context, url string, body []byte, loan *Loa
 		return Response{}, 0, 0, "", err
 	}
 	attach(req, body, loan)
-	if traceID != "" {
+	switch {
+	case traceID != "":
 		req.Header = http.Header{"Content-Type": jsonContentType, traceHeader: {traceID}}
-	} else {
+	case c.hc.Jar != nil:
+		req.Header = http.Header{"Content-Type": jsonContentType}
+	default:
 		req.Header = untracedHeader
 	}
 	hr, err := c.hc.Do(req)

@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"net/http"
+	"net/http/cookiejar"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -184,5 +185,69 @@ func TestAttemptHeaders(t *testing.T) {
 	}
 	if len(untracedHeader) != 1 || len(untracedHeader["Content-Type"]) != 1 || untracedHeader.Get("Content-Type") != "application/json" {
 		t.Fatalf("the shared untraced header was written: %v", untracedHeader)
+	}
+}
+
+// TestAttemptHeadersWithCookieJar: http.Client.Do adds a jar's cookies to
+// the request's own header, so a client whose http.Client has a jar must
+// not send the shared header. Concurrent posts through such a client (run
+// under -race) leave the shared header unchanged, each carries the jar's
+// cookie, and a later post through a jarless client carries none.
+func TestAttemptHeadersWithCookieJar(t *testing.T) {
+	var mu sync.Mutex
+	var cookies []string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		cookies = append(cookies, r.Header.Get("Cookie"))
+		mu.Unlock()
+		http.SetCookie(w, &http.Cookie{Name: "session", Value: "abc"})
+		w.Write([]byte(`{}`))
+	}))
+	defer ts.Close()
+	jar, err := cookiejar.New(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withJar, _ := newTestClient(Options{Seed: 1, HTTPClient: &http.Client{Jar: jar}})
+	// The first post stores the cookie; the concurrent ones all send it.
+	if _, err := withJar.Post(context.Background(), ts.URL, []byte(`{"x":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	const workers, posts = 4, 4
+	var wg sync.WaitGroup
+	errs := make(chan error, workers*posts)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < posts; i++ {
+				if _, err := withJar.Post(context.Background(), ts.URL, []byte(`{"x":1}`)); err != nil {
+					errs <- err
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	plain, _ := newTestClient(Options{Seed: 1})
+	if _, err := plain.Post(context.Background(), ts.URL, []byte(`{"x":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if len(untracedHeader) != 1 || len(untracedHeader["Content-Type"]) != 1 || untracedHeader.Get("Content-Type") != "application/json" {
+		t.Fatalf("the shared untraced header was written: %v", untracedHeader)
+	}
+	if len(cookies) != 2+workers*posts {
+		t.Fatalf("%d requests, want %d", len(cookies), 2+workers*posts)
+	}
+	for i, c := range cookies[1 : len(cookies)-1] {
+		if c != "session=abc" {
+			t.Errorf("jar post %d: Cookie %q, want session=abc", i+1, c)
+		}
+	}
+	if c := cookies[len(cookies)-1]; c != "" {
+		t.Errorf("jarless post: Cookie %q, want none", c)
 	}
 }

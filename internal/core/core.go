@@ -260,9 +260,10 @@ func IterateOpts(in *sched.Instance, h heuristics.Heuristic, policy PolicyFunc, 
 // seed, the heuristics' Scratch) and the trace with the backing arrays of
 // its slices. A caller that runs many traces in turn, such as a service
 // worker, keeps one Workspace; once it has grown, a trace of a greedy
-// heuristic (heuristics.Into) allocates nothing beyond its heuristic name,
-// as every run maps straight into its iteration's Assign slice. The search
-// heuristics, which map through Map only, allocate their own mappings.
+// heuristic, or of Seeded over one, allocates nothing beyond its heuristic
+// name, as every run maps straight into its iteration's Assign slice. The
+// search heuristics, which map through Map only (Seeded over them too),
+// allocate their own mappings.
 //
 // Reuse contract: the Trace that Iterate returns, and every slice in it,
 // stay valid only until the next Iterate on the same Workspace, which
@@ -640,8 +641,8 @@ func (a *arena) runHeuristic(h heuristics.Heuristic, sub *sched.Instance, tb tie
 		}
 		seed.Assign[i] = a.local[prev.Assign[p]]
 	}
-	if si, ok := h.(heuristics.SeedableInto); ok {
-		mp, err := si.MapSeededInto(sub, tb, a.hs, seed, dst)
+	if sd, ok := h.(heuristics.Seeded); ok {
+		mp, err := sd.MapSeededInto(sub, tb, a.hs, seed, dst)
 		return mp, "", err
 	}
 	mp, err := seedable.MapSeeded(sub, tb, seed)

@@ -432,6 +432,29 @@ func TestMapIntoAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestSeededMapIntoOverSearchHeuristic pins MapInto's one exception: Seeded
+// over a heuristic that is not Into maps through its Map, so the result is
+// that Map's own mapping and does not alias dst.
+func TestSeededMapIntoOverSearchHeuristic(t *testing.T) {
+	in := allocInstance(t, 12, 3)
+	cfg := GenitorConfig{PopulationSize: 10, Steps: 20}
+	want, err := NewGenitor(cfg, 4).Map(in, tiebreak.First{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]int, in.Tasks())
+	got, err := Seeded{Inner: NewGenitor(cfg, 4)}.MapInto(in, tiebreak.First{}, new(Scratch), dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Assign, want.Assign) {
+		t.Fatalf("Seeded{Genitor}.MapInto = %v, Genitor.Map = %v", got.Assign, want.Assign)
+	}
+	if &got.Assign[0] == &dst[0] {
+		t.Fatal("Seeded{Genitor}.MapInto's result aliases dst; want Genitor.Map's own mapping")
+	}
+}
+
 // TestKernelDegenerateShapes exercises the 1-task and 1-machine boundaries
 // explicitly (sufferageValue's single-machine convention, row slicing).
 func TestKernelDegenerateShapes(t *testing.T) {

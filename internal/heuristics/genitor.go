@@ -214,8 +214,9 @@ func (s Seeded) MapSeeded(in *sched.Instance, tb tiebreak.Policy, seed sched.Map
 	})
 }
 
-// MapSeededInto implements SeedableInto: the inner heuristic maps into dst
-// (see MapInto), and a strictly better seed is copied over its mapping.
+// MapSeededInto is MapSeeded with MapInto's storage rules: the inner
+// heuristic maps into dst (see MapInto), and a strictly better seed is
+// copied over its mapping. seed must not alias dst.
 func (s Seeded) MapSeededInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, seed sched.Mapping, dst []int) (sched.Mapping, error) {
 	mp, err := s.MapInto(in, tb, sc, dst)
 	if err != nil {

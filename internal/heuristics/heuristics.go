@@ -43,12 +43,13 @@ func approxEqual(a, b float64) bool {
 // result.
 //
 // The into-variants (Into.MapInto, Selector.MapSelectInto,
-// SeedableInto.MapSeededInto) extend the contract to caller storage: the
-// returned mapping aliases dst, and the run works in the caller's Scratch,
-// so both stay the caller's and are overwritten by the next run that is
-// handed them; neither may be retained by the heuristic. Map's result
-// aliases neither, and the caller owns it outright. A Scratch belongs to
-// one goroutine at a time.
+// Seeded.MapSeededInto) extend the contract to caller storage: the
+// returned mapping aliases dst (save for Seeded over a heuristic that is
+// not Into, which returns its inner Map's mapping), and the run works in
+// the caller's Scratch, so both stay the caller's and are overwritten by
+// the next run that is handed them; neither may be retained by the
+// heuristic. Map's result aliases neither, and the caller owns it
+// outright. A Scratch belongs to one goroutine at a time.
 type Heuristic interface {
 	// Name is a stable identifier, e.g. "min-min".
 	Name() string

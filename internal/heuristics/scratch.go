@@ -21,16 +21,10 @@ type Into interface {
 	// MapInto is Map, working in sc and writing the mapping into dst's
 	// storage, which grows only when shorter than the task count. The
 	// returned mapping aliases dst (or, when dst was short, a new array);
-	// it stays valid until the caller next reuses dst.
+	// it stays valid until the caller next reuses dst. One exception:
+	// Seeded over a heuristic that is not Into (Seeded{Inner: Genitor})
+	// returns Inner.Map's own fresh mapping, which aliases nothing.
 	MapInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, error)
-}
-
-// SeedableInto is a Seedable that maps into caller-owned storage (Seeded).
-type SeedableInto interface {
-	Seedable
-	// MapSeededInto is MapSeeded with MapInto's storage rules. A winning
-	// seed is copied into the result; seed must not alias dst.
-	MapSeededInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, seed sched.Mapping, dst []int) (sched.Mapping, error)
 }
 
 // Scratch is the working storage of the greedy heuristics' runs: the
