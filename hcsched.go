@@ -54,6 +54,10 @@ type (
 	Schedule = sched.Schedule
 	// Heuristic maps all tasks of an instance onto its machines.
 	Heuristic = heuristics.Heuristic
+	// Scratch is a heuristic run's working storage (Heuristic.MapInto). A
+	// heuristic implemented outside this module keeps its own buffers and
+	// leaves it untouched.
+	Scratch = heuristics.Scratch
 	// TieBreaker resolves choices among equally good candidates. Choose
 	// with one candidate must return it and leave the policy's state
 	// unchanged (see tiebreak.Policy).

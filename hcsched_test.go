@@ -65,6 +65,53 @@ func TestFacadeSeededWrapper(t *testing.T) {
 	}
 }
 
+// lightest maps every task to the machine with the smallest ready time
+// plus ETC, ties to the lowest index: a heuristic written against the
+// facade's types alone, as one outside the module would be.
+type lightest struct{}
+
+func (lightest) Name() string { return "lightest" }
+
+func (h lightest) Map(in *hcsched.Instance, tb hcsched.TieBreaker) (hcsched.Mapping, error) {
+	return h.MapInto(in, tb, nil, nil)
+}
+
+func (lightest) MapInto(in *hcsched.Instance, _ hcsched.TieBreaker, _ *hcsched.Scratch, dst []int) (hcsched.Mapping, error) {
+	if cap(dst) < in.Tasks() {
+		dst = make([]int, in.Tasks())
+	}
+	mp := hcsched.Mapping{Assign: dst[:in.Tasks()]}
+	for t := range mp.Assign {
+		best := 0
+		for m := 1; m < in.Machines(); m++ {
+			if in.Ready(m)+in.ETC().At(t, m) < in.Ready(best)+in.ETC().At(t, best) {
+				best = m
+			}
+		}
+		mp.Assign[t] = best
+	}
+	return mp, nil
+}
+
+// TestFacadeExternalHeuristic: a Heuristic implemented outside the module
+// runs through the technique, into the engine's own storage.
+func TestFacadeExternalHeuristic(t *testing.T) {
+	in, err := hcsched.NewInstance(hcsched.MustETC([][]float64{{4, 9, 9}, {9, 2, 2}, {9, 9, 3}}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := hcsched.Iterate(in, lightest{}, hcsched.DeterministicTies())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Iterations[0].Assign; !reflect.DeepEqual(got, []int{0, 1, 2}) {
+		t.Fatalf("original mapping %v, want [0 1 2]", got)
+	}
+	if tr.Heuristic != "lightest" || tr.FinalMakespan() != 4 {
+		t.Fatalf("trace of %q, final makespan %g; want lightest, 4", tr.Heuristic, tr.FinalMakespan())
+	}
+}
+
 func TestFacadeGenerateETC(t *testing.T) {
 	classes := hcsched.WorkloadClasses()
 	if len(classes) != 12 {

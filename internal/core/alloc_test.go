@@ -115,26 +115,30 @@ func TestDerivedIterationsAllocateNothing(t *testing.T) {
 	}
 }
 
-// roundRobin maps task i to machine i mod m in one reused buffer: a
-// Seedable heuristic that allocates nothing once its buffer has grown, so
+// roundRobin maps task i to machine i mod m into the caller's dst: a
+// Seedable heuristic that allocates nothing once dst holds the mapping, so
 // a trace's allocations under it are the engine's own.
-type roundRobin struct{ buf []int }
+type roundRobin struct{}
 
 func (*roundRobin) Name() string { return "round-robin" }
 
-func (r *roundRobin) Map(in *sched.Instance, _ tiebreak.Policy) (sched.Mapping, error) {
-	if cap(r.buf) < in.Tasks() {
-		r.buf = make([]int, in.Tasks())
+func (r *roundRobin) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
+	return r.MapInto(in, tb, nil, nil)
+}
+
+func (*roundRobin) MapInto(in *sched.Instance, _ tiebreak.Policy, _ *heuristics.Scratch, dst []int) (sched.Mapping, error) {
+	if cap(dst) < in.Tasks() {
+		dst = make([]int, in.Tasks())
 	}
-	a := r.buf[:in.Tasks()]
+	a := dst[:in.Tasks()]
 	for i := range a {
 		a[i] = i % in.Machines()
 	}
 	return sched.Mapping{Assign: a}, nil
 }
 
-func (r *roundRobin) MapSeeded(in *sched.Instance, tb tiebreak.Policy, _ sched.Mapping) (sched.Mapping, error) {
-	return r.Map(in, tb)
+func (r *roundRobin) MapSeededInto(in *sched.Instance, tb tiebreak.Policy, sc *heuristics.Scratch, _ sched.Mapping, dst []int) (sched.Mapping, error) {
+	return r.MapInto(in, tb, sc, dst)
 }
 
 // TestWarmWorkspaceAllocatesOnlyHeuristicRuns: a second Iterate on a warm

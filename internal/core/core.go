@@ -258,12 +258,12 @@ func IterateOpts(in *sched.Instance, h heuristics.Heuristic, policy PolicyFunc, 
 // Workspace is reusable storage for runs of the iterative technique: the
 // engine's arena (active sets, local machine table, restricted instance,
 // seed, the heuristics' Scratch) and the trace with the backing arrays of
-// its slices. A caller that runs many traces in turn, such as a service
-// worker, keeps one Workspace; once it has grown, a trace of a greedy
-// heuristic, or of Seeded over one, allocates nothing beyond its heuristic
-// name, as every run maps straight into its iteration's Assign slice. The
-// search heuristics, which map through Map only (Seeded over them too),
-// allocate their own mappings.
+// its slices. Every run maps straight into its iteration's Assign slice. A
+// caller that runs many traces in turn, such as a service worker, keeps one
+// Workspace; once it has grown, a trace of a greedy heuristic, or of
+// Seeded over one, allocates nothing beyond its heuristic name. The search
+// heuristics (Seeded over them too) still allocate their populations and
+// walks.
 //
 // Reuse contract: the Trace that Iterate returns, and every slice in it,
 // stay valid only until the next Iterate on the same Workspace, which
@@ -316,6 +316,7 @@ func (w *Workspace) Iterate(in *sched.Instance, h heuristics.Heuristic, policy P
 	// whole; a longer one, such as FreezeMinCompletion on one task, grows
 	// in carve.
 	expect := min(maxIters, nT)
+	name := h.Name()
 	tr, a := &w.tr, &w.a
 	a.reset(nT, nM)
 	if a.hs == nil {
@@ -323,7 +324,7 @@ func (w *Workspace) Iterate(in *sched.Instance, h heuristics.Heuristic, policy P
 	}
 	*tr = Trace{
 		Instance:        in,
-		Heuristic:       h.Name(),
+		Heuristic:       name,
 		Iterations:      reuse(tr.Iterations, expect)[:0],
 		FinalAssign:     reuse(tr.FinalAssign, nT),
 		FinalCompletion: reuse(tr.FinalCompletion, nM),
@@ -408,7 +409,7 @@ func (w *Workspace) Iterate(in *sched.Instance, h heuristics.Heuristic, policy P
 			if iter > 0 {
 				prev = &tr.Iterations[iter-1]
 			}
-			// An Into heuristic maps straight into it.Assign, in local
+			// The heuristic maps straight into it.Assign, in local
 			// machine coordinates, which the loop below turns global in
 			// place.
 			mp, sel, err := a.runHeuristic(h, sub, tb, prev, it.Assign)
@@ -416,7 +417,7 @@ func (w *Workspace) Iterate(in *sched.Instance, h heuristics.Heuristic, policy P
 				return nil, fmt.Errorf("core: iteration %d: %w", iter, err)
 			}
 			if _, err := sched.Completions(sub, mp, it.Completion); err != nil {
-				return nil, fmt.Errorf("core: iteration %d: heuristic %s produced invalid mapping: %w", iter, h.Name(), err)
+				return nil, fmt.Errorf("core: iteration %d: heuristic %s produced invalid mapping: %w", iter, name, err)
 			}
 			for i, l := range mp.Assign {
 				it.Assign[i] = activeMachines[l]
@@ -430,7 +431,7 @@ func (w *Workspace) Iterate(in *sched.Instance, h heuristics.Heuristic, policy P
 		if observer != nil {
 			observer.Observe(obs.HeuristicDone{
 				Iteration:       iter,
-				Heuristic:       h.Name(),
+				Heuristic:       name,
 				Makespan:        it.Makespan,
 				MakespanMachine: it.MakespanMachine,
 				TiebreakCalls:   a.counting.Invocations,
@@ -614,39 +615,39 @@ func (a *arena) freeze(frozen int, tasks, assign []int) {
 
 // runHeuristic invokes h on sub into dst, seeding it with the previous
 // iteration's mapping (restricted to the active sets) when the heuristic
-// supports seeding. For composite heuristics (heuristics.Selector, e.g.
-// Duplex) the returned string names the sub-heuristic whose mapping won,
-// for the HeuristicDone event; it is empty otherwise.
+// supports seeding. For Duplex the returned string names the side whose
+// mapping won, for the HeuristicDone event; it is empty otherwise.
 func (a *arena) runHeuristic(h heuristics.Heuristic, sub *sched.Instance, tb tiebreak.Policy,
 	prev *Iteration, dst []int) (sched.Mapping, string, error) {
-	seedable, ok := h.(heuristics.Seedable)
-	if !ok || prev == nil {
-		return heuristics.Run(h, sub, tb, a.hs, dst)
+	if sd, ok := h.(heuristics.Seedable); ok && prev != nil && a.seedFrom(prev) {
+		mp, err := sd.MapSeededInto(sub, tb, a.hs, sched.Mapping{Assign: a.seed}, dst)
+		return mp, "", err
 	}
-	// Build the seed in local coordinates by a merge walk: the active tasks
-	// are an ascending subsequence of prev.Tasks, and every one was mapped
-	// in the previous iteration to a still-active machine (the frozen
-	// machine's tasks were removed with it).
-	if cap(a.seed) < len(a.activeTasks) {
-		a.seed = make([]int, len(a.activeTasks))
+	if d, ok := h.(heuristics.Duplex); ok {
+		return d.MapSelectInto(sub, tb, a.hs, dst)
 	}
-	seed := sched.Mapping{Assign: a.seed[:len(a.activeTasks)]}
+	mp, err := h.MapInto(sub, tb, a.hs, dst)
+	return mp, "", err
+}
+
+// seedFrom writes the seed into a.seed in local coordinates by a merge
+// walk: the active tasks are an ascending subsequence of prev.Tasks, and
+// every one was mapped in the previous iteration to a still-active machine
+// (the frozen machine's tasks were removed with it). It reports false,
+// defensively, when prev does not cover the active sets.
+func (a *arena) seedFrom(prev *Iteration) bool {
+	a.seed = reuse(a.seed, len(a.activeTasks))
 	p := 0
 	for i, t := range a.activeTasks {
 		for p < len(prev.Tasks) && prev.Tasks[p] < t {
 			p++
 		}
 		if p == len(prev.Tasks) || prev.Tasks[p] != t || a.local[prev.Assign[p]] < 0 {
-			return heuristics.Run(h, sub, tb, a.hs, dst) // defensive: no usable seed
+			return false
 		}
-		seed.Assign[i] = a.local[prev.Assign[p]]
+		a.seed[i] = a.local[prev.Assign[p]]
 	}
-	if sd, ok := h.(heuristics.Seeded); ok {
-		mp, err := sd.MapSeededInto(sub, tb, a.hs, seed, dst)
-		return mp, "", err
-	}
-	mp, err := seedable.MapSeeded(sub, tb, seed)
-	return mp, "", err
+	return true
 }
 
 // Map runs one mapping of in by h, as Iterate runs its original mapping,
@@ -657,7 +658,7 @@ func (w *Workspace) Map(in *sched.Instance, h heuristics.Heuristic, tb tiebreak.
 	if a.hs == nil {
 		a.hs = new(heuristics.Scratch)
 	}
-	mp, _, err := heuristics.Run(h, in, tb, a.hs, a.mapped)
+	mp, err := h.MapInto(in, tb, a.hs, a.mapped)
 	if err != nil {
 		return sched.Mapping{}, err
 	}

@@ -230,7 +230,7 @@ func TestIterateCorpusGolden(t *testing.T) {
 		corpusGolden, len(got), len(want), strings.Join(diffs, "\n"))
 }
 
-// failAt wraps a heuristic so that its nth Map call panics or returns an
+// failAt wraps a heuristic so that its nth run panics or returns an
 // invalid mapping, abandoning a trace partway with the workspace dirty.
 type failAt struct {
 	heuristics.Heuristic
@@ -238,10 +238,10 @@ type failAt struct {
 	panics   bool
 }
 
-func (f *failAt) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
+func (f *failAt) MapInto(in *sched.Instance, tb tiebreak.Policy, sc *heuristics.Scratch, dst []int) (sched.Mapping, error) {
 	f.calls++
 	if f.calls < f.n {
-		return f.Heuristic.Map(in, tb)
+		return f.Heuristic.MapInto(in, tb, sc, dst)
 	}
 	if f.panics {
 		panic("failAt: deliberate panic")

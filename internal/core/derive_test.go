@@ -13,9 +13,9 @@ import (
 )
 
 // hidden and hiddenSeedable embed a heuristic's interface and so promote
-// Name, Map and (for Seedable) MapSeeded, but not the restricting marker:
-// the engine computes every iteration of a hidden heuristic. That slow path
-// is the oracle for derived iterations.
+// Name, Map, MapInto and (for Seedable) MapSeededInto, but not the
+// restricting marker: the engine computes every iteration of a hidden
+// heuristic. That slow path is the oracle for derived iterations.
 type hidden struct{ heuristics.Heuristic }
 
 type hiddenSeedable struct{ heuristics.Seedable }

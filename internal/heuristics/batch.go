@@ -29,7 +29,7 @@ func (h MinMin) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, erro
 	return mapPooled(in, tb, h.MapInto)
 }
 
-// MapInto implements Into.
+// MapInto implements Heuristic.
 func (MinMin) MapInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, error) {
 	return greedyTwoPhase(in, tb, sc, false, dst)
 }
@@ -47,7 +47,7 @@ func (h MaxMin) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, erro
 	return mapPooled(in, tb, h.MapInto)
 }
 
-// MapInto implements Into.
+// MapInto implements Heuristic.
 func (MaxMin) MapInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, error) {
 	return greedyTwoPhase(in, tb, sc, true, dst)
 }
@@ -75,14 +75,15 @@ func (d Duplex) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, erro
 	return mapPooled(in, tb, d.MapInto)
 }
 
-// MapInto implements Into.
+// MapInto implements Heuristic.
 func (d Duplex) MapInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, error) {
 	mp, _, err := d.MapSelectInto(in, tb, sc, dst)
 	return mp, err
 }
 
-// MapSelectInto implements Selector: it is MapInto, additionally naming the
-// side ("min-min" or "max-min") whose mapping was returned. The two runs
+// MapSelectInto is MapInto, additionally naming the side ("min-min" or
+// "max-min") whose mapping was returned, which the iterative engine
+// surfaces in its observer events instead of swallowing it. The two runs
 // share a single kernel cache build (the first phase over the initial ready
 // times is identical for both), and the policy is consumed by the Min-Min
 // run first, exactly as two independent Map calls would. Min-Min maps into
@@ -151,7 +152,7 @@ func (h Sufferage) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, e
 	return mapPooled(in, tb, h.MapInto)
 }
 
-// MapInto implements Into.
+// MapInto implements Heuristic.
 func (Sufferage) MapInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, error) {
 	mp, _, err := sufferageMap(in, tb, sc, dst, false)
 	return mp, err

@@ -49,8 +49,8 @@ func (c GenitorConfig) withDefaults() GenitorConfig {
 // on for the iterative technique ("the final mapping is either the seeded
 // mapping or a mapping with a smaller makespan").
 //
-// Genitor implements Seedable natively: MapSeeded inserts the seed into the
-// initial population.
+// Genitor implements Seedable natively: MapSeededInto inserts the seed into
+// the initial population.
 type Genitor struct {
 	cfg GenitorConfig
 	src *rng.Source
@@ -72,12 +72,18 @@ type chromosome struct {
 
 // Map implements Heuristic.
 func (g *Genitor) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
-	return g.MapSeeded(in, tb, sched.Mapping{})
+	return mapPooled(in, tb, g.MapInto)
 }
 
-// MapSeeded implements Seedable. If seed holds a complete valid mapping it
-// joins the initial population, guaranteeing the result is at least as good.
-func (g *Genitor) MapSeeded(in *sched.Instance, tb tiebreak.Policy, seed sched.Mapping) (sched.Mapping, error) {
+// MapInto implements Heuristic.
+func (g *Genitor) MapInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, error) {
+	return g.MapSeededInto(in, tb, sc, sched.Mapping{}, dst)
+}
+
+// MapSeededInto implements Seedable. If seed holds a complete valid mapping
+// it joins the initial population, guaranteeing the result is at least as
+// good. The best chromosome is copied into dst.
+func (g *Genitor) MapSeededInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, seed sched.Mapping, dst []int) (sched.Mapping, error) {
 	nT, nM := in.Tasks(), in.Machines()
 	src := g.src.Split() // each run consumes an independent child stream
 	pop := make([]chromosome, 0, g.cfg.PopulationSize+2)
@@ -103,7 +109,7 @@ func (g *Genitor) MapSeeded(in *sched.Instance, tb tiebreak.Policy, seed sched.M
 		}
 	}
 	if g.cfg.SeedWithMinMin {
-		mm, err := (MinMin{}).Map(in, tiebreak.First{})
+		mm, err := (MinMin{}).MapInto(in, tiebreak.First{}, sc, nil)
 		if err != nil {
 			return sched.Mapping{}, err
 		}
@@ -152,9 +158,8 @@ func (g *Genitor) MapSeeded(in *sched.Instance, tb tiebreak.Policy, seed sched.M
 			return sched.Mapping{}, err
 		}
 	}
-	best := pop[0]
-	out := make([]int, nT)
-	copy(out, best.assign)
+	out := grow(dst, nT)
+	copy(out, pop[0].assign)
 	return sched.Mapping{Assign: out}, nil
 }
 
@@ -200,25 +205,15 @@ func (s Seeded) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, erro
 	return s.Inner.Map(in, tb)
 }
 
-// MapInto implements Into (no seed: delegates). The result aliases dst
-// when Inner is Into; otherwise it is Inner.Map's own mapping.
+// MapInto implements Heuristic (no seed: delegates).
 func (s Seeded) MapInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, error) {
-	mp, _, err := Run(s.Inner, in, tb, sc, dst)
-	return mp, err
+	return s.Inner.MapInto(in, tb, sc, dst)
 }
 
-// MapSeeded implements Seedable.
-func (s Seeded) MapSeeded(in *sched.Instance, tb tiebreak.Policy, seed sched.Mapping) (sched.Mapping, error) {
-	return mapPooled(in, tb, func(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, error) {
-		return s.MapSeededInto(in, tb, sc, seed, dst)
-	})
-}
-
-// MapSeededInto is MapSeeded with MapInto's storage rules: the inner
-// heuristic maps into dst (see MapInto), and a strictly better seed is
-// copied over its mapping. seed must not alias dst.
+// MapSeededInto implements Seedable: the inner heuristic maps into dst, and
+// a strictly better seed is copied over its mapping.
 func (s Seeded) MapSeededInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, seed sched.Mapping, dst []int) (sched.Mapping, error) {
-	mp, err := s.MapInto(in, tb, sc, dst)
+	mp, err := s.Inner.MapInto(in, tb, sc, dst)
 	if err != nil {
 		return sched.Mapping{}, err
 	}

@@ -67,7 +67,7 @@ func TestGenitorSeededNeverWorse(t *testing.T) {
 	// Starve the GA (few steps) so the guarantee must come from seeding,
 	// not search power.
 	g := NewGenitor(GenitorConfig{PopulationSize: 10, Steps: 1}, 9)
-	mp, err := g.MapSeeded(in, tiebreak.First{}, seed)
+	mp, err := mapSeeded(g, in, tiebreak.First{}, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestGenitorSeededNeverWorse(t *testing.T) {
 func TestGenitorSeedValidation(t *testing.T) {
 	in := inst(t, [][]float64{{1, 2}})
 	g := NewGenitor(GenitorConfig{PopulationSize: 5, Steps: 1}, 1)
-	if _, err := g.MapSeeded(in, tiebreak.First{}, sched.Mapping{Assign: []int{7}}); err == nil {
+	if _, err := mapSeeded(g, in, tiebreak.First{}, sched.Mapping{Assign: []int{7}}); err == nil {
 		t.Fatal("invalid seed accepted")
 	}
 }
@@ -105,7 +105,7 @@ func TestGenitorDoesNotMutateSeed(t *testing.T) {
 	in := inst(t, [][]float64{{1, 2}, {2, 1}})
 	seed := sched.Mapping{Assign: []int{1, 0}} // deliberately bad
 	g := NewGenitor(GenitorConfig{PopulationSize: 8, Steps: 50}, 2)
-	if _, err := g.MapSeeded(in, tiebreak.First{}, seed); err != nil {
+	if _, err := mapSeeded(g, in, tiebreak.First{}, seed); err != nil {
 		t.Fatal(err)
 	}
 	if seed.Assign[0] != 1 || seed.Assign[1] != 0 {
@@ -123,7 +123,7 @@ func TestSeededWrapperReturnsBetterOfSeedAndInner(t *testing.T) {
 	})
 	seed := sched.Mapping{Assign: []int{0, 0, 0, 1}} // makespan 3; MET gives 4
 	s := Seeded{Inner: MET{}}
-	mp, err := s.MapSeeded(in, tiebreak.First{}, seed)
+	mp, err := mapSeeded(s, in, tiebreak.First{}, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestSeededWrapperPrefersInnerOnTieOrWin(t *testing.T) {
 	in := inst(t, [][]float64{{1, 9}})
 	inner, _ := (MCT{}).Map(in, tiebreak.First{})
 	s := Seeded{Inner: MCT{}}
-	mp, err := s.MapSeeded(in, tiebreak.First{}, sched.Mapping{Assign: []int{1}})
+	mp, err := mapSeeded(s, in, tiebreak.First{}, sched.Mapping{Assign: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestSeededWrapperPrefersInnerOnTieOrWin(t *testing.T) {
 func TestSeededWrapperNilSeed(t *testing.T) {
 	in := inst(t, [][]float64{{1, 9}})
 	s := Seeded{Inner: MCT{}}
-	mp, err := s.MapSeeded(in, tiebreak.First{}, sched.Mapping{})
+	mp, err := mapSeeded(s, in, tiebreak.First{}, sched.Mapping{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestSeededWrapperNilSeed(t *testing.T) {
 func TestSeededWrapperRejectsInvalidSeed(t *testing.T) {
 	in := inst(t, [][]float64{{1, 9}})
 	s := Seeded{Inner: MCT{}}
-	if _, err := s.MapSeeded(in, tiebreak.First{}, sched.Mapping{Assign: []int{5}}); err == nil {
+	if _, err := mapSeeded(s, in, tiebreak.First{}, sched.Mapping{Assign: []int{5}}); err == nil {
 		t.Fatal("invalid seed accepted")
 	}
 }
@@ -171,4 +171,10 @@ func TestSeededName(t *testing.T) {
 	if got := (Seeded{Inner: MCT{}}).Name(); got != "seeded(mct)" {
 		t.Fatalf("Name = %q", got)
 	}
+}
+
+// mapSeeded runs h's seeded search on a fresh Scratch into a fresh
+// mapping.
+func mapSeeded(h Seedable, in *sched.Instance, tb tiebreak.Policy, seed sched.Mapping) (sched.Mapping, error) {
+	return h.MapSeededInto(in, tb, new(Scratch), seed, nil)
 }

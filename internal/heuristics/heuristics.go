@@ -33,23 +33,22 @@ func approxEqual(a, b float64) bool {
 
 // Heuristic maps all tasks of an instance onto its machines.
 //
-// Reuse contract: Map (and Seedable.MapSeeded) must not retain in, its
-// matrix, or the seed after returning, and the returned mapping must not
-// alias the seed. The iterative engine (internal/core) rewrites one
-// restricted instance and one seed buffer in place between iterations, so
-// a retained reference would silently change under the heuristic. The
-// search heuristics (Genitor, GA, SA, tabu) clone the seed before keeping
-// it in a population or a walk, and Seeded copies a winning seed into its
-// result.
+// Every heuristic has one implementation, MapInto, which works in a
+// caller-owned Scratch and writes the mapping into the caller's dst; Map
+// runs it on a pooled Scratch into a fresh mapping, which the caller then
+// owns outright.
 //
-// The into-variants (Into.MapInto, Selector.MapSelectInto,
-// Seeded.MapSeededInto) extend the contract to caller storage: the
-// returned mapping aliases dst (save for Seeded over a heuristic that is
-// not Into, which returns its inner Map's mapping), and the run works in
-// the caller's Scratch, so both stay the caller's and are overwritten by
-// the next run that is handed them; neither may be retained by the
-// heuristic. Map's result aliases neither, and the caller owns it
-// outright. A Scratch belongs to one goroutine at a time.
+// Reuse contract: a run must not retain in, its matrix, the seed of
+// Seedable.MapSeededInto, sc or dst after returning, and the returned
+// mapping must not alias the seed. The iterative engine (internal/core)
+// rewrites one restricted instance, one seed buffer and one Scratch in
+// place between iterations, so a retained reference would silently change
+// under the heuristic. The search heuristics (Genitor, GA, SA, tabu) clone
+// the seed before keeping it in a population or a walk, and Seeded copies
+// a winning seed into its result. The mapping MapInto and MapSeededInto
+// return aliases dst, which grows only when shorter than the task count;
+// it stays valid until the caller next reuses dst. A Scratch belongs to
+// one goroutine at a time.
 type Heuristic interface {
 	// Name is a stable identifier, e.g. "min-min".
 	Name() string
@@ -57,27 +56,20 @@ type Heuristic interface {
 	// instance and must resolve every choice among equally good candidates
 	// through tb.
 	Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error)
-}
-
-// Selector is a composite Heuristic that runs several sub-heuristics and
-// returns one of their mappings. MapSelectInto additionally names the
-// winner, so the engine can surface the selection in its observability
-// events instead of silently swallowing it (Duplex implements this).
-type Selector interface {
-	Into
-	// MapSelectInto is MapInto, additionally returning the stable name of
-	// the sub-heuristic whose mapping was selected.
-	MapSelectInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, string, error)
+	// MapInto is Map, working in sc and writing the mapping into dst's
+	// storage.
+	MapInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, error)
 }
 
 // Seedable is a Heuristic that can incorporate a previously found mapping,
 // guaranteeing the result is never worse (in makespan) than the seed. The
-// paper's Genitor implements this natively; Seeded adapts any Heuristic.
+// paper's Genitor implements this natively (as do GA, SA and tabu); Seeded
+// adapts any Heuristic.
 type Seedable interface {
 	Heuristic
-	// MapSeeded is Map with a starting solution. The returned mapping's
-	// makespan is at most the seed's.
-	MapSeeded(in *sched.Instance, tb tiebreak.Policy, seed sched.Mapping) (sched.Mapping, error)
+	// MapSeededInto is MapInto with a starting solution. The returned
+	// mapping's makespan is at most the seed's. seed must not alias dst.
+	MapSeededInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, seed sched.Mapping, dst []int) (sched.Mapping, error)
 }
 
 // restricting marks the heuristics for which the paper's invariance
@@ -103,7 +95,7 @@ func (MET) restricts() bool    { return true }
 func (OLB) restricts() bool    { return true }
 
 // Seeded's induction holds from a run without a seed: its seed is then
-// always the inner mapping, so MapSeeded returns the inner mapping.
+// always the inner mapping, so MapSeededInto returns the inner mapping.
 func (s Seeded) restricts() bool { return Restricts(s.Inner) }
 
 // Restricts reports whether h has the restricting property: once a run of

@@ -21,7 +21,7 @@ func (h OLB) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) 
 	return mapPooled(in, tb, h.MapInto)
 }
 
-// MapInto implements Into.
+// MapInto implements Heuristic.
 func (OLB) MapInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, error) {
 	mp := assignInto(dst, in.Tasks())
 	ready, _, idx := sc.listBuffers(in)
@@ -46,7 +46,7 @@ func (h MET) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) 
 	return mapPooled(in, tb, h.MapInto)
 }
 
-// MapInto implements Into.
+// MapInto implements Heuristic.
 func (MET) MapInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, error) {
 	mp := assignInto(dst, in.Tasks())
 	_, _, idx := sc.listBuffers(in)
@@ -87,7 +87,7 @@ func (h MCT) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) 
 	return mapPooled(in, tb, h.MapInto)
 }
 
-// MapInto implements Into.
+// MapInto implements Heuristic.
 func (MCT) MapInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, error) {
 	mp := assignInto(dst, in.Tasks())
 	ready, ct, idx := sc.listBuffers(in)
@@ -133,7 +133,7 @@ func (k KPercentBest) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping
 	return mapPooled(in, tb, k.MapInto)
 }
 
-// MapInto implements Into.
+// MapInto implements Heuristic.
 func (k KPercentBest) MapInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, error) {
 	if k.Percent <= 0 || k.Percent > 100 {
 		return sched.Mapping{}, fmt.Errorf("heuristics: k-percent best with percent=%g outside (0,100]", k.Percent)
@@ -229,7 +229,7 @@ func (s SWA) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) 
 	return mapPooled(in, tb, s.MapInto)
 }
 
-// MapInto implements Into.
+// MapInto implements Heuristic.
 func (s SWA) MapInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, error) {
 	mp, _, err := s.mapSWA(in, tb, sc, dst, false)
 	return mp, err

@@ -10,11 +10,28 @@ import (
 	"repro/internal/tiebreak"
 )
 
-// greedyHeuristics are the heuristics that implement Into, with the
-// registry's parameters.
-var greedyHeuristics = []Into{
+// greedyHeuristics are the greedy heuristics, with the registry's
+// parameters.
+var greedyHeuristics = []Heuristic{
 	OLB{}, MET{}, MCT{}, MinMin{}, MaxMin{}, Duplex{}, Sufferage{},
 	KPercentBest{Percent: 70}, SWA{Low: 0.33, High: 0.49},
+}
+
+// fuzzHeuristics constructs every registry heuristic: the greedy ones as
+// registered, the search heuristics on budgets small enough for a fuzz
+// input to take microseconds. A search heuristic advances its random
+// stream on every run, so each comparison builds a fresh value.
+func fuzzHeuristics() []func() Heuristic {
+	var mks []func() Heuristic
+	for _, h := range greedyHeuristics {
+		mks = append(mks, func() Heuristic { return h })
+	}
+	return append(mks,
+		func() Heuristic { return NewGenitor(GenitorConfig{PopulationSize: 6, Steps: 10}, 5) },
+		func() Heuristic { return NewGeneticAlgorithm(GAConfig{PopulationSize: 6, Generations: 3}, 5) },
+		func() Heuristic { return NewSimulatedAnnealing(SAConfig{Steps: 40}, 5) },
+		func() Heuristic { return NewTabuSearch(TabuConfig{MaxSteps: 6}, 5) },
+	)
 }
 
 // fuzzInstance decodes a small instance and a tie policy from data:
@@ -71,8 +88,8 @@ func fuzzInstance(data []byte) (*sched.Instance, func() tiebreak.Policy) {
 }
 
 // dirty grows sc and returns a dst buffer by mapping a larger instance than
-// any fuzzInstance with every greedy heuristic, so that a later run on a
-// small instance finds both full of stale state.
+// any fuzzInstance with every heuristic, so that a later run on a small
+// instance finds both full of stale state.
 func dirty(t *testing.T, sc *Scratch) []int {
 	m, err := etc.GenerateRange(etc.RangeParams{Tasks: 24, Machines: 9, TaskHet: 100, MachineHet: 10}, rng.New(3))
 	if err != nil {
@@ -80,8 +97,8 @@ func dirty(t *testing.T, sc *Scratch) []int {
 	}
 	big := sched.MustInstance(m, []float64{2, 0, 1, 3, 0, 0, 1, 2, 0})
 	var dst []int
-	for _, h := range greedyHeuristics {
-		mp, err := h.MapInto(big, tiebreak.NewRandom(rng.New(9)), sc, dst)
+	for _, mk := range fuzzHeuristics() {
+		mp, err := mk().MapInto(big, tiebreak.NewRandom(rng.New(9)), sc, dst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,14 +107,28 @@ func dirty(t *testing.T, sc *Scratch) []int {
 	return dst
 }
 
-// FuzzMapInto holds every greedy heuristic's MapInto, on a Scratch and a
-// dst dirtied by a larger instance, to the same heuristic on a fresh
-// Scratch and to its Map: the same mapping and the same tie-candidate
-// sequence. Where reference.go keeps the seed implementation (Min-Min,
-// Max-Min, Duplex, Sufferage) the run must equal it too. Seeded over each
-// heuristic, with a seed from the data, is held to its MapSeeded the same
-// way; its result must not alias the seed.
+// FuzzMapInto holds every registry heuristic's MapInto, and Seeded's over
+// each, on a Scratch and a dst dirtied by a larger instance, to the same
+// heuristic on a fresh Scratch and to its Map: the same mapping and the
+// same tie-candidate sequence, with the result aliasing dst. Where
+// reference.go keeps the seed implementation (Min-Min, Max-Min, Duplex,
+// Sufferage) the run must equal it too. Every Seedable one (Seeded and
+// the search heuristics), with a seed from the data, is held the same way
+// in MapSeededInto; its result must alias dst and not the seed.
 func FuzzMapInto(f *testing.F) {
+	covered := map[reflect.Type]bool{}
+	for _, mk := range fuzzHeuristics() {
+		covered[reflect.TypeOf(mk())] = true
+	}
+	for _, name := range Names() {
+		h, err := ByName(name, 1)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if !covered[reflect.TypeOf(h)] {
+			f.Fatalf("registry heuristic %s has no fuzzHeuristics entry", name)
+		}
+	}
 	f.Add([]byte{5, 3, 0, 1, 1, 2, 3, 4, 5})
 	f.Add([]byte{15, 7, 2, 9, 4, 4, 4, 4, 1, 2})
 	f.Add([]byte{0, 0, 1, 0})
@@ -124,63 +155,81 @@ func FuzzMapInto(f *testing.F) {
 			}
 			return result{append([]int(nil), mp.Assign...), rec.Ties, rec.Picks}
 		}
+		// intoDst checks that a run's mapping aliases dst, which holds it,
+		// and not the seed.
+		intoDst := func(name string, mp sched.Mapping, seed []int) {
+			if &mp.Assign[0] != &dst[0] {
+				t.Fatalf("%s: the mapping does not alias a dst that holds it", name)
+			}
+			if seed != nil && &mp.Assign[0] == &seed[0] {
+				t.Fatalf("%s: the mapping aliases the seed", name)
+			}
+		}
 		seed := sched.NewMapping(in.Tasks())
 		for i := range seed.Assign {
 			seed.Assign[i] = (i + len(data)) % in.Machines()
 		}
-		for _, h := range greedyHeuristics {
-			got := record(func(tb tiebreak.Policy) (sched.Mapping, error) {
-				mp, err := h.MapInto(in, tb, &sc, dst)
-				if err == nil && cap(dst) >= in.Tasks() && &mp.Assign[0] != &dst[0] {
-					t.Fatalf("%s: the mapping does not alias a dst that holds it", h.Name())
-				}
-				return mp, err
-			})
-			fresh := record(func(tb tiebreak.Policy) (sched.Mapping, error) { return h.MapInto(in, tb, new(Scratch), nil) })
-			viaMap := record(func(tb tiebreak.Policy) (sched.Mapping, error) { return h.Map(in, tb) })
-			if !reflect.DeepEqual(got, fresh) || !reflect.DeepEqual(got, viaMap) {
-				t.Fatalf("%s on %v: dirty MapInto %+v, fresh MapInto %+v, Map %+v", h.Name(), data, got, fresh, viaMap)
-			}
-			var ref func(*sched.Instance, tiebreak.Policy) (sched.Mapping, error)
-			switch h.(type) {
-			case MinMin:
-				ref = func(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
-					return referenceGreedyTwoPhase(in, tb, false)
-				}
-			case MaxMin:
-				ref = func(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
-					return referenceGreedyTwoPhase(in, tb, true)
-				}
-			case Duplex:
-				ref = referenceDuplex
-			case Sufferage:
-				ref = func(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
-					mp, _, err := referenceSufferage(in, tb)
+		for _, base := range fuzzHeuristics() {
+			for _, mk := range []func() Heuristic{base, func() Heuristic { return Seeded{Inner: base()} }} {
+				name := mk().Name()
+				got := record(func(tb tiebreak.Policy) (sched.Mapping, error) {
+					mp, err := mk().MapInto(in, tb, &sc, dst)
+					if err == nil {
+						intoDst(name, mp, nil)
+					}
 					return mp, err
+				})
+				fresh := record(func(tb tiebreak.Policy) (sched.Mapping, error) { return mk().MapInto(in, tb, new(Scratch), nil) })
+				viaMap := record(func(tb tiebreak.Policy) (sched.Mapping, error) { return mk().Map(in, tb) })
+				if !reflect.DeepEqual(got, fresh) || !reflect.DeepEqual(got, viaMap) {
+					t.Fatalf("%s on %v: dirty MapInto %+v, fresh MapInto %+v, Map %+v", name, data, got, fresh, viaMap)
 				}
-			}
-			if ref != nil {
-				if want := record(func(tb tiebreak.Policy) (sched.Mapping, error) { return ref(in, tb) }); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s on %v: MapInto %+v, reference %+v", h.Name(), data, got, want)
+				if ref := referenceOf(mk()); ref != nil {
+					if want := record(func(tb tiebreak.Policy) (sched.Mapping, error) { return ref(in, tb) }); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s on %v: MapInto %+v, reference %+v", name, data, got, want)
+					}
 				}
-			}
-
-			s := Seeded{Inner: h}
-			gotSeeded := record(func(tb tiebreak.Policy) (sched.Mapping, error) {
-				mp, err := s.MapSeededInto(in, tb, &sc, seed, dst)
-				if err == nil && &mp.Assign[0] == &seed.Assign[0] {
-					t.Fatalf("%s: the mapping aliases the seed", s.Name())
+				sd, ok := mk().(Seedable)
+				if !ok {
+					continue
 				}
-				return mp, err
-			})
-			freshSeeded := record(func(tb tiebreak.Policy) (sched.Mapping, error) {
-				return s.MapSeededInto(in, tb, new(Scratch), seed, nil)
-			})
-			viaMapSeeded := record(func(tb tiebreak.Policy) (sched.Mapping, error) { return s.MapSeeded(in, tb, seed) })
-			if !reflect.DeepEqual(gotSeeded, freshSeeded) || !reflect.DeepEqual(gotSeeded, viaMapSeeded) {
-				t.Fatalf("%s on %v: dirty MapSeededInto %+v, fresh MapSeededInto %+v, MapSeeded %+v",
-					s.Name(), data, gotSeeded, freshSeeded, viaMapSeeded)
+				gotSeeded := record(func(tb tiebreak.Policy) (sched.Mapping, error) {
+					mp, err := sd.MapSeededInto(in, tb, &sc, seed, dst)
+					if err == nil {
+						intoDst(name, mp, seed.Assign)
+					}
+					return mp, err
+				})
+				freshSeeded := record(func(tb tiebreak.Policy) (sched.Mapping, error) {
+					return mk().(Seedable).MapSeededInto(in, tb, new(Scratch), seed, nil)
+				})
+				if !reflect.DeepEqual(gotSeeded, freshSeeded) {
+					t.Fatalf("%s on %v: dirty MapSeededInto %+v, fresh MapSeededInto %+v", name, data, gotSeeded, freshSeeded)
+				}
 			}
 		}
 	})
+}
+
+// referenceOf returns reference.go's implementation of h, or nil where it
+// keeps none.
+func referenceOf(h Heuristic) func(*sched.Instance, tiebreak.Policy) (sched.Mapping, error) {
+	switch h.(type) {
+	case MinMin:
+		return func(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
+			return referenceGreedyTwoPhase(in, tb, false)
+		}
+	case MaxMin:
+		return func(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
+			return referenceGreedyTwoPhase(in, tb, true)
+		}
+	case Duplex:
+		return referenceDuplex
+	case Sufferage:
+		return func(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
+			mp, _, err := referenceSufferage(in, tb)
+			return mp, err
+		}
+	}
+	return nil
 }

@@ -63,15 +63,20 @@ func (s *SimulatedAnnealing) Name() string { return "sa" }
 
 // Map implements Heuristic.
 func (s *SimulatedAnnealing) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
-	return s.MapSeeded(in, tb, sched.Mapping{})
+	return mapPooled(in, tb, s.MapInto)
 }
 
-// MapSeeded implements Seedable: the search starts from the seed when one
-// is given, and the result is never worse than the best visited solution,
-// which includes the start.
-func (s *SimulatedAnnealing) MapSeeded(in *sched.Instance, tb tiebreak.Policy, seed sched.Mapping) (sched.Mapping, error) {
+// MapInto implements Heuristic.
+func (s *SimulatedAnnealing) MapInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, error) {
+	return s.MapSeededInto(in, tb, sc, sched.Mapping{}, dst)
+}
+
+// MapSeededInto implements Seedable: the search starts from the seed when
+// one is given, and the result is never worse than the best visited
+// solution, which includes the start. dst holds the best solution.
+func (s *SimulatedAnnealing) MapSeededInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, seed sched.Mapping, dst []int) (sched.Mapping, error) {
 	src := s.src.Split()
-	cur, err := startMapping(in, tb, seed)
+	cur, err := startMapping(in, tb, sc, seed)
 	if err != nil {
 		return sched.Mapping{}, err
 	}
@@ -79,7 +84,8 @@ func (s *SimulatedAnnealing) MapSeeded(in *sched.Instance, tb tiebreak.Policy, s
 	if err != nil {
 		return sched.Mapping{}, err
 	}
-	best := cur.Clone()
+	best := sched.Mapping{Assign: grow(dst, len(cur.Assign))}
+	copy(best.Assign, cur.Assign)
 	bestMS := curMS
 	temp := curMS * s.cfg.InitialTempFactor
 	if temp <= 0 {
@@ -163,12 +169,18 @@ func (g *GeneticAlgorithm) Name() string { return "ga" }
 
 // Map implements Heuristic.
 func (g *GeneticAlgorithm) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
-	return g.MapSeeded(in, tb, sched.Mapping{})
+	return mapPooled(in, tb, g.MapInto)
 }
 
-// MapSeeded implements Seedable: the seed joins the initial population and
-// elitism preserves the best chromosome across generations.
-func (g *GeneticAlgorithm) MapSeeded(in *sched.Instance, tb tiebreak.Policy, seed sched.Mapping) (sched.Mapping, error) {
+// MapInto implements Heuristic.
+func (g *GeneticAlgorithm) MapInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, error) {
+	return g.MapSeededInto(in, tb, sc, sched.Mapping{}, dst)
+}
+
+// MapSeededInto implements Seedable: the seed joins the initial population
+// and elitism preserves the best chromosome across generations, which is
+// copied into dst.
+func (g *GeneticAlgorithm) MapSeededInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, seed sched.Mapping, dst []int) (sched.Mapping, error) {
 	src := g.src.Split()
 	nT, nM := in.Tasks(), in.Machines()
 	type chrom struct {
@@ -198,7 +210,7 @@ func (g *GeneticAlgorithm) MapSeeded(in *sched.Instance, tb tiebreak.Policy, see
 	if err := addSeed(seed); err != nil {
 		return sched.Mapping{}, err
 	}
-	mm, err := (MinMin{}).Map(in, tiebreak.First{})
+	mm, err := (MinMin{}).MapInto(in, tiebreak.First{}, sc, nil)
 	if err != nil {
 		return sched.Mapping{}, err
 	}
@@ -257,7 +269,7 @@ func (g *GeneticAlgorithm) MapSeeded(in *sched.Instance, tb tiebreak.Policy, see
 		pop = next
 		rank()
 	}
-	out := make([]int, nT)
+	out := grow(dst, nT)
 	copy(out, pop[0].assign)
 	return sched.Mapping{Assign: out}, nil
 }
@@ -307,13 +319,18 @@ func (t *TabuSearch) Name() string { return "tabu" }
 
 // Map implements Heuristic.
 func (t *TabuSearch) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
-	return t.MapSeeded(in, tb, sched.Mapping{})
+	return mapPooled(in, tb, t.MapInto)
 }
 
-// MapSeeded implements Seedable.
-func (t *TabuSearch) MapSeeded(in *sched.Instance, tb tiebreak.Policy, seed sched.Mapping) (sched.Mapping, error) {
+// MapInto implements Heuristic.
+func (t *TabuSearch) MapInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, error) {
+	return t.MapSeededInto(in, tb, sc, sched.Mapping{}, dst)
+}
+
+// MapSeededInto implements Seedable; dst holds the best solution visited.
+func (t *TabuSearch) MapSeededInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, seed sched.Mapping, dst []int) (sched.Mapping, error) {
 	src := t.src.Split()
-	cur, err := startMapping(in, tb, seed)
+	cur, err := startMapping(in, tb, sc, seed)
 	if err != nil {
 		return sched.Mapping{}, err
 	}
@@ -321,7 +338,8 @@ func (t *TabuSearch) MapSeeded(in *sched.Instance, tb tiebreak.Policy, seed sche
 	if err != nil {
 		return sched.Mapping{}, err
 	}
-	best := cur.Clone()
+	best := sched.Mapping{Assign: grow(dst, len(cur.Assign))}
+	copy(best.Assign, cur.Assign)
 	bestMS := curMS
 	nT, nM := in.Tasks(), in.Machines()
 	// tabuUntil[t][m]: step before which moving task t back to machine m is
@@ -396,16 +414,16 @@ func (t *TabuSearch) MapSeeded(in *sched.Instance, tb tiebreak.Policy, seed sche
 	return best, nil
 }
 
-// startMapping returns the search start: the validated seed if given,
-// otherwise the MCT mapping.
-func startMapping(in *sched.Instance, tb tiebreak.Policy, seed sched.Mapping) (sched.Mapping, error) {
+// startMapping returns the search start, which the walk then owns: a copy
+// of the validated seed if given, otherwise the MCT mapping.
+func startMapping(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, seed sched.Mapping) (sched.Mapping, error) {
 	if seed.Assign != nil {
 		if err := seed.Validate(in); err != nil {
 			return sched.Mapping{}, err
 		}
 		return seed.Clone(), nil
 	}
-	return (MCT{}).Map(in, tb)
+	return (MCT{}).MapInto(in, tb, sc, nil)
 }
 
 // machineLoads returns per-machine completion times and the makespan of a

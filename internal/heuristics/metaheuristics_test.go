@@ -90,7 +90,7 @@ func TestMetaheuristicsSeededNeverWorseThanSeed(t *testing.T) {
 		seed, _ := (Sufferage{}).Map(in, tiebreak.First{})
 		sSeed, _ := sched.Evaluate(in, seed)
 		for _, h := range smallMetaheuristics(uint64(trial)) {
-			mp, err := h.MapSeeded(in, tiebreak.First{}, seed)
+			mp, err := mapSeeded(h, in, tiebreak.First{}, seed)
 			if err != nil {
 				t.Fatalf("%s: %v", h.Name(), err)
 			}
@@ -129,7 +129,7 @@ func TestMetaheuristicsRejectInvalidSeed(t *testing.T) {
 	in := inst(t, [][]float64{{1, 2}})
 	bad := sched.Mapping{Assign: []int{9}}
 	for _, h := range smallMetaheuristics(1) {
-		if _, err := h.MapSeeded(in, tiebreak.First{}, bad); err == nil {
+		if _, err := mapSeeded(h, in, tiebreak.First{}, bad); err == nil {
 			t.Errorf("%s accepted an invalid seed", h.Name())
 		}
 	}
@@ -139,7 +139,7 @@ func TestMetaheuristicsDoNotMutateSeed(t *testing.T) {
 	in := inst(t, [][]float64{{1, 2}, {2, 1}, {3, 3}})
 	seed := sched.Mapping{Assign: []int{1, 0, 1}}
 	for _, h := range smallMetaheuristics(2) {
-		if _, err := h.MapSeeded(in, tiebreak.First{}, seed); err != nil {
+		if _, err := mapSeeded(h, in, tiebreak.First{}, seed); err != nil {
 			t.Fatal(err)
 		}
 		if seed.Assign[0] != 1 || seed.Assign[1] != 0 || seed.Assign[2] != 1 {

@@ -11,30 +11,16 @@ import (
 // word is the size of an int, the element of every int buffer.
 const word = int(unsafe.Sizeof(0))
 
-// Into is a Heuristic that maps into caller-owned storage: the greedy
-// heuristics (OLB, MET, MCT, Min-Min, Max-Min, Duplex, Sufferage, KPB, SWA)
-// and Seeded. Their Map is MapInto on a pooled Scratch into a fresh
-// mapping, so each keeps one implementation. The search heuristics
-// (Genitor, GA, SA, tabu) map through Map only.
-type Into interface {
-	Heuristic
-	// MapInto is Map, working in sc and writing the mapping into dst's
-	// storage, which grows only when shorter than the task count. The
-	// returned mapping aliases dst (or, when dst was short, a new array);
-	// it stays valid until the caller next reuses dst. One exception:
-	// Seeded over a heuristic that is not Into (Seeded{Inner: Genitor})
-	// returns Inner.Map's own fresh mapping, which aliases nothing.
-	MapInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, error)
-}
-
-// Scratch is the working storage of the greedy heuristics' runs: the
-// two-phase kernels, the Sufferage, KPB and SWA buffers, the ready vector
-// and the completion buffer. A caller that maps many instances in turn
-// (the iterative engine's Workspace, a service worker) keeps one Scratch
-// and hands it to every run; once it has grown to the largest shape, a run
-// allocates nothing. Every run overwrites what it reads, so nothing from
-// one run, finished or abandoned, reaches the next. A Scratch is not safe
-// for concurrent use. The zero value is ready.
+// Scratch is the working storage of the heuristics' runs: the two-phase
+// kernels, the Sufferage, KPB and SWA buffers, the ready vector and the
+// completion buffer. The search heuristics use it for their greedy
+// starting mappings; their populations and walks are their own. A caller
+// that maps many instances in turn (the iterative engine's Workspace, a
+// service worker) keeps one Scratch and hands it to every run; once it has
+// grown to the largest shape, a greedy run allocates nothing. Every run
+// overwrites what it reads, so nothing from one run, finished or
+// abandoned, reaches the next. A Scratch is not safe for concurrent use.
+// The zero value is ready.
 type Scratch struct {
 	kMin, kMax twoPhaseKernel // Min-Min / Max-Min; Duplex runs both
 	ready      []float64      // the ready vector a run advances
@@ -78,8 +64,8 @@ func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 // PutScratch returns sc, from GetScratch, to the pool.
 func PutScratch(sc *Scratch) { scratchPool.Put(sc) }
 
-// mapPooled is Map for an Into heuristic: mapInto on a pooled Scratch into
-// a fresh mapping, which the caller then owns outright.
+// mapPooled is Map for every heuristic: mapInto on a pooled Scratch into a
+// fresh mapping, which the caller then owns outright.
 func mapPooled(in *sched.Instance, tb tiebreak.Policy,
 	mapInto func(*sched.Instance, tiebreak.Policy, *Scratch, []int) (sched.Mapping, error)) (sched.Mapping, error) {
 	sc := GetScratch()
@@ -116,20 +102,4 @@ func assignInto(dst []int, n int) sched.Mapping {
 		a[i] = -1
 	}
 	return sched.Mapping{Assign: a}
-}
-
-// Run maps in with h through the richest form h has: a Selector through
-// MapSelectInto, which also names the winning side; an Into through
-// MapInto; any other heuristic through Map. Only in the first two cases
-// does the result alias dst, and selected is empty but for a Selector.
-func Run(h Heuristic, in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (mp sched.Mapping, selected string, err error) {
-	switch h := h.(type) {
-	case Selector:
-		return h.MapSelectInto(in, tb, sc, dst)
-	case Into:
-		mp, err = h.MapInto(in, tb, sc, dst)
-	default:
-		mp, err = h.Map(in, tb)
-	}
-	return mp, "", err
 }

@@ -4,52 +4,12 @@ import (
 	"fmt"
 	"net/http"
 	"testing"
-
-	"repro/internal/obs"
 )
 
-// BenchmarkServe* measures the two request paths of the service: a cache
-// hit (the dominant path under repeated load) and a full compute-and-cache
-// miss. All timings are observational; nothing here feeds back into
+// BenchmarkServe*CacheMiss measures the full compute-and-cache miss path
+// of both endpoints; BenchmarkServeCacheHit (serve_bench_test.go) times the
+// hit path. All timings are observational; nothing here feeds back into
 // scheduling decisions.
-
-func BenchmarkServeIterateCacheHit(b *testing.B) {
-	s := NewServer(Options{})
-	defer s.Drain(b.Context())
-	body := iterateBody("min-min", "det", 1)
-	if rec := post(s, "/v1/iterate", body); rec.Code != http.StatusOK {
-		b.Fatalf("warm-up status %d: %s", rec.Code, rec.Body.String())
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec := post(s, "/v1/iterate", body)
-		if rec.Code != http.StatusOK {
-			b.Fatalf("status %d", rec.Code)
-		}
-	}
-}
-
-// BenchmarkServeIterateCacheHitTraced is the hit path with tracing live
-// (spans discarded by a Nop sink): the cost of span bookkeeping itself.
-// Compare against BenchmarkServeIterateCacheHit, which must not move when
-// tracing is off.
-func BenchmarkServeIterateCacheHitTraced(b *testing.B) {
-	s := NewServer(Options{Tracer: obs.NewTracer(obs.Nop{})})
-	defer s.Drain(b.Context())
-	body := iterateBody("min-min", "det", 1)
-	if rec := post(s, "/v1/iterate", body); rec.Code != http.StatusOK {
-		b.Fatalf("warm-up status %d: %s", rec.Code, rec.Body.String())
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec := post(s, "/v1/iterate", body)
-		if rec.Code != http.StatusOK {
-			b.Fatalf("status %d", rec.Code)
-		}
-	}
-}
 
 func BenchmarkServeIterateCacheMiss(b *testing.B) {
 	// Distinct seeds with random ties give every request a distinct cache

@@ -204,14 +204,27 @@ type limits struct {
 // to twice that: 32 B per cell); per task and per machine come the row
 // headers, the mapping, the kernels' row minima and task lists, the ready
 // times and the completion vectors (80 B covers each). A /v1/iterate
-// trace adds per-iteration assign/completion arrays, up to machines of
-// them (~48 B per retained entry).
-func estimateBytes(ep endpoint, cells, tasks, machines int64) int64 {
+// trace adds, per iteration, the engine's carved Tasks, Assign, Machines
+// and Completion entries (16 B per task and per machine), kept in arrays
+// that grow geometrically, up to twice what they hold (48 B covers each),
+// and the iteration's records in the trace and in the response (384 B).
+// Every iteration freezes one machine. While every ready time is zero the
+// makespan machine holds a task (ETC entries are positive), so every
+// iteration also freezes a task, and a trace runs at most min(T, M). A
+// non-zero ready time can make an idle machine the makespan machine,
+// which freezes none, so then it runs up to M.
+func estimateBytes(ep endpoint, cells, tasks, machines int64, ready []float64) int64 {
 	est := 72*cells + 80*(tasks+machines)
-	if ep == endpointIterate {
-		est += 48 * machines * (tasks + machines)
+	if ep != endpointIterate {
+		return est
 	}
-	return est
+	iters := min(tasks, machines)
+	for _, r := range ready {
+		if r != 0 {
+			iters = machines
+		}
+	}
+	return est + iters*(48*(tasks+machines)+384)
 }
 
 // maxFieldErrors caps the field-level detail on a 422: enough to fix a
@@ -381,7 +394,7 @@ func (d *decodedRequest) admit(ep endpoint, lim limits) (*parsedRequest, *apiErr
 		return admitRequest(ep, d.slow, lim)
 	}
 	f := &d.flat
-	if aerr := checkAdmission(ep, int64(len(f.cells)), int64(f.tasks), int64(f.machines), lim); aerr != nil {
+	if aerr := checkAdmission(ep, int64(len(f.cells)), int64(f.tasks), int64(f.machines), f.ready, lim); aerr != nil {
 		return nil, aerr
 	}
 	p := f.parsed(ep)
@@ -396,7 +409,7 @@ func (d *decodedRequest) admit(ep endpoint, lim limits) (*parsedRequest, *apiErr
 // checkAdmission runs the admission guards. They run before the per-cell
 // validation walk: the counts are cheap, and an over-cap request must cost
 // the server as little as possible.
-func checkAdmission(ep endpoint, cells, tasks, machines int64, lim limits) *apiError {
+func checkAdmission(ep endpoint, cells, tasks, machines int64, ready []float64, lim limits) *apiError {
 	if lim.maxCells > 0 && cells > int64(lim.maxCells) {
 		return &apiError{
 			status: http.StatusRequestEntityTooLarge,
@@ -404,7 +417,7 @@ func checkAdmission(ep endpoint, cells, tasks, machines int64, lim limits) *apiE
 			msg:    fmt.Sprintf("matrix has %d cells, admission cap is %d", cells, lim.maxCells),
 		}
 	}
-	if est := estimateBytes(ep, cells, tasks, machines); lim.maxEstBytes > 0 && est > lim.maxEstBytes {
+	if est := estimateBytes(ep, cells, tasks, machines, ready); lim.maxEstBytes > 0 && est > lim.maxEstBytes {
 		return &apiError{
 			status: http.StatusRequestEntityTooLarge,
 			code:   CodePayloadTooLarge,
@@ -426,7 +439,7 @@ func admitRequest(ep endpoint, rq Request, lim limits) (*parsedRequest, *apiErro
 	if len(rq.ETC) > 0 {
 		machines = int64(len(rq.ETC[0]))
 	}
-	if aerr := checkAdmission(ep, cells, tasks, machines, lim); aerr != nil {
+	if aerr := checkAdmission(ep, cells, tasks, machines, rq.Ready, lim); aerr != nil {
 		return nil, aerr
 	}
 	if aerr := validateRequest(rq).err(); aerr != nil {

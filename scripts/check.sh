@@ -6,7 +6,7 @@
 #   own tests, a bounded fuzz leg over the request decoders, the
 #   canonical key, the number converter, the engine's derived iterations,
 #   the two fault-spec parsers, the store's segment replay and the
-#   greedy heuristics' runs into caller storage, paper
+#   heuristics' runs into caller storage, paper
 #   self-check, the schedd serving
 #   smoke (ephemeral port, pinned Table-1 trace, cache byte-identity,
 #   span-tree trace leg, every non-cluster builtin chaos scenario,
@@ -21,9 +21,10 @@
 #   by schedtrace -counts, pinned against
 #   scripts/testdata/trace_counts.golden and gateway_trace_counts.golden),
 #   and a self-test of scripts/benchdiff.sh over fixture records.
-#   The -race leg covers internal/serve's concurrency tests plus the
-#   resilience layer (internal/faults, internal/client), the cluster
-#   gateway, the chaos harness and the daemons' end-to-end tests.
+#   The -race leg covers the whole module: internal/serve's concurrency
+#   tests, the resilience layer (internal/faults, internal/client), the
+#   cluster gateway, the chaos harness, the daemons' end-to-end tests and
+#   the facade's serve, cluster and resilience examples.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,8 +45,8 @@ echo "[ok  ] go build"
 go test ./...
 echo "[ok  ] go test"
 
-go test -race ./internal/... ./cmd/...
-echo "[ok  ] go test -race (internal + cmd)"
+go test -race ./...
+echo "[ok  ] go test -race"
 
 # The benchmark harness is its own module (perfbench/go.mod) built against
 # this one, so `go test ./...` above never compiles it. It calls
@@ -67,8 +68,8 @@ go test ./internal/faults -run '^$' -fuzz '^FuzzFaultsSpec$' -fuzztime 5s -paral
 go test ./internal/store -run '^$' -fuzz '^FuzzFaultFSSpec$' -fuzztime 5s -parallel 2 >/dev/null
 # The disk tier's segment replay over arbitrary bytes.
 go test ./internal/store -run '^$' -fuzz '^FuzzReplaySegment$' -fuzztime 5s -parallel 2 >/dev/null
-# The greedy heuristics' runs in reused caller storage against fresh ones
-# and the reference implementations.
+# Every heuristic's runs in reused caller storage against fresh ones and
+# the reference implementations.
 go test ./internal/heuristics -run '^$' -fuzz '^FuzzMapInto$' -fuzztime 5s -parallel 2 >/dev/null
 echo "[ok  ] fuzz (decoder, batch item, batch splitter, canonical key, number converter, derived iterations, fault specs, segment replay, heuristic runs into caller storage; 5 s each)"
 
