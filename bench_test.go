@@ -543,7 +543,7 @@ func BenchmarkExactSolve(b *testing.B) {
 			in := literatureWorkload(b, shape.tasks, shape.machines)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := opt.Solve(in, opt.Limits{})
+				res, err := opt.Solve(in)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -59,7 +59,7 @@ func ExampleSolveExact() {
 		{3, 3},
 	})
 	in, _ := hcsched.NewInstance(m, nil)
-	res, _ := hcsched.SolveExact(in, hcsched.ExactLimits{})
+	res, _ := hcsched.SolveExact(in)
 	fmt.Printf("optimal makespan %g (lower bound %g)\n", res.Makespan, hcsched.LowerBound(in))
 	// Output:
 	// optimal makespan 5 (lower bound 3.5)

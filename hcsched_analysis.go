@@ -12,8 +12,6 @@ import (
 type (
 	// ExactResult is the outcome of an exact makespan solve.
 	ExactResult = opt.Result
-	// ExactLimits bounds the exact solver's effort.
-	ExactLimits = opt.Limits
 	// Robustness holds per-machine robustness radii at a tolerance.
 	Robustness = robust.Radius
 )
@@ -25,11 +23,9 @@ func LowerBound(in *Instance) float64 { return bounds.Best(in) }
 
 // SolveExact finds a makespan-optimal mapping by branch and bound. It is
 // intended for small instances (at most opt.MaxTasks tasks); larger
-// instances return an error, and exhausting the node budget returns the best
-// incumbent with Optimal=false.
-func SolveExact(in *Instance, limits ExactLimits) (*ExactResult, error) {
-	return opt.Solve(in, limits)
-}
+// instances return an error, and exhausting the node budget (opt.MaxNodes)
+// returns the best incumbent with Optimal=false.
+func SolveExact(in *Instance) (*ExactResult, error) { return opt.Solve(in) }
 
 // RobustnessRadius computes the analytic robustness radii of a schedule at
 // tolerance tau: how much Euclidean ETC perturbation each machine tolerates

@@ -234,7 +234,7 @@ func TestFacadeAnalysisTools(t *testing.T) {
 	})
 	in, _ := hcsched.NewInstance(m, nil)
 	lb := hcsched.LowerBound(in)
-	res, err := hcsched.SolveExact(in, hcsched.ExactLimits{})
+	res, err := hcsched.SolveExact(in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,7 +157,7 @@ func sentKeyHashes(path string, body []byte) []uint64 {
 		return []uint64{cluster.KeyHash(key)}
 	}
 	items, ok := serve.SplitBatchItems(body)
-	if !ok || len(items) == 0 || len(items) > serve.DefaultMaxBatchItems {
+	if !ok || len(items) == 0 || len(items) > serve.MaxBatchItems {
 		return []uint64{cluster.KeyHash(cluster.RawRouteKey(path, body))}
 	}
 	khs := make([]uint64, len(items))

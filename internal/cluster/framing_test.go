@@ -54,9 +54,9 @@ func TestGatewayResponsesCarryContentLength(t *testing.T) {
 // backend-identical 413, and a chunked body within the limit is served
 // byte-identically to a single instance.
 func TestGatewayReadBodyEnvelopes(t *testing.T) {
-	const limit = 1024
-	_, g, _ := startCluster(t, 2, Options{MaxBodyBytes: limit})
-	ref := serve.NewServer(serve.Options{Workers: 1, MaxBodyBytes: limit})
+	const limit = serve.MaxBodyBytes
+	_, g, _ := startCluster(t, 2, Options{})
+	ref := serve.NewServer(serve.Options{Workers: 1})
 	defer ref.Drain(context.Background())
 	big := `{"etc":[[1]],"heuristic":"min-min","ties":"` + strings.Repeat("x", limit) + `"}`
 	short := string(serve.ErrorEnvelope(serve.CodeBadRequest, "reading body: unexpected EOF")) + "\n"

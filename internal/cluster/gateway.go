@@ -38,13 +38,6 @@ type Options struct {
 	// (the breaker-state gauge is per-backend). Observer is shared.
 	// A nil Client.HTTPClient means pooled connections (newTransport).
 	Client client.Options
-	// MaxBodyBytes bounds request bodies. 0 means serve.DefaultMaxBodyBytes.
-	MaxBodyBytes int64
-	// MaxBatchItems caps the item count of one /v1/batch body before the
-	// gateway splits it; over-cap (and unsplittable) batches are forwarded
-	// whole to one backend so the error envelope stays byte-identical to a
-	// single instance's. 0 means serve.DefaultMaxBatchItems.
-	MaxBatchItems int
 	// Metrics receives gateway.* counters and gauges; nil creates a private
 	// registry.
 	Metrics *obs.Metrics
@@ -74,8 +67,6 @@ type Gateway struct {
 	backends map[string]*gwBackend
 	mux      *http.ServeMux
 	hc       *http.Client // introspection probes (healthz/metricz/statusz)
-
-	maxItems int
 
 	// memos route repeat bodies, one per namespace: /v1/map, /v1/iterate
 	// and itemNS.
@@ -116,23 +107,19 @@ func NewGateway(opts Options) (*Gateway, error) {
 		opts.Client.HTTPClient = &http.Client{Transport: tr}
 		probes = &http.Client{Transport: tr, Timeout: 5 * time.Second}
 	}
-	front := serve.NewFront("gateway", opts.MaxBodyBytes, opts.Metrics, opts.Tracer, opts.Observer)
+	front := serve.NewFront("gateway", opts.Metrics, opts.Tracer, opts.Observer)
 	reg := front.Metrics()
 	g := &Gateway{
 		Front:    front,
 		opts:     opts,
 		router:   router,
 		backends: make(map[string]*gwBackend, len(opts.Backends)),
-		maxItems: opts.MaxBatchItems,
 
 		mBatches:    reg.Counter("gateway.batch_requests_total"),
 		mBatchItems: reg.Counter("gateway.batch_items_total"),
 		mFailovers:  reg.Counter("gateway.failovers_total"),
 		mUnavail:    reg.Counter("gateway.unavailable_total"),
 		mMemoHits:   reg.Counter("gateway.route_memo_hits"),
-	}
-	if g.maxItems <= 0 {
-		g.maxItems = serve.DefaultMaxBatchItems
 	}
 	g.memos = map[string]*routeMemo{}
 	for _, ns := range []string{"/v1/map", "/v1/iterate", itemNS} {
@@ -428,10 +415,12 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request, a serve.Ar
 	sp := tr.Start("route")
 	items, split := serve.SplitBatchItems(body)
 	g.mBatchItems.Add(int64(len(items)))
-	if !split || len(items) == 0 || len(items) > g.maxItems {
+	if !split || len(items) == 0 || len(items) > serve.MaxBatchItems {
 		// Forward the whole body to one backend (routed by its raw bytes):
 		// the backend produces the canonical 400/422/413 envelope, so error
-		// responses stay byte-identical to a single instance's.
+		// responses stay byte-identical to a single instance's. The cap is
+		// the one the backend refuses by, so an over-cap batch is never
+		// split.
 		kh := KeyHash(RawRouteKey(ep, body))
 		rank := g.router.RankHash(kh)
 		sp.End()

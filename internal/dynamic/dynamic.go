@@ -120,29 +120,13 @@ const (
 	ImmediateSWA ImmediateRule = "swa"
 )
 
-// ImmediateConfig configures an immediate-mode simulation.
+// ImmediateConfig configures an immediate-mode simulation. ImmediateKPB
+// and ImmediateSWA run with the registry's parameters
+// (heuristics.PaperKPercent, PaperSWALow and PaperSWAHigh).
 type ImmediateConfig struct {
 	Rule ImmediateRule
-	// KPBPercent is k for ImmediateKPB (default 70, the paper's example k).
-	KPBPercent float64
-	// SWALow and SWAHigh are the switching thresholds for ImmediateSWA
-	// (defaults 0.33 and 0.49, the reconstruction's values).
-	SWALow, SWAHigh float64
 	// Ties resolves machine ties (default deterministic lowest-index).
 	Ties tiebreak.Policy
-}
-
-func (c ImmediateConfig) withDefaults() ImmediateConfig {
-	if c.KPBPercent <= 0 {
-		c.KPBPercent = 70
-	}
-	if c.SWALow <= 0 && c.SWAHigh <= 0 {
-		c.SWALow, c.SWAHigh = 0.33, 0.49
-	}
-	if c.Ties == nil {
-		c.Ties = tiebreak.First{}
-	}
-	return c
 }
 
 // SimulateImmediate runs an immediate-mode simulation: each task is mapped
@@ -152,12 +136,8 @@ func SimulateImmediate(w Workload, cfg ImmediateConfig) (*Result, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	if cfg.SWAHigh <= cfg.SWALow || cfg.SWAHigh > 1 || cfg.SWALow < 0 {
-		return nil, fmt.Errorf("dynamic: SWA thresholds %g/%g invalid", cfg.SWALow, cfg.SWAHigh)
-	}
-	if cfg.KPBPercent > 100 {
-		return nil, fmt.Errorf("dynamic: KPB percent %g > 100", cfg.KPBPercent)
+	if cfg.Ties == nil {
+		cfg.Ties = tiebreak.First{}
 	}
 	nT, nM := w.ETC.Tasks(), w.ETC.Machines()
 	res := newResult(nT, nM)
@@ -179,14 +159,14 @@ func SimulateImmediate(w Workload, cfg ImmediateConfig) (*Result, error) {
 		case ImmediateOLB:
 			machine = cfg.Ties.Choose(minIdx(eff))
 		case ImmediateKPB:
-			machine = kpbPick(w.ETC, t, eff, cfg.KPBPercent, cfg.Ties)
+			machine = kpbPick(w.ETC, t, eff, cfg.Ties)
 		case ImmediateSWA:
 			if i > 0 {
 				bi := sched.BalanceIndex(avail)
 				switch {
-				case bi > cfg.SWAHigh:
+				case bi > heuristics.PaperSWAHigh:
 					useMET = true
-				case bi < cfg.SWALow:
+				case bi < heuristics.PaperSWALow:
 					useMET = false
 				}
 			}
@@ -362,8 +342,8 @@ func argminRow(m *etc.Matrix, task int, ties tiebreak.Policy) int {
 	return ties.Choose(minIdx(m.Row(task)))
 }
 
-func kpbPick(m *etc.Matrix, task int, eff []float64, percent float64, ties tiebreak.Policy) int {
-	k := heuristics.KPercentBest{Percent: percent}
+func kpbPick(m *etc.Matrix, task int, eff []float64, ties tiebreak.Policy) int {
+	k := heuristics.KPercentBest{Percent: heuristics.PaperKPercent}
 	size := k.SubsetSize(len(eff))
 	type cand struct {
 		m   int

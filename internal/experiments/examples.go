@@ -62,7 +62,9 @@ func SWAExampleETC() *etc.Matrix {
 // SWAExampleThresholds returns the switching thresholds of the example. The
 // paper states high = 0.49; its low value was lost to OCR, and any value in
 // (4/13, 1/3] reproduces both traces.
-func SWAExampleThresholds() (low, high float64) { return 0.33, 0.49 }
+func SWAExampleThresholds() (low, high float64) {
+	return heuristics.PaperSWALow, heuristics.PaperSWAHigh
+}
 
 // KPBExampleETC reconstructs Table 12 (K-Percent Best example, 5 tasks x 3
 // machines, k = 70%): original completion times (6, 5, 5.5); in the first
@@ -79,7 +81,7 @@ func KPBExampleETC() *etc.Matrix {
 }
 
 // KPBExamplePercent is the k of the example.
-const KPBExamplePercent = 70
+const KPBExamplePercent = heuristics.PaperKPercent
 
 // SufferageExampleETC reconstructs Table 15 (Sufferage example, 8 tasks x 3
 // machines, found by counterexample search): deterministic ties, original

@@ -78,7 +78,7 @@ func RunQualityComparisonSized(trials int) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		exact, err := opt.Solve(in, opt.Limits{})
+		exact, err := opt.Solve(in)
 		if err != nil {
 			return nil, err
 		}

@@ -180,6 +180,15 @@ func completionRow(in *sched.Instance, task int, ready []float64, dst []float64)
 	return dst
 }
 
+// The paper's example parameters, the registry's "kpb" and "swa" and the
+// immediate-mode simulator's rules of the same names: KPB's k, and SWA's
+// thresholds (the paper's High, and a Low that reproduces its example
+// traces; see SWA).
+const (
+	PaperKPercent             = 70
+	PaperSWALow, PaperSWAHigh = 0.33, 0.49
+)
+
 // registry is the one table of heuristics constructible by name; Registry,
 // Names and ByName all read it. Stochastic heuristics receive the seed.
 var registry = map[string]func(seed uint64) Heuristic{
@@ -190,8 +199,8 @@ var registry = map[string]func(seed uint64) Heuristic{
 	"max-min":   fixed(MaxMin{}),
 	"duplex":    fixed(Duplex{}),
 	"sufferage": fixed(Sufferage{}),
-	"kpb":       fixed(KPercentBest{Percent: 70}), // the paper's example k
-	"swa":       fixed(SWA{Low: 0.33, High: 0.49}),
+	"kpb":       fixed(KPercentBest{Percent: PaperKPercent}),
+	"swa":       fixed(SWA{Low: PaperSWALow, High: PaperSWAHigh}),
 	"genitor":   func(seed uint64) Heuristic { return NewGenitor(GenitorConfig{}, seed) },
 	"ga":        func(seed uint64) Heuristic { return NewGeneticAlgorithm(GAConfig{}, seed) },
 	"sa":        func(seed uint64) Heuristic { return NewSimulatedAnnealing(SAConfig{}, seed) },

@@ -22,26 +22,22 @@ import (
 type SAConfig struct {
 	// Steps is the number of mutation trials (default 2000).
 	Steps int
-	// Cooling is the geometric temperature decay per step in (0, 1)
-	// (default 0.995).
-	Cooling float64
-	// InitialTempFactor scales the starting temperature relative to the
-	// initial mapping's makespan (default 0.1, after Braun et al.).
-	InitialTempFactor float64
 }
 
 func (c SAConfig) withDefaults() SAConfig {
 	if c.Steps <= 0 {
 		c.Steps = 2000
 	}
-	if c.Cooling <= 0 || c.Cooling >= 1 {
-		c.Cooling = 0.995
-	}
-	if c.InitialTempFactor <= 0 {
-		c.InitialTempFactor = 0.1
-	}
 	return c
 }
+
+// Simulated annealing's fixed schedule: the starting temperature is
+// saInitialTempFactor times the initial mapping's makespan (after Braun et
+// al.), and it decays geometrically by saCooling per step.
+const (
+	saInitialTempFactor = 0.1
+	saCooling           = 0.995
+)
 
 // SimulatedAnnealing is the classic single-solution metaheuristic: start
 // from the MCT mapping, repeatedly move one random task to a random
@@ -87,7 +83,7 @@ func (s *SimulatedAnnealing) MapSeededInto(in *sched.Instance, tb tiebreak.Polic
 	best := sched.Mapping{Assign: grow(dst, len(cur.Assign))}
 	copy(best.Assign, cur.Assign)
 	bestMS := curMS
-	temp := curMS * s.cfg.InitialTempFactor
+	temp := curMS * saInitialTempFactor
 	if temp <= 0 {
 		temp = 1
 	}
@@ -97,7 +93,7 @@ func (s *SimulatedAnnealing) MapSeededInto(in *sched.Instance, tb tiebreak.Polic
 		from := cur.Assign[t]
 		to := src.Intn(nM)
 		if to == from {
-			temp *= s.cfg.Cooling
+			temp *= saCooling
 			continue
 		}
 		// Apply the move incrementally.
@@ -121,7 +117,7 @@ func (s *SimulatedAnnealing) MapSeededInto(in *sched.Instance, tb tiebreak.Polic
 			loads[from] += in.ETC().At(t, from)
 			loads[to] -= in.ETC().At(t, to)
 		}
-		temp *= s.cfg.Cooling
+		temp *= saCooling
 	}
 	return best, nil
 }
@@ -130,9 +126,6 @@ func (s *SimulatedAnnealing) MapSeededInto(in *sched.Instance, tb tiebreak.Polic
 type GAConfig struct {
 	// PopulationSize (default 100), Generations (default 100).
 	PopulationSize, Generations int
-	// CrossoverProb and MutationProb per offspring gene decision
-	// (defaults 0.6 and 0.05).
-	CrossoverProb, MutationProb float64
 }
 
 func (c GAConfig) withDefaults() GAConfig {
@@ -142,14 +135,14 @@ func (c GAConfig) withDefaults() GAConfig {
 	if c.Generations <= 0 {
 		c.Generations = 100
 	}
-	if c.CrossoverProb <= 0 {
-		c.CrossoverProb = 0.6
-	}
-	if c.MutationProb <= 0 {
-		c.MutationProb = 0.05
-	}
 	return c
 }
+
+// The GA's per-offspring crossover and per-gene mutation probabilities.
+const (
+	gaCrossoverProb = 0.6
+	gaMutationProb  = 0.05
+)
 
 // GeneticAlgorithm is the generational GA baseline (distinct from the
 // steady-state Genitor): rank-biased parent selection, single-point
@@ -251,12 +244,12 @@ func (g *GeneticAlgorithm) MapSeededInto(in *sched.Instance, tb tiebreak.Policy,
 			p1, p2 := selectParent(), selectParent()
 			child := make([]int, nT)
 			copy(child, p1.assign)
-			if src.Float64() < g.cfg.CrossoverProb {
+			if src.Float64() < gaCrossoverProb {
 				cut := src.Intn(nT + 1)
 				copy(child[:cut], p2.assign[:cut])
 			}
 			for t := 0; t < nT; t++ {
-				if src.Float64() < g.cfg.MutationProb {
+				if src.Float64() < gaMutationProb {
 					child[t] = src.Intn(nM)
 				}
 			}
@@ -278,32 +271,28 @@ func (g *GeneticAlgorithm) MapSeededInto(in *sched.Instance, tb tiebreak.Policy,
 type TabuConfig struct {
 	// MaxSteps bounds the total number of moves (default 200).
 	MaxSteps int
-	// Tenure is how many steps a reversed move stays forbidden
-	// (default 12).
-	Tenure int
-	// Patience is the number of consecutive non-improving steps before a
-	// random restart ("long hop", after Braun et al.) (default 25).
-	Patience int
 }
 
 func (c TabuConfig) withDefaults() TabuConfig {
 	if c.MaxSteps <= 0 {
 		c.MaxSteps = 200
 	}
-	if c.Tenure <= 0 {
-		c.Tenure = 12
-	}
-	if c.Patience <= 0 {
-		c.Patience = 25
-	}
 	return c
 }
+
+// Tabu search's fixed memory: a reversed move stays forbidden for
+// tabuTenure steps, and tabuPatience consecutive non-improving steps
+// trigger a random restart ("long hop", after Braun et al.).
+const (
+	tabuTenure   = 12
+	tabuPatience = 25
+)
 
 // TabuSearch is a best-improvement local search over single-task moves with
 // a recency-based tabu list and random restarts: each step evaluates every
 // (task, machine) move, takes the best non-tabu one (aspiration: a tabu
 // move that beats the global best is allowed), and forbids its reversal for
-// Tenure steps.
+// tabuTenure steps.
 type TabuSearch struct {
 	cfg TabuConfig
 	src *rng.Source
@@ -386,14 +375,14 @@ func (t *TabuSearch) MapSeededInto(in *sched.Instance, tb tiebreak.Policy, sc *S
 		loads[bestM] += in.ETC().At(bestT, bestM)
 		cur.Assign[bestT] = bestM
 		curMS = bestMoveMS
-		tabuUntil[bestT][from] = step + t.cfg.Tenure // forbid the reversal
+		tabuUntil[bestT][from] = step + tabuTenure // forbid the reversal
 		if curMS < bestMS-Epsilon {
 			bestMS = curMS
 			copy(best.Assign, cur.Assign)
 			stale = 0
 		} else {
 			stale++
-			if stale >= t.cfg.Patience {
+			if stale >= tabuPatience {
 				// Long hop: random restart, clear the tabu state.
 				for task := range cur.Assign {
 					cur.Assign[task] = src.Intn(nM)

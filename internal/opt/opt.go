@@ -18,20 +18,6 @@ import (
 	"repro/internal/tiebreak"
 )
 
-// Limits bounds the search effort. Zero values select defaults.
-type Limits struct {
-	// MaxNodes aborts the search after this many explored nodes
-	// (default 5,000,000).
-	MaxNodes int64
-}
-
-func (l Limits) withDefaults() Limits {
-	if l.MaxNodes <= 0 {
-		l.MaxNodes = 5_000_000
-	}
-	return l
-}
-
 // Result is the outcome of an exact solve.
 type Result struct {
 	Mapping  sched.Mapping
@@ -49,18 +35,26 @@ var ErrTooLarge = errors.New("opt: instance too large for exact search (use the 
 // MaxTasks is the solver's task-count guard.
 const MaxTasks = 24
 
+// MaxNodes is the solver's node budget: the search stops after exploring
+// this many nodes and returns its best incumbent.
+const MaxNodes = 5_000_000
+
 // Solve finds a makespan-optimal mapping by branch and bound. Tasks are
 // ordered by decreasing fastest execution time (hardest first), machines
 // are tried in increasing ETC order, and subtrees are pruned with the
 // bounds package's per-suffix lower bounds and an MCT/Min-Min incumbent.
-func Solve(in *sched.Instance, limits Limits) (*Result, error) {
+// After MaxNodes explored nodes it returns the best incumbent with
+// Optimal false.
+func Solve(in *sched.Instance) (*Result, error) { return solve(in, MaxNodes) }
+
+// solve is Solve under a node budget of maxNodes.
+func solve(in *sched.Instance, maxNodes int64) (*Result, error) {
 	if in == nil {
 		return nil, errors.New("opt: nil instance")
 	}
 	if in.Tasks() > MaxTasks {
 		return nil, fmt.Errorf("%w: %d tasks > %d", ErrTooLarge, in.Tasks(), MaxTasks)
 	}
-	lim := limits.withDefaults()
 	nT, nM := in.Tasks(), in.Machines()
 
 	// Incumbent: best of MCT and Min-Min.
@@ -151,7 +145,7 @@ func Solve(in *sched.Instance, limits Limits) (*Result, error) {
 			return
 		}
 		nodes++
-		if nodes > lim.MaxNodes {
+		if nodes > maxNodes {
 			aborted = true
 			return
 		}

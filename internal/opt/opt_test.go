@@ -27,7 +27,7 @@ func TestSolveTinyKnownOptimum(t *testing.T) {
 		{9, 2, 9},
 		{9, 9, 2},
 	})
-	res, err := Solve(in, Limits{})
+	res, err := Solve(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestSolveBeatsGreedyWhenPossible(t *testing.T) {
 		{2, 4},
 		{3, 3},
 	})
-	res, err := Solve(in, Limits{})
+	res, err := Solve(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 			}
 		}
 		in := inst(t, vs)
-		res, err := Solve(in, Limits{})
+		res, err := Solve(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestSolveRespectsLowerBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		in, _ := sched.NewInstance(m, nil)
-		res, err := Solve(in, Limits{})
+		res, err := Solve(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestSolveWithReadyTimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(in, Limits{})
+	res, err := Solve(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,14 +157,14 @@ func TestSolveWithReadyTimes(t *testing.T) {
 }
 
 func TestSolveGuards(t *testing.T) {
-	if _, err := Solve(nil, Limits{}); err == nil {
+	if _, err := Solve(nil); err == nil {
 		t.Error("nil instance accepted")
 	}
 	big := make([][]float64, MaxTasks+1)
 	for i := range big {
 		big[i] = []float64{1}
 	}
-	if _, err := Solve(inst(t, big), Limits{}); !errors.Is(err, ErrTooLarge) {
+	if _, err := Solve(inst(t, big)); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversized instance error = %v, want ErrTooLarge", err)
 	}
 }
@@ -176,7 +176,7 @@ func TestSolveNodeBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	in, _ := sched.NewInstance(m, nil)
-	res, err := Solve(in, Limits{MaxNodes: 50})
+	res, err := solve(in, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestGenitorNearOptimumOnSmallInstances(t *testing.T) {
 			t.Fatal(err)
 		}
 		in, _ := sched.NewInstance(m, nil)
-		exact, err := Solve(in, Limits{})
+		exact, err := Solve(in)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -178,7 +179,7 @@ func TestScratchPoolBound(t *testing.T) {
 // MaxCells-sized compute the worker keeps no scratch above
 // MaxPooledScratch, while ordinary jobs keep reusing one scratch.
 func TestWorkerScratchBound(t *testing.T) {
-	s := NewServer(Options{Workers: 1, MaxBodyBytes: 8 << 20})
+	s := NewServer(Options{Workers: 1})
 	defer drain(t, s)
 	var (
 		mu   sync.Mutex
@@ -190,11 +191,28 @@ func TestWorkerScratchBound(t *testing.T) {
 		defer mu.Unlock()
 		kept, size = append(kept, sc), append(size, sc.footprint())
 	}
-	// DefaultMaxCells cells, 1024×256: the largest matrix admitted.
+	// MaxCells cells, 1024×256: the largest matrix admitted, in one-digit
+	// cells so that its body fits under MaxBodyBytes.
+	var big strings.Builder
+	big.WriteString(`{"etc":[`)
+	for t := 0; t < 1024; t++ {
+		if t > 0 {
+			big.WriteByte(',')
+		}
+		big.WriteByte('[')
+		for m := 0; m < 256; m++ {
+			if m > 0 {
+				big.WriteByte(',')
+			}
+			big.WriteByte(byte('1' + (7*t+3*m)%9))
+		}
+		big.WriteByte(']')
+	}
+	big.WriteString(`],"heuristic":"mct","ties":"random","seed":3}`)
 	bodies := []string{
 		missBody(128, 16, "kpb", true, 1),
 		missBody(64, 8, "sufferage", false, 2),
-		missBody(1024, 256, "mct", false, 3),
+		big.String(),
 		missBody(128, 16, "kpb", true, 4),
 	}
 	for i, body := range bodies {

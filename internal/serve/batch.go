@@ -110,10 +110,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, a Arrival) 
 	}
 	items, aerr := splitBatch(body)
 	if aerr == nil {
-		max := s.opts.MaxBatchItems
-		if max <= 0 {
-			max = DefaultMaxBatchItems
-		}
 		switch {
 		case len(items) == 0:
 			aerr = &apiError{
@@ -122,11 +118,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, a Arrival) 
 				msg:    "request has 1 invalid field(s)",
 				fields: []FieldError{{Path: "items", Message: "batch has no items"}},
 			}
-		case len(items) > max:
+		case len(items) > MaxBatchItems:
 			aerr = &apiError{
 				status: http.StatusRequestEntityTooLarge,
 				code:   CodePayloadTooLarge,
-				msg:    fmt.Sprintf("batch has %d items, admission cap is %d", len(items), max),
+				msg:    fmt.Sprintf("batch has %d items, admission cap is %d", len(items), MaxBatchItems),
 			}
 		}
 	}
@@ -158,7 +154,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, a Arrival) 
 				continue
 			}
 		}
-		p, aerr := parseBatchItem(item, s.lim, sc)
+		p, aerr := parseBatchItem(item, guarded, sc)
 		if aerr != nil {
 			results[i] = itemOutcome{status: aerr.status, body: errorEnvelope(aerr)}
 			continue
@@ -216,7 +212,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, a Arrival) 
 // parseBatchItem decodes and admits one batch item — the item-level
 // equivalent of the singleton decode+validate stages, producing the same
 // error envelopes a singleton request would see.
-func parseBatchItem(raw []byte, lim limits, sc *reqScratch) (*parsedRequest, *apiError) {
+func parseBatchItem(raw []byte, adm admission, sc *reqScratch) (*parsedRequest, *apiError) {
 	d, aerr := decodeBody(raw, true, sc)
 	if aerr != nil {
 		return nil, aerr
@@ -235,7 +231,7 @@ func parseBatchItem(raw []byte, lim limits, sc *reqScratch) (*parsedRequest, *ap
 			fields: []FieldError{{Path: "endpoint", Message: fmt.Sprintf("unknown endpoint %q (want map or iterate)", d.endpoint)}},
 		}
 	}
-	return d.admit(ep, lim)
+	return d.admit(ep, adm)
 }
 
 // decodeBatchItemSlow decodes a batch item with encoding/json.

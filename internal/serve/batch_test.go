@@ -23,6 +23,15 @@ func batchItemJSON(endpoint, singletonBody string) string {
 	return `{"endpoint":"` + endpoint + `",` + singletonBody[1:]
 }
 
+// overCapBatch is a batch of MaxBatchItems+1 distinct iterate items.
+func overCapBatch() string {
+	items := make([]string, MaxBatchItems+1)
+	for i := range items {
+		items[i] = batchItemJSON("iterate", iterateBody("min-min", "det", uint64(i+1)))
+	}
+	return batchBody(items...)
+}
+
 func decodeBatch(t *testing.T, body []byte) BatchResponse {
 	t.Helper()
 	var br BatchResponse
@@ -204,7 +213,7 @@ func TestBatchItemErrorsIsolated(t *testing.T) {
 // item-count admission cap — every one a structured envelope from the
 // closed code set.
 func TestBatchValidation(t *testing.T) {
-	s := NewServer(Options{MaxBatchItems: 4})
+	s := NewServer(Options{})
 	defer drain(t, s)
 
 	errCode := func(t *testing.T, body []byte) string {
@@ -231,13 +240,7 @@ func TestBatchValidation(t *testing.T) {
 		{"trailing data", `{"items":[]} {}`, http.StatusBadRequest, CodeBadRequest},
 		{"empty", `{"items":[]}`, http.StatusUnprocessableEntity, CodeValidationFailed},
 		{"missing items", `{}`, http.StatusUnprocessableEntity, CodeValidationFailed},
-		{"over cap", batchBody(
-			batchItemJSON("iterate", iterateBody("min-min", "det", 1)),
-			batchItemJSON("iterate", iterateBody("min-min", "det", 2)),
-			batchItemJSON("iterate", iterateBody("min-min", "det", 3)),
-			batchItemJSON("iterate", iterateBody("min-min", "det", 4)),
-			batchItemJSON("iterate", iterateBody("min-min", "det", 5)),
-		), http.StatusRequestEntityTooLarge, CodePayloadTooLarge},
+		{"over cap", overCapBatch(), http.StatusRequestEntityTooLarge, CodePayloadTooLarge},
 	} {
 		rec := post(s, "/v1/batch", tc.body)
 		if rec.Code != tc.status {

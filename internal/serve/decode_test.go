@@ -81,8 +81,8 @@ func sameAPIError(a, b *apiError) bool {
 // included, or the same key.
 func sameAdmit(t *testing.T, d decodedRequest, want Request, body []byte) {
 	t.Helper()
-	p, err := d.admit(endpointIterate, limits{})
-	wp, wantErr := admitRequest(endpointIterate, want, limits{})
+	p, err := d.admit(endpointIterate, unguarded)
+	wp, wantErr := admitRequest(endpointIterate, want, unguarded)
 	switch {
 	case !sameAPIError(err, wantErr):
 		t.Fatalf("admit = %v, encoding/json path = %v: %q", err, wantErr, body)
@@ -292,7 +292,7 @@ func TestTrailingDataRejected(t *testing.T) {
 					t.Errorf("%s: status %d body %s, want 400 %q", tc.name, rec.Code, rec.Body.String(), tc.msg)
 				}
 			}
-			if _, aerr := parseBatchItem([]byte(item+tail), limits{}, &reqScratch{}); aerr == nil ||
+			if _, aerr := parseBatchItem([]byte(item+tail), unguarded, &reqScratch{}); aerr == nil ||
 				aerr.status != http.StatusBadRequest || aerr.msg != "batch item has trailing data" {
 				t.Errorf("batch item: got %v, want 400 trailing data", aerr)
 			}

@@ -69,7 +69,7 @@ func TestEncodeMatchesJSONMarshal(t *testing.T) {
 				if hi%3 == 0 {
 					rq.Ties = "det"
 				}
-				p, aerr := admitRequest(ep, rq, limits{})
+				p, aerr := admitRequest(ep, rq, unguarded)
 				if aerr != nil {
 					t.Fatalf("%s: %s", h, aerr.msg)
 				}
@@ -119,7 +119,7 @@ func BenchmarkMarshalIterate(b *testing.B) {
 	if aerr != nil {
 		b.Fatal(aerr.msg)
 	}
-	p, aerr := admitRequest(endpointIterate, rq, limits{})
+	p, aerr := admitRequest(endpointIterate, rq, unguarded)
 	if aerr != nil {
 		b.Fatal(aerr.msg)
 	}

@@ -61,7 +61,7 @@ func TestEstimateBytesCoversFootprint(t *testing.T) {
 					if aerr != nil {
 						t.Fatalf("%s: %s", label, aerr.msg)
 					}
-					p, aerr := d.admit(ep, limits{})
+					p, aerr := d.admit(ep, unguarded)
 					if aerr != nil {
 						t.Fatalf("%s: %s", label, aerr.msg)
 					}

@@ -32,7 +32,7 @@ func CanonicalKey(ep string, body []byte) (key string, ok bool) {
 	if aerr != nil {
 		return "", false
 	}
-	p, aerr := d.admit(e, limits{})
+	p, aerr := d.admit(e, unguarded)
 	if aerr != nil {
 		return "", false
 	}
@@ -46,7 +46,7 @@ func CanonicalKey(ep string, body []byte) (key string, ok bool) {
 func BatchItemKey(item []byte) (key string, ok bool) {
 	sc := getScratch()
 	defer putScratch(sc)
-	p, aerr := parseBatchItem(item, limits{}, sc)
+	p, aerr := parseBatchItem(item, unguarded, sc)
 	if aerr != nil {
 		return "", false
 	}

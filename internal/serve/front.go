@@ -27,7 +27,7 @@ import (
 //   - trace start, joining the caller's trace from TraceHeader;
 //   - the handler-level panic guard;
 //   - the POST and GET method gates and the draining refusal;
-//   - the request body reader, under the front's body limit;
+//   - the request body reader, under MaxBodyBytes;
 //   - the JSON body and error writers.
 //
 // Every scheduling arrival passes the gate and the epilogue (Arrival.Done)
@@ -35,7 +35,6 @@ import (
 // root span per request hold.
 type Front struct {
 	name     string // trace name and metric prefix: "serve" or "gateway"
-	maxBody  int64  // request body limit
 	reg      *obs.Metrics
 	tracer   *obs.Tracer
 	observer obs.Observer
@@ -57,19 +56,14 @@ type Front struct {
 }
 
 // NewFront builds a front whose traces and metrics are named name, and
-// whose request bodies may hold up to maxBody bytes (0 means
-// DefaultMaxBodyBytes). A nil reg creates a private registry; a nil tracer
-// or observer is off.
-func NewFront(name string, maxBody int64, reg *obs.Metrics, tracer *obs.Tracer, observer obs.Observer) *Front {
-	if maxBody <= 0 {
-		maxBody = DefaultMaxBodyBytes
-	}
+// whose request bodies may hold up to MaxBodyBytes. A nil reg creates a
+// private registry; a nil tracer or observer is off.
+func NewFront(name string, reg *obs.Metrics, tracer *obs.Tracer, observer obs.Observer) *Front {
 	if reg == nil {
 		reg = obs.NewMetrics()
 	}
 	return &Front{
 		name:      name,
-		maxBody:   maxBody,
 		reg:       reg,
 		tracer:    tracer,
 		observer:  observer,
@@ -231,10 +225,10 @@ func (f *Front) WriteError(w http.ResponseWriter, status int, code, msg string) 
 // Trace returns the arrival's trace; nil when tracing is off.
 func (a *Arrival) Trace() *obs.Trace { return a.tr }
 
-// ReadBody reads the request body into buf's storage under the front's
-// body limit, growing it as needed, and returns the bytes read. A declared
-// Content-Length within the limit is read exactly, into storage grown to
-// hold it, and a body shorter than it is a 400; an unframed body,
+// ReadBody reads the request body into buf's storage under the
+// MaxBodyBytes limit, growing it as needed, and returns the bytes read. A
+// declared Content-Length within the limit is read exactly, into storage
+// grown to hold it, and a body shorter than it is a 400; an unframed body,
 // or a declared length over the limit, is read until it ends or passes the
 // limit. On failure ReadBody tags and ends sp, the caller's open decode
 // span, writes the 413 or 400 envelope and runs the epilogue, and ok is
@@ -242,9 +236,9 @@ func (a *Arrival) Trace() *obs.Trace { return a.tr }
 // recycle.
 func (a *Arrival) ReadBody(w http.ResponseWriter, r *http.Request, buf []byte, sp *obs.SpanHandle) (body []byte, ok bool) {
 	// rd is read in this function only, so it stays on the stack.
-	rd := http.MaxBytesReader(w, r.Body, a.f.maxBody)
+	rd := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	n := r.ContentLength
-	exact := n > 0 && n <= a.f.maxBody
+	exact := n > 0 && n <= MaxBodyBytes
 	body = buf[:0]
 	if exact {
 		// Grown as append grows, so that a pooled buffer meeting bodies

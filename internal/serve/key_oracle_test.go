@@ -110,7 +110,7 @@ func TestInstanceFromKey(t *testing.T) {
 		if aerr != nil {
 			continue
 		}
-		p, aerr := d.admit(c.ep, limits{})
+		p, aerr := d.admit(c.ep, unguarded)
 		if aerr != nil {
 			continue
 		}

@@ -187,13 +187,17 @@ type parsedRequest struct {
 	machines  int
 }
 
-// limits are the admission guards a Server threads into parsing: hard caps
-// refused up front (413) before any per-cell work or allocation is sunk into
-// a request nobody should have sent. A zero field disables that guard.
-type limits struct {
-	maxCells    int   // cap on total ETC entries (tasks × machines)
-	maxEstBytes int64 // cap on the response + working-memory estimate
-}
+// admission says whether parsing runs the admission guards: hard caps
+// (MaxCells, MaxEstimatedBytes) refused up front (413) before any per-cell
+// work or allocation is sunk into a request nobody should have sent. A
+// server's handlers run them; the keying exports do not, since routing
+// must not depend on caps.
+type admission bool
+
+const (
+	guarded   admission = true
+	unguarded admission = false
+)
 
 // estimateBytes is the per-request memory estimate the admission guard
 // checks, an upper bound on the compute scratch a worker keeps after the
@@ -389,12 +393,12 @@ func trailingData(body []byte, dec *json.Decoder) bool {
 // maxFieldErrors). A flat request's matrix was validated as it was
 // decoded, so only its other fields can fail; they are checked on the
 // key's views of its strings, so a valid request converts none.
-func (d *decodedRequest) admit(ep endpoint, lim limits) (*parsedRequest, *apiError) {
+func (d *decodedRequest) admit(ep endpoint, adm admission) (*parsedRequest, *apiError) {
 	if !d.fast {
-		return admitRequest(ep, d.slow, lim)
+		return admitRequest(ep, d.slow, adm)
 	}
 	f := &d.flat
-	if aerr := checkAdmission(ep, int64(len(f.cells)), int64(f.tasks), int64(f.machines), f.ready, lim); aerr != nil {
+	if aerr := checkAdmission(adm, ep, int64(len(f.cells)), int64(f.tasks), int64(f.machines), f.ready); aerr != nil {
 		return nil, aerr
 	}
 	p := f.parsed(ep)
@@ -409,19 +413,22 @@ func (d *decodedRequest) admit(ep endpoint, lim limits) (*parsedRequest, *apiErr
 // checkAdmission runs the admission guards. They run before the per-cell
 // validation walk: the counts are cheap, and an over-cap request must cost
 // the server as little as possible.
-func checkAdmission(ep endpoint, cells, tasks, machines int64, ready []float64, lim limits) *apiError {
-	if lim.maxCells > 0 && cells > int64(lim.maxCells) {
+func checkAdmission(adm admission, ep endpoint, cells, tasks, machines int64, ready []float64) *apiError {
+	if adm == unguarded {
+		return nil
+	}
+	if cells > MaxCells {
 		return &apiError{
 			status: http.StatusRequestEntityTooLarge,
 			code:   CodePayloadTooLarge,
-			msg:    fmt.Sprintf("matrix has %d cells, admission cap is %d", cells, lim.maxCells),
+			msg:    fmt.Sprintf("matrix has %d cells, admission cap is %d", cells, MaxCells),
 		}
 	}
-	if est := estimateBytes(ep, cells, tasks, machines, ready); lim.maxEstBytes > 0 && est > lim.maxEstBytes {
+	if est := estimateBytes(ep, cells, tasks, machines, ready); est > MaxEstimatedBytes {
 		return &apiError{
 			status: http.StatusRequestEntityTooLarge,
 			code:   CodePayloadTooLarge,
-			msg:    fmt.Sprintf("estimated memory %d bytes for this request exceeds the admission cap of %d", est, lim.maxEstBytes),
+			msg:    fmt.Sprintf("estimated memory %d bytes for this request exceeds the admission cap of %d", est, MaxEstimatedBytes),
 		}
 	}
 	return nil
@@ -430,7 +437,7 @@ func checkAdmission(ep endpoint, cells, tasks, machines int64, ready []float64, 
 // admitRequest admits an encoding/json request: the admission guards,
 // validateRequest, and the same key writer the fast path uses, over the
 // matrix flattened row-major.
-func admitRequest(ep endpoint, rq Request, lim limits) (*parsedRequest, *apiError) {
+func admitRequest(ep endpoint, rq Request, adm admission) (*parsedRequest, *apiError) {
 	var cells int64
 	for _, row := range rq.ETC {
 		cells += int64(len(row))
@@ -439,7 +446,7 @@ func admitRequest(ep endpoint, rq Request, lim limits) (*parsedRequest, *apiErro
 	if len(rq.ETC) > 0 {
 		machines = int64(len(rq.ETC[0]))
 	}
-	if aerr := checkAdmission(ep, cells, tasks, machines, rq.Ready, lim); aerr != nil {
+	if aerr := checkAdmission(adm, ep, cells, tasks, machines, rq.Ready); aerr != nil {
 		return nil, aerr
 	}
 	if aerr := validateRequest(rq).err(); aerr != nil {

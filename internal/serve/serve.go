@@ -32,17 +32,24 @@ import (
 const (
 	DefaultQueueDepth     = 64
 	DefaultCacheEntries   = 256
-	DefaultMaxBodyBytes   = 1 << 20
 	DefaultRequestTimeout = 5 * time.Second
-	// DefaultMaxCells caps tasks×machines per request (admission guard):
-	// 512×512 — far above every workload in the paper, far below what would
-	// let one request monopolize a worker.
-	DefaultMaxCells = 1 << 18
-	// DefaultMaxEstimatedBytes caps the per-request memory estimate
-	// (instance, heuristic scratch and response, see estimateBytes).
-	DefaultMaxEstimatedBytes = 64 << 20
-	// DefaultMaxBatchItems caps the item count of one POST /v1/batch body.
-	DefaultMaxBatchItems = 256
+)
+
+// The admission caps every scheduling front enforces. A request over one
+// is refused with 413 before any per-cell or per-item work; the gateway
+// reads the same constants, so its refusals are a single instance's.
+const (
+	// MaxBodyBytes bounds request bodies.
+	MaxBodyBytes = 1 << 20
+	// MaxCells caps tasks×machines per request: 512×512, far above every
+	// workload in the paper, far below what would let one request
+	// monopolize a worker.
+	MaxCells = 1 << 18
+	// MaxEstimatedBytes caps the per-request memory estimate (instance,
+	// heuristic scratch and response, see estimateBytes).
+	MaxEstimatedBytes = 64 << 20
+	// MaxBatchItems caps the item count of one POST /v1/batch body.
+	MaxBatchItems = 256
 )
 
 // Options configures a Server. The zero value is a working configuration.
@@ -56,23 +63,9 @@ type Options struct {
 	// matrix, heuristic, tie policy, seed, seeded, ready times). 0 means
 	// DefaultCacheEntries; negative disables caching.
 	CacheEntries int
-	// MaxBodyBytes bounds request bodies. 0 means DefaultMaxBodyBytes.
-	MaxBodyBytes int64
 	// RequestTimeout caps each request's deadline; a request's timeout_ms
 	// may lower it but never raise it. 0 means DefaultRequestTimeout.
 	RequestTimeout time.Duration
-	// MaxCells is the admission guard on tasks×machines per request;
-	// requests over it are refused with 413 before any per-cell work.
-	// 0 means DefaultMaxCells; negative disables the guard.
-	MaxCells int
-	// MaxEstimatedBytes is the admission guard on the per-request memory
-	// estimate (instance copy plus response size). 0 means
-	// DefaultMaxEstimatedBytes; negative disables the guard.
-	MaxEstimatedBytes int64
-	// MaxBatchItems caps the number of items in one POST /v1/batch body;
-	// batches over it are refused with 413 before any per-item work. 0 means
-	// DefaultMaxBatchItems.
-	MaxBatchItems int
 	// PanicTrigger, when non-nil, runs in the worker during each compute,
 	// once the request's instance is decoded and before the heuristic or
 	// engine runs, with the request's seed. It exists so chaos scenarios and
@@ -115,7 +108,6 @@ type Server struct {
 	opts  Options
 	cache *lru
 	queue chan *job
-	lim   limits
 
 	workers  sync.WaitGroup
 	stopOnce sync.Once
@@ -208,35 +200,18 @@ func NewServer(opts Options) *Server {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.MaxBodyBytes <= 0 {
-		opts.MaxBodyBytes = DefaultMaxBodyBytes
-	}
 	if opts.RequestTimeout <= 0 {
 		opts.RequestTimeout = DefaultRequestTimeout
 	}
-	front := NewFront("serve", opts.MaxBodyBytes, opts.Metrics, opts.Tracer, opts.Observer)
+	front := NewFront("serve", opts.Metrics, opts.Tracer, opts.Observer)
 	reg := front.reg
 	front.mErrors = reg.Counter("serve.errors_total")
-	var lim limits
-	switch {
-	case opts.MaxCells == 0:
-		lim.maxCells = DefaultMaxCells
-	case opts.MaxCells > 0:
-		lim.maxCells = opts.MaxCells
-	}
-	switch {
-	case opts.MaxEstimatedBytes == 0:
-		lim.maxEstBytes = DefaultMaxEstimatedBytes
-	case opts.MaxEstimatedBytes > 0:
-		lim.maxEstBytes = opts.MaxEstimatedBytes
-	}
 	s := &Server{
 		Front:   front,
 		opts:    opts,
 		queue:   make(chan *job, opts.QueueDepth),
 		stopped: make(chan struct{}),
 		flights: make(map[string]*flight),
-		lim:     lim,
 
 		mHits:       reg.Counter("serve.cache_hits"),
 		mMisses:     reg.Counter("serve.cache_misses"),
@@ -484,7 +459,7 @@ func (s *Server) handleSchedule(ep endpoint) func(http.ResponseWriter, *http.Req
 		}
 		sp.End()
 		sp = tr.Start("validate")
-		p, aerr := d.admit(ep, s.lim)
+		p, aerr := d.admit(ep, guarded)
 		if aerr != nil {
 			sp.SetErr(aerr.code)
 			sp.End()

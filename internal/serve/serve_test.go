@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -490,39 +491,43 @@ func TestValidationCollectsMultipleFields(t *testing.T) {
 
 // TestAdmissionGuards pins the resource-guard contract: requests over the
 // cell cap or the memory estimate are refused with 413 before any per-cell
-// validation work, and the guards can be disabled with negative options.
+// validation work, at the caps every server enforces.
 func TestAdmissionGuards(t *testing.T) {
-	s := NewServer(Options{MaxCells: 8})
+	s := NewServer(Options{})
 	defer drain(t, s)
-	// 3x3 = 9 cells > 8.
-	rec := post(s, "/v1/map", `{"etc":[[1,1,1],[1,1,1],[1,1,1]],"heuristic":"min-min"}`)
+	// MaxCells+1 one-digit cells, 5 rows of 52 429: a 512 KiB body.
+	rec := post(s, "/v1/map", `{"etc":`+onesMatrix(5, (MaxCells+1)/5)+`,"heuristic":"met"}`)
 	if rec.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status %d, want 413: %s", rec.Code, rec.Body.String())
+		t.Fatalf("status %d, want 413: %.200s", rec.Code, rec.Body.String())
 	}
 	var er ErrorResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error.Code != CodePayloadTooLarge {
 		t.Fatalf("413 envelope: %s", rec.Body.String())
 	}
-	if !strings.Contains(er.Error.Message, "9 cells") {
-		t.Fatalf("413 should name the cell count: %q", er.Error.Message)
+	if want := fmt.Sprintf("%d cells", MaxCells+1); !strings.Contains(er.Error.Message, want) {
+		t.Fatalf("413 should name the cell count %q: %q", want, er.Error.Message)
 	}
-	// 2x4 = 8 cells passes the guard.
-	if rec := post(s, "/v1/map", `{"etc":[[1,1,1,1],[1,1,1,1]],"heuristic":"min-min"}`); rec.Code != http.StatusOK {
-		t.Fatalf("under-cap request: status %d: %s", rec.Code, rec.Body.String())
+	// MaxCells cells, 512×512, pass the guard.
+	if rec := post(s, "/v1/map", `{"etc":`+onesMatrix(512, 512)+`,"heuristic":"met"}`); rec.Code != http.StatusOK {
+		t.Fatalf("at-cap request: status %d: %.200s", rec.Code, rec.Body.String())
 	}
 
-	est := NewServer(Options{MaxEstimatedBytes: 100})
-	defer drain(t, est)
-	rec = post(est, "/v1/iterate", `{"etc":[[1,1,1],[1,1,1],[1,1,1]],"heuristic":"min-min"}`)
+	// 1×1200 with a late ready time may run 1200 iterations, each
+	// charged for the whole width: over MaxEstimatedBytes with 1 200 cells.
+	ready := "[1" + strings.Repeat(",0", 1199) + "]"
+	rec = post(s, "/v1/iterate", `{"etc":`+onesMatrix(1, 1200)+`,"ready":`+ready+`,"heuristic":"min-min"}`)
 	if rec.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("estimate guard: status %d, want 413: %s", rec.Code, rec.Body.String())
+		t.Fatalf("estimate guard: status %d, want 413: %.200s", rec.Code, rec.Body.String())
 	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || !strings.Contains(er.Error.Message, "estimated memory") {
+		t.Fatalf("estimate guard envelope: %s", rec.Body.String())
+	}
+}
 
-	off := NewServer(Options{MaxCells: -1, MaxEstimatedBytes: -1})
-	defer drain(t, off)
-	if rec := post(off, "/v1/map", `{"etc":[[1,1,1],[1,1,1],[1,1,1]],"heuristic":"min-min"}`); rec.Code != http.StatusOK {
-		t.Fatalf("disabled guards: status %d: %s", rec.Code, rec.Body.String())
-	}
+// onesMatrix is a rows×cols JSON matrix of ones.
+func onesMatrix(rows, cols int) string {
+	row := "[1" + strings.Repeat(",1", cols-1) + "]"
+	return "[" + row + strings.Repeat(","+row, rows-1) + "]"
 }
 
 func TestHealthzAndMetricz(t *testing.T) {
@@ -601,15 +606,17 @@ func TestCacheDisabled(t *testing.T) {
 // larger than MaxBodyBytes is 413 Request Entity Too Large, not a generic
 // 400 (the limit error used to be swallowed by the read-error path).
 func TestOversizedBodyReturns413(t *testing.T) {
-	s := NewServer(Options{MaxBodyBytes: 64})
+	s := NewServer(Options{})
 	defer drain(t, s)
-	big := `{"etc":[[` + strings.Repeat("1,", 200) + `1]],"heuristic":"min-min"}`
+	// MaxBodyBytes + 1 bytes.
+	head, tail := `{"etc":[[1]],"heuristic":"min-min","ties":"`, `"}`
+	big := head + strings.Repeat("x", MaxBodyBytes+1-len(head)-len(tail)) + tail
 	rec := post(s, "/v1/map", big)
 	if rec.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status %d, want 413: %s", rec.Code, rec.Body.String())
+		t.Fatalf("status %d, want 413: %.200s", rec.Code, rec.Body.String())
 	}
 	var er ErrorResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error.Code != CodePayloadTooLarge || !strings.Contains(er.Error.Message, "64") {
+	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error.Code != CodePayloadTooLarge || !strings.Contains(er.Error.Message, strconv.Itoa(MaxBodyBytes)) {
 		t.Fatalf("413 body should carry code %q and name the limit: %s", CodePayloadTooLarge, rec.Body.String())
 	}
 	// A body under the limit still parses (the limit, not the detector,

@@ -15,12 +15,11 @@ import (
 func TestConcurrentHammer(t *testing.T) { runFullIndex(t, testConcurrentHammer) }
 
 func testConcurrentHammer(t *testing.T) {
-	st, err := Open(t.TempDir(), Options{
-		MaxSegmentBytes: 512, // rotate constantly under load
-	})
+	st, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
+	st.segBytes = 512 // rotate constantly under load
 	defer st.Close()
 
 	const (

@@ -53,15 +53,12 @@ import (
 	"sync/atomic"
 )
 
-// DefaultMaxSegmentBytes is the segment rotation size of the zero Options
-// value.
-const DefaultMaxSegmentBytes = 8 << 20
+// MaxSegmentBytes is the segment rotation size: the active segment rotates
+// once an append would take it past this size.
+const MaxSegmentBytes = 8 << 20
 
 // Options configures a Store. The zero value is a working configuration.
 type Options struct {
-	// MaxSegmentBytes rotates the active segment once it would exceed this
-	// size. 0 means DefaultMaxSegmentBytes.
-	MaxSegmentBytes int64
 	// FS is the filesystem seam all segment I/O flows through. nil means
 	// OSFS (the real disk); tests and the chaos harness interpose a
 	// FaultFS here.
@@ -122,9 +119,11 @@ type segment struct {
 // read lock, appends and rotation a write lock.
 type Store struct {
 	dir        string
-	opts       Options
 	fs         FS
 	probeAfter int
+	// segBytes is the rotation size, MaxSegmentBytes; tests lower it to
+	// rotate on small records.
+	segBytes int64
 
 	mu     sync.RWMutex
 	closed bool
@@ -164,9 +163,6 @@ func segName(id int) string { return fmt.Sprintf("seg-%06d.log", id) }
 // record in a segment truncates that segment to its valid prefix (a torn
 // tail from a crash is dropped, never served).
 func Open(dir string, opts Options) (*Store, error) {
-	if opts.MaxSegmentBytes <= 0 {
-		opts.MaxSegmentBytes = DefaultMaxSegmentBytes
-	}
 	if opts.ProbeAfter <= 0 {
 		opts.ProbeAfter = DefaultProbeAfter
 	}
@@ -179,9 +175,9 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s := &Store{
 		dir:        dir,
-		opts:       opts,
 		fs:         fs,
 		probeAfter: opts.ProbeAfter,
+		segBytes:   MaxSegmentBytes,
 		index:      make(map[uint64]recordLoc),
 	}
 	s.scratch.New = func() any { b := make([]byte, 0, 4096); return &b }
@@ -485,7 +481,7 @@ func (s *Store) Put(key string, body []byte) error {
 	}
 	n := recordLen(len(key), len(body))
 	active := s.segs[len(s.segs)-1]
-	if active.size > 0 && active.size+n > s.opts.MaxSegmentBytes {
+	if active.size > 0 && active.size+n > s.segBytes {
 		if err := s.addSegment(active.id + 1); err != nil {
 			s.health.noteWriteError()
 			return err

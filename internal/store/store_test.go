@@ -74,10 +74,11 @@ func testDuplicatePutSkipped(t *testing.T) {
 
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(dir, Options{MaxSegmentBytes: 128})
+	st, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
+	st.segBytes = 128
 	for i := 0; i < 20; i++ {
 		if err := st.Put(testKey(i), testBody(i)); err != nil {
 			t.Fatalf("Put(%d): %v", i, err)
@@ -90,7 +91,7 @@ func TestSegmentRotation(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	// Reopen across the rotated segments: everything must still be there.
-	st, err = Open(dir, Options{MaxSegmentBytes: 128})
+	st, err = Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -368,7 +369,7 @@ func TestOpensEarlierSegments(t *testing.T) {
 	if err := InjectTornTail(dir, 37); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open(dir, Options{MaxSegmentBytes: 1024})
+	st, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
