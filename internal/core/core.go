@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 	"unsafe"
 
@@ -318,6 +319,9 @@ func (w *Workspace) Iterate(in *sched.Instance, h heuristics.Heuristic, policy P
 	expect := min(maxIters, nT)
 	name := h.Name()
 	tr, a := &w.tr, &w.a
+	// The previous trace's iterations point into carve arrays that reset
+	// may drop; clearing them lets those arrays go.
+	clear(tr.Iterations[:cap(tr.Iterations)])
 	a.reset(nT, nM)
 	if a.hs == nil {
 		a.hs = new(heuristics.Scratch)
@@ -389,7 +393,7 @@ func (w *Workspace) Iterate(in *sched.Instance, h heuristics.Heuristic, policy P
 		// int span, Completion from the float arena. A fresh array is sized
 		// for the expected iterations left at this iteration's width.
 		left := max(expect-iter, 1) + 1
-		ints := carve(&a.ints, 2*k+m, (2*k+m)*left/2)
+		ints := carve(&a.ints, 2*k+m, (2*k+m)*left/2, &a.retired)
 		a.intsUsed += 2*k + m
 		a.floatsUsed += m
 		it := Iteration{
@@ -397,7 +401,7 @@ func (w *Workspace) Iterate(in *sched.Instance, h heuristics.Heuristic, policy P
 			Tasks:      ints[:k:k],
 			Assign:     ints[k : 2*k : 2*k],
 			Machines:   ints[2*k:],
-			Completion: carve(&a.floats, m, m*left/2),
+			Completion: carve(&a.floats, m, m*left/2, &a.retired),
 		}
 		copy(it.Tasks, activeTasks)
 		copy(it.Machines, activeMachines)
@@ -522,6 +526,9 @@ type arena struct {
 	ints                 []int
 	floats               []float64
 	intsUsed, floatsUsed int
+	// retired is the bytes of the arrays carve abandoned during the
+	// current trace, which its earlier iterations still reference.
+	retired int
 	// counting wraps the policy of each computed run that has an observer
 	// or a restricting heuristic, so the engine sees its ties.
 	counting tiebreak.Counting
@@ -538,7 +545,7 @@ func (a *arena) reset(nT, nM int) {
 	a.local = ascending(a.local, nM)
 	a.ints = reuse(a.ints, a.intsUsed)[:0]
 	a.floats = reuse(a.floats, a.floatsUsed)[:0]
-	a.intsUsed, a.floatsUsed = 0, 0
+	a.intsUsed, a.floatsUsed, a.retired = 0, 0, 0
 }
 
 // Footprint returns the bytes the workspace's buffers hold, so an owner
@@ -547,7 +554,7 @@ func (w *Workspace) Footprint() int {
 	const word = int(unsafe.Sizeof(0))
 	a := &w.a
 	n := word * (cap(a.activeTasks) + cap(a.activeMachines) + cap(a.local) + cap(a.seed) + cap(a.ints) + cap(a.mapped))
-	n += 8*cap(a.floats) + a.hs.Footprint()
+	n += 8*cap(a.floats) + a.retired + a.hs.Footprint()
 	// The restricted instance: its cells, its row headers, and at most one
 	// ready time per machine.
 	n += 8*a.subCells + int(unsafe.Sizeof([]float64(nil)))*a.subTasks + 8*cap(a.local)
@@ -582,10 +589,13 @@ func derive(it, prev *Iteration) {
 // through one Iteration's slice cannot write into the next. When the spare
 // capacity is short it starts a new backing array of max(n, 2·cap, want)
 // elements, so a trace holds O(what it carves); slices carved earlier keep
-// the old one.
-func carve[T any](buf *[]T, n, want int) []T {
+// the old one, whose bytes carve adds to *retired.
+func carve[T any](buf *[]T, n, want int, retired *int) []T {
 	if cap(*buf)-len(*buf) < n {
-		*buf = make([]T, 0, max(n, 2*cap(*buf), want))
+		if len(*buf) > 0 {
+			*retired += cap(*buf) * int(unsafe.Sizeof((*buf)[0]))
+		}
+		*buf = slices.Grow([]T(nil), max(n, 2*cap(*buf), want))
 	}
 	l := len(*buf)
 	*buf = (*buf)[:l+n]
@@ -680,7 +690,7 @@ func ascending(buf []int, n int) []int {
 // slice of length n. The contents are the caller's to overwrite.
 func reuse[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return slices.Grow([]T(nil), n)[:n]
 	}
 	return s[:n]
 }

@@ -2,6 +2,7 @@ package heuristics
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/sched"
@@ -57,7 +58,7 @@ func (k *twoPhaseKernel) footprint() int {
 // insufficient; contents are unspecified.
 func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return slices.Grow([]T(nil), n)[:n]
 	}
 	return s[:n]
 }

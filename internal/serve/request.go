@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strings"
 	"unsafe"
 
@@ -585,7 +586,7 @@ func (sc *computeScratch) footprint() int {
 // new slice of length n.
 func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return slices.Grow([]T(nil), n)[:n]
 	}
 	return s[:n]
 }
@@ -666,6 +667,9 @@ func (p *parsedRequest) run(in *sched.Instance, sc *computeScratch) (any, *apiEr
 			return nil, internalError("%v", err)
 		}
 		iters := resize(sc.iters, len(tr.Iterations))
+		// Entries past this trace's length point into arrays the
+		// workspace has let go; clearing them lets those arrays go too.
+		clear(iters[len(iters):cap(iters)])
 		for i, it := range tr.Iterations {
 			iters[i] = IterationResult{
 				Index:           it.Index,
