@@ -198,7 +198,25 @@ type Seeded struct {
 }
 
 // Name implements Heuristic.
-func (s Seeded) Name() string { return "seeded(" + s.Inner.Name() + ")" }
+func (s Seeded) Name() string {
+	inner := s.Inner.Name()
+	if name, ok := seededNames[inner]; ok {
+		return name
+	}
+	return "seeded(" + inner + ")"
+}
+
+// seededNames maps each registry heuristic's name to Seeded's name over
+// it, built once, so naming Seeded over a registry heuristic costs no
+// allocation.
+var seededNames = func() map[string]string {
+	names := make(map[string]string, len(registry))
+	for _, build := range registry {
+		inner := build(0).Name()
+		names[inner] = "seeded(" + inner + ")"
+	}
+	return names
+}()
 
 // Map implements Heuristic (no seed: delegates).
 func (s Seeded) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {

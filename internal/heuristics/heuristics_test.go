@@ -525,3 +525,33 @@ func TestByNameAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestRegistryNamesAllocateNothing guards the engine, which names its
+// heuristic once per trace: naming any registry heuristic, or Seeded over
+// one, costs no allocation, and the unformatted names of the registry's
+// KPB and SWA are the formatted ones.
+func TestRegistryNamesAllocateNothing(t *testing.T) {
+	for _, name := range Names() {
+		h, err := ByName(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range []Heuristic{h, Seeded{Inner: h}} {
+			if got := testing.AllocsPerRun(100, func() { _ = h.Name() }); got != 0 {
+				t.Errorf("%s: Name costs %.0f allocs, want 0", h.Name(), got)
+			}
+		}
+		if want := "seeded(" + h.Name() + ")"; (Seeded{Inner: h}).Name() != want {
+			t.Errorf("Seeded over %s is named %q, want %q", name, Seeded{Inner: h}.Name(), want)
+		}
+	}
+	if got, want := (KPercentBest{Percent: PaperKPercent}).Name(), fmt.Sprintf("kpb-%g", float64(PaperKPercent)); got != want {
+		t.Errorf("the registry's KPB is named %q, want %q", got, want)
+	}
+	if got, want := (SWA{Low: PaperSWALow, High: PaperSWAHigh}).Name(), fmt.Sprintf("swa-%g-%g", PaperSWALow, PaperSWAHigh); got != want {
+		t.Errorf("the registry's SWA is named %q, want %q", got, want)
+	}
+	if got := (Seeded{Inner: KPercentBest{Percent: 50}}).Name(); got != "seeded(kpb-50)" {
+		t.Errorf("Seeded over KPB 50 is named %q", got)
+	}
+}

@@ -112,8 +112,14 @@ type KPercentBest struct {
 	Percent float64
 }
 
-// Name implements Heuristic.
-func (k KPercentBest) Name() string { return fmt.Sprintf("kpb-%g", k.Percent) }
+// Name implements Heuristic. The registry's k is named without
+// formatting, so naming it costs no allocation.
+func (k KPercentBest) Name() string {
+	if k.Percent == PaperKPercent {
+		return "kpb-70"
+	}
+	return fmt.Sprintf("kpb-%g", k.Percent)
+}
 
 // SubsetSize returns the machine-subset size for machines available
 // machines: floor(machines*k/100), at least 1.
@@ -211,8 +217,14 @@ type SWA struct {
 	Low, High float64
 }
 
-// Name implements Heuristic.
-func (s SWA) Name() string { return fmt.Sprintf("swa-%g-%g", s.Low, s.High) }
+// Name implements Heuristic. The registry's thresholds are named without
+// formatting, so naming them costs no allocation.
+func (s SWA) Name() string {
+	if s.Low == PaperSWALow && s.High == PaperSWAHigh {
+		return "swa-0.33-0.49"
+	}
+	return fmt.Sprintf("swa-%g-%g", s.Low, s.High)
+}
 
 // SWAStep records one mapping decision for trace reproduction: which
 // sub-heuristic mapped the task and the balance index before the decision.

@@ -564,6 +564,7 @@ type computeScratch struct {
 	m               etc.Matrix
 	in              sched.Instance
 	ws              core.Workspace
+	seeded          heuristics.Seeded // a seeded request's heuristic
 	mapResp         MapResponse
 	iterResp        IterateResponse
 	completion      []float64 // mapResp.Completion
@@ -634,7 +635,9 @@ func (p *parsedRequest) run(in *sched.Instance, sc *computeScratch) (any, *apiEr
 		return nil, badRequest("%v", err) // unreachable: validated at parse
 	}
 	if p.seeded {
-		h = heuristics.Seeded{Inner: h}
+		// Boxed through the scratch, the wrapper costs no allocation.
+		sc.seeded = heuristics.Seeded{Inner: h}
+		h = &sc.seeded
 	}
 	switch p.endpoint {
 	case endpointMap:
