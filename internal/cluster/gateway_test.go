@@ -89,23 +89,38 @@ func iterBody(seed uint64) string {
 
 // TestGatewayByteIdenticalToSingleton is the headline invariant, fault-free
 // edition: every response through a 3-backend cluster — success, 400, 413,
-// 422, 405 — is byte-identical to the single-instance response.
+// 422, 405 — is byte-identical to the single-instance response. The 413s
+// are a singleton over serve.MaxCells and a batch over serve.MaxBatchItems,
+// which the gateway forwards whole.
 func TestGatewayByteIdenticalToSingleton(t *testing.T) {
 	_, g, ref := startCluster(t, 3, Options{})
 
+	row := "[1" + strings.Repeat(",1", (serve.MaxCells+1)/5-1) + "]"
+	overCells := `{"etc":[` + row + strings.Repeat(","+row, 4) + `],"heuristic":"met"}`
+	items := make([]string, serve.MaxBatchItems+1)
+	for i := range items {
+		items[i] = `{"endpoint":"map",` + mapBody(uint64(i + 1))[1:]
+	}
+	overItems := `{"items":[` + strings.Join(items, ",") + `]}`
 	cases := []struct {
 		name, path, body string
+		status           int // 0: any
 	}{
-		{"map ok", "/v1/map", mapBody(1)},
-		{"iterate ok", "/v1/iterate", iterBody(2)},
-		{"map ok 2", "/v1/map", mapBody(3)},
-		{"malformed", "/v1/map", `{"etc":`},
-		{"validation", "/v1/iterate", `{"etc":[[-1]],"heuristic":"min-min"}`},
-		{"unknown heuristic", "/v1/map", `{"etc":[[1]],"heuristic":"nope"}`},
+		{"map ok", "/v1/map", mapBody(1), 0},
+		{"iterate ok", "/v1/iterate", iterBody(2), 0},
+		{"map ok 2", "/v1/map", mapBody(3), 0},
+		{"malformed", "/v1/map", `{"etc":`, 0},
+		{"validation", "/v1/iterate", `{"etc":[[-1]],"heuristic":"min-min"}`, 0},
+		{"unknown heuristic", "/v1/map", `{"etc":[[1]],"heuristic":"nope"}`, 0},
+		{"over MaxCells", "/v1/map", overCells, http.StatusRequestEntityTooLarge},
+		{"over MaxBatchItems", "/v1/batch", overItems, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			wantStatus, wantBody := postURL(t, ref.URL+tc.path, tc.body)
+			if tc.status != 0 && wantStatus != tc.status {
+				t.Fatalf("single instance answered %d, want %d: %.200s", wantStatus, tc.status, wantBody)
+			}
 			rec := postHandler(t, g.Handler(), tc.path, tc.body)
 			if rec.Code != wantStatus {
 				t.Fatalf("status %d, single instance %d: %s", rec.Code, wantStatus, rec.Body.String())

@@ -10,7 +10,12 @@ import (
 )
 
 // GenitorConfig parameterises the steady-state genetic algorithm of paper
-// Figure 1 (after Whitley '89). Zero values select the defaults.
+// Figure 1 (after Whitley '89). The zero value selects
+// DefaultGenitorConfig, the registry's, Min-Min seed included. A config
+// that sets a budget keeps its SeedWithMinMin as given and defaults only
+// the other budget, so a partial config (one budget set, or both and
+// nothing else) runs without the Min-Min seed; the experiments' Genitor
+// monotonicity run relies on that.
 type GenitorConfig struct {
 	// PopulationSize is the fixed number of chromosomes (default 100).
 	PopulationSize int
