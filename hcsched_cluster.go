@@ -22,7 +22,9 @@ type (
 	// with aggregated /healthz, /metricz and /statusz.
 	Gateway = cluster.Gateway
 	// GatewayOptions configures a Gateway: the backend set, the resilient
-	// client template used per backend, and observability sinks.
+	// client template used per backend, and observability sinks. Its body
+	// and batch-item caps are the backends' own constants, so an over-cap
+	// request gets a single instance's 413.
 	GatewayOptions = cluster.Options
 	// ClusterBackend names one schedd instance and its base URL.
 	ClusterBackend = cluster.Backend

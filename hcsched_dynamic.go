@@ -20,7 +20,9 @@ type (
 	DynamicResult = dynamic.Result
 	// ImmediateRule selects the on-arrival mapping rule.
 	ImmediateRule = dynamic.ImmediateRule
-	// ImmediateConfig configures an immediate-mode simulation.
+	// ImmediateConfig configures an immediate-mode simulation. Its KPB and
+	// SWA rules take the registry's parameters: k = 70, and thresholds
+	// 0.33 and 0.49.
 	ImmediateConfig = dynamic.ImmediateConfig
 	// BatchConfig configures a batch-mode simulation.
 	BatchConfig = dynamic.BatchConfig

@@ -14,6 +14,10 @@ type (
 	// load shedding, worker pool, LRU result cache, graceful drain.
 	Server = serve.Server
 	// ServeOptions configures a Server; the zero value uses sane defaults.
+	// The admission caps are not options: a body over 1 MiB, a matrix
+	// over 262 144 cells, a memory estimate over 64 MiB or a batch over
+	// 256 items is refused with 413 (serve.MaxBodyBytes, MaxCells,
+	// MaxEstimatedBytes, MaxBatchItems).
 	ServeOptions = serve.Options
 	// ScheduleRequest is the wire request of /v1/map and /v1/iterate.
 	ScheduleRequest = serve.Request

@@ -16,8 +16,9 @@ type (
 	// serve layer's store interface: set it as ServeOptions.Store to wire
 	// it under the LRU as a read-through/write-behind second tier.
 	ResultStore = store.Store
-	// ResultStoreOptions configures a ResultStore; the zero value uses
-	// default segment size over the real filesystem.
+	// ResultStoreOptions configures a ResultStore; the zero value runs
+	// over the real filesystem. Segments rotate at a fixed 8 MiB
+	// (store.MaxSegmentBytes).
 	ResultStoreOptions = store.Options
 	// ResultStoreStats is a point-in-time snapshot of store state and
 	// counters (keys, segments, recovered bytes, index misses, reads,

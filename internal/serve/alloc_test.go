@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
 )
 
 // The serve-path allocation guards. The issue's target: an untraced,
