@@ -588,8 +588,9 @@ func derive(it, prev *Iteration) {
 // carve returns the next n elements of *buf, capacity-capped so an append
 // through one Iteration's slice cannot write into the next. When the spare
 // capacity is short it starts a new backing array of max(n, 2·cap, want)
-// elements, so a trace holds O(what it carves); slices carved earlier keep
-// the old one, whose bytes carve adds to *retired.
+// elements or more (its allocation's size class), so a trace holds O(what
+// it carves); slices carved earlier keep the old one, whose bytes carve
+// adds to *retired.
 func carve[T any](buf *[]T, n, want int, retired *int) []T {
 	if cap(*buf)-len(*buf) < n {
 		if len(*buf) > 0 {
@@ -687,7 +688,9 @@ func ascending(buf []int, n int) []int {
 }
 
 // reuse returns s resliced to length n when its capacity allows, else a new
-// slice of length n. The contents are the caller's to overwrite.
+// slice of length n whose capacity is its allocation's whole size class,
+// so that Footprint, counted by capacity, counts every byte allocated. The
+// contents are the caller's to overwrite.
 func reuse[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return slices.Grow([]T(nil), n)[:n]

@@ -55,7 +55,9 @@ func (k *twoPhaseKernel) footprint() int {
 }
 
 // grow returns s resliced to n, reallocating only when capacity is
-// insufficient; contents are unspecified.
+// insufficient; contents are unspecified. A new slice's capacity is its
+// allocation's whole size class, so a footprint counted by capacity
+// counts every byte allocated.
 func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return slices.Grow([]T(nil), n)[:n]

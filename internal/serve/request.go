@@ -584,7 +584,9 @@ func (sc *computeScratch) footprint() int {
 }
 
 // resize returns s resliced to length n when its capacity allows, else a
-// new slice of length n.
+// new slice of length n whose capacity is its allocation's whole size
+// class, so that footprint, counted by capacity, counts every byte
+// allocated.
 func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return slices.Grow([]T(nil), n)[:n]
