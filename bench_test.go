@@ -96,8 +96,7 @@ func BenchmarkTable09_SWAETC(b *testing.B) {
 }
 
 func swaExample() heuristics.SWA {
-	low, high := experiments.SWAExampleThresholds()
-	return heuristics.SWA{Low: low, High: high}
+	return heuristics.SWA{Low: heuristics.PaperSWALow, High: heuristics.PaperSWAHigh}
 }
 
 func BenchmarkTable10_SWAOriginal(b *testing.B) {
@@ -117,11 +116,11 @@ func BenchmarkTable12_KPBETC(b *testing.B) {
 }
 
 func BenchmarkTable13_KPBOriginal(b *testing.B) {
-	benchIterate(b, experiments.KPBExampleETC(), heuristics.KPercentBest{Percent: experiments.KPBExamplePercent})
+	benchIterate(b, experiments.KPBExampleETC(), heuristics.KPercentBest{Percent: heuristics.PaperKPercent})
 }
 
 func BenchmarkTable14_KPBIterative(b *testing.B) {
-	benchIterate(b, experiments.KPBExampleETC(), heuristics.KPercentBest{Percent: experiments.KPBExamplePercent})
+	benchIterate(b, experiments.KPBExampleETC(), heuristics.KPercentBest{Percent: heuristics.PaperKPercent})
 }
 
 func BenchmarkTable15_SufferageETC(b *testing.B) {
@@ -150,7 +149,7 @@ func BenchmarkFigures_GanttRendering(b *testing.B) {
 		{experiments.MCTMETExampleETC(), heuristics.MCT{}},
 		{experiments.MCTMETExampleETC(), heuristics.MET{}},
 		{experiments.SWAExampleETC(), swaExample()},
-		{experiments.KPBExampleETC(), heuristics.KPercentBest{Percent: experiments.KPBExamplePercent}},
+		{experiments.KPBExampleETC(), heuristics.KPercentBest{Percent: heuristics.PaperKPercent}},
 		{experiments.SufferageExampleETC(), heuristics.Sufferage{}},
 	}
 	schedules := make([]*sched.Schedule, 0, len(figs))

@@ -59,13 +59,6 @@ func SWAExampleETC() *etc.Matrix {
 	})
 }
 
-// SWAExampleThresholds returns the switching thresholds of the example. The
-// paper states high = 0.49; its low value was lost to OCR, and any value in
-// (4/13, 1/3] reproduces both traces.
-func SWAExampleThresholds() (low, high float64) {
-	return heuristics.PaperSWALow, heuristics.PaperSWAHigh
-}
-
 // KPBExampleETC reconstructs Table 12 (K-Percent Best example, 5 tasks x 3
 // machines, k = 70%): original completion times (6, 5, 5.5); in the first
 // iterative mapping only floor(2*0.7) = 1 machine is considered, so KPB
@@ -79,9 +72,6 @@ func KPBExampleETC() *etc.Matrix {
 		{9, 2, 2.5},
 	})
 }
-
-// KPBExamplePercent is the k of the example.
-const KPBExamplePercent = heuristics.PaperKPercent
 
 // SufferageExampleETC reconstructs Table 15 (Sufferage example, 8 tasks x 3
 // machines, found by counterexample search): deterministic ties, original
@@ -264,7 +254,7 @@ func RunMETExample() (*Report, error) {
 // RunSWAExample reproduces Tables 9-11 and Figures 11-12.
 func RunSWAExample() (*Report, error) {
 	m := SWAExampleETC()
-	low, high := SWAExampleThresholds()
+	low, high := heuristics.PaperSWALow, heuristics.PaperSWAHigh
 	h := heuristics.SWA{Low: low, High: high}
 	in, err := sched.NewInstance(m, nil)
 	if err != nil {
@@ -387,7 +377,7 @@ func swaBIs(steps []heuristics.SWAStep) string {
 // RunKPBExample reproduces Tables 12-14 and Figures 15-16.
 func RunKPBExample() (*Report, error) {
 	m := KPBExampleETC()
-	h := heuristics.KPercentBest{Percent: KPBExamplePercent}
+	h := heuristics.KPercentBest{Percent: heuristics.PaperKPercent}
 	in, err := sched.NewInstance(m, nil)
 	if err != nil {
 		return nil, err
@@ -395,7 +385,7 @@ func RunKPBExample() (*Report, error) {
 	rep := &Report{ID: "E5", Title: "K-Percent Best: deterministic ties can increase makespan"}
 	var b strings.Builder
 	b.WriteString(renderETC("Reconstructed ETC matrix (Table 12)", m))
-	fmt.Fprintf(&b, "k = %d%%\n\n", KPBExamplePercent)
+	fmt.Fprintf(&b, "k = %d%%\n\n", heuristics.PaperKPercent)
 
 	tr, err := core.Iterate(in, h, core.Deterministic())
 	if err != nil {

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/heuristics"
 )
 
 func run(t *testing.T, id string) *Report {
@@ -140,7 +142,7 @@ func TestPinnedMatricesStable(t *testing.T) {
 	if sf.Tasks() != 8 || sf.Machines() != 3 || sf.At(0, 0) != 6 {
 		t.Error("Sufferage example matrix drifted")
 	}
-	lo, hi := SWAExampleThresholds()
+	lo, hi := heuristics.PaperSWALow, heuristics.PaperSWAHigh
 	if hi != 0.49 || !(lo > 4.0/13 && lo <= 1.0/3) {
 		t.Errorf("SWA thresholds %g/%g outside the paper-consistent interval", lo, hi)
 	}
