@@ -34,22 +34,19 @@
 // in-process sequence — never from the clock. The trace ID is echoed in the
 // X-Schedd-Trace response header and stamped on access-log records; span
 // durations feed the /statusz stage quantiles. -trace-out additionally
-// writes every span as JSONL (analyze with cmd/schedtrace), truncating the
-// file at startup: trace sequences restart with the process, so a second
-// lifetime appended to the first would repeat its trace IDs. One file
-// holds one lifetime's stream. -access-log appends, as its records are
-// flat and stand alone. -pprof serves net/http/pprof on a secondary
-// listener, never on the service address.
+// writes every span as JSONL (analyze with cmd/schedtrace); it truncates
+// and -access-log appends (internal/daemon's Logs says why). -pprof
+// serves net/http/pprof on a secondary listener, never on the service
+// address.
 //
 // Responses are deterministic in the request: same matrix, heuristic, tie
 // policy and seed give byte-identical bodies, cached or computed. -selfcheck
 // starts the daemon on an ephemeral port, replays the pinned Table-1
 // Min-Min trace over real HTTP (twice: computed, then cached), verifies
-// both bodies bit-for-bit and the span trees the requests left, replays
-// every builtin chaos scenario (internal/chaos) whose topology is not a
-// cluster — fault storms, batches, the breaker, worker panics, kill/restart
-// over the disk tier and the sick-disk arcs — requiring every invariant to
-// hold, drains, and exits 0: the smoke test run by scripts/check.sh.
+// both bodies bit-for-bit, the metricz hit count, the span trees the
+// requests left and /statusz, drains, and exits 0: the smoke test run by
+// scripts/check.sh. It replays no chaos scenario; `schedchaos -json`, a
+// leg of its own in scripts/check.sh, is the one chaos sweep.
 //
 // -fault-inject is a STAGING flag: it wraps the whole service in the
 // seeded fault injector (spec grammar: seed=N,latency=P:DUR,
@@ -59,55 +56,24 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // profiling endpoints on the -pprof listener's DefaultServeMux
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
-	"repro/internal/chaos"
-	"repro/internal/experiments"
+	"repro/internal/daemon"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/store"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "schedd:", err)
-		os.Exit(exitCode(err))
-	}
-}
-
-// usageError marks a command-line mistake: bad flag syntax or a nonsensical
-// value. main exits 2 for these (usage), 1 for runtime failures, so wrappers
-// and scripts can tell operator errors from daemon errors.
-type usageError struct{ error }
-
-func usagef(format string, args ...any) error {
-	return usageError{fmt.Errorf(format, args...)}
-}
-
-func exitCode(err error) int {
-	switch {
-	case err == nil:
-		return 0
-	case errors.As(err, &usageError{}):
-		return 2
-	default:
-		return 1
-	}
-}
+func main() { daemon.Main("schedd", run) }
 
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("schedd", flag.ContinueOnError)
@@ -128,43 +94,43 @@ func run(args []string, stdout, stderr io.Writer) error {
 		selfcheck    = fs.Bool("selfcheck", false, "serve on an ephemeral port, verify the pinned Table-1 trace end to end, drain, exit")
 	)
 	if err := fs.Parse(args); err != nil {
-		return usageError{err}
+		return daemon.Usagef("%w", err)
 	}
 	// Validate flag values before any construction: a nonsensical value is
 	// an operator mistake and must fail fast with usage (exit 2), never
 	// reach pool or cache construction as a default-by-accident.
 	switch {
 	case *queue < 0:
-		return usagef("-queue %d: must be >= 0 (0 = default)", *queue)
+		return daemon.Usagef("-queue %d: must be >= 0 (0 = default)", *queue)
 	case *workers < 0:
-		return usagef("-workers %d: must be >= 0 (0 = GOMAXPROCS)", *workers)
+		return daemon.Usagef("-workers %d: must be >= 0 (0 = GOMAXPROCS)", *workers)
 	case *timeout < 0:
-		return usagef("-timeout %s: must be >= 0 (0 = default)", *timeout)
+		return daemon.Usagef("-timeout %s: must be >= 0 (0 = default)", *timeout)
 	case *drainTimeout <= 0:
-		return usagef("-drain-timeout %s: must be positive", *drainTimeout)
+		return daemon.Usagef("-drain-timeout %s: must be positive", *drainTimeout)
 	}
 	var faultSpec faults.Spec
 	if *faultInject != "" {
 		if *selfcheck {
-			return usagef("-fault-inject cannot be combined with -selfcheck (the selfcheck's chaos scenarios inject their own seeded faults)")
+			return daemon.Usagef("-fault-inject cannot be combined with -selfcheck (the selfcheck pins a fault-free Table-1 trace)")
 		}
 		var err error
 		faultSpec, err = faults.Parse(*faultInject)
 		if err != nil {
-			return usagef("-fault-inject: %w", err)
+			return daemon.Usagef("-fault-inject: %w", err)
 		}
 	}
 	if *storeDir != "" && *selfcheck {
-		return usagef("-store cannot be combined with -selfcheck (the selfcheck's restart and disk chaos scenarios open their own stores in temporary directories)")
+		return daemon.Usagef("-store cannot be combined with -selfcheck (the selfcheck pins a cold first request, a computed miss)")
 	}
 	var storeFS store.FS
 	if *storeFaults != "" {
 		if *storeDir == "" {
-			return usagef("-store-fault-inject requires -store (it faults the disk tier's filesystem)")
+			return daemon.Usagef("-store-fault-inject requires -store (it faults the disk tier's filesystem)")
 		}
 		spec, err := store.ParseFaultSpec(*storeFaults)
 		if err != nil {
-			return usagef("-store-fault-inject: %w", err)
+			return daemon.Usagef("-store-fault-inject: %w", err)
 		}
 		storeFS = store.NewFaultFS(nil, spec)
 	}
@@ -179,46 +145,24 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("-store: %w", err)
 		}
-		// Deferred close runs after serveForever has drained, so the
+		// Deferred close runs after the server has drained, so the
 		// write-behind queue is already flushed into the store.
 		defer st.Close()
 		opts.Store = st
 	}
-	var logSink *obs.JSONL
-	if *accessLog != "" {
-		f, err := os.OpenFile(*accessLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		logSink = obs.NewJSONL(f)
-		opts.Observer = logSink
+	logs, err := daemon.OpenLogs(*accessLog, *traceOut)
+	if err != nil {
+		return err
 	}
-	// Tracing is always on in the daemon: span durations feed the /statusz
-	// stage quantiles through a span-metrics observer on the server's own
-	// registry. -trace-out additionally streams every span as JSONL, and the
-	// selfcheck adds an in-memory collector so its trace leg can verify the
-	// span trees it produced. Span IDs derive from request keys and a
-	// sequence, so none of this perturbs response bytes.
-	reg := obs.NewMetrics()
-	opts.Metrics = reg
-	sinks := obs.Multi{obs.NewSpanMetricsObserver(reg, "serve")}
-	var traceSink *obs.JSONL
-	if *traceOut != "" {
-		f, err := os.OpenFile(*traceOut, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		traceSink = obs.NewJSONL(f)
-		sinks = append(sinks, traceSink)
-	}
-	var spanCol *obs.Collector
+	defer logs.Close()
+	opts.Observer = logs.Access()
+	// The selfcheck's trace leg reads the span trees from a collector.
+	var spans *obs.Collector
 	if *selfcheck {
-		spanCol = &obs.Collector{}
-		sinks = append(sinks, spanCol)
+		spans = &obs.Collector{}
 	}
-	opts.Tracer = obs.NewTracer(sinks)
+	opts.Metrics = obs.NewMetrics()
+	opts.Tracer = logs.Tracer(opts.Metrics, "serve", spans)
 	srv := serve.NewServer(opts)
 
 	if *pprofAddr != "" {
@@ -231,70 +175,37 @@ func run(args []string, stdout, stderr io.Writer) error {
 		go http.Serve(pln, nil) // DefaultServeMux carries only the pprof handlers
 	}
 
-	var err error
 	if *selfcheck {
-		err = selfCheck(srv, spanCol, stdout)
+		err = daemon.RunCheck("schedd", srv.Handler(), srv, spans, stdout, selfCheck)
 	} else {
 		handler := http.Handler(srv.Handler())
 		if *faultInject != "" {
 			handler = faults.New(faultSpec, handler, srv.Metrics())
 			fmt.Fprintf(stdout, "schedd: FAULT INJECTION ACTIVE (%s)\n", faultSpec)
 		}
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		err = serve.ServeUntil(ctx, "schedd", *addr, handler, srv, *drainTimeout, stdout)
+		err = daemon.Serve("schedd", *addr, handler, srv, *drainTimeout, stdout)
 	}
 	if err != nil {
 		return err
 	}
-	if logSink != nil {
-		if err := logSink.Err(); err != nil {
-			return fmt.Errorf("writing -access-log: %w", err)
-		}
-	}
-	if traceSink != nil {
-		if err := traceSink.Err(); err != nil {
-			return fmt.Errorf("writing -trace-out: %w", err)
-		}
-	}
-	return nil
+	return logs.Close()
 }
 
-// selfCheck exercises the whole service end to end over a real TCP
-// listener: the pinned Table-1 Min-Min matrix through /v1/iterate (computed
-// then cached, byte-identical), /healthz, /metricz, the tracing path
-// (spans land in spanCol), the builtin chaos scenarios and a graceful
-// drain. Everything checked is deterministic; only [ok  ] lines are
-// printed.
-func selfCheck(srv *serve.Server, spanCol *obs.Collector, stdout io.Writer) error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	base := "http://" + ln.Addr().String()
-	fmt.Fprintf(stdout, "schedd: selfcheck against %s\n", base)
-
-	if err := expectStatus(http.Get(base + "/healthz")); err != nil {
+// selfCheck exercises the whole service end to end over c's real TCP
+// listener: /healthz, the pinned Table-1 Min-Min matrix through
+// /v1/iterate (computed then cached, byte-identical), /metricz and the
+// tracing path; daemon.RunCheck drains. Everything checked is
+// deterministic.
+func selfCheck(c *daemon.Check) error {
+	if _, err := c.Get("/healthz", nil); err != nil {
 		return fmt.Errorf("healthz: %w", err)
 	}
-	fmt.Fprintln(stdout, "[ok  ] healthz")
+	c.OK("healthz")
 
-	// The pinned Table-1 matrix (experiments.MinMinExampleETC): min-min
-	// under deterministic ties gives machine completions (5, 4, 2), and by
-	// the paper's invariance theorem the iterative technique changes
-	// nothing: final == original, makespan 5, every machine unchanged.
-	reqBody, err := json.Marshal(serve.Request{
-		ETC:       experiments.MinMinExampleETC().Values(),
-		Heuristic: "min-min",
-		Ties:      "det",
-		Seed:      1,
-	})
-	if err != nil {
-		return err
-	}
-	first, firstHdr, err := postIterate(base, reqBody)
+	// By the invariance theorem the Table-1 trace is final == original:
+	// makespan 5, completions (5, 4, 2), every machine unchanged.
+	reqBody := daemon.Table1()
+	first, hdr, err := c.Post("/v1/iterate", reqBody)
 	if err != nil {
 		return err
 	}
@@ -313,78 +224,41 @@ func selfCheck(srv *serve.Server, spanCol *obs.Collector, stdout io.Writer) erro
 		return fmt.Errorf("table-1 trace has %d iterations, want 3", len(ir.Iterations))
 	case strings.Join(ir.Outcomes, ",") != "unchanged,unchanged,unchanged":
 		return fmt.Errorf("table-1 outcomes %v, want all unchanged (invariance theorem)", ir.Outcomes)
-	case firstHdr != "miss":
-		return fmt.Errorf("first request X-Schedd-Cache %q, want miss", firstHdr)
+	case hdr.Get("X-Schedd-Cache") != "miss":
+		return fmt.Errorf("first request X-Schedd-Cache %q, want miss", hdr.Get("X-Schedd-Cache"))
 	}
-	fmt.Fprintln(stdout, "[ok  ] /v1/iterate reproduces the pinned Table-1 trace")
+	c.OK("/v1/iterate reproduces the pinned Table-1 trace")
 
-	second, secondHdr, err := postIterate(base, reqBody)
+	second, hdr, err := c.Post("/v1/iterate", reqBody)
 	if err != nil {
 		return err
 	}
-	if secondHdr != "hit" {
-		return fmt.Errorf("second request X-Schedd-Cache %q, want hit", secondHdr)
+	if hdr.Get("X-Schedd-Cache") != "hit" {
+		return fmt.Errorf("second request X-Schedd-Cache %q, want hit", hdr.Get("X-Schedd-Cache"))
 	}
 	if !bytes.Equal(first, second) {
 		return fmt.Errorf("cached body differs from computed body")
 	}
-	fmt.Fprintln(stdout, "[ok  ] cache hit is byte-identical to the computed response")
+	c.OK("cache hit is byte-identical to the computed response")
 
-	resp, err := http.Get(base + "/metricz")
-	if err != nil {
-		return err
-	}
-	snapBody, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return err
-	}
 	var snap obs.Snapshot
-	if err := json.Unmarshal(snapBody, &snap); err != nil {
-		return fmt.Errorf("decoding /metricz: %w", err)
+	if _, err := c.Get("/metricz", &snap); err != nil {
+		return err
 	}
 	hits := int64(-1)
-	for _, c := range snap.Counters {
-		if c.Name == "serve.cache_hits" {
-			hits = c.Value
+	for _, ctr := range snap.Counters {
+		if ctr.Name == "serve.cache_hits" {
+			hits = ctr.Value
 		}
 	}
 	if hits != 1 {
 		return fmt.Errorf("metricz serve.cache_hits = %d, want 1", hits)
 	}
-	fmt.Fprintln(stdout, "[ok  ] metricz reports the cache hit")
+	c.OK("metricz reports the cache hit")
 
-	if err := traceLeg(base, spanCol, reqBody, stdout); err != nil {
+	if err := traceLeg(c, reqBody); err != nil {
 		return err
 	}
-
-	// Every builtin chaos scenario one daemon can host, in-process on its
-	// own stacks, every invariant required to hold: fault storms, batches,
-	// the breaker, worker panics, kill/restart over the disk tier and the
-	// sick-disk arcs. The cluster scenarios belong to schedgw -selfcheck.
-	for _, sc := range chaos.Builtin() {
-		if sc.Topology() == "cluster" {
-			continue
-		}
-		rep, err := chaos.Run(sc)
-		if err == nil {
-			err = rep.Err()
-		}
-		if err != nil {
-			return fmt.Errorf("chaos scenario %s: %w", sc.Name, err)
-		}
-		fmt.Fprintf(stdout, "[ok  ] chaos scenario %s: %d invariants hold\n", rep.Scenario, len(rep.Invariants))
-	}
-
-	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(sctx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := srv.Drain(sctx); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	fmt.Fprintln(stdout, "[ok  ] drained")
 	return nil
 }
 
@@ -394,67 +268,32 @@ func selfCheck(srv *serve.Server, spanCol *obs.Collector, stdout io.Writer) erro
 // with the documented stages, all three share the deterministic key half of
 // the trace ID, and /statusz folds the span durations into per-stage
 // quantiles.
-func traceLeg(base string, spanCol *obs.Collector, reqBody []byte, stdout io.Writer) error {
-	resp, err := http.Post(base+"/v1/iterate", "application/json", bytes.NewReader(reqBody))
+func traceLeg(c *daemon.Check, reqBody []byte) error {
+	_, hdr, err := c.Post("/v1/iterate", reqBody)
 	if err != nil {
-		return err
+		return fmt.Errorf("trace leg: %w", err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	headerID := resp.Header.Get(serve.TraceHeader)
-	if resp.StatusCode != http.StatusOK || headerID == "" {
-		return fmt.Errorf("trace leg: status %d, %s header %q", resp.StatusCode, serve.TraceHeader, headerID)
+	headerID := hdr.Get(serve.TraceHeader)
+	if headerID == "" {
+		return fmt.Errorf("trace leg: no %s header", serve.TraceHeader)
 	}
 
-	// Spans are emitted when the handler finishes, which can trail the
-	// response bytes by a scheduler beat. A trace emits its root first and
-	// its "write" stage last, so three write spans mean three complete
-	// trees have landed. The spans themselves are deterministic — only
-	// their arrival in the collector needs a grace period.
-	var all []obs.Span
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		all = all[:0]
-		writes := 0
-		for _, e := range spanCol.Events() {
-			if sp, ok := e.(obs.Span); ok {
-				all = append(all, sp)
-				if sp.Name == "write" {
-					writes++
-				}
-			}
-		}
-		if writes >= 3 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
+	trees, err := c.Traces(3)
+	if err != nil {
+		return fmt.Errorf("trace leg: %w", err)
 	}
-	sum := obs.SummarizeSpans(all)
-	if !sum.WellFormed() || sum.Roots != 3 {
-		return fmt.Errorf("trace leg: %d well-formed roots for 3 requests (malformed: %v)", sum.Roots, sum.Malformed)
-	}
-
 	keyHalves := map[string]bool{}
 	headerMatched := false
 	var missStages, hitStages map[string]bool
-	for _, sp := range all {
-		if sp.ParentID != 0 {
-			continue
-		}
-		keyHalves[strings.SplitN(sp.TraceID, "-", 2)[0]] = true
-		if sp.TraceID == headerID {
+	for _, tr := range trees {
+		keyHalves[strings.SplitN(tr.Root.TraceID, "-", 2)[0]] = true
+		if tr.Root.TraceID == headerID {
 			headerMatched = true
 		}
-		kids := map[string]bool{}
-		for _, k := range all {
-			if k.TraceID == sp.TraceID && k.ParentID != 0 {
-				kids[k.Name] = true
-			}
-		}
-		if sp.Cache == "miss" {
-			missStages = kids
+		if tr.Root.Cache == "miss" {
+			missStages = tr.Stages
 		} else {
-			hitStages = kids
+			hitStages = tr.Stages
 		}
 	}
 	if !headerMatched {
@@ -471,17 +310,8 @@ func traceLeg(base string, spanCol *obs.Collector, reqBody []byte, stdout io.Wri
 	if hitStages == nil || hitStages["compute"] || !hitStages["cache_lookup"] || !hitStages["write"] {
 		return fmt.Errorf("trace leg: hit trace stages wrong: %v", hitStages)
 	}
-	fmt.Fprintln(stdout, "[ok  ] every request traced: well-formed span trees, stable key half, header matches a root")
+	c.OK("every request traced: well-formed span trees, stable key half, header matches a root")
 
-	resp, err = http.Get(base + "/statusz")
-	if err != nil {
-		return err
-	}
-	stBody, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return err
-	}
 	var st struct {
 		RequestsTotal int64   `json:"requests_total"`
 		CacheHits     int64   `json:"cache_hits"`
@@ -494,8 +324,9 @@ func traceLeg(base string, spanCol *obs.Collector, reqBody []byte, stdout io.Wri
 			Count int    `json:"count"`
 		} `json:"stages"`
 	}
-	if err := json.Unmarshal(stBody, &st); err != nil {
-		return fmt.Errorf("decoding /statusz: %w (%s)", err, stBody)
+	stBody, err := c.Get("/statusz", &st)
+	if err != nil {
+		return err
 	}
 	stages := map[string]int{}
 	for _, row := range st.Stages {
@@ -511,34 +342,6 @@ func traceLeg(base string, spanCol *obs.Collector, reqBody []byte, stdout io.Wri
 	case stages["compute"] != 1 || stages["cache_lookup"] != 3 || stages["write"] != 3:
 		return fmt.Errorf("statusz stage counts %v, want compute=1 cache_lookup=3 write=3: %s", stages, stBody)
 	}
-	fmt.Fprintln(stdout, "[ok  ] statusz folds the spans into per-stage latency quantiles")
-	return nil
-}
-
-func postIterate(base string, body []byte) (respBody []byte, cacheHeader string, err error) {
-	resp, err := http.Post(base+"/v1/iterate", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, "", err
-	}
-	defer resp.Body.Close()
-	respBody, err = io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, "", fmt.Errorf("/v1/iterate: status %d: %s", resp.StatusCode, respBody)
-	}
-	return respBody, resp.Header.Get("X-Schedd-Cache"), nil
-}
-
-func expectStatus(resp *http.Response, err error) error {
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d", resp.StatusCode)
-	}
+	c.OK("statusz folds the spans into per-stage latency quantiles")
 	return nil
 }

@@ -12,15 +12,14 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/chaos"
+	"repro/internal/daemon"
 	"repro/internal/obs"
 )
 
 // TestSelfcheck runs the full end-to-end smoke in-process: ephemeral port,
-// pinned Table-1 /v1/iterate trace, byte-identical cache hit, the trace
-// leg, one line per non-cluster builtin chaos scenario, drain. The
-// scenario lines come from the registry, so a new builtin joins the smoke
-// without touching this test.
+// pinned Table-1 /v1/iterate trace, byte-identical cache hit, the metricz
+// hit, the trace leg and /statusz, drain. The chaos scenarios are
+// schedchaos's: the selfcheck replays none of them.
 func TestSelfcheck(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if err := run([]string{"-selfcheck"}, &stdout, &stderr); err != nil {
@@ -33,30 +32,25 @@ func TestSelfcheck(t *testing.T) {
 		"[ok  ] metricz reports the cache hit",
 		"[ok  ] every request traced: well-formed span trees, stable key half, header matches a root",
 		"[ok  ] statusz folds the spans into per-stage latency quantiles",
+		"[ok  ] drained",
 	}
-	scenarios := 0
-	for _, sc := range chaos.Builtin() {
-		if sc.Topology() != "cluster" {
-			want = append(want, "[ok  ] chaos scenario "+sc.Name+": ")
-			scenarios++
-		}
-	}
-	want = append(want, "[ok  ] drained")
 	for _, w := range want {
 		if !strings.Contains(stdout.String(), w) {
 			t.Errorf("stdout missing %q:\n%s", w, stdout.String())
 		}
 	}
-	if got := strings.Count(stdout.String(), "[ok  ] chaos scenario "); got != scenarios {
-		t.Errorf("%d chaos scenario lines, want %d (every non-cluster builtin once):\n%s", got, scenarios, stdout.String())
+	if got := strings.Count(stdout.String(), "[ok  ] "); got != len(want) {
+		t.Errorf("%d [ok  ] lines, want %d:\n%s", got, len(want), stdout.String())
+	}
+	if strings.Contains(stdout.String(), "chaos") {
+		t.Errorf("selfcheck replayed a chaos scenario:\n%s", stdout.String())
 	}
 }
 
 // TestSelfcheckWritesAccessLog checks the -access-log JSONL sink records
 // one request_done line per scheduling request, each stamped with its own
 // trace ID: the selfcheck's three Table-1 requests, a computed miss and two
-// cache hits. The chaos scenarios run on their own stacks and log nothing
-// here.
+// cache hits.
 func TestSelfcheckWritesAccessLog(t *testing.T) {
 	path := t.TempDir() + "/requests.jsonl"
 	var stdout, stderr bytes.Buffer
@@ -99,7 +93,7 @@ func TestSelfcheckWritesAccessLog(t *testing.T) {
 
 // TestFaultInjectFlagValidation pins -fault-inject's fail-fast contract: a
 // typo'd spec is an error before any listener opens, and combining it with
-// -selfcheck (whose chaos scenarios inject their own faults) is refused.
+// -selfcheck (which pins a fault-free Table-1 trace) is refused.
 func TestFaultInjectFlagValidation(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	err := run([]string{"-fault-inject", "reject=2.0:503"}, &stdout, &stderr)
@@ -136,20 +130,20 @@ func TestFlagValueValidation(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("run(%v): err %q, want mention of %q", tc.args, err, tc.want)
 		}
-		if exitCode(err) != 2 {
-			t.Errorf("run(%v): exit code %d, want 2 (usage)", tc.args, exitCode(err))
+		if daemon.ExitCode(err) != 2 {
+			t.Errorf("run(%v): exit code %d, want 2 (usage)", tc.args, daemon.ExitCode(err))
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("run(%v): usage leaked to stdout: %s", tc.args, stdout.String())
 		}
 	}
 	// Runtime failures stay exit 1, and flag-syntax errors are usage.
-	if got := exitCode(errOpaque{}); got != 1 {
-		t.Errorf("exitCode(runtime error) = %d, want 1", got)
+	if got := daemon.ExitCode(errOpaque{}); got != 1 {
+		t.Errorf("daemon.ExitCode(runtime error) = %d, want 1", got)
 	}
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-nope"}, &stdout, &stderr); exitCode(err) != 2 {
-		t.Errorf("exitCode(flag parse error) = %d, want 2", exitCode(err))
+	if err := run([]string{"-nope"}, &stdout, &stderr); daemon.ExitCode(err) != 2 {
+		t.Errorf("daemon.ExitCode(flag parse error) = %d, want 2", daemon.ExitCode(err))
 	}
 }
 

@@ -12,9 +12,10 @@
 // implies -local 3 and checks the gateway that run builds over it:
 // aggregated health, the pinned Table-1 trace (a miss byte-identical to a
 // single instance, then a byte-identical hit) and the span trees it left,
-// replays every builtin cluster chaos scenario (internal/chaos) — batch
-// split/merge, kill/failover/revive, routing, metrics and per-stage span
-// conservation — requiring every invariant to hold, drains, and exits 0.
+// drains, and exits 0. It replays no chaos scenario: the cluster
+// scenarios' batch split/merge, kill/failover/revive, routing, metrics and
+// span conservation are checked by `schedchaos -json`, a leg of its own
+// in scripts/check.sh and the one chaos sweep.
 //
 // Usage:
 //
@@ -44,63 +45,29 @@
 // (key derivation + rendezvous ranking), backend_wait (one per backend
 // tried), batch_merge and write — extending the documented schedd stage
 // set; IDs derive from the canonical request key, never the clock.
-// -trace-out streams the spans as JSONL for cmd/schedtrace. It truncates
-// the file at startup: trace sequences restart with the process, so a
-// second lifetime appended to the first would repeat its trace IDs. One
-// file holds one lifetime's stream. -access-log appends, as its records
-// are flat and stand alone.
+// -trace-out streams the spans as JSONL for cmd/schedtrace; like
+// -access-log it behaves as in schedd (internal/daemon).
 package main
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/client"
 	"repro/internal/cluster"
-	"repro/internal/experiments"
+	"repro/internal/daemon"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "schedgw:", err)
-		os.Exit(exitCode(err))
-	}
-}
-
-// usageError marks a command-line mistake: bad flag syntax or a nonsensical
-// value. main exits 2 for these (usage), 1 for runtime failures.
-type usageError struct{ error }
-
-func usagef(format string, args ...any) error {
-	return usageError{fmt.Errorf(format, args...)}
-}
-
-func exitCode(err error) int {
-	switch {
-	case err == nil:
-		return 0
-	case errors.As(err, &usageError{}):
-		return 2
-	default:
-		return 1
-	}
-}
+func main() { daemon.Main("schedgw", run) }
 
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("schedgw", flag.ContinueOnError)
@@ -111,52 +78,52 @@ func run(args []string, stdout, stderr io.Writer) error {
 		local         = fs.Int("local", 0, "spin up this many in-process schedd backends instead of -backends")
 		storeDir      = fs.String("store-dir", "", "with -local: give each backend a crash-safe disk result tier under this directory (dir/backend-N)")
 		retries       = fs.Int("retries", 2, "per-backend retries before failing over (-1 disables retries)")
-		backoff       = fs.Duration("backoff", 5*time.Millisecond, "per-backend base retry backoff")
+		backoff       = fs.Duration("backoff", 5*time.Millisecond, "per-backend base retry backoff (0 = client default)")
 		clientTimeout = fs.Duration("client-timeout", 10*time.Second, "per-attempt deadline against a backend")
 		threshold     = fs.Int("breaker-threshold", 0, "per-backend circuit-breaker threshold (0 = client default, negative disables)")
 		seed          = fs.Uint64("seed", 1, "seed for the per-backend clients' backoff jitter")
 		drainTimeout  = fs.Duration("drain-timeout", 10*time.Second, "how long to wait for in-flight requests on shutdown")
 		accessLog     = fs.String("access-log", "", "append request_done and gateway_route events as JSONL to this path")
 		traceOut      = fs.String("trace-out", "", "write gateway spans as JSONL to this path, truncating it (analyze with cmd/schedtrace)")
-		selfcheck     = fs.Bool("selfcheck", false, "imply -local 3, verify the pinned Table-1 trace and every cluster chaos scenario end to end, drain, exit")
+		selfcheck     = fs.Bool("selfcheck", false, "imply -local 3, verify the pinned Table-1 trace end to end, drain, exit")
 	)
 	if err := fs.Parse(args); err != nil {
-		return usageError{err}
+		return daemon.Usagef("%w", err)
 	}
 	// Validate flag values before any cluster or listener construction:
 	// operator mistakes fail fast with usage (exit 2).
 	switch {
 	case *local < 0:
-		return usagef("-local %d: must be >= 0", *local)
+		return daemon.Usagef("-local %d: must be >= 0", *local)
 	case *retries < -1:
-		return usagef("-retries %d: must be >= -1 (-1 disables retries)", *retries)
+		return daemon.Usagef("-retries %d: must be >= -1 (-1 disables retries)", *retries)
+	case *backoff < 0:
+		return daemon.Usagef("-backoff %s: must be >= 0 (0 = client default)", *backoff)
 	case *drainTimeout <= 0:
-		return usagef("-drain-timeout %s: must be positive", *drainTimeout)
+		return daemon.Usagef("-drain-timeout %s: must be positive", *drainTimeout)
 	case *clientTimeout <= 0:
-		return usagef("-client-timeout %s: must be positive", *clientTimeout)
+		return daemon.Usagef("-client-timeout %s: must be positive", *clientTimeout)
 	case *storeDir != "" && *local == 0:
-		return usagef("-store-dir only applies to -local backends (remote backends own their own -store)")
+		return daemon.Usagef("-store-dir only applies to -local backends (remote backends own their own -store)")
 	}
 	if *selfcheck {
 		if *backendSpec != "" || *local != 0 {
-			return usagef("-selfcheck runs its own local cluster; drop -backends/-local")
+			return daemon.Usagef("-selfcheck runs its own local cluster; drop -backends/-local")
 		}
 		*local = selfcheckBackends
 	}
 
 	var backends []cluster.Backend
-	var localCluster *cluster.Local
 	switch {
 	case *local > 0 && *backendSpec != "":
-		return usagef("-local and -backends are mutually exclusive")
+		return daemon.Usagef("-local and -backends are mutually exclusive")
 	case *local > 0:
-		var err error
-		localCluster, err = cluster.StartLocalStores(*local, serve.Options{}, *storeDir)
+		lc, err := cluster.StartLocalStores(*local, serve.Options{}, *storeDir)
 		if err != nil {
 			return err
 		}
-		defer localCluster.Close()
-		backends = localCluster.Backends()
+		defer lc.Close()
+		backends = lc.Backends()
 		for _, b := range backends {
 			fmt.Fprintf(stdout, "schedgw: local backend %s on %s\n", b.Name, b.URL)
 		}
@@ -167,41 +134,20 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	default:
-		return usagef("need -backends, -local or -selfcheck")
+		return daemon.Usagef("need -backends, -local or -selfcheck")
 	}
 
-	reg := obs.NewMetrics()
-	var observers obs.Multi
-	var logSink *obs.JSONL
-	if *accessLog != "" {
-		f, err := os.OpenFile(*accessLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		logSink = obs.NewJSONL(f)
-		observers = append(observers, logSink)
+	logs, err := daemon.OpenLogs(*accessLog, *traceOut)
+	if err != nil {
+		return err
 	}
-	// Tracing is always on, as in schedd: span durations feed /statusz-style
-	// stage metrics on the gateway registry; -trace-out streams the spans,
-	// and the selfcheck adds an in-memory collector for its trace leg.
-	sinks := obs.Multi{obs.NewSpanMetricsObserver(reg, "gateway")}
-	var traceSink *obs.JSONL
-	if *traceOut != "" {
-		f, err := os.OpenFile(*traceOut, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		traceSink = obs.NewJSONL(f)
-		sinks = append(sinks, traceSink)
-	}
-	var spanCol *obs.Collector
+	defer logs.Close()
+	// The selfcheck's trace leg reads the span trees from a collector.
+	var spans *obs.Collector
 	if *selfcheck {
-		spanCol = &obs.Collector{}
-		sinks = append(sinks, spanCol)
+		spans = &obs.Collector{}
 	}
-
+	reg := obs.NewMetrics()
 	gw, err := cluster.NewGateway(cluster.Options{
 		Backends: backends,
 		Client: client.Options{
@@ -214,34 +160,22 @@ func run(args []string, stdout, stderr io.Writer) error {
 			// its benchmarks measure.
 		},
 		Metrics:  reg,
-		Observer: observers,
-		Tracer:   obs.NewTracer(sinks),
+		Observer: logs.Access(),
+		Tracer:   logs.Tracer(reg, "gateway", spans),
 	})
 	if err != nil {
 		return err
 	}
 
 	if *selfcheck {
-		err = selfCheck(gw, spanCol, stdout)
+		err = daemon.RunCheck("schedgw", gw.Handler(), gw, spans, stdout, selfCheck)
 	} else {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		err = serve.ServeUntil(ctx, "schedgw", *addr, gw.Handler(), gw, *drainTimeout, stdout)
+		err = daemon.Serve("schedgw", *addr, gw.Handler(), gw, *drainTimeout, stdout)
 	}
 	if err != nil {
 		return err
 	}
-	if logSink != nil {
-		if err := logSink.Err(); err != nil {
-			return fmt.Errorf("writing -access-log: %w", err)
-		}
-	}
-	if traceSink != nil {
-		if err := traceSink.Err(); err != nil {
-			return fmt.Errorf("writing -trace-out: %w", err)
-		}
-	}
-	return nil
+	return logs.Close()
 }
 
 // parseBackends parses the -backends grammar: comma-separated name=url.
@@ -260,172 +194,72 @@ func parseBackends(spec string) ([]cluster.Backend, error) {
 // selfcheckBackends is the local cluster size -selfcheck implies.
 const selfcheckBackends = 3
 
-// selfCheck fronts the local cluster's gateway, as run built it, with an
-// ephemeral port and machine-checks it end to end over real HTTP:
-// aggregated health; the pinned Table-1 trace through the cluster,
-// byte-identical to a single instance, its repeat a byte-identical hit on
-// the owner's warm cache; the span trees those two requests left in
-// spanCol; every builtin cluster chaos scenario (internal/chaos), which
-// carries the batch split/merge, kill/failover/revive, routing and gateway
-// metrics and span checks; and a graceful drain. Only [ok  ] lines are
-// printed.
-func selfCheck(gw *cluster.Gateway, spanCol *obs.Collector, stdout io.Writer) error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: gw.Handler()}
-	go hs.Serve(ln)
-	base := "http://" + ln.Addr().String()
-	fmt.Fprintf(stdout, "schedgw: selfcheck against %s (%d local backends)\n", base, selfcheckBackends)
-
-	resp, err := http.Get(base + "/healthz")
-	if err != nil {
-		return fmt.Errorf("healthz: %w", err)
-	}
+// selfCheck machine-checks the local cluster's gateway, as run built it,
+// end to end over c's real HTTP: aggregated health; the pinned Table-1
+// trace through the cluster, byte-identical to a single instance, its
+// repeat a byte-identical hit on the owner's warm cache; and the span
+// trees those two requests left. daemon.RunCheck drains.
+func selfCheck(c *daemon.Check) error {
 	var health struct {
 		Status   string            `json:"status"`
 		Backends map[string]string `json:"backends"`
 	}
-	err = json.NewDecoder(resp.Body).Decode(&health)
-	resp.Body.Close()
-	if err != nil || health.Status != "ok" || len(health.Backends) != selfcheckBackends {
+	if _, err := c.Get("/healthz", &health); err != nil || health.Status != "ok" || len(health.Backends) != selfcheckBackends {
 		return fmt.Errorf("healthz: %+v (%v), want ok with %d backends", health, err, selfcheckBackends)
 	}
-	fmt.Fprintf(stdout, "[ok  ] healthz aggregates all %d backends\n", selfcheckBackends)
+	c.OK("healthz aggregates all %d backends", selfcheckBackends)
 
-	// The pinned Table-1 matrix (experiments.MinMinExampleETC) under
-	// deterministic Min-Min; schedd -selfcheck pins its trace, so here a
-	// single in-process instance's bytes are the golden.
-	reqBody, err := json.Marshal(serve.Request{
-		ETC:       experiments.MinMinExampleETC().Values(),
-		Heuristic: "min-min",
-		Ties:      "det",
-		Seed:      1,
-	})
-	if err != nil {
-		return err
-	}
+	// schedd -selfcheck pins the Table-1 trace, so here a single
+	// in-process instance's bytes are the golden.
+	reqBody := daemon.Table1()
 	ref := serve.NewServer(serve.Options{})
 	defer ref.Drain(context.Background())
 	rec := httptest.NewRecorder()
 	ref.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/iterate", bytes.NewReader(reqBody)))
 	golden := rec.Body.Bytes()
-	first, firstCache, err := post(base+"/v1/iterate", reqBody)
+	first, hdr, err := c.Post("/v1/iterate", reqBody)
 	if err != nil {
 		return err
 	}
 	if !bytes.Equal(first, golden) {
 		return fmt.Errorf("cluster response differs from the single instance:\n got %s\nwant %s", first, golden)
 	}
-	if firstCache != "miss" {
-		return fmt.Errorf("first cluster request X-Schedd-Cache %q, want miss", firstCache)
+	if cache := hdr.Get("X-Schedd-Cache"); cache != "miss" {
+		return fmt.Errorf("first cluster request X-Schedd-Cache %q, want miss", cache)
 	}
-	second, secondCache, err := post(base+"/v1/iterate", reqBody)
+	second, hdr, err := c.Post("/v1/iterate", reqBody)
 	if err != nil {
 		return err
 	}
-	if secondCache != "hit" || !bytes.Equal(second, golden) {
-		return fmt.Errorf("second cluster request cache %q (want hit: same key, same backend, warm cache), bytes equal %v", secondCache, bytes.Equal(second, golden))
+	if cache := hdr.Get("X-Schedd-Cache"); cache != "hit" || !bytes.Equal(second, golden) {
+		return fmt.Errorf("second cluster request cache %q (want hit: same key, same backend, warm cache), bytes equal %v", cache, bytes.Equal(second, golden))
 	}
-	fmt.Fprintln(stdout, "[ok  ] pinned Table-1 trace through the cluster is byte-identical to a single instance; repeat routes to the warm cache")
+	c.OK("pinned Table-1 trace through the cluster is byte-identical to a single instance; repeat routes to the warm cache")
 
-	if err := traceLeg(spanCol, stdout); err != nil {
+	if err := traceLeg(c); err != nil {
 		return err
 	}
-
-	// Every builtin cluster chaos scenario, every invariant required to
-	// hold.
-	for _, sc := range chaos.Builtin() {
-		if sc.Topology() != "cluster" {
-			continue
-		}
-		rep, err := chaos.Run(sc)
-		if err == nil {
-			err = rep.Err()
-		}
-		if err != nil {
-			return fmt.Errorf("cluster chaos scenario %s: %w", sc.Name, err)
-		}
-		fmt.Fprintf(stdout, "[ok  ] cluster chaos scenario %s: %d invariants hold\n", rep.Scenario, len(rep.Invariants))
-	}
-
-	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(sctx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := gw.Drain(sctx); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	fmt.Fprintln(stdout, "[ok  ] drained")
 	return nil
 }
 
 // traceLeg verifies the span trees of the two Table-1 requests: two
 // well-formed traces, each rooted at a "gateway" span with the route,
 // backend_wait and write stages.
-func traceLeg(spanCol *obs.Collector, stdout io.Writer) error {
-	// Spans are emitted when the handler finishes, which can trail the
-	// response bytes by a scheduler beat. A trace emits its root first and
-	// its write stage last, so two write spans mean both trees have landed.
-	var all []obs.Span
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		all = all[:0]
-		writes := 0
-		for _, e := range spanCol.Events() {
-			if sp, ok := e.(obs.Span); ok {
-				all = append(all, sp)
-				if sp.Name == "write" {
-					writes++
-				}
-			}
-		}
-		if writes >= 2 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
+func traceLeg(c *daemon.Check) error {
+	trees, err := c.Traces(2)
+	if err != nil {
+		return fmt.Errorf("trace leg: %w", err)
 	}
-	sum := obs.SummarizeSpans(all)
-	if !sum.WellFormed() || sum.Roots != 2 {
-		return fmt.Errorf("trace leg: %d well-formed roots for 2 requests (malformed: %v)", sum.Roots, sum.Malformed)
-	}
-	for _, root := range all {
-		if root.ParentID != 0 {
-			continue
-		}
-		if root.Name != "gateway" {
-			return fmt.Errorf("trace leg: root span named %q, want gateway", root.Name)
-		}
-		stages := map[string]bool{}
-		for _, sp := range all {
-			if sp.TraceID == root.TraceID && sp.ParentID != 0 {
-				stages[sp.Name] = true
-			}
+	for _, tr := range trees {
+		if tr.Root.Name != "gateway" {
+			return fmt.Errorf("trace leg: root span named %q, want gateway", tr.Root.Name)
 		}
 		for _, name := range []string{"route", "backend_wait", "write"} {
-			if !stages[name] {
-				return fmt.Errorf("trace leg: trace %s lacks the %s stage (has %v)", root.TraceID, name, stages)
+			if !tr.Stages[name] {
+				return fmt.Errorf("trace leg: trace %s lacks the %s stage (has %v)", tr.Root.TraceID, name, tr.Stages)
 			}
 		}
 	}
-	fmt.Fprintln(stdout, "[ok  ] 2 gateway traces well-formed with route/backend_wait/write stages")
+	c.OK("2 gateway traces well-formed with route/backend_wait/write stages")
 	return nil
-}
-
-func post(url string, body []byte) (respBody []byte, cacheHeader string, err error) {
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, "", err
-	}
-	defer resp.Body.Close()
-	respBody, err = io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, "", fmt.Errorf("%s: status %d: %s", url, resp.StatusCode, respBody)
-	}
-	return respBody, resp.Header.Get("X-Schedd-Cache"), nil
 }

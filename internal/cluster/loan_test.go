@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/client"
+	"repro/internal/serve"
 )
 
 // heldTransport answers every request from its own bytes. While hold is
@@ -195,4 +196,57 @@ func TestLoanSpoiledByRedirect(t *testing.T) {
 	if loan.Returned() {
 		t.Error("loan returned after a failed post")
 	}
+}
+
+// TestForwardPoolBound pins the forward pool's release rule: a fwdScratch
+// whose request or response buffer grew past serve.MaxPooledScratch, or
+// whose loan the transport still holds, never comes back from fwdPool, so
+// one large request cannot pin its buffers for the life of the process
+// and a body still being read is never handed to the next request.
+func TestForwardPoolBound(t *testing.T) {
+	// lend posts through rt under fs's loan: with hold set, the transport
+	// keeps the body unread and the loan stays out.
+	lend := func(fs *fwdScratch, hold bool) *fwdScratch {
+		t.Helper()
+		rt := &heldTransport{hold: hold}
+		cl := client.New(client.Options{MaxRetries: -1, BreakerThreshold: -1, HTTPClient: &http.Client{Transport: rt}})
+		fs.loan.Reset()
+		if _, err := cl.PostInto(t.Context(), "http://b0.invalid/v1/iterate", []byte(iterBody(1)), &fs.loan, nil); err != nil {
+			t.Fatal(err)
+		}
+		return fs
+	}
+	for _, tc := range []struct {
+		name string
+		fs   *fwdScratch
+	}{
+		{"oversized-body", lend(&fwdScratch{body: make([]byte, 0, serve.MaxPooledScratch+1)}, false)},
+		{"oversized-resp", lend(&fwdScratch{resp: make([]byte, 0, serve.MaxPooledScratch+1)}, false)},
+		{"loan-out", lend(&fwdScratch{}, true)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.fs.release()
+			for i := 0; i < 64; i++ {
+				if getFwd() == tc.fs {
+					t.Fatal("the scratch came back from the pool")
+				}
+			}
+		})
+	}
+	if raceDetectorEnabled {
+		return // sync.Pool drops Puts at random under -race
+	}
+	// The control: a scratch at the cap whose loan is returned is pooled
+	// (a GC between Put and Get may empty the pool, so allow a few tries).
+	for try := 0; try < 8; try++ {
+		fs := lend(&fwdScratch{body: make([]byte, 0, serve.MaxPooledScratch), resp: make([]byte, 0, serve.MaxPooledScratch)}, false)
+		if !fs.loan.Returned() {
+			t.Fatal("loan not returned after the transport finished the body")
+		}
+		fs.release()
+		if getFwd() == fs {
+			return
+		}
+	}
+	t.Fatal("a scratch at the cap with its loan returned was never pooled")
 }

@@ -19,8 +19,8 @@ import (
 
 // Local is an in-process multi-backend substrate: n full serve stacks, each
 // on its own loopback listener, with deterministic names ("backend-0"...)
-// and kill/revive controls. Tests, benchmarks, the chaos harness and the
-// schedload sweep mode all build clusters on it. The serve.Server instances
+// and kill/revive controls. Tests, benchmarks, the chaos harness and
+// schedgw -local all build clusters on it. The serve.Server instances
 // stay alive across Kill/Revive — a revived backend rejoins with its cache
 // warm, exactly like a real schedd process surviving a network partition.
 type Local struct {

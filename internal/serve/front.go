@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"runtime/debug"
 	"slices"
@@ -93,7 +92,7 @@ func (f *Front) Draining() bool {
 // expires while requests are still in flight. Drain is idempotent and safe
 // to call concurrently. A caller serving the front through an http.Server
 // calls http.Server.Shutdown first, to stop accepting connections, then
-// Drain (ServeUntil does).
+// Drain (internal/daemon's Serve does).
 func (f *Front) Drain(ctx context.Context) error {
 	f.mu.Lock()
 	f.draining = true
@@ -424,43 +423,4 @@ func (f *Front) writeError(w http.ResponseWriter, aerr *apiError, tr *obs.Trace)
 	w.WriteHeader(aerr.status)
 	w.Write(body)
 	sp.End()
-}
-
-// Drainer is what ServeUntil stops: a front with its Drain, and String for
-// the listening line.
-type Drainer interface {
-	Drain(ctx context.Context) error
-	String() string
-}
-
-// ServeUntil listens on addr and serves h until ctx ends; the daemons pass
-// a signal.NotifyContext. It then stops in the order Drain prescribes:
-// http.Server.Shutdown stops accepting and waits out the open exchanges,
-// then d.Drain waits for d's in-flight requests and releases what d owns,
-// both within drainTimeout. Progress lines go to log, prefixed by name.
-func ServeUntil(ctx context.Context, name, addr string, h http.Handler, d Drainer, drainTimeout time.Duration, log io.Writer) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(log, "%s: listening on http://%s (%s)\n", name, ln.Addr(), d)
-	hs := &http.Server{Handler: h}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	fmt.Fprintf(log, "%s: signal received, draining\n", name)
-	sctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	if err := hs.Shutdown(sctx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := d.Drain(sctx); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	fmt.Fprintf(log, "%s: drained\n", name)
-	return nil
 }

@@ -9,14 +9,14 @@
 #   heuristics' runs into caller storage, paper
 #   self-check, the schedd serving
 #   smoke (ephemeral port, pinned Table-1 trace, cache byte-identity,
-#   span-tree trace leg, every non-cluster builtin chaos scenario,
-#   graceful drain), the schedgw cluster smoke (3 local backends, the
-#   Table-1 miss byte-identical to a single instance and its
-#   byte-identical hit, their span trees, every cluster chaos scenario,
-#   drain), the schedchaos scenario sweep (every builtin scenario —
-#   single-instance, cluster, restart-recovery and the disk-tier
-#   fault/full arcs — every invariant, stdout pinned against
-#   cmd/schedchaos/testdata/all.golden)
+#   metricz, span-tree and statusz trace leg, graceful drain), the
+#   schedgw cluster smoke (3 local backends, the Table-1 miss
+#   byte-identical to a single instance and its byte-identical hit,
+#   their span trees, drain), the schedchaos scenario sweep (every
+#   builtin scenario — single-instance, cluster, restart-recovery and the
+#   disk-tier fault/full arcs — every invariant, stdout pinned against
+#   cmd/schedchaos/testdata/all.golden; the one leg that runs the chaos
+#   scenarios, which the selfchecks do not replay)
 #   and the tracing legs (schedd/schedgw -trace-out span streams analyzed
 #   by schedtrace -counts, pinned against
 #   scripts/testdata/trace_counts.golden and gateway_trace_counts.golden),
@@ -79,11 +79,10 @@ echo "[ok  ] paperrepro"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go run ./cmd/schedd -selfcheck -trace-out "$tmp/spans.jsonl" >/dev/null
-echo "[ok  ] schedd selfcheck"
+echo "[ok  ] schedd selfcheck (Table-1 trace, cache hit, metricz, trace leg, statusz, drain)"
 
-# The selfcheck's span stream — the three Table-1 requests; the chaos
-# scenarios trace on their own stacks and check their own span
-# conservation — is deterministic in everything but durations;
+# The selfcheck's span stream — the three Table-1 requests — is
+# deterministic in everything but durations;
 # schedtrace -counts strips the wall-clock columns, so the remainder must
 # match the pinned golden byte for byte (and schedtrace itself exits
 # non-zero on any structural violation).
@@ -92,23 +91,23 @@ diff -u scripts/testdata/trace_counts.golden "$tmp/trace_counts.txt"
 echo "[ok  ] schedd -trace-out span stream matches the schedtrace golden"
 
 go run ./cmd/schedgw -selfcheck -trace-out "$tmp/gwspans.jsonl" >/dev/null
-echo "[ok  ] schedgw selfcheck"
+echo "[ok  ] schedgw selfcheck (aggregated health, Table-1 trace byte-identical to a single instance, warm hit, span trees, drain)"
 
 # Same determinism contract for the gateway's span stream — the two
-# Table-1 requests; the cluster chaos scenarios check their own per-stage
-# span conservation, pinned in all.golden — whose stage counts are pinned.
+# Table-1 requests — whose stage counts are pinned.
 # This is the only check of the gateway's -trace-out JSONL path.
 go run ./cmd/schedtrace -counts "$tmp/gwspans.jsonl" >"$tmp/gateway_trace_counts.txt"
 diff -u scripts/testdata/gateway_trace_counts.golden "$tmp/gateway_trace_counts.txt"
 echo "[ok  ] schedgw -trace-out span stream matches the schedtrace golden"
 
 # Every builtin chaos scenario — single-instance, cluster, restart-recovery
-# and the disk-tier fault/full arcs — at its pinned seed: the sweep must
+# and the disk-tier fault/full arcs — at its pinned seed, the only leg
+# that runs them (the selfchecks replay none): the sweep must
 # exit 0 (every invariant ok) and its -json stdout must match the golden
 # byte for byte, which pins every header, invariant line and report field.
 go run ./cmd/schedchaos -json >"$tmp/chaos.txt"
 diff -u cmd/schedchaos/testdata/all.golden "$tmp/chaos.txt"
-echo "[ok  ] schedchaos scenarios (single-instance + cluster + restart + disk) match the golden"
+echo "[ok  ] schedchaos scenarios (single-instance + cluster + restart + disk; the one chaos sweep) match the golden"
 
 # The benchdiff gate itself, over fixture records: an identical pair must
 # pass, and a +25% ns/op row and a +25% B/op row must each fail with exit
