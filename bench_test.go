@@ -288,7 +288,9 @@ func tieWorkload(b *testing.B, tasks, machines int) *sched.Instance {
 // served request does). On these float matrices the original mapping has no
 // tie, so Min-Min, MCT, MET and OLB derive every later iteration; the
 // -ties rows keep their computed slow path measured on a tie-dense
-// small-integer matrix.
+// small-integer matrix. The <heuristic>-<T>x<M>-hihi-{c,i} rows run the
+// perfbench engine-miss shapes and heuristics in one reused Workspace, as
+// a serve worker does, on a consistent and an inconsistent class.
 func BenchmarkIterativeTechnique(b *testing.B) {
 	det := literatureWorkload(b, 128, 8)
 	wide := literatureWorkload(b, 128, 16)
@@ -315,6 +317,39 @@ func BenchmarkIterativeTechnique(b *testing.B) {
 				}
 			}
 		})
+	}
+	// The engine-miss shapes, on one consistent and one inconsistent class:
+	// a consistent matrix re-scans far more kernel rows per commit.
+	for _, class := range []hcsched.WorkloadClass{
+		{HighTaskHet: true, HighMachineHet: true, Consistency: etc.Consistent},
+		{HighTaskHet: true, HighMachineHet: true, Consistency: etc.Inconsistent},
+	} {
+		for _, shape := range [][2]int{{32, 4}, {64, 8}, {128, 16}} {
+			m, err := hcsched.GenerateETC(class, shape[0], shape[1], 42)
+			if err != nil {
+				b.Fatal(err)
+			}
+			in, err := sched.NewInstance(m, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, name := range []string{"min-min", "max-min", "duplex", "sufferage", "mct", "kpb", "swa"} {
+				h, err := heuristics.ByName(name, 7)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var w core.Workspace
+				b.Run(fmt.Sprintf("%s-%dx%d-%s", name, shape[0], shape[1], class.Label()), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						policy := core.FixedPolicy(tiebreak.NewRandom(rng.New(7)))
+						if _, err := w.Iterate(in, h, policy, core.Options{}); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
 	}
 	for _, name := range []string{"min-min", "mct"} {
 		h, err := heuristics.ByName(name, 7)

@@ -289,7 +289,9 @@ type Workspace struct {
 // the previous one without the frozen machine. A derived iteration is
 // bit-identical to a computed one and emits the same observer events; its
 // HeuristicDone counts one single-candidate choice per task, as the
-// skipped run would have.
+// skipped run would have. Duplex is computed in every iteration, but its
+// Min-Min half is derived the same way while the previous iteration's
+// winner was a tie-free Min-Min mapping (see runHeuristic).
 func (w *Workspace) Iterate(in *sched.Instance, h heuristics.Heuristic, policy PolicyFunc, opts Options) (*Trace, error) {
 	if in == nil {
 		return nil, errors.New("core: nil instance")
@@ -373,7 +375,6 @@ func (w *Workspace) Iterate(in *sched.Instance, h heuristics.Heuristic, policy P
 					return nil, fmt.Errorf("core: iteration %d: %w", iter, err)
 				}
 				sub = &a.sub
-				a.subTasks, a.subCells = max(a.subTasks, k), max(a.subCells, k*m)
 			}
 			tb = policy(iter)
 			// The arena's Counting sees the run's ties, for the observer
@@ -513,10 +514,7 @@ type arena struct {
 	// frozen.
 	local []int
 	sub   sched.Instance // the restricted instance of iterations 1, 2, ...
-	// subTasks and subCells are the largest shape restricted into sub, the
-	// size its buffers have grown to (RestrictInto grows them to fit).
-	subTasks, subCells int
-	seed               []int
+	seed  []int
 	// hs is the heuristics' run scratch; mapped backs Workspace.Map.
 	hs     *heuristics.Scratch
 	mapped []int
@@ -532,6 +530,9 @@ type arena struct {
 	// counting wraps the policy of each computed run that has an observer
 	// or a restricting heuristic, so the engine sees its ties.
 	counting tiebreak.Counting
+	// minMinKnown is set while the previous iteration's Duplex run chose
+	// a Min-Min mapping that offered the policy only single candidates.
+	minMinKnown bool
 }
 
 // reset readies the arena for a trace over nT tasks and nM machines. It
@@ -546,18 +547,24 @@ func (a *arena) reset(nT, nM int) {
 	a.ints = reuse(a.ints, a.intsUsed)[:0]
 	a.floats = reuse(a.floats, a.floatsUsed)[:0]
 	a.intsUsed, a.floatsUsed, a.retired = 0, 0, 0
+	a.minMinKnown = false
 }
 
-// Footprint returns the bytes the workspace's buffers hold, so an owner
-// that keeps a Workspace between runs can bound what it retains.
+// Footprint returns the bytes the workspace's buffers hold, the heuristics'
+// Scratch included, so an owner that keeps a Workspace between runs can
+// bound what it retains. The Workspace value itself is its owner's to
+// count.
 func (w *Workspace) Footprint() int {
 	const word = int(unsafe.Sizeof(0))
 	a := &w.a
 	n := word * (cap(a.activeTasks) + cap(a.activeMachines) + cap(a.local) + cap(a.seed) + cap(a.ints) + cap(a.mapped))
 	n += 8*cap(a.floats) + a.retired + a.hs.Footprint()
-	// The restricted instance: its cells, its row headers, and at most one
-	// ready time per machine.
-	n += 8*a.subCells + int(unsafe.Sizeof([]float64(nil)))*a.subTasks + 8*cap(a.local)
+	// The restricted instance: its ready times, and its matrix, a heap
+	// object of its own once RestrictInto made it, with its buffers.
+	n += a.sub.Footprint()
+	if m := a.sub.ETC(); m != nil {
+		n += int(unsafe.Sizeof(*m)) + m.Footprint()
+	}
 	tr := &w.tr
 	n += int(unsafe.Sizeof(Iteration{}))*cap(tr.Iterations) + word*cap(tr.FinalAssign) + 8*cap(tr.FinalCompletion)
 	return n
@@ -624,30 +631,65 @@ func (a *arena) freeze(frozen int, tasks, assign []int) {
 	a.local[frozen] = -1
 }
 
+// selector is a heuristic whose run names the side its mapping came from
+// and can take its Min-Min half as known (heuristics.Duplex has the
+// contract).
+type selector interface {
+	MapSelectInto(in *sched.Instance, tb tiebreak.Policy, sc *heuristics.Scratch, minMin, dst []int) (sched.Mapping, string, int, error)
+}
+
 // runHeuristic invokes h on sub into dst, seeding it with the previous
 // iteration's mapping (restricted to the active sets) when the heuristic
 // supports seeding. For Duplex the returned string names the side whose
 // mapping won, for the HeuristicDone event; it is empty otherwise.
+//
+// Duplex's Min-Min half restricts as Min-Min does: when the previous
+// iteration's winner was a Min-Min mapping whose run offered the policy
+// only single candidates, that mapping restricted to the active sets is
+// this iteration's Min-Min mapping, whichever machine froze with its
+// tasks. It is written straight into dst, and only Max-Min runs. The
+// arena's Counting, when it wraps tb,
+// gets the skipped run's one single-candidate choice per task, as derive
+// reports. Any other selector, such as a wrapper of Duplex, runs both
+// halves.
 func (a *arena) runHeuristic(h heuristics.Heuristic, sub *sched.Instance, tb tiebreak.Policy,
 	prev *Iteration, dst []int) (sched.Mapping, string, error) {
 	if sd, ok := h.(heuristics.Seedable); ok && prev != nil && a.seedFrom(prev) {
 		mp, err := sd.MapSeededInto(sub, tb, a.hs, sched.Mapping{Assign: a.seed}, dst)
 		return mp, "", err
 	}
-	if d, ok := h.(heuristics.Duplex); ok {
-		return d.MapSelectInto(sub, tb, a.hs, dst)
+	if d, ok := h.(selector); ok {
+		var minMin []int
+		if _, own := h.(heuristics.Duplex); own && a.minMinKnown && a.restrictPrev(prev, dst) {
+			minMin = dst
+			if tb == &a.counting {
+				k := int64(len(minMin))
+				a.counting.Invocations += k
+				a.counting.Candidates += k
+			}
+		}
+		mp, side, minTies, err := d.MapSelectInto(sub, tb, a.hs, minMin, dst)
+		a.minMinKnown = err == nil && side == "min-min" && minTies == 0
+		return mp, side, err
 	}
 	mp, err := h.MapInto(sub, tb, a.hs, dst)
 	return mp, "", err
 }
 
-// seedFrom writes the seed into a.seed in local coordinates by a merge
-// walk: the active tasks are an ascending subsequence of prev.Tasks, and
-// every one was mapped in the previous iteration to a still-active machine
-// (the frozen machine's tasks were removed with it). It reports false,
-// defensively, when prev does not cover the active sets.
+// seedFrom writes the seed, prev's mapping restricted to the active sets,
+// into a.seed (see restrictPrev).
 func (a *arena) seedFrom(prev *Iteration) bool {
 	a.seed = reuse(a.seed, len(a.activeTasks))
+	return a.restrictPrev(prev, a.seed)
+}
+
+// restrictPrev writes prev's mapping restricted to the active sets into
+// dst, one entry per active task, in local coordinates, by a merge walk:
+// the active tasks are an ascending subsequence of prev.Tasks, and every
+// one was mapped in the previous iteration to a still-active machine (the
+// frozen machine's tasks were removed with it). It reports false,
+// defensively, when prev does not cover the active sets.
+func (a *arena) restrictPrev(prev *Iteration, dst []int) bool {
 	p := 0
 	for i, t := range a.activeTasks {
 		for p < len(prev.Tasks) && prev.Tasks[p] < t {
@@ -656,7 +698,7 @@ func (a *arena) seedFrom(prev *Iteration) bool {
 		if p == len(prev.Tasks) || prev.Tasks[p] != t || a.local[prev.Assign[p]] < 0 {
 			return false
 		}
-		a.seed[i] = a.local[prev.Assign[p]]
+		dst[i] = a.local[prev.Assign[p]]
 	}
 	return true
 }

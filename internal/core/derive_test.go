@@ -15,12 +15,25 @@ import (
 // hidden and hiddenSeedable embed a heuristic's interface and so promote
 // Name, Map, MapInto and (for Seedable) MapSeededInto, but not the
 // restricting marker: the engine computes every iteration of a hidden
-// heuristic. That slow path is the oracle for derived iterations.
+// heuristic. hiddenDuplex promotes Duplex's MapSelectInto too, so its
+// events still name the winning side, but it is no heuristics.Duplex, so
+// the engine runs both halves every time. These slow paths are the oracle
+// for derived iterations.
 type hidden struct{ heuristics.Heuristic }
 
 type hiddenSeedable struct{ heuristics.Seedable }
 
+type hiddenDuplex struct{ selectingHeuristic }
+
+type selectingHeuristic interface {
+	heuristics.Heuristic
+	selector
+}
+
 func hide(h heuristics.Heuristic) heuristics.Heuristic {
+	if d, ok := h.(heuristics.Duplex); ok {
+		return hiddenDuplex{d}
+	}
 	if s, ok := h.(heuristics.Seedable); ok {
 		return hiddenSeedable{s}
 	}
@@ -35,6 +48,61 @@ func restrictingHeuristics() []heuristics.Heuristic {
 		hs = append(hs, h, heuristics.Seeded{Inner: h})
 	}
 	return hs
+}
+
+// derivingHeuristics are restrictingHeuristics and Duplex, whose Min-Min
+// half the engine derives, plain and Seeded (which computes every run).
+func derivingHeuristics() []heuristics.Heuristic {
+	return append(restrictingHeuristics(), heuristics.Duplex{}, heuristics.Seeded{Inner: heuristics.Duplex{}})
+}
+
+// derivedOracle runs IterateOpts on in with h and with hide(h), each with
+// and without an observer, and fails unless the four traces are DeepEqual
+// and the two event streams equal but for their wall-clock fields. policy
+// builds a fresh policy stream per run.
+func derivedOracle(t *testing.T, in *sched.Instance, h heuristics.Heuristic, policy func() PolicyFunc, opts Options) {
+	t.Helper()
+	if heuristics.Restricts(hide(h)) {
+		t.Fatalf("hide(%s) still carries the restricting marker", h.Name())
+	}
+	var fastEvents, slowEvents obs.Collector
+	var traces [4]*Trace
+	for i, run := range []struct {
+		h heuristics.Heuristic
+		o obs.Observer
+	}{{h, nil}, {hide(h), nil}, {h, &fastEvents}, {hide(h), &slowEvents}} {
+		o := opts
+		if run.o != nil {
+			o.Observer = run.o
+		}
+		tr, err := IterateOpts(in, run.h, policy(), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces[i] = tr
+	}
+	for i, name := range []string{"marker hidden", "with observer", "marker hidden, with observer"} {
+		if !reflect.DeepEqual(traces[0], traces[i+1]) {
+			t.Fatalf("%s: trace differs from %s:\n got %+v\nwant %+v", h.Name(), name, traces[0], traces[i+1])
+		}
+	}
+	if got, want := timeless(&fastEvents), timeless(&slowEvents); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: event stream differs from the marker-hidden one:\n got %+v\nwant %+v", h.Name(), got, want)
+	}
+}
+
+// tiePolicy returns the policy stream mode picks: deterministic first,
+// deterministic last or seeded random.
+func tiePolicy(mode int, seed uint64) func() PolicyFunc {
+	return func() PolicyFunc {
+		switch mode % 3 {
+		case 1:
+			return FixedPolicy(tiebreak.Last{})
+		case 2:
+			return FixedPolicy(tiebreak.NewRandom(rng.New(seed)))
+		}
+		return Deterministic()
+	}
 }
 
 // timeless is the observer event stream with the wall-clock fields zeroed.
@@ -86,59 +154,94 @@ func fuzzInstance(t *testing.T, seed uint64, tasks, machines int, intValues, wit
 
 // FuzzIterateDerived holds the derived iterations to the slow path. Each
 // input picks a small float or tie-dense integer matrix, with or without
-// ready times, a restricting heuristic (plain or Seeded), deterministic or
-// seeded-random ties, a freeze rule and a MaxIterations cap of 0, 1 or 2.
-// The engine's trace must equal the trace of the same call with the
-// restricting marker hidden, and so must both event streams but for their
-// wall-clock fields.
+// ready times, a deriving heuristic (a restricting one or Duplex, plain or
+// Seeded), first, last or seeded-random ties, a freeze rule and a
+// MaxIterations cap of 0, 1 or 2. The engine's trace must equal the trace
+// of the same call with the derivation hidden, and so must both event
+// streams but for their wall-clock fields.
 func FuzzIterateDerived(f *testing.F) {
 	f.Add(uint64(1), uint8(12), uint8(4), uint8(0), uint8(0))
 	f.Add(uint64(2), uint8(40), uint8(6), uint8(3), uint8(0x0d))
 	f.Add(uint64(3), uint8(9), uint8(5), uint8(1), uint8(0x2e))
 	f.Add(uint64(4), uint8(20), uint8(8), uint8(2), uint8(0x59))
-	hs := restrictingHeuristics()
+	f.Add(uint64(5), uint8(24), uint8(6), uint8(0x0b), uint8(0x08))
+	f.Add(uint64(6), uint8(30), uint8(5), uint8(0x0e), uint8(0x41))
+	f.Add(uint64(7), uint8(16), uint8(7), uint8(0x0d), uint8(0x09))
+	hs := derivingHeuristics()
 	f.Fuzz(func(t *testing.T, seed uint64, tasks, machines, shape, mode uint8) {
 		in := fuzzInstance(t, seed, 1+int(tasks)%48, 1+int(machines)%8, shape&1 != 0, shape&2 != 0)
-		h := hs[int(mode)%len(hs)]
-		random := mode&0x08 != 0
+		// mode's low three bits pick one of the eight restricting
+		// heuristics, as they do for the committed corpus; shape's bit 3
+		// adds 8, which picks Duplex or Seeded Duplex for two of them.
+		h := hs[(int(mode&7)+8*int(shape>>3&1))%len(hs)]
+		// mode's bit 3 picks random ties, else shape's bit 2 picks last.
+		ties := int(shape >> 2 & 1)
+		if mode&0x08 != 0 {
+			ties = 2
+		}
 		opts := Options{MaxIterations: int(mode>>4) % 3}
 		if mode&0x40 != 0 {
 			opts.FreezeRule = FreezeMinCompletion
 		}
-		policy := func() PolicyFunc {
-			if random {
-				return FixedPolicy(tiebreak.NewRandom(rng.New(seed)))
+		derivedOracle(t, in, h, tiePolicy(ties, seed), opts)
+	})
+}
+
+// TestDuplexDerivedMatchesComputed holds Duplex's derived Min-Min half to
+// the computed one over a fixed grid of float and tie-dense instances,
+// every tie policy and both freeze rules, so the oracle runs in the plain
+// test suite, not only under -fuzz.
+func TestDuplexDerivedMatchesComputed(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		for shape := 0; shape < 4; shape++ {
+			in := fuzzInstance(t, seed, 6+int(seed)%30, 2+int(seed)%7, shape&1 != 0, shape&2 != 0)
+			for ties := 0; ties < 3; ties++ {
+				for _, rule := range []FreezeRule{FreezeMakespan, FreezeMinCompletion} {
+					for _, h := range []heuristics.Heuristic{heuristics.Duplex{}, heuristics.Seeded{Inner: heuristics.Duplex{}}} {
+						derivedOracle(t, in, h, tiePolicy(ties, seed), Options{FreezeRule: rule})
+					}
+				}
 			}
-			return Deterministic()
 		}
-		if heuristics.Restricts(hide(h)) {
-			t.Fatalf("hide(%s) still carries the restricting marker", h.Name())
-		}
-		var fastEvents, slowEvents obs.Collector
-		var traces [4]*Trace
-		for i, run := range []struct {
-			h heuristics.Heuristic
-			o obs.Observer
-		}{{h, nil}, {hide(h), nil}, {h, &fastEvents}, {hide(h), &slowEvents}} {
-			o := opts
-			if run.o != nil {
-				o.Observer = run.o
-			}
-			tr, err := IterateOpts(in, run.h, policy(), o)
+	}
+}
+
+// TestDuplexDerivesItsMinMinHalf checks that the derivation runs: on a
+// float instance where Min-Min wins tie-free, the policy sees only Max-Min's
+// choices after the original mapping, while the hidden run's policy sees
+// both halves' choices in every iteration.
+func TestDuplexDerivesItsMinMinHalf(t *testing.T) {
+	derivedRuns := 0
+	for seed := uint64(1); seed <= 20; seed++ {
+		in := fuzzInstance(t, seed, 64, 8, false, true)
+		var counts [2]tiebreak.Counting
+		var traces [2]*Trace
+		for i, h := range []heuristics.Heuristic{heuristics.Duplex{}, hide(heuristics.Duplex{})} {
+			counts[i].Inner = tiebreak.First{}
+			tr, err := Iterate(in, h, FixedPolicy(&counts[i]))
 			if err != nil {
 				t.Fatal(err)
 			}
 			traces[i] = tr
 		}
-		for i, name := range []string{"marker hidden", "with observer", "marker hidden, with observer"} {
-			if !reflect.DeepEqual(traces[0], traces[i+1]) {
-				t.Fatalf("%s: trace differs from %s:\n got %+v\nwant %+v", h.Name(), name, traces[0], traces[i+1])
-			}
+		if !reflect.DeepEqual(traces[0], traces[1]) {
+			t.Fatalf("seed %d: derived trace differs from the computed one", seed)
 		}
-		if got, want := timeless(&fastEvents), timeless(&slowEvents); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: event stream differs from the marker-hidden one:\n got %+v\nwant %+v", h.Name(), got, want)
+		// The hidden run chooses twice per task in every iteration.
+		var want int64
+		for _, it := range traces[1].Iterations {
+			want += 2 * int64(len(it.Tasks))
 		}
-	})
+		if counts[1].Invocations != want {
+			t.Fatalf("seed %d: hidden run chose %d times, want %d", seed, counts[1].Invocations, want)
+		}
+		if counts[0].Invocations < want {
+			derivedRuns++
+		}
+	}
+	if derivedRuns == 0 {
+		t.Fatal("no Duplex trace derived a Min-Min half")
+	}
 }
 
 // TestDerivedIterationsSkipTheHeuristic checks that a tie-free run asks the

@@ -14,8 +14,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"repro/internal/rng"
 )
@@ -90,13 +92,25 @@ func AdoptInto(dst *Matrix, tasks, machines int, cells []float64) error {
 		}
 	}
 	if cap(dst.values) < tasks {
-		dst.values = make([][]float64, tasks)
+		dst.values = slices.Grow([][]float64(nil), tasks)
 	}
 	dst.values = dst.values[:tasks]
 	for t := range dst.values {
 		dst.values[t] = cells[t*machines : (t+1)*machines : (t+1)*machines]
 	}
 	return nil
+}
+
+// Footprint returns the bytes of the buffers m holds: its row headers and
+// the cells SubMatrixInto copied in. An adopted matrix's cells are its
+// caller's. AdoptInto and SubMatrixInto grow a buffer to its allocation's
+// whole size class, so a footprint counted by capacity counts every byte
+// allocated. A nil Matrix holds nothing.
+func (m *Matrix) Footprint() int {
+	if m == nil {
+		return 0
+	}
+	return 8*cap(m.buf) + int(unsafe.Sizeof([]float64(nil)))*cap(m.values)
 }
 
 // copyRows deep-copies a rectangular matrix into one backing array. Each
@@ -190,10 +204,10 @@ func (m *Matrix) SubMatrixInto(dst *Matrix, tasks, machines []int) error {
 	}
 	nT, nM := len(tasks), len(machines)
 	if cap(dst.buf) < nT*nM {
-		dst.buf = make([]float64, nT*nM)
+		dst.buf = slices.Grow([]float64(nil), nT*nM)[:nT*nM]
 	}
 	if cap(dst.values) < nT {
-		dst.values = make([][]float64, nT)
+		dst.values = slices.Grow([][]float64(nil), nT)
 	}
 	dst.values = dst.values[:nT]
 	for i, t := range tasks {

@@ -77,46 +77,59 @@ func (d Duplex) Map(in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, erro
 
 // MapInto implements Heuristic.
 func (d Duplex) MapInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, error) {
-	mp, _, err := d.MapSelectInto(in, tb, sc, dst)
+	mp, _, _, err := d.MapSelectInto(in, tb, sc, nil, dst)
 	return mp, err
 }
 
 // MapSelectInto is MapInto, additionally naming the side ("min-min" or
 // "max-min") whose mapping was returned, which the iterative engine
-// surfaces in its observer events instead of swallowing it. The two runs
-// share a single kernel cache build (the first phase over the initial ready
-// times is identical for both), and the policy is consumed by the Min-Min
-// run first, exactly as two independent Map calls would. Min-Min maps into
-// dst and Max-Min into the scratch; a winning Max-Min mapping is copied
-// into dst.
-func (Duplex) MapSelectInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int) (sched.Mapping, string, error) {
+// surfaces in its observer events instead of swallowing it, and counting
+// the Min-Min run's choices that offered the policy more than one
+// candidate.
+//
+// minMin, when non-nil, is in's Min-Min mapping under tb, known to the
+// caller without a run (the iterative engine derives it from a tie-free
+// predecessor, see Restricts); it may be dst itself. Only Max-Min then
+// runs, the policy sees only its choices, and no Min-Min tie is reported.
+// Otherwise the two runs share a single kernel cache build (the first
+// phase over the initial ready times is identical for both), and the
+// policy is consumed by the Min-Min run first, exactly as two independent
+// Map calls would. Min-Min maps into dst and Max-Min into the scratch; a
+// winning Max-Min mapping is copied into dst.
+func (Duplex) MapSelectInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, minMin, dst []int) (mp sched.Mapping, side string, minTies int, err error) {
 	nT := in.Tasks()
 	sc.ready = in.ReadyTimesInto(sc.ready)
-	sc.kMin.init(in, sc.ready)
-	sc.kMax.copyFrom(&sc.kMin)
-	mn := assignInto(dst, nT)
-	sc.kMin.run(tb, false, sc.ready, mn)
+	sc.kMax.init(in, sc.ready)
+	var mn sched.Mapping
+	if minMin != nil {
+		mn = sched.Mapping{Assign: grow(dst, nT)}
+		copy(mn.Assign, minMin)
+	} else {
+		mn = assignInto(dst, nT)
+		sc.kMin.copyFrom(&sc.kMax)
+		minTies = sc.kMin.run(tb, false, sc.ready, mn)
+		sc.ready = in.ReadyTimesInto(sc.ready) // Min-Min is done with it
+	}
 	mx := assignInto(sc.alt, nT)
 	sc.alt = mx.Assign
-	sc.ready = in.ReadyTimesInto(sc.ready) // Min-Min is done with it
 	sc.kMax.run(tb, true, sc.ready, mx)
 	// Compare makespans as sched.Evaluate computes them, summed in task
 	// order; the runs' ready vectors accumulated in commit order, which can
 	// differ in the last ulp.
 	cs, err := sched.Completions(in, mn, sc.completion)
 	if err != nil {
-		return sched.Mapping{}, "", err
+		return sched.Mapping{}, "", 0, err
 	}
 	msMin := sched.Makespan(cs)
 	if cs, err = sched.Completions(in, mx, cs); err != nil {
-		return sched.Mapping{}, "", err
+		return sched.Mapping{}, "", 0, err
 	}
 	sc.completion = cs
 	if sched.Makespan(cs) < msMin {
 		copy(mn.Assign, mx.Assign)
-		return mn, "max-min", nil
+		return mn, "max-min", minTies, nil
 	}
-	return mn, "min-min", nil
+	return mn, "min-min", minTies, nil
 }
 
 // Sufferage (paper Figure 17, after Maheswaran et al. and Casanova et al.)
@@ -195,20 +208,22 @@ func sufferageMap(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []int
 			}
 			// One pass over CT(t, ·), read in place: the earliest and
 			// second-earliest completion times (sufferageValue's scan) and
-			// the earliest one's first machine. min/max keep the scan free
-			// of data-dependent branches and agree with sufferageValue's
-			// compare chain here: ETC entries are positive and finite and
-			// ready times non-negative, so every CT lies in (0, +Inf] — no
-			// NaN and no signed zero, the only inputs where they differ.
-			first, second, arg := math.Inf(1), math.Inf(1), 0
+			// the earliest one's first machine. Unsigned min/max over the
+			// completion times' bit patterns (ctBits) keep the scan free of
+			// data-dependent branches and agree with sufferageValue's
+			// compare chain: every CT lies in (0, +Inf], where the patterns
+			// order as the values do.
+			inf := ctBits(math.Inf(1))
+			fb, sb, arg := inf, inf, 0
 			for m, r := range ready {
-				v := etcm.At(t, m) + r
-				if v < first {
+				v := ctBits(etcm.At(t, m) + r)
+				if v < fb {
 					arg = m
 				}
-				second = min(second, max(first, v))
-				first = min(first, v)
+				sb = min(sb, max(fb, v))
+				fb = min(fb, v)
 			}
+			first, second := math.Float64frombits(fb), math.Float64frombits(sb)
 			suff := 0.0
 			if nM > 1 {
 				suff = second - first

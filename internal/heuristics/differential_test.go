@@ -1,6 +1,8 @@
 package heuristics
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -69,10 +71,19 @@ func diffInstance(t *testing.T, trial int) *sched.Instance {
 		}
 	}
 	var ready []float64
-	if trial%3 == 0 {
+	switch trial % 3 {
+	case 0:
 		ready = make([]float64, machines)
 		for j := range ready {
 			ready[j] = float64(src.Intn(4))
+		}
+	case 1:
+		// The edge of the completion times' bit order (ctBits): ready
+		// times of -0, whose pattern sorts after every positive one, +0
+		// and subnormals, beside small integers.
+		ready = make([]float64, machines)
+		for j := range ready {
+			ready[j] = edgeReady[src.Intn(len(edgeReady))]
 		}
 	}
 	in, err := sched.NewInstance(m, ready)
@@ -81,6 +92,10 @@ func diffInstance(t *testing.T, trial int) *sched.Instance {
 	}
 	return in
 }
+
+// edgeReady are the ready times diffInstance draws for one trial in three:
+// -0, +0, two subnormals, the least normal and two integers.
+var edgeReady = []float64{math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, 0x1p-1030, 0x1p-1022, 1, 2}
 
 // tieGridInstance builds the tieGridTrial instance: 512×16, ETC values drawn
 // from 1..8, ready times from 0..3.
@@ -176,6 +191,107 @@ func TestDifferentialBatchHeuristics(t *testing.T) {
 	}
 }
 
+// referenceListOrder is the float-compare spec of the list-order
+// heuristics (OLB, MET, MCT, KPB, SWA), as their seed implementations read:
+// each task's candidates are minIndices over a freshly built row, and SWA's
+// balance index folds math.Min and math.Max.
+func referenceListOrder(h Heuristic, in *sched.Instance, tb tiebreak.Policy) (sched.Mapping, error) {
+	nT, nM := in.Tasks(), in.Machines()
+	mp := sched.NewMapping(nT)
+	ready := in.ReadyTimes()
+	useMET := false
+	for t := 0; t < nT; t++ {
+		ct := completionRow(in, t, ready, make([]float64, nM))
+		var m int
+		switch h := h.(type) {
+		case OLB:
+			m = tb.Choose(minIndices(ready))
+		case MET:
+			m = tb.Choose(minIndices(in.ETC().Row(t)))
+		case MCT:
+			m = tb.Choose(minIndices(ct))
+		case KPercentBest:
+			subset := make([]int, h.SubsetSize(nM))
+			bestSubset(in, t, make([]kpbCand, nM), subset)
+			sub := make([]float64, len(subset))
+			for i, mm := range subset {
+				sub[i] = ct[mm]
+			}
+			var cands []int
+			for _, i := range minIndices(sub) {
+				cands = append(cands, subset[i])
+			}
+			m = tb.Choose(cands)
+		case SWA:
+			if t > 0 {
+				mn, mx := math.Inf(1), math.Inf(-1)
+				for _, r := range ready {
+					mn, mx = math.Min(mn, r), math.Max(mx, r)
+				}
+				bi := 0.0
+				if mx != 0 {
+					bi = mn / mx
+				}
+				switch {
+				case bi > h.High:
+					useMET = true
+				case bi < h.Low:
+					useMET = false
+				}
+			}
+			if t > 0 && useMET {
+				m = tb.Choose(minIndices(in.ETC().Row(t)))
+			} else {
+				m = tb.Choose(minIndices(ct))
+			}
+		default:
+			return sched.Mapping{}, fmt.Errorf("no list-order reference for %s", h.Name())
+		}
+		mp.Assign[t] = m
+		ready[m] += in.ETC().At(t, m)
+	}
+	return mp, nil
+}
+
+// TestDifferentialListOrderHeuristics pins the list-order heuristics, whose
+// completion-time scans compare bit patterns, to referenceListOrder's float
+// compares: the same candidate sets in the same order under First, and the
+// same mapping under every policy, on the corpus whose ready times include
+// -0, +0 and subnormals.
+func TestDifferentialListOrderHeuristics(t *testing.T) {
+	for _, trial := range diffTrials(200, 1) {
+		in := diffInstance(t, trial)
+		for _, h := range []Heuristic{OLB{}, MET{}, MCT{}, KPercentBest{Percent: PaperKPercent}, SWA{Low: PaperSWALow, High: PaperSWAHigh}} {
+			optRec := tiebreak.NewRecorder(tiebreak.First{})
+			refRec := tiebreak.NewRecorder(tiebreak.First{})
+			if _, err := h.Map(in, optRec); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := referenceListOrder(h, in, refRec); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(optRec.Ties, refRec.Ties) {
+				t.Fatalf("trial %d %s: tie candidate sets diverge:\noptimized %v\nreference %v",
+					trial, h.Name(), optRec.Ties, refRec.Ties)
+			}
+			for pname, pp := range diffPolicies(trial) {
+				got, err := h.Map(in, pp[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := referenceListOrder(h, in, pp[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.Equal(want) {
+					t.Fatalf("trial %d %s/%s: mapping %v != reference %v\n%dx%d instance, ready %v",
+						trial, h.Name(), pname, got.Assign, want.Assign, in.Tasks(), in.Machines(), in.ReadyTimes())
+				}
+			}
+		}
+	}
+}
+
 // TestDifferentialTieCandidateSets goes one level deeper than mappings: the
 // exact candidate sets presented to the policy must match, pair for pair —
 // a kernel that found the same winner through differently ordered ties
@@ -236,12 +352,12 @@ func TestDifferentialSufferageTrace(t *testing.T) {
 
 // TestDuplexMapSelectWinner checks MapSelectInto's reported winner against
 // an independent evaluation of both sides, on one Scratch reused by every
-// trial.
+// trial, with the Min-Min half computed and given.
 func TestDuplexMapSelectWinner(t *testing.T) {
 	var sc Scratch
 	for trial := 0; trial < 60; trial++ {
 		in := diffInstance(t, trial)
-		mp, winner, err := (Duplex{}).MapSelectInto(in, tiebreak.First{}, &sc, nil)
+		mp, winner, _, err := (Duplex{}).MapSelectInto(in, tiebreak.First{}, &sc, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,6 +388,17 @@ func TestDuplexMapSelectWinner(t *testing.T) {
 		if !mp.Equal(wantMap) {
 			t.Fatalf("trial %d: MapSelectInto mapping disagrees with %s mapping", trial, want)
 		}
+		// Given the Min-Min mapping, the run maps Max-Min alone: the
+		// policy sees one choice per task, and the result is the same.
+		calls := tiebreak.Counting{Inner: tiebreak.First{}}
+		known, kwinner, kties, err := (Duplex{}).MapSelectInto(in, &calls, &sc, mn.Assign, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kwinner != want || kties != 0 || !known.Equal(wantMap) || calls.Invocations != int64(in.Tasks()) {
+			t.Fatalf("trial %d: with a known Min-Min mapping: winner %q, %d ties, %d choices, equal mapping %v; want %q, 0, %d, true",
+				trial, kwinner, kties, calls.Invocations, known.Equal(wantMap), want, in.Tasks())
+		}
 	}
 }
 
@@ -295,6 +422,102 @@ func TestMinIndicesIntoMatchesMinIndices(t *testing.T) {
 	}
 	if minIndicesInto(nil, buf) != nil {
 		t.Fatal("minIndicesInto(nil) != nil")
+	}
+}
+
+// positiveFloat draws a positive float64 from every part of the range:
+// subnormals, normals of any exponent, exact repeats and +Inf.
+func positiveFloat(src *rng.Source, pool []float64) float64 {
+	switch src.Intn(6) {
+	case 0: // subnormal
+		return math.Float64frombits(1 + src.Uint64()>>12)
+	case 1:
+		return math.Inf(1)
+	case 2: // a repeat, so exact ties occur
+		if len(pool) > 0 {
+			return pool[src.Intn(len(pool))]
+		}
+	}
+	for {
+		// Any positive pattern but NaN: the sign bit clear, exponent and
+		// mantissa drawn whole.
+		if v := math.Float64frombits(src.Uint64() >> 1); !math.IsNaN(v) && v > 0 {
+			return v
+		}
+	}
+}
+
+// TestCTBitsOrderAsValues is the bit-order precondition of ctBits: over
+// positive floats, subnormals and +Inf included, the patterns order as the
+// values do, so a min over ctBits (minBits, completionRowMin) is the float
+// minimum and nearInto gathers the candidate set minIndicesInto does. A -0,
+// which a raw ready vector may hold, breaks it; that is why OLB's ready
+// scan compares floats.
+func TestCTBitsOrderAsValues(t *testing.T) {
+	src := rng.New(4343)
+	var buf, want []int
+	for trial := 0; trial < 20000; trial++ {
+		row := make([]float64, 1+src.Intn(17))
+		bits := make([]uint64, len(row))
+		for i := range row {
+			row[i] = positiveFloat(src, row[:i])
+			bits[i] = ctBits(row[i])
+		}
+		for _, a := range row {
+			for _, b := range row {
+				if (ctBits(a) < ctBits(b)) != (a < b) {
+					t.Fatalf("ctBits(%g) < ctBits(%g) is %v, %g < %g is %v", a, b, ctBits(a) < ctBits(b), a, b, a < b)
+				}
+			}
+		}
+		mn := row[0]
+		for _, v := range row[1:] {
+			if v < mn {
+				mn = v
+			}
+		}
+		if got := math.Float64frombits(minBits(bits)); got != mn {
+			t.Fatalf("row %v: minBits = %g, float min %g", row, got, mn)
+		}
+		buf = nearInto(row, mn, buf)
+		if want = minIndicesInto(row, want); !reflect.DeepEqual(buf, want) {
+			t.Fatalf("row %v: nearInto %v != minIndicesInto %v", row, buf, want)
+		}
+	}
+	if negZero := math.Copysign(0, -1); ctBits(negZero) < ctBits(1) {
+		t.Fatal("ctBits no longer orders -0 after 1; revisit OLB's float compares")
+	}
+}
+
+// TestCompletionRowMinMatchesFloatMin holds the fused row build of MCT and
+// SWA to completionRow and a float minimum, on ETC rows with subnormal and
+// huge entries (whose sums with a ready time reach +Inf) and ready times of
+// -0, +0 and subnormals.
+func TestCompletionRowMinMatchesFloatMin(t *testing.T) {
+	src := rng.New(4444)
+	readies := append(edgeReady[:len(edgeReady):len(edgeReady)], math.MaxFloat64)
+	for trial := 0; trial < 2000; trial++ {
+		nM := 1 + src.Intn(17)
+		etcRow, ready := make([]float64, nM), make([]float64, nM)
+		for m := range etcRow {
+			v := positiveFloat(src, etcRow[:m])
+			for math.IsInf(v, 1) { // an ETC entry is finite
+				v = positiveFloat(src, etcRow[:m])
+			}
+			etcRow[m], ready[m] = v, readies[src.Intn(len(readies))]
+		}
+		in := sched.MustInstance(etc.MustNew([][]float64{etcRow}), ready)
+		ct := completionRow(in, 0, ready, make([]float64, nM))
+		mn := ct[0]
+		for _, v := range ct[1:] {
+			if v < mn {
+				mn = v
+			}
+		}
+		dst := make([]float64, nM)
+		if got := completionRowMin(in, 0, ready, dst); got != mn || !reflect.DeepEqual(dst, ct) {
+			t.Fatalf("etc %v ready %v: completionRowMin = %g and row %v, want %g and %v", etcRow, ready, got, dst, mn, ct)
+		}
 	}
 }
 

@@ -31,6 +31,17 @@ func approxEqual(a, b float64) bool {
 	return math.Abs(a-b) <= Epsilon
 }
 
+// ctBits is a completion time's bit pattern, ordered as the completion
+// times are. Every completion time CT = ETC + ready lies in (0, +Inf]: an
+// ETC entry is positive and finite, and a ready time is at least zero
+// (possibly -0, which the sum absorbs). Over that range math.Float64bits is
+// strictly increasing, so the min or max of bit patterns is the min or max
+// of the values, and an unsigned min or max compiles to a conditional move
+// where a float compare costs a data-dependent branch. A raw ready vector
+// is no such range: -0's pattern sorts after every positive one, so OLB's
+// scan of it compares floats.
+func ctBits(ct float64) uint64 { return math.Float64bits(ct) }
+
 // Heuristic maps all tasks of an instance onto its machines.
 //
 // Every heuristic has one implementation, MapInto, which works in a
@@ -130,6 +141,20 @@ func minIndicesInto(vals []float64, buf []int) []int {
 	return buf
 }
 
+// nearInto is minIndicesInto's gather over a row of completion times whose
+// minimum mn is already known: it writes into buf the indices of the
+// entries within Epsilon of mn, in ascending order. Every entry is at least
+// mn, so the distance needs no math.Abs.
+func nearInto(ct []float64, mn float64, buf []int) []int {
+	buf = buf[:0]
+	for i, v := range ct {
+		if v-mn <= Epsilon {
+			buf = append(buf, i)
+		}
+	}
+	return buf
+}
+
 // minIndices returns the indices of vals within Epsilon of the minimum, in
 // ascending order. It returns nil for an empty slice.
 func minIndices(vals []float64) []int {
@@ -178,6 +203,18 @@ func completionRow(in *sched.Instance, task int, ready []float64, dst []float64)
 		dst[m] = in.ETC().At(task, m) + ready[m]
 	}
 	return dst
+}
+
+// completionRowMin is completionRow returning the row's least entry,
+// folded over ctBits in the same pass.
+func completionRowMin(in *sched.Instance, task int, ready []float64, dst []float64) float64 {
+	mn := ctBits(math.Inf(1))
+	for m := range dst {
+		v := in.ETC().At(task, m) + ready[m]
+		dst[m] = v
+		mn = min(mn, ctBits(v))
+	}
+	return math.Float64frombits(mn)
 }
 
 // The paper's example parameters, the registry's "kpb" and "swa" and the

@@ -26,6 +26,7 @@ func (OLB) MapInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []in
 	mp := assignInto(dst, in.Tasks())
 	ready, _, idx := sc.listBuffers(in)
 	for t := 0; t < in.Tasks(); t++ {
+		// Float compares: a ready time may be -0 (see ctBits).
 		idx = minIndicesInto(ready, idx)
 		m := tb.Choose(idx)
 		mp.Assign[t] = m
@@ -92,8 +93,7 @@ func (MCT) MapInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []in
 	mp := assignInto(dst, in.Tasks())
 	ready, ct, idx := sc.listBuffers(in)
 	for t := 0; t < in.Tasks(); t++ {
-		completionRow(in, t, ready, ct)
-		idx = minIndicesInto(ct, idx)
+		idx = nearInto(ct, completionRowMin(in, t, ready, ct), idx)
 		m := tb.Choose(idx)
 		mp.Assign[t] = m
 		ready[m] += in.ETC().At(t, m)
@@ -159,10 +159,12 @@ func (k KPercentBest) MapInto(in *sched.Instance, tb tiebreak.Policy, sc *Scratc
 	for t := 0; t < in.Tasks(); t++ {
 		bestSubset(in, t, ranked, subset)
 		// Earliest completion within the subset.
+		mn := ctBits(math.Inf(1))
 		for i, m := range subset {
 			cts[i] = in.ETC().At(t, m) + ready[m]
+			mn = min(mn, ctBits(cts[i]))
 		}
-		idx = minIndicesInto(cts, idx)
+		idx = nearInto(cts, math.Float64frombits(mn), idx)
 		cands = cands[:0]
 		for _, i := range idx {
 			cands = append(cands, subset[i])
@@ -285,8 +287,7 @@ func (s SWA) mapSWA(in *sched.Instance, tb tiebreak.Policy, sc *Scratch, dst []i
 			idx = minETCInto(in, t, idx)
 			used = "met"
 		} else {
-			completionRow(in, t, ready, ct)
-			idx = minIndicesInto(ct, idx)
+			idx = nearInto(ct, completionRowMin(in, t, ready, ct), idx)
 			used = "mct"
 		}
 		m = tb.Choose(idx)

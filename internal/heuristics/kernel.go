@@ -28,9 +28,13 @@ import (
 //     and compared with the same approxEqual tolerance, so every
 //     tiebreak.Policy sees exactly the candidate sets the reference
 //     presents. The unmapped-task list is kept sorted ascending for this.
-//   - The phase-1 fold uses plain < / > comparisons where the reference
-//     uses math.Min/math.Max: identical results, because completion times
-//     are positive and finite (no NaN, no signed-zero cases).
+//   - The cache holds completion times as their bit patterns (ctBits), and
+//     the row minima and the phase-1 fold take unsigned min/max where the
+//     reference uses < and math.Min/math.Max: identical results, because
+//     completion times lie in (0, +Inf], where the patterns order as the
+//     values do (no NaN, no signed zero). Loading the patterns straight
+//     into integer registers keeps the re-scan free of both branches and
+//     float-to-integer moves.
 //
 // differential_test.go pins optimized == reference across random instances,
 // seeds and policies.
@@ -43,8 +47,8 @@ import (
 type twoPhaseKernel struct {
 	nT, nM int
 	etc    []float64 // nT*nM row-major ETC copy
-	rows   []float64 // nT*nM row-major cached completion times
-	best   []float64 // per-task exact row minimum
+	rows   []uint64  // nT*nM row-major cached completion times, as ctBits
+	best   []uint64  // per-task exact row minimum, as ctBits
 	order  []int     // unmapped task ids, ascending
 	cands  []int     // phase-2 candidate scratch, reused across rounds
 }
@@ -84,15 +88,9 @@ func (k *twoPhaseKernel) init(in *sched.Instance, ready []float64) {
 		for m := 0; m < nM; m++ {
 			e := etcm.At(t, m)
 			erow[m] = e
-			row[m] = e + ready[m]
+			row[m] = ctBits(e + ready[m])
 		}
-		mn := row[0]
-		for _, v := range row[1:] {
-			if v < mn {
-				mn = v
-			}
-		}
-		k.best[t] = mn
+		k.best[t] = minBits(row)
 		k.order[t] = t
 	}
 }
@@ -126,78 +124,91 @@ func (k *twoPhaseKernel) commit(task, machine int, rm float64, useMax bool) floa
 	// Drop task from the ascending unmapped list.
 	i := sort.SearchInts(k.order, task)
 	k.order = append(k.order[:i], k.order[i+1:]...)
-	target := math.Inf(1)
-	if useMax {
-		target = math.Inf(-1)
-	}
+	target := foldStart(useMax)
 	for _, t := range k.order {
 		base := t * nM
 		old := k.rows[base+machine]
-		k.rows[base+machine] = k.etc[base+machine] + rm
+		k.rows[base+machine] = ctBits(k.etc[base+machine] + rm)
 		bt := k.best[t]
 		if old == bt {
-			row := k.rows[base : base+nM]
-			mn := row[0]
-			for _, v := range row[1:] {
-				if v < mn {
-					mn = v
-				}
-			}
-			bt = mn
-			k.best[t] = mn
+			bt = minBits(k.rows[base : base+nM])
+			k.best[t] = bt
 		}
-		if useMax {
-			if bt > target {
-				target = bt
-			}
-		} else if bt < target {
-			target = bt
-		}
+		target = fold(target, bt, useMax)
 	}
-	return target
+	return math.Float64frombits(target)
+}
+
+// foldStart is the identity of the phase-1 fold over completion-time bit
+// patterns: +Inf's for a min, +0's for a max (every completion time is
+// larger).
+func foldStart(useMax bool) uint64 {
+	if useMax {
+		return 0
+	}
+	return ctBits(math.Inf(1))
+}
+
+// fold folds the row minimum bt into the phase-1 target, a min (Min-Min)
+// or max (Max-Min) of bit patterns.
+func fold(target, bt uint64, useMax bool) uint64 {
+	if useMax {
+		return max(target, bt)
+	}
+	return min(target, bt)
+}
+
+// minBits returns the least of a non-empty row of completion times held as
+// bit patterns. Two accumulators halve the chain of dependent conditional
+// moves.
+func minBits(row []uint64) uint64 {
+	a, b := row[0], row[0]
+	i := 1
+	for ; i+1 < len(row); i += 2 {
+		a = min(a, row[i])
+		b = min(b, row[i+1])
+	}
+	if i < len(row) {
+		a = min(a, row[i])
+	}
+	return min(a, b)
 }
 
 // run executes the two-phase greedy loop over the cache into mp, a mapping
 // of the kernel's task count: Min-Min when useMax is false, Max-Min when
 // true. ready must be the vector init (or the copied-from kernel's init)
-// was built from; run advances it in place.
-func (k *twoPhaseKernel) run(tb tiebreak.Policy, useMax bool, ready []float64, mp sched.Mapping) {
+// was built from; run advances it in place. It returns the number of
+// choices that offered the policy more than one candidate.
+func (k *twoPhaseKernel) run(tb tiebreak.Policy, useMax bool, ready []float64, mp sched.Mapping) (ties int) {
 	nT, nM := k.nT, k.nM
 	// Phase 1 for the first round: fold the per-task minima into the
 	// target; later rounds get it from commit, whose refresh loop already
 	// visits every remaining task.
-	target := math.Inf(1)
-	if useMax {
-		target = math.Inf(-1)
-		for _, t := range k.order {
-			if k.best[t] > target {
-				target = k.best[t]
-			}
-		}
-	} else {
-		for _, t := range k.order {
-			if k.best[t] < target {
-				target = k.best[t]
-			}
-		}
+	t0 := foldStart(useMax)
+	for _, t := range k.order {
+		t0 = fold(t0, k.best[t], useMax)
 	}
+	target := math.Float64frombits(t0)
 	for remaining := nT; remaining > 0; remaining-- {
 		// Phase 2: gather every tied (task, machine) pair achieving target
 		// from the cached rows — no recomputation. k.order ascending keeps
 		// the canonical task-major candidate order.
 		k.cands = k.cands[:0]
 		for _, t := range k.order {
-			bt := k.best[t]
+			bt := math.Float64frombits(k.best[t])
 			if !approxEqual(bt, target) {
 				continue
 			}
 			base := t * nM
 			row := k.rows[base : base+nM]
 			for m := 0; m < nM; m++ {
-				if approxEqual(row[m], bt) {
+				if approxEqual(math.Float64frombits(row[m]), bt) {
 					k.cands = append(k.cands, base+m) // == pairKey(t, m, nM)
 				}
 			}
+		}
+		if len(k.cands) > 1 {
+			ties++
 		}
 		key := tb.Choose(k.cands)
 		t, m := pairFromKey(key, nM)
@@ -205,4 +216,5 @@ func (k *twoPhaseKernel) run(tb tiebreak.Policy, useMax bool, ready []float64, m
 		ready[m] += k.etc[t*nM+m]
 		target = k.commit(t, m, ready[m], useMax)
 	}
+	return ties
 }

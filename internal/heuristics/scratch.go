@@ -38,14 +38,14 @@ type Scratch struct {
 	pos    []int
 }
 
-// Footprint returns the bytes sc's buffers hold, so an owner that keeps a
-// Scratch between runs can bound what it retains. A nil Scratch holds
-// nothing.
+// Footprint returns the bytes sc and its buffers hold, so an owner that
+// keeps a Scratch between runs can bound what it retains. A nil Scratch
+// holds nothing.
 func (sc *Scratch) Footprint() int {
 	if sc == nil {
 		return 0
 	}
-	n := sc.kMin.footprint() + sc.kMax.footprint()
+	n := int(unsafe.Sizeof(*sc)) + sc.kMin.footprint() + sc.kMax.footprint()
 	n += 8 * (cap(sc.ready) + cap(sc.completion) + cap(sc.row) + cap(sc.sufferageOf))
 	n += word * (cap(sc.alt) + cap(sc.cands) + cap(sc.holder) + cap(sc.subset) + cap(sc.pos))
 	n += cap(sc.inList) + int(unsafe.Sizeof(kpbCand{}))*cap(sc.ranked)

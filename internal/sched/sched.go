@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -57,7 +58,7 @@ func NewInstanceInto(dst *Instance, m *etc.Matrix, ready []float64) error {
 	}
 	r := dst.ready
 	if cap(r) < m.Machines() {
-		r = make([]float64, m.Machines())
+		r = slices.Grow([]float64(nil), m.Machines())
 	}
 	r = r[:m.Machines()]
 	if ready != nil {
@@ -78,6 +79,11 @@ func MustInstance(m *etc.Matrix, ready []float64) *Instance {
 	return in
 }
 
+// Footprint returns the bytes of in's own buffer, its ready times, which
+// NewInstanceInto and RestrictInto grow to their allocation's whole size
+// class; its matrix reports its own (etc.Matrix.Footprint).
+func (in *Instance) Footprint() int { return 8 * cap(in.ready) }
+
 // ETC returns the instance's matrix.
 func (in *Instance) ETC() *etc.Matrix { return in.m }
 
@@ -94,10 +100,12 @@ func (in *Instance) Ready(m int) float64 { return in.ready[m] }
 func (in *Instance) ReadyTimes() []float64 { return in.ReadyTimesInto(nil) }
 
 // ReadyTimesInto is ReadyTimes writing into dst, which is reallocated only
-// when shorter than the machine count.
+// when shorter than the machine count, to its allocation's whole size
+// class, so that an owner counting its buffers by capacity counts every
+// byte allocated (as Completions does).
 func (in *Instance) ReadyTimesInto(dst []float64) []float64 {
 	if cap(dst) < len(in.ready) {
-		dst = make([]float64, len(in.ready))
+		dst = slices.Grow([]float64(nil), len(in.ready))
 	}
 	dst = dst[:len(in.ready)]
 	copy(dst, in.ready)
@@ -133,7 +141,7 @@ func (in *Instance) RestrictInto(dst *Instance, tasks, machines []int) error {
 		return err
 	}
 	if cap(dst.ready) < len(machines) {
-		dst.ready = make([]float64, len(machines))
+		dst.ready = slices.Grow([]float64(nil), len(machines))
 	}
 	dst.ready = dst.ready[:len(machines)]
 	for i, mm := range machines {
@@ -247,14 +255,14 @@ func Evaluate(in *Instance, mp Mapping) (*Schedule, error) {
 // Completions writes into dst the Completion vector Evaluate computes for
 // mp, bit for bit — the same additions in the same task order — without
 // cloning the mapping or building TaskFinish, and returns it; dst is
-// reallocated only when shorter than the machine count. It returns an
-// error if the mapping is invalid.
+// reallocated only when shorter than the machine count, as ReadyTimesInto
+// reallocates. It returns an error if the mapping is invalid.
 func Completions(in *Instance, mp Mapping, dst []float64) ([]float64, error) {
 	if err := mp.Validate(in); err != nil {
 		return nil, err
 	}
 	if cap(dst) < len(in.ready) {
-		dst = make([]float64, len(in.ready))
+		dst = slices.Grow([]float64(nil), len(in.ready))
 	}
 	dst = dst[:len(in.ready)]
 	copy(dst, in.ready)
@@ -323,8 +331,10 @@ func (s *Schedule) BalanceIndex() float64 {
 func BalanceIndex(ready []float64) float64 {
 	mn, mx := math.Inf(1), math.Inf(-1)
 	for _, r := range ready {
-		mn = math.Min(mn, r)
-		mx = math.Max(mx, r)
+		// The builtins give math.Min's and math.Max's results, NaN and
+		// signed zeros included, without their out-of-line calls.
+		mn = min(mn, r)
+		mx = max(mx, r)
 	}
 	if mx == 0 {
 		return 0

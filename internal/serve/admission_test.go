@@ -233,8 +233,8 @@ func TestWorkerScratchBound(t *testing.T) {
 	if size[0] == 0 || kept[1] != kept[0] {
 		t.Fatalf("small jobs did not reuse one scratch (%d bytes kept)", size[0])
 	}
-	if kept[2] == kept[1] || size[2] != 0 {
-		t.Fatalf("the MaxCells job's scratch was kept (%d bytes)", size[2])
+	if fresh := new(computeScratch).footprint(); kept[2] == kept[1] || size[2] != fresh {
+		t.Fatalf("the MaxCells job's scratch was kept (%d bytes, a fresh one holds %d)", size[2], fresh)
 	}
 	if kept[3] != kept[2] {
 		t.Fatal("the fresh scratch was not reused")

@@ -217,9 +217,10 @@ const (
 // makespan machine holds a task (ETC entries are positive), so every
 // iteration also freezes a task, and a trace runs at most min(T, M). A
 // non-zero ready time can make an idle machine the makespan machine,
-// which freezes none, so then it runs up to M.
+// which freezes none, so then it runs up to M. Whatever the request, the
+// scratch holds its two structs (scratchStructBytes).
 func estimateBytes(ep endpoint, cells, tasks, machines int64, ready []float64) int64 {
-	est := 72*cells + 80*(tasks+machines)
+	est := scratchStructBytes + 72*cells + 80*(tasks+machines)
 	if ep != endpointIterate {
 		return est
 	}
@@ -557,27 +558,29 @@ func writeFloatBits(b *strings.Builder, vals []float64) {
 // what it reads, so a job that panicked partway leaves nothing a later one
 // can see.
 type computeScratch struct {
-	vals []float64 // the cells, row-major, then the ready times
-	// tasks and machines are the largest shape decoded: m's row headers and
-	// in's ready times have grown to fit it.
-	tasks, machines int
-	m               etc.Matrix
-	in              sched.Instance
-	ws              core.Workspace
-	seeded          heuristics.Seeded // a seeded request's heuristic
-	mapResp         MapResponse
-	iterResp        IterateResponse
-	completion      []float64 // mapResp.Completion
-	iters           []IterationResult
-	outcomes        []string
+	vals       []float64 // the cells, row-major, then the ready times
+	m          etc.Matrix
+	in         sched.Instance
+	ws         core.Workspace
+	seeded     heuristics.Seeded // a seeded request's heuristic
+	mapResp    MapResponse
+	iterResp   IterateResponse
+	completion []float64 // mapResp.Completion
+	iters      []IterationResult
+	outcomes   []string
 }
 
-// footprint returns the bytes sc's buffers hold. A worker drops a scratch
-// whose footprint passed MaxPooledScratch, so one large request cannot pin
-// its buffers for the life of the process.
+// scratchStructBytes is the size of a worker's scratch before it holds
+// any buffer: the computeScratch and the heuristics' Scratch it points to.
+const scratchStructBytes = int64(unsafe.Sizeof(computeScratch{}) + unsafe.Sizeof(heuristics.Scratch{}))
+
+// footprint returns the bytes sc and its buffers hold. A worker drops a
+// scratch whose footprint passed MaxPooledScratch, so one large request
+// cannot pin its buffers for the life of the process.
 func (sc *computeScratch) footprint() int {
-	return 8*(cap(sc.vals)+sc.machines+cap(sc.completion)) +
-		int(unsafe.Sizeof([]float64(nil)))*sc.tasks +
+	return int(unsafe.Sizeof(*sc)) +
+		8*(cap(sc.vals)+cap(sc.completion)) +
+		sc.m.Footprint() + sc.in.Footprint() +
 		int(unsafe.Sizeof(IterationResult{}))*cap(sc.iters) +
 		int(unsafe.Sizeof(""))*cap(sc.outcomes) +
 		sc.ws.Footprint()
@@ -612,7 +615,6 @@ func (p *parsedRequest) instance(sc *computeScratch) (*sched.Instance, error) {
 	if err := sched.NewInstanceInto(&sc.in, &sc.m, vals[n:]); err != nil {
 		return nil, err
 	}
-	sc.tasks, sc.machines = max(sc.tasks, p.tasks), max(sc.machines, p.machines)
 	return &sc.in, nil
 }
 

@@ -2,7 +2,8 @@
 # The full repository gate in one command — CI and builders run the same
 # thing (see CLAUDE.md):
 #
-#   gofmt clean, go vet, build, full test suite, the perfbench module's
+#   gofmt clean, go vet, build, full test suite, one iteration of the
+#   engine and heuristic benchmarks, the perfbench module's
 #   own tests, a bounded fuzz leg over the request decoders, the
 #   canonical key, the number converter, the engine's derived iterations,
 #   the two fault-spec parsers, the store's segment replay and the
@@ -45,6 +46,12 @@ echo "[ok  ] go build"
 go test ./...
 echo "[ok  ] go test"
 
+# `go test ./...` compiles the benchmarks but never runs them: one
+# iteration of each engine and heuristic benchmark catches a b.Fatal
+# (a heuristic erroring on a benchmark shape) before scripts/bench.sh does.
+go test -run '^$' -bench 'IterativeTechnique|HeuristicMap|KernelVsReference' -benchtime 1x . ./internal/heuristics >/dev/null
+echo "[ok  ] benchmarks run once (IterativeTechnique, HeuristicMap, KernelVsReference)"
+
 go test -race ./...
 echo "[ok  ] go test -race"
 
@@ -61,7 +68,8 @@ echo "[ok  ] perfbench module tests"
 for target in FuzzDecodeRequest FuzzParseBatchItem FuzzSplitBatch FuzzCanonicalKey FuzzParseNumber; do
     go test ./internal/serve -run '^$' -fuzz "^${target}\$" -fuzztime 5s -parallel 2 >/dev/null
 done
-# The engine's derived iterations against the slow path they skip.
+# The engine's derived iterations (the restricting heuristics' and Duplex's
+# Min-Min half) against the slow path they skip.
 go test ./internal/core -run '^$' -fuzz '^FuzzIterateDerived$' -fuzztime 5s -parallel 2 >/dev/null
 # The -fault-inject and -store-fault-inject grammars.
 go test ./internal/faults -run '^$' -fuzz '^FuzzFaultsSpec$' -fuzztime 5s -parallel 2 >/dev/null
@@ -71,7 +79,7 @@ go test ./internal/store -run '^$' -fuzz '^FuzzReplaySegment$' -fuzztime 5s -par
 # Every heuristic's runs in reused caller storage against fresh ones and
 # the reference implementations.
 go test ./internal/heuristics -run '^$' -fuzz '^FuzzMapInto$' -fuzztime 5s -parallel 2 >/dev/null
-echo "[ok  ] fuzz (decoder, batch item, batch splitter, canonical key, number converter, derived iterations, fault specs, segment replay, heuristic runs into caller storage; 5 s each)"
+echo "[ok  ] fuzz (decoder, batch item, batch splitter, canonical key, number converter, derived iterations incl. Duplex's Min-Min half, fault specs, segment replay, heuristic runs into caller storage; 5 s each)"
 
 go run ./cmd/paperrepro
 echo "[ok  ] paperrepro"
