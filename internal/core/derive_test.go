@@ -50,12 +50,6 @@ func restrictingHeuristics() []heuristics.Heuristic {
 	return hs
 }
 
-// derivingHeuristics are restrictingHeuristics and Duplex, whose Min-Min
-// half the engine derives, plain and Seeded (which computes every run).
-func derivingHeuristics() []heuristics.Heuristic {
-	return append(restrictingHeuristics(), heuristics.Duplex{}, heuristics.Seeded{Inner: heuristics.Duplex{}})
-}
-
 // derivedOracle runs IterateOpts on in with h and with hide(h), each with
 // and without an observer, and fails unless the four traces are DeepEqual
 // and the two event streams equal but for their wall-clock fields. policy
@@ -154,11 +148,13 @@ func fuzzInstance(t *testing.T, seed uint64, tasks, machines int, intValues, wit
 
 // FuzzIterateDerived holds the derived iterations to the slow path. Each
 // input picks a small float or tie-dense integer matrix, with or without
-// ready times, a deriving heuristic (a restricting one or Duplex, plain or
-// Seeded), first, last or seeded-random ties, a freeze rule and a
-// MaxIterations cap of 0, 1 or 2. The engine's trace must equal the trace
-// of the same call with the derivation hidden, and so must both event
-// streams but for their wall-clock fields.
+// ready times, a restricting heuristic (plain or Seeded), deterministic or
+// seeded-random ties, a freeze rule and a MaxIterations cap of 0, 1 or 2.
+// The engine's trace must equal the trace of the same call with the
+// restricting marker hidden, and so must both event streams but for their
+// wall-clock fields. Every input then holds Duplex's derived Min-Min half,
+// and Seeded{Duplex}, to the same oracle, under the input's ties and under
+// last ties.
 func FuzzIterateDerived(f *testing.F) {
 	f.Add(uint64(1), uint8(12), uint8(4), uint8(0), uint8(0))
 	f.Add(uint64(2), uint8(40), uint8(6), uint8(3), uint8(0x0d))
@@ -167,15 +163,13 @@ func FuzzIterateDerived(f *testing.F) {
 	f.Add(uint64(5), uint8(24), uint8(6), uint8(0x0b), uint8(0x08))
 	f.Add(uint64(6), uint8(30), uint8(5), uint8(0x0e), uint8(0x41))
 	f.Add(uint64(7), uint8(16), uint8(7), uint8(0x0d), uint8(0x09))
-	hs := derivingHeuristics()
+	f.Add(uint64(9), uint8(15), uint8(6), uint8(0x42), uint8(0x9a))
+	hs := restrictingHeuristics()
+	duplexes := []heuristics.Heuristic{heuristics.Duplex{}, heuristics.Seeded{Inner: heuristics.Duplex{}}}
 	f.Fuzz(func(t *testing.T, seed uint64, tasks, machines, shape, mode uint8) {
 		in := fuzzInstance(t, seed, 1+int(tasks)%48, 1+int(machines)%8, shape&1 != 0, shape&2 != 0)
-		// mode's low three bits pick one of the eight restricting
-		// heuristics, as they do for the committed corpus; shape's bit 3
-		// adds 8, which picks Duplex or Seeded Duplex for two of them.
-		h := hs[(int(mode&7)+8*int(shape>>3&1))%len(hs)]
-		// mode's bit 3 picks random ties, else shape's bit 2 picks last.
-		ties := int(shape >> 2 & 1)
+		h := hs[int(mode)%len(hs)]
+		ties := 0
 		if mode&0x08 != 0 {
 			ties = 2
 		}
@@ -184,26 +178,11 @@ func FuzzIterateDerived(f *testing.F) {
 			opts.FreezeRule = FreezeMinCompletion
 		}
 		derivedOracle(t, in, h, tiePolicy(ties, seed), opts)
-	})
-}
-
-// TestDuplexDerivedMatchesComputed holds Duplex's derived Min-Min half to
-// the computed one over a fixed grid of float and tie-dense instances,
-// every tie policy and both freeze rules, so the oracle runs in the plain
-// test suite, not only under -fuzz.
-func TestDuplexDerivedMatchesComputed(t *testing.T) {
-	for seed := uint64(1); seed <= 40; seed++ {
-		for shape := 0; shape < 4; shape++ {
-			in := fuzzInstance(t, seed, 6+int(seed)%30, 2+int(seed)%7, shape&1 != 0, shape&2 != 0)
-			for ties := 0; ties < 3; ties++ {
-				for _, rule := range []FreezeRule{FreezeMakespan, FreezeMinCompletion} {
-					for _, h := range []heuristics.Heuristic{heuristics.Duplex{}, heuristics.Seeded{Inner: heuristics.Duplex{}}} {
-						derivedOracle(t, in, h, tiePolicy(ties, seed), Options{FreezeRule: rule})
-					}
-				}
-			}
+		for _, d := range duplexes {
+			derivedOracle(t, in, d, tiePolicy(ties, seed), opts)
+			derivedOracle(t, in, d, tiePolicy(1, seed), opts)
 		}
-	}
+	})
 }
 
 // TestDuplexDerivesItsMinMinHalf checks that the derivation runs: on a

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/etc"
@@ -450,12 +451,12 @@ func positiveFloat(src *rng.Source, pool []float64) float64 {
 // TestCTBitsOrderAsValues is the bit-order precondition of ctBits: over
 // positive floats, subnormals and +Inf included, the patterns order as the
 // values do, so a min over ctBits (minBits, completionRowMin) is the float
-// minimum and nearInto gathers the candidate set minIndicesInto does. A -0,
+// minimum and nearInto gathers the candidate set minIndices does. A -0,
 // which a raw ready vector may hold, breaks it; that is why OLB's ready
 // scan compares floats.
 func TestCTBitsOrderAsValues(t *testing.T) {
 	src := rng.New(4343)
-	var buf, want []int
+	var buf []int
 	for trial := 0; trial < 20000; trial++ {
 		row := make([]float64, 1+src.Intn(17))
 		bits := make([]uint64, len(row))
@@ -480,8 +481,8 @@ func TestCTBitsOrderAsValues(t *testing.T) {
 			t.Fatalf("row %v: minBits = %g, float min %g", row, got, mn)
 		}
 		buf = nearInto(row, mn, buf)
-		if want = minIndicesInto(row, want); !reflect.DeepEqual(buf, want) {
-			t.Fatalf("row %v: nearInto %v != minIndicesInto %v", row, buf, want)
+		if want := minIndices(row); !slices.Equal(buf, want) {
+			t.Fatalf("row %v: nearInto %v != minIndices %v", row, buf, want)
 		}
 	}
 	if negZero := math.Copysign(0, -1); ctBits(negZero) < ctBits(1) {

@@ -126,28 +126,22 @@ func minIndicesInto(vals []float64, buf []int) []int {
 	if len(vals) == 0 {
 		return nil
 	}
-	buf = buf[:0]
 	mn := vals[0]
 	for _, v := range vals[1:] {
 		if v < mn {
 			mn = v
 		}
 	}
-	for i, v := range vals {
-		if approxEqual(v, mn) {
-			buf = append(buf, i)
-		}
-	}
-	return buf
+	return nearInto(vals, mn, buf)
 }
 
-// nearInto is minIndicesInto's gather over a row of completion times whose
-// minimum mn is already known: it writes into buf the indices of the
-// entries within Epsilon of mn, in ascending order. Every entry is at least
-// mn, so the distance needs no math.Abs.
-func nearInto(ct []float64, mn float64, buf []int) []int {
+// nearInto is minIndicesInto's gather over vals whose minimum mn is already
+// known: it writes into buf the indices of the entries within Epsilon of
+// mn, in ascending order. Every entry is at least mn, so the distance needs
+// no math.Abs.
+func nearInto(vals []float64, mn float64, buf []int) []int {
 	buf = buf[:0]
-	for i, v := range ct {
+	for i, v := range vals {
 		if v-mn <= Epsilon {
 			buf = append(buf, i)
 		}
